@@ -18,8 +18,9 @@
 //!   qualifier is a lowercase module path (`pool::global`).
 //!
 //! Hot roots — `encode_into`/`decode_into`, the `Fabric::transfer*`
-//! family, the four `pipelined_*_allreduce_over` loops, and every
-//! function in a recovery-ladder file — taint everything reachable.
+//! family, `Exchange::run` and the four `*_schedule` bodies it calls,
+//! and every function in a recovery-ladder file — taint everything
+//! reachable.
 //! Panic sites (`unwrap`/`expect`/`panic!`) and allocation sites
 //! (`Vec::new`, `to_vec`, `clone`, `Box::new`, `format!`) anywhere in
 //! the reachable set fail with the full root→sink call chain in the
@@ -46,8 +47,13 @@ use crate::rules::{Diagnostic, FileCtx, RECOVERY_PATH_FILES};
 pub const HOT_ROOT_NAMES: &[&str] = &[
     "encode_into",
     "decode_into",
-    "deliver_ring_chunk",
-    "deliver_with_recovery",
+    // The one body each exchange strategy has in the chunked executor
+    // (`Exchange::run`, which calls them, is matched by qualifier
+    // below).
+    "ring_schedule",
+    "tree_schedule",
+    "worker_aggregator_schedule",
+    "switch_schedule",
     // Membership transitions run at the top of every training
     // iteration; the per-endpoint liveness probe runs on every
     // delivery. (Snapshot catch-up's `transfer_snapshot` is already
@@ -126,7 +132,7 @@ impl FnDef {
         HOT_ROOT_NAMES.contains(&self.name.as_str())
             || self.name == "transfer"
             || self.name.starts_with("transfer_")
-            || (self.name.starts_with("pipelined_") && self.name.contains("_allreduce_over"))
+            || (self.name == "run" && self.qualifier.as_deref() == Some("Exchange"))
             || (RECOVERY_PATH_FILES.contains(&self.file.as_str())
                 && (self.name.starts_with("deliver")
                     || self.name.starts_with("redeliver")

@@ -19,9 +19,9 @@
 //!
 //! The two hot-path rules are *interprocedural*: instead of a file
 //! list, [`crate::callgraph`] seeds the codec/transport entry points
-//! (`encode_into`/`decode_into`, the `Fabric::transfer*` family, the
-//! four `pipelined_*_allreduce_over` loops, and the recovery ladders)
-//! as hot roots and taints everything reachable; a panic or allocation
+//! (`encode_into`/`decode_into`, the `Fabric::transfer*` family,
+//! `Exchange::run` with the four `*_schedule` bodies, and the recovery
+//! ladders) as hot roots and taints everything reachable; a panic or allocation
 //! site anywhere in the reachable set fails with the full root→sink
 //! call chain in the diagnostic. The remaining rules run on the token
 //! stream of [`crate::lexer`], so text inside strings and comments
@@ -1204,14 +1204,12 @@ mod tests {
 
     #[test]
     fn allocation_reachable_from_a_hot_root_is_flagged_with_chain() {
-        let src = "pub fn pipelined_ring_allreduce_over(n: usize) { stage(n) }\n\
+        let src = "pub fn ring_schedule(n: usize) { stage(n) }\n\
                    fn stage(n: usize) { let _ = format!(\"{n}\"); }\n";
         let diags = lint_source("crates/demo/src/lib.rs", src);
         assert_eq!(fired(&diags), ["no-alloc-hot-path"]);
         assert!(
-            diags[0]
-                .message
-                .contains("pipelined_ring_allreduce_over -> stage"),
+            diags[0].message.contains("ring_schedule -> stage"),
             "chain missing from: {}",
             diags[0].message
         );

@@ -6,8 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use inceptionn_compress::ErrorBound;
 use inceptionn_distrib::aggregator::worker_aggregator_allreduce;
-use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, TransportKind};
-use inceptionn_distrib::ring::{ring_allreduce, ring_allreduce_over, threaded_ring_allreduce};
+use inceptionn_distrib::fabric::{CodecSelection, Fabric, FabricBuilder, TransportKind};
+use inceptionn_distrib::ring::{ring_allreduce, threaded_ring_allreduce};
+use inceptionn_distrib::{Exchange, ExchangeStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,6 +58,13 @@ fn bench_exchanges(c: &mut Criterion) {
     group.finish();
 }
 
+/// One whole-leg ring all-reduce through the [`Exchange`] seam.
+fn ring_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>], endpoints: &[usize]) {
+    Exchange::new(grads.len())
+        .run(ExchangeStrategy::Ring, fabric, grads, endpoints)
+        .unwrap();
+}
+
 /// The cost of realism: the same ring exchange over the in-process
 /// quantize shortcut vs the full NIC datapath (per-packet engine
 /// encode/decode). The two produce bit-identical values; the benchmark
@@ -77,7 +85,7 @@ fn bench_fabrics(c: &mut Criterion) {
         .compression(bound)
         .build();
     let mut g = grads.clone();
-    ring_allreduce_over(probe.as_mut(), &mut g, &endpoints).unwrap();
+    ring_over(probe.as_mut(), &mut g, &endpoints);
     let stats = probe.stats();
     println!(
         "ring over NicFabric: {} payload B -> {} wire B per exchange \
@@ -94,7 +102,7 @@ fn bench_fabrics(c: &mut Criterion) {
         b.iter(|| {
             let mut fabric = FabricBuilder::new(workers).compression(bound).build();
             let mut g = grads.clone();
-            ring_allreduce_over(fabric.as_mut(), &mut g, &endpoints).unwrap();
+            ring_over(fabric.as_mut(), &mut g, &endpoints);
             g
         })
     });
@@ -105,7 +113,7 @@ fn bench_fabrics(c: &mut Criterion) {
                 .compression(bound)
                 .build();
             let mut g = grads.clone();
-            ring_allreduce_over(fabric.as_mut(), &mut g, &endpoints).unwrap();
+            ring_over(fabric.as_mut(), &mut g, &endpoints);
             g
         })
     });

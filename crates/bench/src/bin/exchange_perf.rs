@@ -1,13 +1,13 @@
-//! End-to-end exchange throughput: unpipelined vs pipelined hot path.
+//! End-to-end exchange throughput: whole-leg vs pipelined exchange.
 //!
 //! Runs every exchange strategy (ring, tree, worker-aggregator, switch)
 //! over the NIC transport — the real modeled datapath, packets and
 //! engines included — with and without compression, timing the whole
-//! all-reduce. Each strategy is measured twice: the whole-block `_over`
-//! schedule and its pipelined variant (chunked legs, bounded in-flight
-//! window, recycled arena frames through `Fabric::encode_into`). The
-//! numbers land in `BENCH_exchange.json` at the repo root (or the path
-//! given as an argument).
+//! all-reduce. Each strategy is measured under both configs of the one
+//! chunked executor: the whole-leg default of `Exchange::new` and
+//! `PipelineConfig::default()` (chunked legs, bounded in-flight
+//! window). The numbers land in `BENCH_exchange.json` at the repo root
+//! (or the path given as an argument).
 //!
 //! The binary is its own regression gate: the pipelined path must reach
 //! at least [`GATE`]× the unpipelined throughput for every strategy ×
@@ -81,9 +81,8 @@ fn build(endpoints: usize, codec: CodecSelection) -> Box<dyn Fabric> {
         .build()
 }
 
-/// One all-reduce through the unified [`Exchange`] seam over a fresh
-/// fabric: whole-block when `pipeline` is `None`, the pipelined
-/// schedule otherwise.
+/// One all-reduce through the [`Exchange`] seam over a fresh fabric:
+/// whole-leg when `pipeline` is `None`, chunked under `cfg` otherwise.
 fn run_exchange(
     strategy: ExchangeStrategy,
     topo: Option<&Topology>,

@@ -1,92 +1,18 @@
-//! The conventional worker-aggregator exchange (Fig. 2), over a
-//! [`Fabric`].
+//! The conventional worker-aggregator exchange (Fig. 2) with the
+//! in-process shortcut. The schedule itself is
+//! [`ExchangeStrategy::WorkerAggregator`] in the chunked executor
+//! ([`crate::pipeline`]), reached through
+//! [`Exchange::run`](crate::Exchange::run).
 
-use crate::fabric::{CodecSelection, Fabric, FabricBuilder, FabricError, PayloadKind};
-
-/// In-place worker-aggregator all-reduce over a fabric: every worker's
-/// gradient is shipped to the aggregator endpoint (the fabric's **last**
-/// endpoint, index `workers.len()`), summed there, and the sum is
-/// returned to every worker.
-///
-/// The upward gradient leg is [`PayloadKind::Gradient`] — compressible
-/// if the fabric compresses. The downward leg is sent as
-/// [`PayloadKind::Plain`] and is **never** compressed: in the real
-/// system it carries updated weights, which the paper shows do not
-/// tolerate lossy compression (Fig. 4) — this is the structural reason
-/// WA+C gains less than INC+C (Fig. 12).
-///
-/// A hop that fails *recoverably* (CRC miss, decode failure, exhausted
-/// link retransmit budget) is degraded through
-/// [`Fabric::note_degraded`] and redelivered uncompressed before the
-/// error is allowed to surface.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if either leg's delivery fails past
-/// recovery.
-///
-/// # Panics
-///
-/// Panics if `workers` is empty, the vectors differ in length, or the
-/// fabric has fewer than `workers.len() + 1` endpoints.
-pub fn worker_aggregator_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-) -> Result<(), FabricError> {
-    let n = workers.len();
-    assert!(n > 0, "at least one worker required");
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|w| w.len() == len),
-        "all workers must hold equally sized gradients"
-    );
-    let aggregator = n;
-    assert!(
-        fabric.endpoints() > aggregator,
-        "fabric needs {n} worker endpoints plus an aggregator endpoint"
-    );
-    // Gather (compressible leg) + sum at the aggregator. The sink sums
-    // straight from the delivered slice — no per-worker copy. Delivery
-    // is all-or-nothing (integrity and decode are checked before the
-    // sink runs), so a failed hop can simply be retried plain.
-    let mut sum = vec![0.0f32; len];
-    for (i, w) in workers.iter().enumerate() {
-        let mut fold = |received: &[f32]| {
-            for (s, v) in sum.iter_mut().zip(received) {
-                *s += *v;
-            }
-        };
-        match fabric.transfer_with(i, aggregator, w, PayloadKind::Gradient, &mut fold) {
-            Ok(()) => {}
-            Err(e) if e.is_recoverable() => {
-                fabric.note_degraded(i, aggregator);
-                fabric.transfer_with(i, aggregator, w, PayloadKind::Plain, &mut fold)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // Broadcast (weights leg, uncompressed). Already plain, so recovery
-    // is a single straight redelivery.
-    for (i, w) in workers.iter_mut().enumerate() {
-        let mut write = |received: &[f32]| {
-            w.copy_from_slice(received);
-        };
-        match fabric.transfer_with(aggregator, i, &sum, PayloadKind::Plain, &mut write) {
-            Ok(()) => {}
-            Err(e) if e.is_recoverable() => {
-                fabric.note_degraded(aggregator, i);
-                fabric.transfer_with(aggregator, i, &sum, PayloadKind::Plain, &mut write)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
+use crate::exchange::Exchange;
+use crate::fabric::{CodecSelection, FabricBuilder};
+use crate::trainer::ExchangeStrategy;
 
 /// In-place worker-aggregator all-reduce with the compression round trip
-/// applied in process (the historical convenience). Equivalent to
-/// [`worker_aggregator_allreduce_over`] on the in-process transport with
-/// `workers.len() + 1` endpoints.
+/// applied in process (the historical convenience):
+/// [`ExchangeStrategy::WorkerAggregator`] on the in-process transport
+/// with `workers.len() + 1` endpoints, the last one the aggregator. Only
+/// the upward gradient leg compresses; the sum comes back plain.
 ///
 /// # Panics
 ///
@@ -95,14 +21,15 @@ pub fn worker_aggregator_allreduce(workers: &mut [Vec<f32>], gradient_codec: Cod
     let mut fabric = FabricBuilder::new(workers.len() + 1)
         .codec(gradient_codec)
         .build();
-    worker_aggregator_allreduce_over(fabric.as_mut(), workers)
+    Exchange::new(workers.len())
+        .run_all(ExchangeStrategy::WorkerAggregator, fabric.as_mut(), workers)
         .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::TransportKind;
+    use crate::fabric::{Fabric, TransportKind};
     use crate::faults::FaultPlan;
     use inceptionn_compress::ErrorBound;
     use rand::rngs::StdRng;
@@ -113,6 +40,12 @@ mod tests {
         (0..n)
             .map(|_| (0..len).map(|_| rng.gen_range(-0.2f32..0.2)).collect())
             .collect()
+    }
+
+    fn worker_aggregator_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
+        Exchange::new(grads.len())
+            .run_all(ExchangeStrategy::WorkerAggregator, fabric, grads)
+            .unwrap();
     }
 
     fn build(
@@ -187,10 +120,10 @@ mod tests {
             let grads = random_grads(4, 500, 5);
             let mut in_proc = grads.clone();
             let mut fabric = build(TransportKind::InProcess, 5, bound);
-            worker_aggregator_allreduce_over(fabric.as_mut(), &mut in_proc).unwrap();
+            worker_aggregator_over(fabric.as_mut(), &mut in_proc);
             let mut over_nic = grads.clone();
             let mut fabric = build(TransportKind::Nic, 5, bound);
-            worker_aggregator_allreduce_over(fabric.as_mut(), &mut over_nic).unwrap();
+            worker_aggregator_over(fabric.as_mut(), &mut over_nic);
             assert_eq!(in_proc, over_nic, "bound {bound:?}");
         }
     }
@@ -202,7 +135,7 @@ mod tests {
         let n = 4;
         let mut grads = random_grads(n, 3620, 6);
         let mut fabric = build(TransportKind::Nic, n + 1, Some(ErrorBound::pow2(10)));
-        worker_aggregator_allreduce_over(fabric.as_mut(), &mut grads).unwrap();
+        worker_aggregator_over(fabric.as_mut(), &mut grads);
         let stats = fabric.stats();
         assert_eq!(stats.transfers, 2 * n as u64);
         let plain_bytes = (n * 3620 * 4) as u64; // broadcast leg, uncompressed
@@ -222,7 +155,7 @@ mod tests {
             .transport(TransportKind::Nic)
             .faults(FaultPlan::new(21).drop_prob(0.05).corrupt_prob(0.02))
             .build();
-        worker_aggregator_allreduce_over(fabric.as_mut(), &mut faulty).unwrap();
+        worker_aggregator_over(fabric.as_mut(), &mut faulty);
         assert_eq!(clean, faulty, "recovered exchange must be bit-exact");
         assert!(fabric.fault_stats().retransmits > 0);
     }
@@ -241,7 +174,7 @@ mod tests {
             .compression(Some(ErrorBound::pow2(10)))
             .faults(FaultPlan::new(9).poison_prob(1.0))
             .build();
-        worker_aggregator_allreduce_over(fabric.as_mut(), &mut grads).unwrap();
+        worker_aggregator_over(fabric.as_mut(), &mut grads);
         // Every gather hop fell back to plain, so the sum is exact.
         for w in &grads {
             for (a, b) in w.iter().zip(&want) {

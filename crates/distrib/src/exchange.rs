@@ -1,51 +1,38 @@
-//! The single dispatch seam over every gradient-exchange schedule.
+//! The single seam over every gradient-exchange schedule.
 //!
-//! Historically every caller that wanted an all-reduce picked one of
-//! eight free functions by hand — four whole-block schedules
-//! ([`ring_allreduce_over`], [`tree_allreduce_over`],
-//! [`switch_allreduce_over`], [`worker_aggregator_allreduce_over`])
-//! and their four pipelined `pipelined_*_over` twins — and re-derived
-//! the fallback rules (degrade to the survivor ring when the worker
-//! set is not intact, when the tree fell out of sync with the live
-//! set, when the aggregator star lost its center) at every call site.
-//! Elastic membership makes that untenable: joins, leaves, and crashes
-//! all reshape the live set mid-run, and each reshaping would have to
-//! be re-implemented eight times.
-//!
-//! [`Exchange`] collapses the surface to one choke point:
 //! [`Exchange::run`] takes the configured [`ExchangeStrategy`], the
-//! fabric, the gradients, and the *live* worker set, and dispatches to
-//! the right schedule with the right fallback — whole-block by
-//! default, the bit-identical pipelined schedules when a
-//! [`PipelineConfig`] is armed (reusing one [`PipelineScratch`] across
-//! iterations, preserving the zero-allocation steady state). Membership
-//! transitions now touch exactly one struct: the trainer updates the
-//! exchange's live topology and aggregator flag, and every strategy
-//! follows.
+//! fabric, the gradients, and the *live* worker set, and calls the one
+//! schedule body that strategy has in the chunked executor
+//! ([`crate::pipeline`]) with the membership-aware fallback applied
+//! first: degrade to the survivor ring when the worker set is not
+//! intact, when the tree fell out of sync with the live set, or when
+//! the aggregator star lost its center. Joins, leaves and crashes
+//! reshape the live set mid-run; they touch exactly this struct — the
+//! trainer updates the exchange's live topology and aggregator flag,
+//! and every strategy follows.
 //!
-//! The eight underlying functions stay public — they are the
-//! differential-testing surface — but non-test code goes through this
-//! seam.
+//! How a leg crosses the fabric is a value, not a code path: an
+//! [`Exchange`] holds one [`PipelineConfig`]. [`Exchange::new`] starts
+//! whole-block (one chunk per leg, one frame in flight);
+//! [`Exchange::pipelined`] arms a chunked, windowed config that is
+//! bit-identical for every codec. Either way the exchange keeps one
+//! scratch (frame arena, windows, accumulator) across calls, so a held
+//! `Exchange` allocates nothing in steady state.
 
 use std::fmt;
 
 use inceptionn_netsim::Topology;
 
-use crate::aggregator::worker_aggregator_allreduce_over;
 use crate::fabric::{Fabric, FabricError};
 use crate::pipeline::{
-    pipelined_ring_allreduce_over_with, pipelined_switch_allreduce_over_with,
-    pipelined_tree_allreduce_over_with, pipelined_worker_aggregator_allreduce_over_with,
-    PipelineConfig, PipelineScratch,
+    ring_schedule, switch_schedule, tree_schedule, worker_aggregator_schedule, PipelineConfig,
+    PipelineScratch,
 };
-use crate::ring::{hierarchical_ring_allreduce_over, ring_allreduce_over, tree_allreduce_over};
-use crate::switch::switch_allreduce_over;
 use crate::trainer::ExchangeStrategy;
 
-/// Unified dispatcher over the whole-block and pipelined exchange
-/// schedules, carrying the membership-dependent state every strategy
-/// needs: the live topology tree and whether the aggregator endpoint is
-/// down.
+/// The exchange schedules behind one entry point, carrying the
+/// membership-dependent state every strategy needs: the live topology
+/// tree and whether the aggregator endpoint is down.
 ///
 /// # Examples
 ///
@@ -73,9 +60,9 @@ pub struct Exchange {
     /// Whether the aggregator endpoint (index `workers`) is down, which
     /// reroutes [`ExchangeStrategy::WorkerAggregator`] to the ring.
     aggregator_down: bool,
-    /// Armed pipelined mode; `None` runs the whole-block schedules.
-    pipeline: Option<PipelineConfig>,
-    /// Scratch reused across pipelined runs (zero-allocation steady
+    /// How every leg is chunked and windowed.
+    pipeline: PipelineConfig,
+    /// Executor state reused across runs (zero-allocation steady
     /// state).
     scratch: PipelineScratch,
 }
@@ -92,15 +79,16 @@ impl fmt::Debug for Exchange {
 }
 
 impl Exchange {
-    /// A dispatcher for a cluster of `workers` workers with no topology
-    /// tree (tree dispatch degrades to the ring until one is set).
+    /// A whole-block exchange for a cluster of `workers` workers with no
+    /// topology tree (tree dispatch degrades to the ring until one is
+    /// set).
     pub fn new(workers: usize) -> Self {
         Exchange {
             workers,
             topology: None,
             aggregator_down: false,
-            pipeline: None,
-            scratch: PipelineScratch::new(),
+            pipeline: PipelineConfig::WHOLE_LEG,
+            scratch: PipelineScratch::default(),
         }
     }
 
@@ -111,10 +99,11 @@ impl Exchange {
         self
     }
 
-    /// Switches dispatch to the pipelined schedules (bit-identical to
-    /// whole-block; overlaps encode/transfer/decode per chunk).
+    /// Cuts every leg into `cfg`'s chunks under its in-flight window
+    /// (bit-identical to whole-block; overlaps encode/transfer/decode
+    /// per chunk).
     pub fn pipelined(mut self, cfg: PipelineConfig) -> Self {
-        self.pipeline = Some(cfg);
+        self.pipeline = cfg;
         self
     }
 
@@ -167,11 +156,11 @@ impl Exchange {
     /// # Errors
     ///
     /// Returns [`FabricError`] when the selected schedule fails past
-    /// its recovery ladder (see the individual schedule docs).
+    /// the recovery ladder (see [`crate::pipeline`]).
     ///
     /// # Panics
     ///
-    /// Panics as the dispatched schedule does (empty worker set,
+    /// Panics as the selected schedule does (empty worker set,
     /// mismatched gradient lengths, endpoints out of range, or a group
     /// size that does not divide an intact hierarchical cluster).
     pub fn run(
@@ -188,72 +177,54 @@ impl Exchange {
             pipeline,
             scratch,
         } = self;
+        let cfg = *pipeline;
         let intact = live.len() == *workers && !*aggregator_down;
         match strategy {
-            ExchangeStrategy::SwitchReduce => match *pipeline {
-                None => switch_allreduce_over(fabric, grads, live),
-                Some(cfg) => {
-                    pipelined_switch_allreduce_over_with(fabric, grads, live, cfg, scratch)
-                }
-            },
+            ExchangeStrategy::SwitchReduce => switch_schedule(fabric, grads, live, cfg, scratch),
             ExchangeStrategy::Tree => {
                 match topology.as_ref().filter(|t| t.workers() == live) {
-                    Some(topo) => match *pipeline {
-                        None => tree_allreduce_over(fabric, grads, topo),
-                        Some(cfg) => {
-                            pipelined_tree_allreduce_over_with(fabric, grads, topo, cfg, scratch)
-                        }
-                    },
+                    Some(topo) => tree_schedule(fabric, grads, topo, cfg, scratch),
                     // The tree fell out of sync with the live set (no
                     // topology armed, or excision had nothing to
                     // remove): flat survivor ring.
-                    None => run_ring(*pipeline, scratch, fabric, grads, live),
+                    None => ring_schedule(fabric, grads, live, cfg, scratch),
                 }
             }
-            _ if !intact => run_ring(*pipeline, scratch, fabric, grads, live),
-            ExchangeStrategy::Ring => run_ring(*pipeline, scratch, fabric, grads, live),
-            ExchangeStrategy::HierarchicalRing { group_size } => match *pipeline {
-                None => hierarchical_ring_allreduce_over(fabric, grads, group_size),
-                Some(cfg) => {
-                    // Mirror the whole-block hierarchical schedule: it
-                    // is the two-tier (or flat, for one group) special
-                    // case of the tree exchange.
-                    let n = grads.len();
-                    assert!(group_size > 0, "group size must be positive");
-                    assert!(
-                        n.is_multiple_of(group_size),
-                        "group size {group_size} must divide worker count {n}"
-                    );
-                    let groups = n / group_size;
-                    let topo = if groups <= 1 {
-                        Topology::flat(n)
-                    } else {
-                        Topology::two_tier(groups, group_size)
-                    };
-                    pipelined_tree_allreduce_over_with(fabric, grads, &topo, cfg, scratch)
-                }
-            },
-            ExchangeStrategy::WorkerAggregator => match *pipeline {
-                None => worker_aggregator_allreduce_over(fabric, grads),
-                Some(cfg) => {
-                    pipelined_worker_aggregator_allreduce_over_with(fabric, grads, cfg, scratch)
-                }
-            },
+            _ if !intact => ring_schedule(fabric, grads, live, cfg, scratch),
+            ExchangeStrategy::Ring => ring_schedule(fabric, grads, live, cfg, scratch),
+            ExchangeStrategy::HierarchicalRing { group_size } => {
+                // Fig. 1(c)'s grouped rings are the two-tier (or flat,
+                // for one group) special case of the tree exchange.
+                let n = grads.len();
+                assert!(group_size > 0, "group size must be positive");
+                assert!(
+                    n.is_multiple_of(group_size),
+                    "group size {group_size} must divide worker count {n}"
+                );
+                let groups = n / group_size;
+                let topo = if groups <= 1 {
+                    Topology::flat(n)
+                } else {
+                    Topology::two_tier(groups, group_size)
+                };
+                tree_schedule(fabric, grads, &topo, cfg, scratch)
+            }
+            ExchangeStrategy::WorkerAggregator => {
+                worker_aggregator_schedule(fabric, grads, cfg, scratch)
+            }
         }
     }
-}
 
-/// The survivor-ring leg every fallback lands on.
-fn run_ring(
-    pipeline: Option<PipelineConfig>,
-    scratch: &mut PipelineScratch,
-    fabric: &mut dyn Fabric,
-    grads: &mut [Vec<f32>],
-    live: &[usize],
-) -> Result<(), FabricError> {
-    match pipeline {
-        None => ring_allreduce_over(fabric, grads, live),
-        Some(cfg) => pipelined_ring_allreduce_over_with(fabric, grads, live, cfg, scratch),
+    /// One all-reduce of the full worker set, worker `k` on endpoint
+    /// `k`: what the in-process conveniences and the unit tests run.
+    pub(crate) fn run_all(
+        mut self,
+        strategy: ExchangeStrategy,
+        fabric: &mut dyn Fabric,
+        grads: &mut [Vec<f32>],
+    ) -> Result<(), FabricError> {
+        let live: Vec<usize> = (0..grads.len()).collect();
+        self.run(strategy, fabric, grads, &live)
     }
 }
 
@@ -277,83 +248,6 @@ mod tests {
             .collect()
     }
 
-    type Schedule = Box<dyn Fn(&mut dyn Fabric, &mut [Vec<f32>])>;
-
-    /// The seam must be a pure dispatcher: for every strategy, running
-    /// through `Exchange` equals calling the underlying schedule
-    /// directly, bit for bit, whole-block and pipelined alike.
-    #[test]
-    fn dispatch_matches_the_underlying_schedules_bit_exactly() {
-        let n = 4;
-        let live: Vec<usize> = (0..n).collect();
-        let topo = Topology::two_tier(2, 2);
-        let cases: Vec<(ExchangeStrategy, Schedule)> = vec![
-            (
-                ExchangeStrategy::Ring,
-                Box::new({
-                    let live = live.clone();
-                    move |f: &mut dyn Fabric, w: &mut [Vec<f32>]| {
-                        ring_allreduce_over(f, w, &live).unwrap()
-                    }
-                }),
-            ),
-            (
-                ExchangeStrategy::Tree,
-                Box::new({
-                    let topo = topo.clone();
-                    move |f: &mut dyn Fabric, w: &mut [Vec<f32>]| {
-                        tree_allreduce_over(f, w, &topo).unwrap()
-                    }
-                }),
-            ),
-            (
-                ExchangeStrategy::HierarchicalRing { group_size: 2 },
-                Box::new(|f: &mut dyn Fabric, w: &mut [Vec<f32>]| {
-                    hierarchical_ring_allreduce_over(f, w, 2).unwrap()
-                }),
-            ),
-            (
-                ExchangeStrategy::WorkerAggregator,
-                Box::new(|f: &mut dyn Fabric, w: &mut [Vec<f32>]| {
-                    worker_aggregator_allreduce_over(f, w).unwrap()
-                }),
-            ),
-            (
-                ExchangeStrategy::SwitchReduce,
-                Box::new({
-                    let live = live.clone();
-                    move |f: &mut dyn Fabric, w: &mut [Vec<f32>]| {
-                        switch_allreduce_over(f, w, &live).unwrap()
-                    }
-                }),
-            ),
-        ];
-        for (strategy, direct) in cases {
-            let mut want = grads(n, 600, 7);
-            let mut fabric = FabricBuilder::new(n + 1)
-                .transport(TransportKind::Nic)
-                .build();
-            direct(fabric.as_mut(), &mut want);
-
-            for pipelined in [false, true] {
-                let mut got = grads(n, 600, 7);
-                let mut fabric = FabricBuilder::new(n + 1)
-                    .transport(TransportKind::Nic)
-                    .build();
-                let mut ex = Exchange::new(n).with_topology(topo.clone());
-                if pipelined {
-                    ex = ex.pipelined(PipelineConfig::with_chunk(128));
-                }
-                ex.run(strategy, fabric.as_mut(), &mut got, &live).unwrap();
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "{strategy:?} pipelined={pipelined} diverged from the direct schedule"
-                );
-            }
-        }
-    }
-
     /// A shrunken live set degrades every flat strategy to the survivor
     /// ring, and a pruned topology keeps tree dispatch on the tree.
     #[test]
@@ -361,7 +255,9 @@ mod tests {
         let live = vec![0usize, 2, 3];
         let mut want = grads(3, 300, 9);
         let mut fabric = FabricBuilder::new(5).transport(TransportKind::Nic).build();
-        ring_allreduce_over(fabric.as_mut(), &mut want, &live).unwrap();
+        Exchange::new(3)
+            .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut want, &live)
+            .unwrap();
         for strategy in [
             ExchangeStrategy::Ring,
             ExchangeStrategy::HierarchicalRing { group_size: 2 },
@@ -378,7 +274,16 @@ mod tests {
         let pruned = Topology::two_tier(2, 2).excise(1).unwrap();
         let mut want_tree = grads(3, 300, 9);
         let mut fabric = FabricBuilder::new(5).transport(TransportKind::Nic).build();
-        tree_allreduce_over(fabric.as_mut(), &mut want_tree, &pruned).unwrap();
+        Exchange::new(3)
+            .with_topology(pruned)
+            .run(
+                ExchangeStrategy::Tree,
+                fabric.as_mut(),
+                &mut want_tree,
+                &live,
+            )
+            .unwrap();
+        let tree_transfers = fabric.stats().transfers;
         let mut got = grads(3, 300, 9);
         let mut fabric = FabricBuilder::new(5).transport(TransportKind::Nic).build();
         let mut ex = Exchange::new(4).with_topology(Topology::two_tier(2, 2));
@@ -386,6 +291,9 @@ mod tests {
         ex.run(ExchangeStrategy::Tree, fabric.as_mut(), &mut got, &live)
             .unwrap();
         assert_eq!(bits(&got), bits(&want_tree));
+        // Lossless values cannot tell a tree from a ring; the frame
+        // count can.
+        assert_eq!(fabric.stats().transfers, tree_transfers);
     }
 
     /// A downed aggregator reroutes the star to the ring even when every
@@ -395,7 +303,9 @@ mod tests {
         let live: Vec<usize> = (0..4).collect();
         let mut want = grads(4, 200, 5);
         let mut fabric = FabricBuilder::new(5).transport(TransportKind::Nic).build();
-        ring_allreduce_over(fabric.as_mut(), &mut want, &live).unwrap();
+        Exchange::new(4)
+            .run_all(ExchangeStrategy::Ring, fabric.as_mut(), &mut want)
+            .unwrap();
         let mut got = grads(4, 200, 5);
         let mut fabric = FabricBuilder::new(5).transport(TransportKind::Nic).build();
         let mut ex = Exchange::new(4);

@@ -271,51 +271,32 @@ impl WireFrame {
     }
 }
 
-/// Recycled per-endpoint wire-frame buffers for exchange loops.
+/// Recycled wire-frame buffers for exchange loops.
 ///
-/// A pipelined exchange keeps several frames in flight per endpoint
+/// An exchange keeps up to its pipeline depth in frames in flight
 /// (chunk `k+1` encoding while chunk `k` is on the wire); checking
-/// frames out of the arena and recycling them after delivery means each
-/// endpoint's frame bodies — the loopback value vector or the packet
-/// vector — are allocated once and reused for every subsequent leg via
-/// [`Fabric::encode_into`].
+/// frames out of the arena and recycling them after delivery means the
+/// frame bodies — the loopback value vector or the flat wire buffer —
+/// are allocated once and reused for every subsequent leg via
+/// [`Fabric::encode_into`]. One free list serves every endpoint (a
+/// fabric's frames all have the same body shape), so an exchange holds
+/// exactly as many frames as it ever had in flight at once.
 #[derive(Debug, Default)]
 pub struct FrameArena {
-    free: Vec<Vec<WireFrame>>,
+    free: Vec<WireFrame>,
 }
 
 impl FrameArena {
-    /// An arena with one free-list per fabric endpoint.
-    pub fn new(endpoints: usize) -> Self {
-        FrameArena {
-            free: (0..endpoints).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Grows the arena to at least `endpoints` free-lists, keeping every
-    /// recycled frame it already holds — what lets a persistent scratch
-    /// arena outlive individual exchange calls.
-    pub fn ensure_endpoints(&mut self, endpoints: usize) {
-        while self.free.len() < endpoints {
-            self.free.push(Vec::new());
-        }
-    }
-
-    /// Takes a recycled frame for `endpoint` (or an empty one if none
+    /// Takes the most recently recycled frame (or an empty one if none
     /// is free). The caller owns it until [`recycle`](Self::recycle).
-    pub fn checkout(&mut self, endpoint: usize) -> WireFrame {
-        self.free
-            .get_mut(endpoint)
-            .and_then(|v| v.pop())
-            .unwrap_or_else(WireFrame::empty)
+    pub fn checkout(&mut self) -> WireFrame {
+        self.free.pop().unwrap_or_else(WireFrame::empty)
     }
 
-    /// Returns a delivered frame to `endpoint`'s free-list so its body
-    /// allocation is reused by the next checkout.
-    pub fn recycle(&mut self, endpoint: usize, frame: WireFrame) {
-        if let Some(v) = self.free.get_mut(endpoint) {
-            v.push(frame);
-        }
+    /// Returns a delivered frame so its body allocation is reused by the
+    /// next checkout.
+    pub fn recycle(&mut self, frame: WireFrame) {
+        self.free.push(frame);
     }
 }
 
@@ -2316,14 +2297,7 @@ impl FabricBuilder {
         } else {
             base
         };
-        // The deprecated one-shot `FaultPlan::crash` field desugars to a
-        // typed `MembershipEvent::Crash` on the schedule, so old plans
-        // and new schedules share one liveness mechanism.
-        let mut membership = self.membership;
-        if let Some(event) = self.faults.as_ref().and_then(FaultPlan::desugared_crash) {
-            membership = membership.push_event(event);
-        }
-        if self.faults.is_none() && membership.is_empty() {
+        if self.faults.is_none() && self.membership.is_empty() {
             return timed;
         }
         let plan = self
@@ -2332,7 +2306,7 @@ impl FabricBuilder {
         Box::new(FaultyFabric::decorate(
             timed,
             plan,
-            membership,
+            self.membership,
             &self.recorder,
         ))
     }

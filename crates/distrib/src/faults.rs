@@ -9,10 +9,7 @@
 //! [`FaultyFabric`] decorates any [`Fabric`] stack and perturbs frames
 //! on delivery according to the plan. Endpoint liveness (crashes and
 //! the joins that revive them) comes from a typed
-//! [`MembershipSchedule`] armed through `FabricBuilder::membership`;
-//! the historical one-shot `FaultPlan::crash` field survives only as a
-//! deprecated shim that desugars to a single
-//! [`MembershipEvent::Crash`](crate::membership::MembershipEvent::Crash).
+//! [`MembershipSchedule`] armed through `FabricBuilder::membership`.
 //!
 //! Everything is deterministic by construction. Fault draws are pure
 //! functions of `(seed, src, dst, per-link sequence number, salt)`
@@ -93,7 +90,7 @@ impl LinkFaults {
 ///
 /// Endpoint crashes are no longer part of the plan: schedule them (and
 /// the joins/leaves around them) through a
-/// [`MembershipSchedule`](crate::membership::MembershipSchedule) on
+/// [`MembershipSchedule`] on
 /// `FabricBuilder::membership` or `TrainerConfig::membership`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -104,7 +101,6 @@ pub struct FaultPlan {
     backoff_base_ns: u64,
     stragglers: Vec<(usize, f64)>,
     slowdowns: Vec<(usize, RateWindow)>,
-    crash: Option<(usize, u64)>,
 }
 
 impl FaultPlan {
@@ -118,7 +114,6 @@ impl FaultPlan {
             backoff_base_ns: 1_000,
             stragglers: Vec::new(),
             slowdowns: Vec::new(),
-            crash: None,
         }
     }
 
@@ -182,21 +177,6 @@ impl FaultPlan {
         self
     }
 
-    /// Arms a one-shot crash: starting at iteration `at`, `endpoint`
-    /// neither sends nor receives until the collective is re-stitched
-    /// around it.
-    #[deprecated(
-        since = "0.11.0",
-        note = "schedule a typed `MembershipEvent::Crash` through \
-                `MembershipSchedule::crash(at, worker)` on \
-                `FabricBuilder::membership` / `TrainerConfig::membership` \
-                instead; this field desugars to exactly that"
-    )]
-    pub fn crash(mut self, endpoint: usize, at_iteration: u64) -> Self {
-        self.crash = Some((endpoint, at_iteration));
-        self
-    }
-
     /// The determinism seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -205,24 +185,6 @@ impl FaultPlan {
     /// The retransmit budget per delivery.
     pub fn retransmit_budget(&self) -> u32 {
         self.max_retransmits
-    }
-
-    /// The armed crash, if any: `(endpoint, first faulty iteration)`.
-    #[deprecated(
-        since = "0.11.0",
-        note = "crashes live on the membership schedule now; inspect \
-                `MembershipSchedule::events` instead"
-    )]
-    pub fn crash_schedule(&self) -> Option<(usize, u64)> {
-        self.crash
-    }
-
-    /// The deprecated one-shot crash field, desugared to the typed
-    /// schedule it shims: the builder merges this into the fabric's
-    /// [`MembershipSchedule`] so old plans keep crashing identically.
-    pub(crate) fn desugared_crash(&self) -> Option<MembershipEvent> {
-        self.crash
-            .map(|(worker, at)| MembershipEvent::Crash { at, worker })
     }
 
     /// Fault probabilities in effect on the `src -> dst` link.
@@ -330,9 +292,7 @@ pub struct FaultStats {
 pub struct FaultyFabric {
     inner: Box<dyn Fabric>,
     plan: FaultPlan,
-    /// Endpoint liveness schedule (crashes and reviving joins); the
-    /// deprecated `FaultPlan::crash` field is desugared into it at
-    /// build time.
+    /// Endpoint liveness schedule (crashes and reviving joins).
     membership: MembershipSchedule,
     /// Per-directed-link transmission counters (`src * endpoints + dst`),
     /// the sequence dimension of every fault draw.
@@ -360,8 +320,7 @@ impl FaultyFabric {
     /// Wraps `inner`, perturbing deliveries per `plan` and gating
     /// endpoint liveness on `membership`. Crate-private: the only
     /// construction path is `FabricBuilder::faults` /
-    /// `FabricBuilder::membership`, which also desugars the deprecated
-    /// `FaultPlan::crash` field into the schedule.
+    /// `FabricBuilder::membership`.
     pub(crate) fn decorate(
         inner: Box<dyn Fabric>,
         plan: FaultPlan,
@@ -963,26 +922,6 @@ mod tests {
         assert_eq!(fabric.transfer(0, 1, &v).unwrap(), v, "revived by join");
         assert_eq!(fabric.transfer(1, 2, &v).unwrap(), v, "sends again too");
         assert_eq!(fabric.fault_stats().crashes, 1, "one crash event fired");
-    }
-
-    #[test]
-    fn deprecated_crash_field_desugars_to_a_membership_crash() {
-        // The old one-shot `FaultPlan::crash` shim must keep behaving
-        // exactly like the typed schedule it desugars into.
-        let v = vals(64);
-        #[allow(deprecated)]
-        let legacy = FaultPlan::new(1).crash(2, 4);
-        let mut old = FabricBuilder::new(3).faults(legacy).build();
-        let mut new = FabricBuilder::new(3)
-            .faults(FaultPlan::new(1))
-            .membership(MembershipSchedule::new().crash(4, 2))
-            .build();
-        for fabric in [&mut old, &mut new] {
-            fabric.begin_iteration(4);
-            let err = fabric.transfer(0, 2, &v).expect_err("crashed endpoint");
-            assert_eq!(err, FabricError::EndpointDown { endpoint: 2 });
-            assert_eq!(fabric.fault_stats().crashes, 1);
-        }
     }
 
     #[test]

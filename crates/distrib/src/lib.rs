@@ -13,25 +13,29 @@
 //! shortcut ([`fabric::InProcessFabric`]), the modeled NIC
 //! compression/decompression datapath ([`fabric::NicFabric`]), either of
 //! those with network link timing charged per transfer
-//! ([`fabric::TimedFabric`]). The exchange schedules themselves:
+//! ([`fabric::TimedFabric`]). The exchange schedules themselves sit
+//! behind one entry point, [`Exchange::run`], which picks by
+//! [`ExchangeStrategy`]:
 //!
-//! * [`ring::ring_allreduce_over`] — deterministic sequential-semantics
-//!   implementation of Algorithm 1 (used by experiments and tests);
+//! * `Ring` — deterministic sequential-semantics implementation of
+//!   Algorithm 1 (used by experiments and tests);
+//! * `HierarchicalRing` / `Tree` — the grouped composition of
+//!   Fig. 1(c) and its generalisation to a topology tree of arbitrary
+//!   depth (the former is the two-tier special case of the latter);
+//! * `WorkerAggregator` — the conventional centralized exchange
+//!   (Fig. 2), where only the gradient (up) leg is compressible;
+//! * `SwitchReduce` — in-network reduction: the switch's reduce unit
+//!   folds gradient packets in flight, eliminating the gather leg
+//!   entirely (bit-identical to the worker/aggregator result).
+//!
+//! Each strategy has exactly one schedule body, in the chunked executor
+//! [`pipeline`]; whole-block and pipelined exchange are two
+//! [`PipelineConfig`] values of it. Beside them:
+//!
 //! * [`ring::threaded_ring_allreduce_over`] — a real concurrent
-//!   implementation: worker threads exchanging wire frames over bounded
-//!   channels (with a [`fabric::NicFabric`], the actual
-//!   hardware-compressed byte streams);
-//! * [`ring::hierarchical_ring_allreduce_over`] — the grouped
-//!   composition of Fig. 1(c), now the two-tier special case of
-//!   [`ring::tree_allreduce_over`], which runs the same scheme over a
-//!   topology tree of arbitrary depth;
-//! * [`aggregator::worker_aggregator_allreduce_over`] — the conventional
-//!   centralized exchange (Fig. 2), where only the gradient (up) leg is
-//!   compressible;
-//! * [`switch::switch_allreduce_over`] — in-network reduction: the
-//!   switch's reduce unit folds gradient packets in flight, eliminating
-//!   the gather leg entirely (bit-identical to the worker/aggregator
-//!   result);
+//!   implementation of Algorithm 1: worker threads exchanging wire
+//!   frames over bounded channels (with a [`fabric::NicFabric`], the
+//!   actual hardware-compressed byte streams);
 //! * [`trainer::DistributedTrainer`] — end-to-end data-parallel training
 //!   of model replicas over dataset shards with any exchange × transport
 //!   combination ([`trainer::TrainerConfig::transport`]).
@@ -69,7 +73,7 @@ pub mod ring;
 pub mod switch;
 pub mod trainer;
 
-pub use aggregator::{worker_aggregator_allreduce, worker_aggregator_allreduce_over};
+pub use aggregator::worker_aggregator_allreduce;
 pub use exchange::Exchange;
 pub use fabric::{
     CodecSelection, Fabric, FabricBuilder, FabricError, FabricStats, FrameArena, FrameBody,
@@ -78,13 +82,7 @@ pub use fabric::{
 };
 pub use faults::{FaultPlan, FaultStats, FaultyFabric, LinkFaults, RENEGOTIATE_AFTER};
 pub use membership::{MembershipEvent, MembershipSchedule};
-pub use pipeline::{
-    pipelined_ring_allreduce_over, pipelined_ring_allreduce_over_with,
-    pipelined_switch_allreduce_over, pipelined_switch_allreduce_over_with,
-    pipelined_tree_allreduce_over, pipelined_tree_allreduce_over_with,
-    pipelined_worker_aggregator_allreduce_over, pipelined_worker_aggregator_allreduce_over_with,
-    PipelineConfig, PipelineScratch,
-};
-pub use ring::{ring_allreduce, ring_allreduce_over, threaded_ring_allreduce, tree_allreduce_over};
-pub use switch::{switch_allreduce, switch_allreduce_over};
+pub use pipeline::PipelineConfig;
+pub use ring::{ring_allreduce, threaded_ring_allreduce};
+pub use switch::switch_allreduce;
 pub use trainer::{DistributedTrainer, ExchangeStrategy, TrainerConfig};

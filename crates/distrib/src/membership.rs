@@ -13,7 +13,7 @@
 //! * **`Crash`** is a fabric-level event: from its iteration every
 //!   delivery touching the endpoint fails with `EndpointDown` until the
 //!   collective is re-stitched around it — the recovery-ladder path PR 5
-//!   built. The old `FaultPlan::crash` field desugars to exactly this.
+//!   built.
 //! * **`Leave`** is a trainer-level event: the worker drains (it
 //!   completes iteration `at - 1`), then the trainer excises it *before*
 //!   iteration `at`'s exchange — no failed delivery, no recovery ladder,
@@ -124,12 +124,6 @@ impl MembershipSchedule {
             .unwrap_or(self.events.len());
         self.events.insert(pos, event);
         self
-    }
-
-    /// Inserts an already-built event; the builder uses this to desugar
-    /// the deprecated `FaultPlan::crash` shim into the schedule.
-    pub(crate) fn push_event(self, event: MembershipEvent) -> Self {
-        self.push(event)
     }
 
     /// Schedules a [`MembershipEvent::Join`] at iteration `at`.

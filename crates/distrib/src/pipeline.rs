@@ -1,38 +1,52 @@
-//! Pipelined (chunked) variants of the exchange strategies.
+//! The chunked executor: the one implementation of every exchange
+//! schedule.
 //!
-//! Every `_over` strategy in this crate moves whole blocks: encode a
-//! leg, put it on the wire, decode it, then start the next leg. The
-//! variants here split each leg into fixed-size **pipeline chunks** and
-//! keep a bounded window of encoded frames in flight, so chunk `k+1`
-//! encodes while chunk `k` is on the wire and chunk `k-1` decodes —
-//! the software shape of the paper's NIC datapath, where compression is
-//! overlapped with DMA and transmission so the link never idles behind
-//! the codec.
+//! Each strategy — the ring of Algorithm 1, its topology-tree
+//! composition, the worker-aggregator baseline, and the switch-resident
+//! reduce — is a fixed sequence of **legs** (one sender's block moving
+//! to one receiver, folded or overwritten there). A [`PipelineConfig`]
+//! says how a leg crosses the fabric: cut into `chunk_values`-sized
+//! chunks with up to `depth` encoded frames in flight, so chunk `k+1`
+//! encodes while chunk `k` is on the wire and chunk `k-1` decodes — the
+//! software shape of the paper's NIC datapath, where compression
+//! overlaps DMA and transmission. *Whole-block* exchange is not a
+//! second code path but a value of that config — one chunk per leg, one
+//! frame in flight — which [`Exchange::new`](crate::Exchange::new) runs
+//! until [`Exchange::pipelined`](crate::Exchange::pipelined) arms
+//! another.
 //!
 //! Frames are checked out of a [`FrameArena`] and filled through
-//! [`Fabric::encode_into`], so a steady-state exchange allocates no
-//! frame bodies at all: each endpoint's loopback vector or packet
-//! vector is recycled from chunk to chunk.
+//! [`Fabric::encode_into`], so an exchange that reuses its scratch
+//! (every [`Exchange`](crate::Exchange) does) allocates nothing in steady state: at most `depth` frame bodies
+//! exist, recycled from leg to leg. `tests/alloc_gate.rs` pins that for
+//! the NIC-transport ring, chunked and whole-leg alike.
 //!
-//! # Bit-identity with the unpipelined schedules
+//! # Chunking never changes a value
 //!
-//! The INCEPTIONN codec is elementwise: quantizing a slice chunk by
-//! chunk produces exactly the bytes-then-values of quantizing it whole
-//! (`inceptionn-compress` pins this; packet framing is value-count
-//! independent above [`VALUES_PER_PACKET`] granularity only for wire
-//! *accounting*, never for values). Folds are elementwise too, and a
-//! chunked leg touches the same disjoint element ranges in the same
-//! per-element order as the whole leg, so every pipelined strategy here
-//! is **bit-identical** to its unpipelined counterpart for every
-//! [`CodecSelection`] — ragged final chunks included. The differential
-//! suite in `tests/` pins this for all four strategies.
+//! Every codec the fabric carries quantizes per element, so encoding a
+//! slice chunk by chunk produces exactly the values of encoding it
+//! whole (packet framing differs only in wire *accounting*). Folds are
+//! elementwise too, and a chunked leg touches the same disjoint element
+//! ranges in the same per-element order as the whole leg. So every
+//! schedule here is **bit-identical across configs** for every
+//! [`CodecSelection`] — ragged final chunks included — which
+//! `tests/pipeline_differential.rs` pins for all four strategies
+//! against executor-independent references.
 //!
-//! Recovery mirrors the unpipelined ladders at chunk granularity: a
-//! recoverably failed chunk is re-encoded [`PayloadKind::Plain`] and
-//! redelivered, and repeated failures degrade the leg through
-//! [`Fabric::note_degraded`] exactly as the whole-block schedules do.
+//! # Graceful degradation
 //!
-//! [`VALUES_PER_PACKET`]: inceptionn_nicsim::VALUES_PER_PACKET
+//! A delivery that fails *recoverably* (CRC miss, decode failure from a
+//! poisoned stream, exhausted link retransmit budget) is re-encoded
+//! [`PayloadKind::Plain`] from the sender's still-intact values and
+//! redelivered, chunk by chunk. Repeated failures renegotiate the leg
+//! down to plain through [`Fabric::note_degraded`]: after
+//! [`RENEGOTIATE_AFTER`] consecutive failures per ring sender (the
+//! state persists across that sender's legs), at the first failure of a
+//! point-to-point leg. The switch gather has no retransmission — a
+//! failed contribution restarts that chunk's gather plain.
+//! Non-recoverable failures — a frame on the wrong transport, a crashed
+//! endpoint — surface as the typed error so the trainer can re-stitch.
+//!
 //! [`CodecSelection`]: crate::fabric::CodecSelection
 
 use std::collections::{BTreeMap, VecDeque};
@@ -42,10 +56,10 @@ use inceptionn_netsim::Topology;
 
 use crate::fabric::{Fabric, FabricError, FrameArena, PayloadKind, SwitchAccum, WireFrame};
 use crate::faults::RENEGOTIATE_AFTER;
-use crate::ring::{apply_block, block_range};
+use crate::ring::{apply_block, assert_uniform, block_range};
 
-/// How a pipelined exchange cuts legs into chunks and how many encoded
-/// frames it keeps in flight per leg.
+/// How an exchange cuts legs into chunks and how many encoded frames it
+/// keeps in flight per leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Values per pipeline chunk. Legs shorter than one chunk move
@@ -63,6 +77,15 @@ impl PipelineConfig {
 
     /// Three stages in flight: encode, wire, decode.
     pub const DEFAULT_DEPTH: usize = 3;
+
+    /// Whole-block exchange: every leg is one chunk, delivered before
+    /// the next leg encodes. What [`Exchange::new`](crate::Exchange::new)
+    /// runs until [`pipelined`](crate::Exchange::pipelined) arms a
+    /// chunked config.
+    pub(crate) const WHOLE_LEG: PipelineConfig = PipelineConfig {
+        chunk_values: usize::MAX,
+        depth: 1,
+    };
 
     /// A config with the given chunk size and the default depth.
     ///
@@ -87,60 +110,60 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Reusable working state of the pipelined exchanges: the frame arena,
-/// the in-flight windows, the recovery ladders' counters, and the
-/// reduction accumulator.
-///
-/// The one-shot entry points (`pipelined_*_allreduce_over`) build one of
-/// these per call; a training loop that instead holds a scratch across
-/// iterations and calls the `_with` variants reaches a **zero-allocation
-/// steady state** after the first iteration warms every buffer — the
-/// invariant `tests/alloc_gate.rs` enforces for the NIC-transport ring
-/// exchange.
+/// The recovery ladder's state for one sender: consecutive recoverable
+/// failures, and whether its sends have been renegotiated down to plain.
+#[derive(Debug, Clone, Copy)]
+struct Ladder {
+    failures: usize,
+    degraded: bool,
+    /// Consecutive failures that trigger the renegotiation.
+    renegotiate_after: usize,
+}
+
+impl Ladder {
+    /// A clean ladder. A ring sender's outlives the leg, so only
+    /// [`RENEGOTIATE_AFTER`] repeated failures renegotiate; a
+    /// point-to-point leg's lives for that leg, and its first failure
+    /// (`1`) renegotiates the rest of it.
+    fn new(renegotiate_after: usize) -> Self {
+        Ladder {
+            failures: 0,
+            degraded: false,
+            renegotiate_after,
+        }
+    }
+}
+
+/// Reusable working state of the executor: the frame arena, the
+/// in-flight windows, the ring senders' ladders, and the reduction
+/// accumulator. An [`Exchange`](crate::Exchange) holds one across
+/// iterations, which is what makes the steady state allocation-free.
 #[derive(Debug, Default)]
-pub struct PipelineScratch {
-    /// Recycled wire frames, one free-list per fabric endpoint.
-    pub arena: FrameArena,
+pub(crate) struct PipelineScratch {
+    /// Recycled wire frames.
+    arena: FrameArena,
     /// The bounded in-flight window of a point-to-point leg.
     inflight: VecDeque<(WireFrame, Range<usize>)>,
     /// The bounded in-flight window of a switch gather (frame plus the
     /// contributing worker's index).
     gather_inflight: VecDeque<(WireFrame, usize)>,
-    /// Consecutive-failure counter per worker (ring degradation ladder).
-    failures: Vec<usize>,
-    /// Whether each worker's sends have been renegotiated down to plain.
-    degraded: Vec<bool>,
+    /// One ladder per ring sender, reset at the start of every ring.
+    ladders: Vec<Ladder>,
     /// Reduction accumulator (aggregator/switch sum, tree broadcast
     /// buffer).
     sum: Vec<f32>,
 }
 
-impl PipelineScratch {
-    /// An empty scratch; every buffer warms on first use.
-    pub fn new() -> Self {
-        PipelineScratch::default()
-    }
-
-    /// Resets the per-call state: ladders back to clean, arena sized to
-    /// the fabric. Allocation-free once warmed to `endpoints`/`workers`.
-    fn prepare(&mut self, endpoints: usize, workers: usize) {
-        self.arena.ensure_endpoints(endpoints);
-        self.failures.clear();
-        self.failures.resize(workers, 0);
-        self.degraded.clear();
-        self.degraded.resize(workers, false);
-    }
-}
-
 /// Splits `range` into consecutive chunks of `chunk` elements; the last
-/// chunk is ragged. An empty range yields no chunks.
+/// chunk is ragged. An empty range yields no chunks. Saturating, so a
+/// chunk of `usize::MAX` (the whole-leg config) is one chunk.
 fn chunk_ranges(range: Range<usize>, chunk: usize) -> impl Iterator<Item = Range<usize>> {
     let chunk = chunk.max(1);
     let Range { start, end } = range;
-    (0..)
-        .map(move |i| start + i * chunk)
-        .take_while(move |&s| s < end)
-        .map(move |s| s..(s + chunk).min(end))
+    std::iter::successors((start < end).then_some(start), move |&s| {
+        Some(s.saturating_add(chunk)).filter(|&next| next < end)
+    })
+    .map(move |s| s..s.saturating_add(chunk).min(end))
 }
 
 /// Which latency a chunk's transfer is charged: a full point-to-point
@@ -153,234 +176,129 @@ enum Charge {
     FromSwitch,
 }
 
-fn charge_chunk(fabric: &mut dyn Fabric, leg: Charge, src: usize, dst: usize, frame: &WireFrame) {
-    match leg {
-        Charge::Link => fabric.charge(src, dst, frame),
-        Charge::FromSwitch => fabric.charge_from_switch(dst, frame),
+/// The fixed attributes of one leg: who sends to whom, as what payload
+/// kind, charged how.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    src: usize,
+    dst: usize,
+    kind: PayloadKind,
+    charge: Charge,
+}
+
+impl Leg {
+    fn charge(&self, fabric: &mut dyn Fabric, frame: &WireFrame) {
+        match self.charge {
+            Charge::Link => fabric.charge(self.src, self.dst, frame),
+            Charge::FromSwitch => fabric.charge_from_switch(self.dst, frame),
+        }
     }
 }
 
-/// One leg of a pipelined exchange: `values` at endpoint `src` stream
-/// to endpoint `dst` chunk by chunk with up to `cfg.depth` frames in
+/// One leg of an exchange: `values` at endpoint `leg.src` stream to
+/// endpoint `leg.dst` chunk by chunk with up to `cfg.depth` frames in
 /// flight, each delivered chunk handed to `apply` with its element
-/// range. A recoverably failed chunk is re-encoded plain (after
-/// `note_degraded`) and redelivered once, mirroring the unpipelined
-/// single-retry ladders.
+/// range. The one recovery ladder: a recoverably failed chunk is
+/// re-encoded plain from `values` (still intact — no schedule lets a
+/// receiver write the block its sender is sending) and redelivered
+/// once; `ladder.renegotiate_after` consecutive failures degrade the
+/// sender's remaining chunks to plain.
 #[allow(clippy::too_many_arguments)]
 fn pipelined_leg(
     fabric: &mut dyn Fabric,
     arena: &mut FrameArena,
     inflight: &mut VecDeque<(WireFrame, Range<usize>)>,
     cfg: PipelineConfig,
-    src: usize,
-    dst: usize,
+    leg: Leg,
     values: &[f32],
-    kind: PayloadKind,
-    leg: Charge,
+    ladder: &mut Ladder,
     apply: &mut dyn FnMut(Range<usize>, &[f32]),
 ) -> Result<(), FabricError> {
     // A failed prior leg may have left frames behind; they are dead.
     inflight.clear();
-    let mut degraded = false;
     let drain = |fabric: &mut dyn Fabric,
                  arena: &mut FrameArena,
-                 degraded: &mut bool,
+                 ladder: &mut Ladder,
                  frame: WireFrame,
                  r: Range<usize>,
                  apply: &mut dyn FnMut(Range<usize>, &[f32])|
      -> Result<(), FabricError> {
-        let outcome = fabric.deliver(dst, &frame, &mut |rb| apply(r.clone(), rb));
-        arena.recycle(src, frame);
+        let outcome = fabric.deliver(leg.dst, &frame, &mut |rb| apply(r.clone(), rb));
+        arena.recycle(frame);
         match outcome {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                ladder.failures = 0;
+                Ok(())
+            }
             Err(e) if e.is_recoverable() => {
-                if !*degraded {
-                    *degraded = true;
-                    fabric.note_degraded(src, dst);
+                ladder.failures += 1;
+                if ladder.failures >= ladder.renegotiate_after && !ladder.degraded {
+                    ladder.degraded = true;
+                    fabric.note_degraded(leg.src, leg.dst);
                 }
-                let mut plain = arena.checkout(src);
-                fabric.encode_into(src, &values[r.clone()], PayloadKind::Plain, &mut plain);
-                charge_chunk(fabric, leg, src, dst, &plain);
-                let retried = fabric.deliver(dst, &plain, &mut |rb| apply(r.clone(), rb));
-                arena.recycle(src, plain);
+                let mut plain = arena.checkout();
+                fabric.encode_into(leg.src, &values[r.clone()], PayloadKind::Plain, &mut plain);
+                leg.charge(fabric, &plain);
+                let retried = fabric.deliver(leg.dst, &plain, &mut |rb| apply(r.clone(), rb));
+                arena.recycle(plain);
                 retried
             }
             Err(e) => Err(e),
         }
     };
     for r in chunk_ranges(0..values.len(), cfg.chunk_values) {
-        let mut frame = arena.checkout(src);
-        let kind = if degraded { PayloadKind::Plain } else { kind };
-        fabric.encode_into(src, &values[r.clone()], kind, &mut frame);
-        charge_chunk(fabric, leg, src, dst, &frame);
-        inflight.push_back((frame, r));
-        if inflight.len() >= cfg.depth.max(1) {
-            if let Some((frame, r)) = inflight.pop_front() {
-                drain(fabric, arena, &mut degraded, frame, r, apply)?;
-            }
-        }
-    }
-    while let Some((frame, r)) = inflight.pop_front() {
-        drain(fabric, arena, &mut degraded, frame, r, apply)?;
-    }
-    Ok(())
-}
-
-fn assert_uniform(workers: &[Vec<f32>]) -> usize {
-    assert!(!workers.is_empty(), "at least one worker required");
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|w| w.len() == len),
-        "all workers must hold equally sized gradients"
-    );
-    len
-}
-
-/// Delivers one in-flight ring chunk into `workers[i]`, running the
-/// chunk-granular degradation ladder: the sender's chunk is still
-/// intact in `workers[from]` (the block a node sends at a step is never
-/// the block it folds or overwrites at that step), so on a recoverable
-/// failure it is re-encoded plain and redelivered.
-#[allow(clippy::too_many_arguments)]
-fn deliver_ring_chunk(
-    fabric: &mut dyn Fabric,
-    arena: &mut FrameArena,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-    frame: WireFrame,
-    i: usize,
-    from: usize,
-    r: Range<usize>,
-    fold: bool,
-    failures: &mut [usize],
-    degraded: &mut [bool],
-) -> Result<(), FabricError> {
-    let first = {
-        let worker = &mut workers[i];
-        let rr = r.clone();
-        fabric.deliver(endpoints[i], &frame, &mut |rb| {
-            apply_block(&mut worker[rr.clone()], rb, fold);
-        })
-    };
-    arena.recycle(endpoints[from], frame);
-    match first {
-        Ok(()) => {
-            failures[from] = 0;
-            Ok(())
-        }
-        Err(e) if e.is_recoverable() => {
-            failures[from] += 1;
-            if failures[from] >= RENEGOTIATE_AFTER && !degraded[from] {
-                degraded[from] = true;
-                fabric.note_degraded(endpoints[from], endpoints[i]);
-            }
-            let chunk = workers[from][r.clone()].to_vec();
-            let mut plain = arena.checkout(endpoints[from]);
-            fabric.encode_into(endpoints[from], &chunk, PayloadKind::Plain, &mut plain);
-            fabric.charge(endpoints[from], endpoints[i], &plain);
-            let worker = &mut workers[i];
-            let retried = fabric.deliver(endpoints[i], &plain, &mut |rb| {
-                apply_block(&mut worker[r.clone()], rb, fold);
-            });
-            arena.recycle(endpoints[from], plain);
-            retried
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// One ring leg (sender `i` → its successor) pipelined: the leg's block
-/// is cut into chunks, each encoded into an arena frame and charged,
-/// with up to `cfg.depth` frames in flight before the oldest delivers.
-#[allow(clippy::too_many_arguments)]
-fn pipelined_ring_leg(
-    fabric: &mut dyn Fabric,
-    arena: &mut FrameArena,
-    inflight: &mut VecDeque<(WireFrame, Range<usize>)>,
-    cfg: PipelineConfig,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-    i: usize,
-    k: usize,
-    fold: bool,
-    failures: &mut [usize],
-    degraded: &mut [bool],
-) -> Result<(), FabricError> {
-    let n = workers.len();
-    let len = workers[i].len();
-    let recv = (i + 1) % n;
-    inflight.clear();
-    for r in chunk_ranges(block_range(len, n, k), cfg.chunk_values) {
-        let kind = if degraded[i] {
+        let mut frame = arena.checkout();
+        let kind = if ladder.degraded {
             PayloadKind::Plain
         } else {
-            PayloadKind::Gradient
+            leg.kind
         };
-        let mut frame = arena.checkout(endpoints[i]);
-        fabric.encode_into(endpoints[i], &workers[i][r.clone()], kind, &mut frame);
-        fabric.charge(endpoints[i], endpoints[recv], &frame);
+        fabric.encode_into(leg.src, &values[r.clone()], kind, &mut frame);
+        leg.charge(fabric, &frame);
         inflight.push_back((frame, r));
         if inflight.len() >= cfg.depth.max(1) {
             if let Some((frame, r)) = inflight.pop_front() {
-                deliver_ring_chunk(
-                    fabric, arena, workers, endpoints, frame, recv, i, r, fold, failures, degraded,
-                )?;
+                drain(fabric, arena, ladder, frame, r, apply)?;
             }
         }
     }
     while let Some((frame, r)) = inflight.pop_front() {
-        deliver_ring_chunk(
-            fabric, arena, workers, endpoints, frame, recv, i, r, fold, failures, degraded,
-        )?;
+        drain(fabric, arena, ladder, frame, r, apply)?;
     }
     Ok(())
 }
 
-/// Pipelined [`ring_allreduce_over`](crate::ring::ring_allreduce_over):
-/// the same 2(n−1)-step block schedule, with every leg cut into
-/// [`PipelineConfig::chunk_values`]-sized chunks streamed through a
-/// bounded in-flight window of recycled arena frames.
+/// `(&xs[a], &mut xs[b])` for `a != b`.
+fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
+    if a < b {
+        let (lo, hi) = xs.split_at_mut(b);
+        (&lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = xs.split_at_mut(a);
+        (&hi[0], &mut lo[b])
+    }
+}
+
+/// In-place ring all-reduce over one gradient vector per worker
+/// (Algorithm 1): `endpoints[i]` is worker `i`'s NIC and the ring runs
+/// `endpoints[i] → endpoints[(i+1) % n]`. After the call every
+/// `workers[i]` holds the elementwise sum of all inputs.
 ///
 /// Chunking happens **within** each leg at the schedule's fixed block
 /// boundaries, so each element is folded along the same ring path in
-/// the same order as the unpipelined exchange — the result is
-/// bit-identical for every codec, and replicas stay bit-identical to
-/// each other without compression.
+/// the same order whatever `cfg` says. Without compression the result
+/// is bit-exact and identical across workers.
 ///
 /// # Errors
 ///
 /// Returns [`FabricError`] if a chunk's delivery fails past the
-/// chunk-granular recovery ladder.
+/// recovery ladder.
 ///
 /// # Panics
 ///
 /// Panics if the worker vectors differ in length, `workers` is empty,
 /// `endpoints.len() != workers.len()`, or an endpoint is out of range.
-pub fn pipelined_ring_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-    cfg: PipelineConfig,
-) -> Result<(), FabricError> {
-    pipelined_ring_allreduce_over_with(fabric, workers, endpoints, cfg, &mut PipelineScratch::new())
-}
-
-/// [`pipelined_ring_allreduce_over`] with a caller-held
-/// [`PipelineScratch`]: a training loop that reuses the scratch across
-/// iterations runs every iteration after the first with **zero heap
-/// allocations** on an untimed NIC fabric (frames, windows, ladders, and
-/// the receive buffer are all recycled) — the property
-/// `tests/alloc_gate.rs` pins.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if a chunk's delivery fails past the
-/// chunk-granular recovery ladder.
-///
-/// # Panics
-///
-/// Panics as [`pipelined_ring_allreduce_over`] does.
-pub fn pipelined_ring_allreduce_over_with(
+pub(crate) fn ring_schedule(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
     endpoints: &[usize],
@@ -398,55 +316,52 @@ pub fn pipelined_ring_allreduce_over_with(
     if n == 1 || len == 0 {
         return Ok(());
     }
-    scratch.prepare(fabric.endpoints(), n);
-    // Phase 1 — aggregation: at step s node i sends blk[(i−s+1) mod n]
-    // and its successor folds it. The block a node folds at a step is
-    // never a block any node sends at that step, so streaming each
-    // sender's leg to completion is value-identical to the batched
-    // encode-all-then-deliver-all schedule.
-    for s in 1..n {
+    scratch.ladders.clear();
+    scratch.ladders.resize(n, Ladder::new(RENEGOTIATE_AFTER));
+    // Steps 0..n−1 aggregate (reduce-scatter): node i sends
+    // blk[(i−step) mod n] and its successor folds it. Steps n−1..2(n−1)
+    // propagate (all-gather): node i owns the fully reduced
+    // blk[(i+1) mod n], sends blk[(i+1−(step−(n−1))) mod n], and its
+    // successor overwrites its copy. The block a node receives at a step
+    // is never a block any node sends at that step, so streaming each
+    // sender's leg to completion is value-identical to the simultaneous
+    // step the paper draws.
+    for step in 0..2 * (n - 1) {
+        let fold = step < n - 1;
         for i in 0..n {
-            let k = (i + n - (s - 1)) % n;
-            pipelined_ring_leg(
+            let k = if fold {
+                (i + n - step) % n
+            } else {
+                (i + 2 * n - step) % n
+            };
+            let block = block_range(len, n, k);
+            let recv = (i + 1) % n;
+            let (from, to) = pair_mut(workers, i, recv);
+            let to = &mut to[block.clone()];
+            pipelined_leg(
                 fabric,
                 &mut scratch.arena,
                 &mut scratch.inflight,
                 cfg,
-                workers,
-                endpoints,
-                i,
-                k,
-                true,
-                &mut scratch.failures,
-                &mut scratch.degraded,
-            )?;
-        }
-    }
-    // Phase 2 — propagation: node i sends blk[(i+2−t) mod n] and its
-    // successor overwrites its copy.
-    for t in 1..n {
-        for i in 0..n {
-            let k = (i + 2 + n - t) % n;
-            pipelined_ring_leg(
-                fabric,
-                &mut scratch.arena,
-                &mut scratch.inflight,
-                cfg,
-                workers,
-                endpoints,
-                i,
-                k,
-                false,
-                &mut scratch.failures,
-                &mut scratch.degraded,
+                Leg {
+                    src: endpoints[i],
+                    dst: endpoints[recv],
+                    kind: PayloadKind::Gradient,
+                    charge: Charge::Link,
+                },
+                &from[block],
+                &mut scratch.ladders[i],
+                &mut |r, rb| apply_block(&mut to[r], rb, fold),
             )?;
         }
     }
     Ok(())
 }
 
-/// Bottom-up reduction mirroring `ring::reduce_up`, with the leader
-/// rings pipelined.
+/// Bottom-up reduction over one topology subtree: recursively reduce
+/// each child, then ring all-reduce over the child leaders' gradient
+/// slots in place. Returns the subtree's leader endpoint; on return
+/// every child leader of this subtree holds the subtree sum.
 fn reduce_up(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
@@ -463,12 +378,15 @@ fn reduce_up(
                 leaders.push(reduce_up(fabric, workers, pos, child, cfg, scratch)?);
             }
             if leaders.len() > 1 {
+                // The ring needs a contiguous `&mut [Vec<f32>]`, so the
+                // leaders' slots are taken out and restored around the
+                // call (even on error, so a failed exchange leaves every
+                // gradient where it was).
                 let mut grads: Vec<Vec<f32>> = leaders
                     .iter()
                     .map(|&e| std::mem::take(&mut workers[pos[&e]]))
                     .collect();
-                let outcome =
-                    pipelined_ring_allreduce_over_with(fabric, &mut grads, &leaders, cfg, scratch);
+                let outcome = ring_schedule(fabric, &mut grads, &leaders, cfg, scratch);
                 for (&e, g) in leaders.iter().zip(grads) {
                     workers[pos[&e]] = g;
                 }
@@ -479,9 +397,12 @@ fn reduce_up(
     }
 }
 
-/// Top-down broadcast mirroring `ring::spread_into`, with each
-/// leader-to-leader hop pipelined and the leader's local round trip
-/// applied chunk by chunk (elementwise codec, so chunked equals whole).
+/// Top-down broadcast into one subtree whose leader already holds the
+/// sum: the leader forwards it to every other child leader (one
+/// compressible gradient hop each) and applies the wire round trip to
+/// its own slot, then each child group recurses. Worker leaves are
+/// no-ops: a worker reached here already received the sum from its
+/// group leader.
 fn spread_into(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
@@ -511,14 +432,21 @@ fn spread_into(
             &mut scratch.arena,
             &mut scratch.inflight,
             cfg,
-            leader,
-            to,
+            Leg {
+                src: leader,
+                dst: to,
+                kind: PayloadKind::Gradient,
+                charge: Charge::Link,
+            },
             &sum,
-            PayloadKind::Gradient,
-            Charge::Link,
+            &mut Ladder::new(1),
             &mut |r, rb| apply_block(&mut slot[r], rb, false),
         )?;
     }
+    // The leader applies the same wire round trip locally (bit-identical
+    // to receiving its own frame) instead of a phantom self-transfer
+    // that would inflate the wire/packet counters with traffic that
+    // never crosses a link.
     let slot = &mut workers[pos[&leader]];
     for r in chunk_ranges(0..sum.len(), cfg.chunk_values) {
         let rt = fabric.self_roundtrip(leader, &sum[r.clone()])?;
@@ -532,7 +460,10 @@ fn spread_into(
     Ok(())
 }
 
-/// Broadcast entry mirroring `ring::spread_from_root`.
+/// Starts the broadcast below the topmost level at which a leader ring
+/// actually ran: after that ring every child leader already holds the
+/// sum, so the descent begins inside each child subtree. Single-child
+/// groups contribute no ring of their own and are skipped through.
 fn spread_from_root(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
@@ -555,12 +486,19 @@ fn spread_from_root(
     }
 }
 
-/// Pipelined [`tree_allreduce_over`](crate::ring::tree_allreduce_over):
-/// the same bottom-up rings and leader-to-leader broadcast, with every
-/// ring leg and broadcast hop chunked through the in-flight window.
-/// Chunk boundaries sit inside each leg, so the fold path per element
-/// is unchanged and the result is bit-identical to the unpipelined
-/// tree for every codec.
+/// Topology-tree composition of the ring exchange: rings run bottom-up
+/// at every level of `topo` (members of each group first, then group
+/// leaders one tier up, and so on to the root), and the global sum is
+/// broadcast back down leader-to-leader. The two-level hierarchy of
+/// Fig. 1(c) is the `depth == 2` special case.
+///
+/// `workers[k]` is the gradient of topology leaf `topo.workers()[k]`,
+/// and that leaf id is used as the fabric endpoint.
+///
+/// Without compression the result equals the flat ring bit-for-bit on
+/// every worker. With compression, workers inside one group stay
+/// bit-identical to their group leader; divergence across groups is
+/// bounded by the codec's error bound per tier.
 ///
 /// # Errors
 ///
@@ -570,26 +508,7 @@ fn spread_from_root(
 ///
 /// Panics if `workers.len()` differs from the topology's leaf count,
 /// the vectors differ in length, or a leaf id is out of range.
-pub fn pipelined_tree_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    topo: &Topology,
-    cfg: PipelineConfig,
-) -> Result<(), FabricError> {
-    pipelined_tree_allreduce_over_with(fabric, workers, topo, cfg, &mut PipelineScratch::new())
-}
-
-/// [`pipelined_tree_allreduce_over`] with a caller-held
-/// [`PipelineScratch`] reused across iterations.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if any hop's delivery fails past recovery.
-///
-/// # Panics
-///
-/// Panics as [`pipelined_tree_allreduce_over`] does.
-pub fn pipelined_tree_allreduce_over_with(
+pub(crate) fn tree_schedule(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
     topo: &Topology,
@@ -609,53 +528,32 @@ pub fn pipelined_tree_allreduce_over_with(
         fabric.endpoints()
     );
     let pos: BTreeMap<usize, usize> = order.iter().enumerate().map(|(k, &e)| (e, k)).collect();
-    scratch.prepare(fabric.endpoints(), workers.len());
     reduce_up(fabric, workers, &pos, topo, cfg, scratch)?;
     spread_from_root(fabric, workers, &pos, topo, cfg, scratch)
 }
 
-/// Pipelined [`worker_aggregator_allreduce_over`]: the gather and
-/// broadcast legs stream in pipeline chunks through recycled arena
-/// frames. The aggregator folds workers in order within every element,
-/// exactly like the whole-block gather, so the result is bit-identical
-/// for every codec.
+/// The conventional worker-aggregator exchange (Fig. 2): every worker's
+/// gradient is shipped to the aggregator endpoint (the fabric's
+/// endpoint `workers.len()`), summed there in worker order, and the sum
+/// is returned to every worker.
+///
+/// The upward gradient leg is [`PayloadKind::Gradient`] — compressible
+/// if the fabric compresses. The downward leg is sent as
+/// [`PayloadKind::Plain`] and is **never** compressed: in the real
+/// system it carries updated weights, which the paper shows do not
+/// tolerate lossy compression (Fig. 4) — the structural reason WA+C
+/// gains less than INC+C (Fig. 12).
 ///
 /// # Errors
 ///
-/// Returns [`FabricError`] if either leg fails past the chunk-granular
-/// recovery ladder.
+/// Returns [`FabricError`] if either leg fails past the recovery
+/// ladder.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is empty, the vectors differ in length, or the
 /// fabric has fewer than `workers.len() + 1` endpoints.
-///
-/// [`worker_aggregator_allreduce_over`]: crate::aggregator::worker_aggregator_allreduce_over
-pub fn pipelined_worker_aggregator_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    cfg: PipelineConfig,
-) -> Result<(), FabricError> {
-    pipelined_worker_aggregator_allreduce_over_with(
-        fabric,
-        workers,
-        cfg,
-        &mut PipelineScratch::new(),
-    )
-}
-
-/// [`pipelined_worker_aggregator_allreduce_over`] with a caller-held
-/// [`PipelineScratch`] reused across iterations.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if either leg fails past the chunk-granular
-/// recovery ladder.
-///
-/// # Panics
-///
-/// Panics as [`pipelined_worker_aggregator_allreduce_over`] does.
-pub fn pipelined_worker_aggregator_allreduce_over_with(
+pub(crate) fn worker_aggregator_schedule(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
     cfg: PipelineConfig,
@@ -668,7 +566,6 @@ pub fn pipelined_worker_aggregator_allreduce_over_with(
         fabric.endpoints() > aggregator,
         "fabric needs {n} worker endpoints plus an aggregator endpoint"
     );
-    scratch.prepare(fabric.endpoints(), n);
     let mut sum = std::mem::take(&mut scratch.sum);
     sum.clear();
     sum.resize(len, 0.0);
@@ -678,11 +575,14 @@ pub fn pipelined_worker_aggregator_allreduce_over_with(
             &mut scratch.arena,
             &mut scratch.inflight,
             cfg,
-            i,
-            aggregator,
+            Leg {
+                src: i,
+                dst: aggregator,
+                kind: PayloadKind::Gradient,
+                charge: Charge::Link,
+            },
             w,
-            PayloadKind::Gradient,
-            Charge::Link,
+            &mut Ladder::new(1),
             &mut |r, rb| apply_block(&mut sum[r], rb, true),
         )?;
     }
@@ -692,11 +592,14 @@ pub fn pipelined_worker_aggregator_allreduce_over_with(
             &mut scratch.arena,
             &mut scratch.inflight,
             cfg,
-            aggregator,
-            i,
+            Leg {
+                src: aggregator,
+                dst: i,
+                kind: PayloadKind::Plain,
+                charge: Charge::Link,
+            },
             &sum,
-            PayloadKind::Plain,
-            Charge::Link,
+            &mut Ladder::new(1),
             &mut |r, rb| apply_block(&mut w[r], rb, false),
         )?;
     }
@@ -704,14 +607,22 @@ pub fn pipelined_worker_aggregator_allreduce_over_with(
     Ok(())
 }
 
-/// Pipelined [`switch_allreduce_over`](crate::switch::switch_allreduce_over):
-/// the gather is chunked at top level — for each chunk range, every
-/// worker's contribution climbs its uplink and folds at the reduce unit
-/// in worker order (bit-identical per element to the whole-block
-/// gather), with the in-flight window overlapping worker `k+1`'s encode
-/// with worker `k`'s fold. The reduce unit still has no retransmission
-/// protocol, so a recoverably failed contribution restarts **that
-/// chunk's** gather from a zeroed accumulator with plain frames.
+/// In-place all-reduce through a switch-resident reduce unit:
+/// `endpoints[k]` is worker `k`'s NIC. Gather: for each chunk range,
+/// every worker's contribution is encoded, charged one **uplink
+/// half-leg**, and folded into the switch accumulator in worker order —
+/// bit-identical per element to the host aggregator's fold — with the
+/// in-flight window overlapping worker `k+1`'s encode with worker `k`'s
+/// fold. Distribute: the folded sum streams down every member port as a
+/// plain (incompressible) frame, charged one **downlink half-leg** each.
+///
+/// The reduce unit has no retransmission protocol: a contribution that
+/// fails recoverably leaves a partial fold behind, so **that chunk's**
+/// gather restarts from a zeroed accumulator with plain frames (and the
+/// failing endpoint's leg is noted degraded). Modeling shortcut on the
+/// distribute leg: the plain frame is encoded at the receiving endpoint
+/// — the bytes equal what the switch would send, and the wire counters
+/// attribute the downlink volume to the endpoint that owns the link.
 ///
 /// # Errors
 ///
@@ -721,32 +632,7 @@ pub fn pipelined_worker_aggregator_allreduce_over_with(
 ///
 /// Panics if `workers` is empty, the gradients differ in length,
 /// `endpoints.len() != workers.len()`, or an endpoint is out of range.
-pub fn pipelined_switch_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-    cfg: PipelineConfig,
-) -> Result<(), FabricError> {
-    pipelined_switch_allreduce_over_with(
-        fabric,
-        workers,
-        endpoints,
-        cfg,
-        &mut PipelineScratch::new(),
-    )
-}
-
-/// [`pipelined_switch_allreduce_over`] with a caller-held
-/// [`PipelineScratch`] reused across iterations.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if a fold or delivery fails past recovery.
-///
-/// # Panics
-///
-/// Panics as [`pipelined_switch_allreduce_over`] does.
-pub fn pipelined_switch_allreduce_over_with(
+pub(crate) fn switch_schedule(
     fabric: &mut dyn Fabric,
     workers: &mut [Vec<f32>],
     endpoints: &[usize],
@@ -761,7 +647,6 @@ pub fn pipelined_switch_allreduce_over_with(
         "endpoint out of range for a fabric with {} endpoints",
         fabric.endpoints()
     );
-    scratch.prepare(fabric.endpoints(), n);
     let arena = &mut scratch.arena;
     let mut sum = std::mem::take(&mut scratch.sum);
     sum.clear();
@@ -778,11 +663,10 @@ pub fn pipelined_switch_allreduce_over_with(
             if plain_restart {
                 accum = SwitchAccum::dense(r.len());
             }
-            inflight.clear();
             let mut fold =
                 |fabric: &mut dyn Fabric, arena: &mut FrameArena, frame: WireFrame, k: usize| {
                     let outcome = fabric.switch_fold_into(&mut accum, &frame);
-                    arena.recycle(endpoints[k], frame);
+                    arena.recycle(frame);
                     outcome.map_err(|e| (e, k))
                 };
             let mut failed = None;
@@ -792,7 +676,7 @@ pub fn pipelined_switch_allreduce_over_with(
                 } else {
                     PayloadKind::Gradient
                 };
-                let mut frame = arena.checkout(endpoints[k]);
+                let mut frame = arena.checkout();
                 fabric.encode_into(endpoints[k], &w[r.clone()], kind, &mut frame);
                 fabric.charge_to_switch(endpoints[k], &frame);
                 inflight.push_back((frame, k));
@@ -815,8 +699,8 @@ pub fn pipelined_switch_allreduce_over_with(
             }
             // Frames still in flight when a fold fails are abandoned to
             // the arena: the chunk restarts from a zeroed accumulator.
-            while let Some((frame, k)) = inflight.pop_front() {
-                arena.recycle(endpoints[k], frame);
+            for (frame, _) in inflight.drain(..) {
+                arena.recycle(frame);
             }
             match failed {
                 None => break,
@@ -838,11 +722,14 @@ pub fn pipelined_switch_allreduce_over_with(
             &mut scratch.arena,
             &mut scratch.inflight,
             cfg,
-            e,
-            e,
+            Leg {
+                src: e,
+                dst: e,
+                kind: PayloadKind::Plain,
+                charge: Charge::FromSwitch,
+            },
             &sum,
-            PayloadKind::Plain,
-            Charge::FromSwitch,
+            &mut Ladder::new(1),
             &mut |r, rb| apply_block(&mut w[r], rb, false),
         )?;
     }
@@ -853,10 +740,8 @@ pub fn pipelined_switch_allreduce_over_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregator::worker_aggregator_allreduce_over;
     use crate::fabric::{FabricBuilder, TransportKind};
-    use crate::ring::{ring_allreduce_over, tree_allreduce_over};
-    use crate::switch::switch_allreduce_over;
+    use crate::{Exchange, ExchangeStrategy};
     use inceptionn_compress::ErrorBound;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -875,155 +760,140 @@ mod tests {
             .build()
     }
 
+    /// One ring all-reduce of `grads` over endpoints `0..n` under `cfg`.
+    fn ring(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>], cfg: PipelineConfig) {
+        Exchange::new(grads.len())
+            .pipelined(cfg)
+            .run_all(ExchangeStrategy::Ring, fabric, grads)
+            .unwrap();
+    }
+
     /// Chunk sizes that exercise single-chunk legs, aligned chunks, and
     /// ragged final chunks against the 1000-element workloads below.
     const CHUNKS: [usize; 3] = [64, 256, 4096];
 
-    #[test]
-    fn chunk_ranges_cover_exactly_with_ragged_tail() {
-        let got: Vec<_> = chunk_ranges(10..45, 16).collect();
-        assert_eq!(got, vec![10..26, 26..42, 42..45]);
-        assert_eq!(chunk_ranges(7..7, 16).count(), 0);
-    }
-
-    #[test]
-    fn pipelined_ring_matches_unpipelined_bit_exactly() {
-        for kind in [TransportKind::InProcess, TransportKind::Nic] {
+    /// Whole-leg and chunked runs of `exchange` under `strategy` land on
+    /// the same bits, for every chunk size in [`CHUNKS`].
+    fn assert_chunking_is_invisible(
+        strategy: ExchangeStrategy,
+        exchange: impl Fn() -> Exchange,
+        workers: usize,
+        endpoints: usize,
+        kinds: &[TransportKind],
+        seed: u64,
+    ) {
+        for &kind in kinds {
             for bound in [None, Some(ErrorBound::pow2(10))] {
-                for chunk in CHUNKS {
-                    let grads = random_grads(4, 1000, 41);
-                    let endpoints: Vec<usize> = (0..4).collect();
-                    let mut plainly = grads.clone();
-                    let mut a = build(kind, 4, bound);
-                    ring_allreduce_over(a.as_mut(), &mut plainly, &endpoints).unwrap();
-                    let mut piped = grads.clone();
-                    let mut b = build(kind, 4, bound);
-                    pipelined_ring_allreduce_over(
-                        b.as_mut(),
-                        &mut piped,
-                        &endpoints,
-                        PipelineConfig::with_chunk(chunk),
-                    )
+                let grads = random_grads(workers, 1000, seed);
+                let mut whole = grads.clone();
+                exchange()
+                    .run_all(strategy, build(kind, endpoints, bound).as_mut(), &mut whole)
                     .unwrap();
-                    assert_eq!(plainly, piped, "{kind:?} bound {bound:?} chunk {chunk}");
+                for chunk in CHUNKS {
+                    let mut piped = grads.clone();
+                    exchange()
+                        .pipelined(PipelineConfig::with_chunk(chunk))
+                        .run_all(strategy, build(kind, endpoints, bound).as_mut(), &mut piped)
+                        .unwrap();
+                    assert_eq!(whole, piped, "{kind:?} bound {bound:?} chunk {chunk}");
                 }
             }
         }
     }
 
     #[test]
+    fn chunk_ranges_cover_exactly_with_ragged_tail() {
+        let got: Vec<_> = chunk_ranges(10..45, 16).collect();
+        assert_eq!(got, vec![10..26, 26..42, 42..45]);
+        assert_eq!(chunk_ranges(7..7, 16).count(), 0);
+        // Huge chunks (the whole-leg config) must not overflow, from a
+        // zero or a non-zero start.
+        let whole: Vec<_> = chunk_ranges(0..45, usize::MAX).collect();
+        assert_eq!(whole, vec![0..45]);
+        let offset: Vec<_> = chunk_ranges(10..45, usize::MAX).collect();
+        assert_eq!(offset, vec![10..45]);
+        let top: Vec<_> = chunk_ranges(usize::MAX - 3..usize::MAX, 2).collect();
+        assert_eq!(
+            top,
+            vec![usize::MAX - 3..usize::MAX - 1, usize::MAX - 1..usize::MAX]
+        );
+    }
+
+    #[test]
+    fn pipelined_ring_matches_unpipelined_bit_exactly() {
+        assert_chunking_is_invisible(
+            ExchangeStrategy::Ring,
+            || Exchange::new(4),
+            4,
+            4,
+            &[TransportKind::InProcess, TransportKind::Nic],
+            41,
+        );
+    }
+
+    #[test]
     fn pipelined_ring_moves_the_same_payload_in_more_frames() {
         let grads = random_grads(4, 1000, 42);
-        let endpoints: Vec<usize> = (0..4).collect();
         let mut whole = grads.clone();
         let mut a = build(TransportKind::Nic, 4, Some(ErrorBound::pow2(10)));
-        ring_allreduce_over(a.as_mut(), &mut whole, &endpoints).unwrap();
+        ring(a.as_mut(), &mut whole, PipelineConfig::WHOLE_LEG);
         let mut piped = grads.clone();
         let mut b = build(TransportKind::Nic, 4, Some(ErrorBound::pow2(10)));
-        pipelined_ring_allreduce_over(
-            b.as_mut(),
-            &mut piped,
-            &endpoints,
-            PipelineConfig::with_chunk(100),
-        )
-        .unwrap();
+        ring(b.as_mut(), &mut piped, PipelineConfig::with_chunk(100));
         assert_eq!(a.stats().payload_bytes, b.stats().payload_bytes);
         assert!(b.stats().transfers > a.stats().transfers);
     }
 
     #[test]
     fn pipelined_tree_matches_unpipelined_bit_exactly() {
-        let topo = inceptionn_netsim::Topology::uniform(&[2, 2, 2]);
-        for bound in [None, Some(ErrorBound::pow2(10))] {
-            for chunk in CHUNKS {
-                let grads = random_grads(8, 1000, 43);
-                let mut whole = grads.clone();
-                let mut a = build(TransportKind::Nic, 8, bound);
-                tree_allreduce_over(a.as_mut(), &mut whole, &topo).unwrap();
-                let mut piped = grads.clone();
-                let mut b = build(TransportKind::Nic, 8, bound);
-                pipelined_tree_allreduce_over(
-                    b.as_mut(),
-                    &mut piped,
-                    &topo,
-                    PipelineConfig::with_chunk(chunk),
-                )
-                .unwrap();
-                assert_eq!(whole, piped, "bound {bound:?} chunk {chunk}");
-            }
-        }
+        let topo = Topology::uniform(&[2, 2, 2]);
+        assert_chunking_is_invisible(
+            ExchangeStrategy::Tree,
+            || Exchange::new(8).with_topology(topo.clone()),
+            8,
+            8,
+            &[TransportKind::Nic],
+            43,
+        );
     }
 
     #[test]
     fn pipelined_aggregator_matches_unpipelined_bit_exactly() {
-        for bound in [None, Some(ErrorBound::pow2(10))] {
-            for chunk in CHUNKS {
-                let grads = random_grads(4, 1000, 44);
-                let mut whole = grads.clone();
-                let mut a = build(TransportKind::Nic, 5, bound);
-                worker_aggregator_allreduce_over(a.as_mut(), &mut whole).unwrap();
-                let mut piped = grads.clone();
-                let mut b = build(TransportKind::Nic, 5, bound);
-                pipelined_worker_aggregator_allreduce_over(
-                    b.as_mut(),
-                    &mut piped,
-                    PipelineConfig::with_chunk(chunk),
-                )
-                .unwrap();
-                assert_eq!(whole, piped, "bound {bound:?} chunk {chunk}");
-            }
-        }
+        assert_chunking_is_invisible(
+            ExchangeStrategy::WorkerAggregator,
+            || Exchange::new(4),
+            4,
+            5,
+            &[TransportKind::Nic],
+            44,
+        );
     }
 
     #[test]
     fn pipelined_switch_matches_unpipelined_bit_exactly() {
-        for bound in [None, Some(ErrorBound::pow2(10))] {
-            for chunk in CHUNKS {
-                let grads = random_grads(5, 1000, 45);
-                let endpoints: Vec<usize> = (0..5).collect();
-                let mut whole = grads.clone();
-                let mut a = build(TransportKind::Nic, 5, bound);
-                switch_allreduce_over(a.as_mut(), &mut whole, &endpoints).unwrap();
-                let mut piped = grads.clone();
-                let mut b = build(TransportKind::Nic, 5, bound);
-                pipelined_switch_allreduce_over(
-                    b.as_mut(),
-                    &mut piped,
-                    &endpoints,
-                    PipelineConfig::with_chunk(chunk),
-                )
-                .unwrap();
-                assert_eq!(whole, piped, "bound {bound:?} chunk {chunk}");
-            }
-        }
+        assert_chunking_is_invisible(
+            ExchangeStrategy::SwitchReduce,
+            || Exchange::new(5),
+            5,
+            5,
+            &[TransportKind::Nic],
+            45,
+        );
     }
 
     #[test]
     fn pipelined_ring_recovers_bit_exactly_under_injected_faults() {
         use crate::faults::FaultPlan;
         let grads = random_grads(4, 800, 46);
-        let endpoints: Vec<usize> = (0..4).collect();
+        let cfg = PipelineConfig::with_chunk(100);
         let mut clean = grads.clone();
-        let mut a = build(TransportKind::Nic, 4, None);
-        pipelined_ring_allreduce_over(
-            a.as_mut(),
-            &mut clean,
-            &endpoints,
-            PipelineConfig::with_chunk(100),
-        )
-        .unwrap();
+        ring(build(TransportKind::Nic, 4, None).as_mut(), &mut clean, cfg);
         let mut faulty = grads.clone();
         let mut b = FabricBuilder::new(4)
             .transport(TransportKind::Nic)
             .faults(FaultPlan::new(42).drop_prob(0.05).corrupt_prob(0.02))
             .build();
-        pipelined_ring_allreduce_over(
-            b.as_mut(),
-            &mut faulty,
-            &endpoints,
-            PipelineConfig::with_chunk(100),
-        )
-        .unwrap();
+        ring(b.as_mut(), &mut faulty, cfg);
         assert_eq!(clean, faulty, "recovered pipelined exchange must be exact");
         assert!(b.fault_stats().retransmits > 0, "faults must have fired");
     }
@@ -1034,65 +904,7 @@ mod tests {
         // accumulator with plain frames; every other chunk still folds
         // compressed. So the failed chunk's range must carry the exact
         // sum while the rest matches the clean compressed exchange.
-        struct FailingFold {
-            inner: Box<dyn Fabric>,
-            remaining_failures: u32,
-            degraded: Vec<(usize, usize)>,
-        }
-        impl Fabric for FailingFold {
-            fn endpoints(&self) -> usize {
-                self.inner.endpoints()
-            }
-            fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-                self.inner.encode(src, values, kind)
-            }
-            fn encode_into(
-                &mut self,
-                src: usize,
-                values: &[f32],
-                kind: PayloadKind,
-                frame: &mut WireFrame,
-            ) {
-                self.inner.encode_into(src, values, kind, frame);
-            }
-            fn charge_from_switch(&mut self, endpoint: usize, frame: &WireFrame) {
-                self.inner.charge_from_switch(endpoint, frame);
-            }
-            fn deliver(
-                &mut self,
-                dst: usize,
-                frame: &WireFrame,
-                sink: &mut dyn FnMut(&[f32]),
-            ) -> Result<(), FabricError> {
-                self.inner.deliver(dst, frame, sink)
-            }
-            fn switch_fold(
-                &mut self,
-                acc: &mut [f32],
-                frame: &WireFrame,
-            ) -> Result<(), FabricError> {
-                if self.remaining_failures > 0 {
-                    self.remaining_failures -= 1;
-                    acc.fill(1e9); // the restart must zero this scribble
-                    return Err(FabricError::Decode(inceptionn_compress::DecodeError {
-                        at_value: 0,
-                        bit_offset: 0,
-                        tag: None,
-                    }));
-                }
-                self.inner.switch_fold(acc, frame)
-            }
-            fn stats(&self) -> crate::fabric::FabricStats {
-                self.inner.stats()
-            }
-            fn note_degraded(&mut self, src: usize, dst: usize) {
-                self.degraded.push((src, dst));
-                self.inner.note_degraded(src, dst);
-            }
-        }
-
         let grads = random_grads(3, 600, 47);
-        let endpoints: Vec<usize> = (0..3).collect();
         let mut exact = vec![0.0f32; 600];
         for w in &grads {
             for (s, v) in exact.iter_mut().zip(w) {
@@ -1101,21 +913,24 @@ mod tests {
         }
         let mut compressed = grads.clone();
         let mut clean = build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10)));
-        switch_allreduce_over(clean.as_mut(), &mut compressed, &endpoints).unwrap();
+        Exchange::new(3)
+            .run_all(
+                ExchangeStrategy::SwitchReduce,
+                clean.as_mut(),
+                &mut compressed,
+            )
+            .unwrap();
 
-        let mut fabric = FailingFold {
+        let mut fabric = crate::switch::tests::PoisonedSwitch {
             inner: build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10))),
             remaining_failures: 1,
             degraded: Vec::new(),
         };
         let mut piped = grads.clone();
-        pipelined_switch_allreduce_over(
-            &mut fabric,
-            &mut piped,
-            &endpoints,
-            PipelineConfig::with_chunk(100),
-        )
-        .unwrap();
+        Exchange::new(3)
+            .pipelined(PipelineConfig::with_chunk(100))
+            .run_all(ExchangeStrategy::SwitchReduce, &mut fabric, &mut piped)
+            .unwrap();
         for w in &piped {
             assert_eq!(&w[..100], &exact[..100], "failed chunk must refold plain");
             assert_eq!(
@@ -1130,32 +945,16 @@ mod tests {
     #[test]
     fn depth_one_degenerates_to_stop_and_wait_with_identical_values() {
         let grads = random_grads(3, 500, 48);
-        let endpoints: Vec<usize> = (0..3).collect();
-        let mut deep = grads.clone();
-        let mut a = build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10)));
-        pipelined_ring_allreduce_over(
-            a.as_mut(),
-            &mut deep,
-            &endpoints,
-            PipelineConfig {
+        let run = |depth: usize| {
+            let mut g = grads.clone();
+            let mut fabric = build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10)));
+            let cfg = PipelineConfig {
                 chunk_values: 64,
-                depth: 3,
-            },
-        )
-        .unwrap();
-        let mut shallow = grads.clone();
-        let mut b = build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10)));
-        pipelined_ring_allreduce_over(
-            b.as_mut(),
-            &mut shallow,
-            &endpoints,
-            PipelineConfig {
-                chunk_values: 64,
-                depth: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(deep, shallow);
-        assert_eq!(a.stats().transfers, b.stats().transfers);
+                depth,
+            };
+            ring(fabric.as_mut(), &mut g, cfg);
+            (g, fabric.stats().transfers)
+        };
+        assert_eq!(run(3), run(1));
     }
 }

@@ -1,37 +1,26 @@
-//! Algorithm 1: the gradient-centric ring exchange, over a [`Fabric`].
+//! Algorithm 1's block partition and its message-passing form.
 //!
-//! The exchange logic here is pure schedule — which block moves to which
-//! neighbor at which step. Everything about *how* a block moves (software
-//! quantization shortcut, real NIC engine bytes, link timing, injected
-//! faults) lives behind the [`Fabric`] trait, so the same schedule drives
-//! bit-exact baselines and full hardware-modeled runs. Since the
-//! transports run on the burst-vectorized codec fast path
-//! (`inceptionn_compress::burst`, sharded by `ParallelCodec` for large
-//! blocks), every exchange strategy here inherits it without touching
-//! the schedule.
-//!
-//! # Graceful degradation
-//!
-//! Every strategy recovers from *recoverable* delivery failures (CRC
-//! integrity misses, decode failures from a poisoned compressed stream,
-//! exhausted link retransmit budgets) by re-encoding the affected block
-//! with the uncompressed `Plain` payload kind and redelivering. After
-//! [`RENEGOTIATE_AFTER`] failures from the same sender, the whole leg
-//! renegotiates down to plain for the rest of the exchange (reported to
-//! the fabric through [`Fabric::note_degraded`]). Non-recoverable
-//! failures — a frame on the wrong transport, a crashed endpoint —
-//! surface as the typed error so callers (the trainer) can re-stitch.
+//! The sequential ring schedule — which block moves to which neighbor at
+//! which step — lives with the other schedules in the chunked executor
+//! ([`crate::pipeline`]) and is reached through
+//! [`Exchange::run`](crate::Exchange::run). This module keeps what the
+//! executor and the threaded form share (the block partition and the
+//! fold/overwrite kernel) and the **threaded** ring: worker threads
+//! exchanging wire frames over bounded channels, with the same
+//! degradation ladder expressed as a wire protocol (a receiver NACKs a
+//! recoverably failed frame, the sender re-encodes it `Plain`, and
+//! serving [`RENEGOTIATE_AFTER`] NACKs renegotiates the leg down to
+//! plain through [`Fabric::note_degraded`]).
 
-use std::collections::BTreeMap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Mutex, MutexGuard};
 
-use inceptionn_netsim::Topology;
-
+use crate::exchange::Exchange;
 use crate::fabric::{
     CodecSelection, Fabric, FabricBuilder, FabricError, PayloadKind, TransportKind, WireFrame,
 };
 use crate::faults::RENEGOTIATE_AFTER;
+use crate::trainer::ExchangeStrategy;
 
 /// The element range of block `k` when a vector of `len` elements is
 /// partitioned into `n` near-equal blocks (Algorithm 1 line 8).
@@ -45,7 +34,8 @@ pub fn block_range(len: usize, n: usize, k: usize) -> std::ops::Range<usize> {
     (k * len / n)..((k + 1) * len / n)
 }
 
-fn assert_uniform(workers: &[Vec<f32>]) -> usize {
+/// The common gradient length of a non-empty, uniform worker set.
+pub(crate) fn assert_uniform(workers: &[Vec<f32>]) -> usize {
     assert!(!workers.is_empty(), "at least one worker required");
     let len = workers[0].len();
     assert!(
@@ -58,8 +48,7 @@ fn assert_uniform(workers: &[Vec<f32>]) -> usize {
 /// Applies a received block: fold (reduce-scatter) or overwrite
 /// (all-gather). Element counts always match for well-formed frames;
 /// zipping (rather than `copy_from_slice`) keeps a malformed frame from
-/// aborting the process. Shared with the pipelined schedules in
-/// [`crate::pipeline`].
+/// aborting the process.
 pub(crate) fn apply_block(dst: &mut [f32], src: &[f32], fold: bool) {
     if fold {
         for (d, s) in dst.iter_mut().zip(src) {
@@ -72,177 +61,11 @@ pub(crate) fn apply_block(dst: &mut [f32], src: &[f32], fold: bool) {
     }
 }
 
-/// Delivers `frames[from]` into `workers[i]`, running the degradation
-/// ladder on recoverable failures: the sender's block is still intact in
-/// `workers[from]` (the block a node sends at a step is never the block
-/// it folds or overwrites at that step), so it is re-encoded `Plain` and
-/// redelivered. Repeated failures from one sender degrade that leg for
-/// the rest of the exchange.
-#[allow(clippy::too_many_arguments)]
-fn deliver_with_recovery(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-    frame: &WireFrame,
-    i: usize,
-    from: usize,
-    send_k: usize,
-    range: std::ops::Range<usize>,
-    fold: bool,
-    failures: &mut [usize],
-    degraded: &mut [bool],
-) -> Result<(), FabricError> {
-    let n = workers.len();
-    let len = workers[i].len();
-    let first = {
-        let worker = &mut workers[i];
-        let r = range.clone();
-        fabric.deliver(endpoints[i], frame, &mut |rb| {
-            apply_block(&mut worker[r.clone()], rb, fold);
-        })
-    };
-    match first {
-        Ok(()) => {
-            failures[from] = 0;
-            Ok(())
-        }
-        Err(e) if e.is_recoverable() => {
-            failures[from] += 1;
-            if failures[from] >= RENEGOTIATE_AFTER && !degraded[from] {
-                degraded[from] = true;
-                fabric.note_degraded(endpoints[from], endpoints[i]);
-            }
-            let block = workers[from][block_range(len, n, send_k)].to_vec();
-            let plain = fabric.encode(endpoints[from], &block, PayloadKind::Plain);
-            fabric.charge(endpoints[from], endpoints[i], &plain);
-            let worker = &mut workers[i];
-            fabric.deliver(endpoints[i], &plain, &mut |rb| {
-                apply_block(&mut worker[range.clone()], rb, fold);
-            })
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// In-place ring all-reduce over one gradient vector per worker
-/// (Algorithm 1, simultaneous-step semantics), exchanging blocks over
-/// `fabric` between the given endpoints (`endpoints[i]` is worker `i`'s
-/// NIC; the ring runs `endpoints[i] → endpoints[(i+1) % n]`).
-///
-/// After the call, every `workers[i]` holds the elementwise sum of all
-/// inputs. Lossy compression, wire encoding, latency accounting, and
-/// fault injection are whatever the fabric applies per transfer.
-///
-/// Without compression the result is **bit-exact and identical across
-/// workers**: each block is reduced along a fixed ring path, so every
-/// replica receives the same float-addition order.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if a delivery fails past recovery: the frame
-/// had the wrong wire format for the transport, an endpoint has crashed,
-/// or the plain redelivery of a degraded leg failed too.
-///
-/// # Panics
-///
-/// Panics if the worker vectors differ in length, `workers` is empty,
-/// `endpoints.len() != workers.len()`, or an endpoint is out of range.
-pub fn ring_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-) -> Result<(), FabricError> {
-    let n = workers.len();
-    let len = assert_uniform(workers);
-    assert_eq!(endpoints.len(), n, "one endpoint per worker");
-    assert!(
-        endpoints.iter().all(|&e| e < fabric.endpoints()),
-        "endpoint out of range for fabric with {} endpoints",
-        fabric.endpoints()
-    );
-    if n == 1 || len == 0 {
-        return Ok(());
-    }
-    let mut failures = vec![0usize; n];
-    let mut degraded = vec![false; n];
-    // Phase 1 — aggregation (reduce-scatter): at step s node i sends
-    // blk[(i−s+1) mod n] and folds the incoming blk[(i−s) mod n]. All
-    // sends of a step are encoded before any delivery is applied,
-    // preserving the simultaneous-step semantics.
-    for s in 1..n {
-        let mut frames: Vec<WireFrame> = Vec::with_capacity(n);
-        for (i, w) in workers.iter().enumerate() {
-            let k = (i + n - (s - 1)) % n; // (i - s + 1) mod n
-            let kind = if degraded[i] {
-                PayloadKind::Plain
-            } else {
-                PayloadKind::Gradient
-            };
-            let frame = fabric.encode(endpoints[i], &w[block_range(len, n, k)], kind);
-            fabric.charge(endpoints[i], endpoints[(i + 1) % n], &frame);
-            frames.push(frame);
-        }
-        for i in 0..n {
-            let from = (i + n - 1) % n;
-            let send_k = (from + n - (s - 1)) % n;
-            let range = block_range(len, n, (i + n - s) % n);
-            deliver_with_recovery(
-                fabric,
-                workers,
-                endpoints,
-                &frames[from],
-                i,
-                from,
-                send_k,
-                range,
-                true,
-                &mut failures,
-                &mut degraded,
-            )?;
-        }
-    }
-    // Phase 2 — propagation (all-gather): node i owns the fully reduced
-    // blk[(i+1) mod n]; at step t it sends blk[(i+2−t) mod n] and
-    // overwrites blk[(i+1−t) mod n] with the incoming copy.
-    for t in 1..n {
-        let mut frames: Vec<WireFrame> = Vec::with_capacity(n);
-        for (i, w) in workers.iter().enumerate() {
-            let k = (i + 2 + n - t) % n;
-            let kind = if degraded[i] {
-                PayloadKind::Plain
-            } else {
-                PayloadKind::Gradient
-            };
-            let frame = fabric.encode(endpoints[i], &w[block_range(len, n, k)], kind);
-            fabric.charge(endpoints[i], endpoints[(i + 1) % n], &frame);
-            frames.push(frame);
-        }
-        for i in 0..n {
-            let from = (i + n - 1) % n;
-            let send_k = (from + 2 + n - t) % n;
-            let range = block_range(len, n, (i + 1 + n - t) % n);
-            deliver_with_recovery(
-                fabric,
-                workers,
-                endpoints,
-                &frames[from],
-                i,
-                from,
-                send_k,
-                range,
-                false,
-                &mut failures,
-                &mut degraded,
-            )?;
-        }
-    }
-    Ok(())
-}
-
 /// In-place ring all-reduce with the compression round trip applied in
 /// process (the historical convenience, preserved for bit-exact
-/// baselines). Equivalent to [`ring_allreduce_over`] on the in-process
-/// transport with the selected codec.
+/// baselines): [`ExchangeStrategy::Ring`] through
+/// [`Exchange::run`](crate::Exchange::run) on the in-process transport
+/// with the selected codec, worker `i` on endpoint `i`.
 ///
 /// # Panics
 ///
@@ -250,215 +73,8 @@ pub fn ring_allreduce_over(
 /// empty.
 pub fn ring_allreduce(workers: &mut [Vec<f32>], codec: CodecSelection) {
     let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
-    let endpoints: Vec<usize> = (0..workers.len()).collect();
-    ring_allreduce_over(fabric.as_mut(), workers, &endpoints)
-        .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
-}
-
-/// Bottom-up reduction over one topology subtree: recursively reduce
-/// each child, then ring all-reduce over the child leaders' gradient
-/// slots in place. Returns the subtree's leader endpoint; on return
-/// every child leader of this subtree holds the subtree sum.
-fn reduce_up(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    pos: &BTreeMap<usize, usize>,
-    topo: &Topology,
-) -> Result<usize, FabricError> {
-    match topo {
-        Topology::Worker(w) => Ok(*w),
-        Topology::Group(children) => {
-            let mut leaders = Vec::with_capacity(children.len());
-            for child in children {
-                leaders.push(reduce_up(fabric, workers, pos, child)?);
-            }
-            if leaders.len() > 1 {
-                // Ring over the leaders' own slots: the ring needs a
-                // contiguous `&mut [Vec<f32>]`, so the slots are taken
-                // out and restored around the call (even on error, so a
-                // failed exchange leaves every gradient where it was).
-                let mut grads: Vec<Vec<f32>> = leaders
-                    .iter()
-                    .map(|&e| std::mem::take(&mut workers[pos[&e]]))
-                    .collect();
-                let outcome = ring_allreduce_over(fabric, &mut grads, &leaders);
-                for (&e, g) in leaders.iter().zip(grads) {
-                    workers[pos[&e]] = g;
-                }
-                outcome?;
-            }
-            Ok(leaders[0])
-        }
-    }
-}
-
-/// Top-down broadcast into one subtree whose leader already holds the
-/// sum: the leader forwards it to every other child leader (one
-/// compressible gradient hop each, redelivered plain on recoverable
-/// failure) and applies the wire round trip to its own slot, then each
-/// child group recurses. Worker leaves are no-ops: a worker that is
-/// reached here already received the sum from its group leader.
-fn spread_into(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    pos: &BTreeMap<usize, usize>,
-    topo: &Topology,
-) -> Result<(), FabricError> {
-    let Topology::Group(children) = topo else {
-        return Ok(());
-    };
-    let leader = topo.leader();
-    let sum = workers[pos[&leader]].clone();
-    for child in children {
-        let to = child.leader();
-        if to == leader {
-            continue;
-        }
-        match fabric.transfer(leader, to, &sum) {
-            Ok(v) => workers[pos[&to]] = v,
-            Err(e) if e.is_recoverable() => {
-                fabric.note_degraded(leader, to);
-                workers[pos[&to]] = fabric.transfer_plain(leader, to, &sum)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // The leader applies the same wire round trip locally (bit-identical
-    // to receiving its own frame) instead of a phantom self-transfer
-    // that would inflate the wire/packet counters with traffic that
-    // never crosses a link.
-    workers[pos[&leader]] = fabric.self_roundtrip(leader, &sum)?;
-    for child in children {
-        spread_into(fabric, workers, pos, child)?;
-    }
-    Ok(())
-}
-
-/// Starts the broadcast below the topmost level at which a leader ring
-/// actually ran: after that ring every child leader already holds the
-/// sum, so the descent begins inside each child subtree. Single-child
-/// groups contribute no ring of their own and are skipped through.
-fn spread_from_root(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    pos: &BTreeMap<usize, usize>,
-    topo: &Topology,
-) -> Result<(), FabricError> {
-    match topo {
-        Topology::Worker(_) => Ok(()),
-        Topology::Group(children) if children.len() == 1 => {
-            spread_from_root(fabric, workers, pos, &children[0])
-        }
-        Topology::Group(children) => {
-            for child in children {
-                spread_into(fabric, workers, pos, child)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Topology-tree composition of the ring exchange: rings run bottom-up
-/// at every level of `topo` (members of each group first, then group
-/// leaders one tier up, and so on to the root), and the global sum is
-/// broadcast back down leader-to-leader. The two-level hierarchy of
-/// Fig. 1(c) is the `depth == 2` special case; arbitrary depths model
-/// deeper switch hierarchies.
-///
-/// `workers[k]` is the gradient of topology leaf `topo.workers()[k]`,
-/// and that leaf id is used as the fabric endpoint.
-///
-/// Without compression the result equals the flat ring bit-for-bit on
-/// every worker. With compression, workers inside one group stay
-/// bit-identical to their group leader; divergence across groups is
-/// bounded by the codec's error bound per tier.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if any hop's delivery fails past recovery
-/// (see [`ring_allreduce_over`]).
-///
-/// # Panics
-///
-/// Panics if `workers.len()` differs from the topology's leaf count, if
-/// the worker vectors differ in length, or if a leaf id is out of range
-/// for the fabric.
-pub fn tree_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    topo: &Topology,
-) -> Result<(), FabricError> {
-    let order = topo.workers();
-    assert_eq!(
-        order.len(),
-        workers.len(),
-        "one gradient vector per topology leaf"
-    );
-    assert_uniform(workers);
-    assert!(
-        order.iter().all(|&e| e < fabric.endpoints()),
-        "topology leaf out of range for a fabric with {} endpoints",
-        fabric.endpoints()
-    );
-    let pos: BTreeMap<usize, usize> = order.iter().enumerate().map(|(k, &e)| (e, k)).collect();
-    reduce_up(fabric, workers, &pos, topo)?;
-    spread_from_root(fabric, workers, &pos, topo)
-}
-
-/// Two-level hierarchical composition of the ring exchange (Fig. 1(c))
-/// over a fabric: rings within each group of `group_size` workers reduce
-/// locally, group leaders (the first member of each group) ring-exchange
-/// across groups, and leaders propagate the global sum back through
-/// their group with one more compressible gradient hop per member.
-///
-/// Worker `i` uses fabric endpoint `i`. This is [`tree_allreduce_over`]
-/// on the matching two-tier topology (or the flat one when there is a
-/// single group, where no broadcast leg exists).
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if any hop's delivery fails past recovery
-/// (see [`ring_allreduce_over`]).
-///
-/// # Panics
-///
-/// Panics if `group_size` is zero or does not divide the worker count,
-/// or if the fabric has fewer endpoints than workers.
-pub fn hierarchical_ring_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    group_size: usize,
-) -> Result<(), FabricError> {
-    let n = workers.len();
-    assert!(group_size > 0, "group size must be positive");
-    assert!(
-        n.is_multiple_of(group_size),
-        "group size {group_size} must divide worker count {n}"
-    );
-    assert!(fabric.endpoints() >= n, "fabric must cover every worker");
-    let groups = n / group_size;
-    let topo = if groups == 1 {
-        Topology::flat(n)
-    } else {
-        Topology::two_tier(groups, group_size)
-    };
-    tree_allreduce_over(fabric, workers, &topo)
-}
-
-/// Two-level hierarchical ring exchange with the in-process compression
-/// shortcut (the historical convenience). Equivalent to
-/// [`hierarchical_ring_allreduce_over`] on the in-process transport.
-///
-/// # Panics
-///
-/// Panics if `group_size` is zero or does not divide the worker count.
-pub fn hierarchical_ring_allreduce(
-    workers: &mut [Vec<f32>],
-    group_size: usize,
-    codec: CodecSelection,
-) {
-    let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
-    hierarchical_ring_allreduce_over(fabric.as_mut(), workers, group_size)
+    Exchange::new(workers.len())
+        .run_all(ExchangeStrategy::Ring, fabric.as_mut(), workers)
         .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
 }
 
@@ -605,7 +221,7 @@ fn threaded_worker(
 /// exchanging [`WireFrame`]s encoded by the shared fabric — with a NIC
 /// transport those are actual hardware-compressed byte streams.
 ///
-/// Reduces `workers` in place (same result as [`ring_allreduce_over`]
+/// Reduces `workers` in place (same result as the sequential [`ExchangeStrategy::Ring`]
 /// for any deterministic fabric, because the schedule is identical). The
 /// fabric is shared behind a mutex; frames move between threads through
 /// capacity-1 channels, and a reverse acknowledgement ring lets a
@@ -749,6 +365,7 @@ mod tests {
     use crate::fabric::{FrameBody, InProcessFabric};
     use crate::faults::FaultPlan;
     use inceptionn_compress::{ErrorBound, InceptionnCodec};
+    use inceptionn_netsim::Topology;
     use obs::Recorder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -769,6 +386,30 @@ mod tests {
         (0..n)
             .map(|_| (0..len).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
             .collect()
+    }
+
+    fn ring_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
+        Exchange::new(grads.len())
+            .run_all(ExchangeStrategy::Ring, fabric, grads)
+            .unwrap();
+    }
+
+    fn hierarchical_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>], group_size: usize) {
+        Exchange::new(grads.len())
+            .run_all(
+                ExchangeStrategy::HierarchicalRing { group_size },
+                fabric,
+                grads,
+            )
+            .unwrap();
+    }
+
+    /// `grads[k]` belongs to topology leaf `topo.workers()[k]`.
+    fn tree_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>], topo: &Topology) {
+        Exchange::new(grads.len())
+            .with_topology(topo.clone())
+            .run(ExchangeStrategy::Tree, fabric, grads, &topo.workers())
+            .unwrap();
     }
 
     fn build(
@@ -887,17 +528,16 @@ mod tests {
         }
         let bound = ErrorBound::pow2(10);
         let grads = random_grads(4, 1000, 57);
-        let endpoints: Vec<usize> = (0..4).collect();
         let mut reference = grads.clone();
         let mut scalar = ScalarFabric {
             codec: InceptionnCodec::new(bound),
             stats: crate::fabric::FabricStats::default(),
         };
-        ring_allreduce_over(&mut scalar, &mut reference, &endpoints).unwrap();
+        ring_over(&mut scalar, &mut reference);
         for kind in TransportKind::ALL {
             let mut fast = grads.clone();
             let mut fabric = build(kind, 4, Some(bound));
-            ring_allreduce_over(fabric.as_mut(), &mut fast, &endpoints).unwrap();
+            ring_over(fabric.as_mut(), &mut fast);
             assert_eq!(reference, fast, "{kind:?} diverged from the scalar codec");
         }
     }
@@ -909,13 +549,12 @@ mod tests {
         // floats of the whole-stream quantization shortcut.
         for bound in [None, Some(ErrorBound::pow2(10))] {
             let grads = random_grads(4, 777, 31);
-            let endpoints: Vec<usize> = (0..4).collect();
             let mut in_proc = grads.clone();
             let mut fabric = build(TransportKind::InProcess, 4, bound);
-            ring_allreduce_over(fabric.as_mut(), &mut in_proc, &endpoints).unwrap();
+            ring_over(fabric.as_mut(), &mut in_proc);
             let mut over_nic = grads.clone();
             let mut fabric = build(TransportKind::Nic, 4, bound);
-            ring_allreduce_over(fabric.as_mut(), &mut over_nic, &endpoints).unwrap();
+            ring_over(fabric.as_mut(), &mut over_nic);
             assert_eq!(in_proc, over_nic, "bound {bound:?}");
             assert!(
                 bound.is_none() || fabric.stats().engine_cycles > 0,
@@ -929,8 +568,7 @@ mod tests {
         let n = 5;
         let mut grads = random_grads(n, 500, 77);
         let mut fabric = build(TransportKind::Nic, n, Some(ErrorBound::pow2(10)));
-        let endpoints: Vec<usize> = (0..n).collect();
-        ring_allreduce_over(fabric.as_mut(), &mut grads, &endpoints).unwrap();
+        ring_over(fabric.as_mut(), &mut grads);
         // 2(n-1) steps, n transfers each.
         assert_eq!(fabric.stats().transfers, (2 * (n - 1) * n) as u64);
         assert!(fabric.stats().wire_ratio() > 1.0);
@@ -948,8 +586,7 @@ mod tests {
             .transport(TransportKind::Nic)
             .faults(FaultPlan::new(42).drop_prob(0.05).corrupt_prob(0.02))
             .build();
-        let endpoints: Vec<usize> = (0..4).collect();
-        ring_allreduce_over(fabric.as_mut(), &mut faulty, &endpoints).unwrap();
+        ring_over(fabric.as_mut(), &mut faulty);
         assert_eq!(clean, faulty, "recovered exchange must be bit-exact");
         assert!(
             fabric.fault_stats().retransmits > 0,
@@ -970,8 +607,7 @@ mod tests {
             .compression(Some(ErrorBound::pow2(10)))
             .faults(FaultPlan::new(7).poison_prob(1.0))
             .build();
-        let endpoints: Vec<usize> = (0..4).collect();
-        ring_allreduce_over(fabric.as_mut(), &mut grads, &endpoints).unwrap();
+        ring_over(fabric.as_mut(), &mut grads);
         for g in &grads {
             for (a, b) in g.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-4, "{a} vs {b}");
@@ -1123,7 +759,11 @@ mod tests {
         for (n, g) in [(4usize, 2usize), (6, 3), (8, 4), (8, 2), (4, 4)] {
             let mut grads = random_grads(n, 64, (n * 10 + g) as u64);
             let want = direct_sum(&grads);
-            hierarchical_ring_allreduce(&mut grads, g, CodecSelection::None);
+            hierarchical_over(
+                build(TransportKind::InProcess, n, None).as_mut(),
+                &mut grads,
+                g,
+            );
             for w in &grads {
                 for (a, b) in w.iter().zip(&want) {
                     assert!((a - b).abs() < 1e-4, "n={n} g={g}: {a} vs {b}");
@@ -1136,10 +776,14 @@ mod tests {
     fn hierarchical_over_nic_fabric_matches_in_process() {
         let grads = random_grads(6, 300, 91);
         let mut in_proc = grads.clone();
-        hierarchical_ring_allreduce(&mut in_proc, 3, CodecSelection::None);
+        hierarchical_over(
+            build(TransportKind::InProcess, 6, None).as_mut(),
+            &mut in_proc,
+            3,
+        );
         let mut over_nic = grads.clone();
         let mut fabric = build(TransportKind::Nic, 6, None);
-        hierarchical_ring_allreduce_over(fabric.as_mut(), &mut over_nic, 3).unwrap();
+        hierarchical_over(fabric.as_mut(), &mut over_nic, 3);
         assert_eq!(in_proc, over_nic);
     }
 
@@ -1151,7 +795,7 @@ mod tests {
         // over 2 groups: 2(2−1)·2; broadcast: one hop per non-leader.
         let mut grads = random_grads(6, 300, 92);
         let mut fabric = build(TransportKind::Nic, 6, Some(ErrorBound::pow2(10)));
-        hierarchical_ring_allreduce_over(fabric.as_mut(), &mut grads, 3).unwrap();
+        hierarchical_over(fabric.as_mut(), &mut grads, 3);
         let expected = (2 * 12 + 4 + 2 * 2) as u64;
         assert_eq!(fabric.stats().transfers, expected);
     }
@@ -1166,7 +810,7 @@ mod tests {
         for kind in TransportKind::ALL {
             let mut workers = grads.clone();
             let mut fabric = build(kind, 6, bound);
-            hierarchical_ring_allreduce_over(fabric.as_mut(), &mut workers, 3).unwrap();
+            hierarchical_over(fabric.as_mut(), &mut workers, 3);
             for g in 0..2 {
                 for m in 1..3 {
                     assert_eq!(
@@ -1198,7 +842,7 @@ mod tests {
             let mut grads = random_grads(n, 120, (n * 7 + arities.len()) as u64);
             let want = direct_sum(&grads);
             let mut fabric = build(TransportKind::InProcess, n, None);
-            tree_allreduce_over(fabric.as_mut(), &mut grads, &topo).unwrap();
+            tree_over(fabric.as_mut(), &mut grads, &topo);
             for (i, g) in grads.iter().enumerate() {
                 for (a, b) in g.iter().zip(&want) {
                     assert!((a - b).abs() < 1e-4, "{arities:?} worker {i}: {a} vs {b}");
@@ -1214,10 +858,10 @@ mod tests {
             let grads = random_grads(8, 300, 94);
             let mut in_proc = grads.clone();
             let mut a = build(TransportKind::InProcess, 8, bound);
-            tree_allreduce_over(a.as_mut(), &mut in_proc, &topo).unwrap();
+            tree_over(a.as_mut(), &mut in_proc, &topo);
             let mut over_nic = grads.clone();
             let mut b = build(TransportKind::Nic, 8, bound);
-            tree_allreduce_over(b.as_mut(), &mut over_nic, &topo).unwrap();
+            tree_over(b.as_mut(), &mut over_nic, &topo);
             assert_eq!(in_proc, over_nic, "bound {bound:?}");
         }
     }
@@ -1230,7 +874,7 @@ mod tests {
         let topo = Topology::uniform(&[2, 2, 2]);
         let mut grads = random_grads(8, 300, 95);
         let mut fabric = build(TransportKind::Nic, 8, Some(ErrorBound::pow2(10)));
-        tree_allreduce_over(fabric.as_mut(), &mut grads, &topo).unwrap();
+        tree_over(fabric.as_mut(), &mut grads, &topo);
         for pair in 0..4 {
             assert_eq!(
                 grads[pair * 2],
@@ -1242,16 +886,16 @@ mod tests {
 
     #[test]
     fn tree_on_two_tiers_matches_the_hierarchical_exchange_bit_exactly() {
-        // The historical two-level function is now a wrapper; pin the
-        // equivalence explicitly so a tree regression cannot hide behind
-        // the wrapper's own tests.
+        // `HierarchicalRing` lowers to a two-tier tree inside
+        // `Exchange::run`; pin that lowering against the tree armed by
+        // hand.
         let grads = random_grads(6, 300, 96);
         let mut via_wrapper = grads.clone();
         let mut a = build(TransportKind::Nic, 6, Some(ErrorBound::pow2(10)));
-        hierarchical_ring_allreduce_over(a.as_mut(), &mut via_wrapper, 3).unwrap();
+        hierarchical_over(a.as_mut(), &mut via_wrapper, 3);
         let mut via_tree = grads.clone();
         let mut b = build(TransportKind::Nic, 6, Some(ErrorBound::pow2(10)));
-        tree_allreduce_over(b.as_mut(), &mut via_tree, &Topology::two_tier(2, 3)).unwrap();
+        tree_over(b.as_mut(), &mut via_tree, &Topology::two_tier(2, 3));
         assert_eq!(via_wrapper, via_tree);
         assert_eq!(a.stats().wire_bytes, b.stats().wire_bytes);
     }
@@ -1270,7 +914,7 @@ mod tests {
         let mut live: Vec<Vec<f32>> = survivors.iter().map(|&w| grads[w].clone()).collect();
         let want = direct_sum(&live);
         let mut fabric = build(TransportKind::Nic, 8, None);
-        tree_allreduce_over(fabric.as_mut(), &mut live, &topo).unwrap();
+        tree_over(fabric.as_mut(), &mut live, &topo);
         for (k, g) in live.iter().enumerate() {
             for (a, b) in g.iter().zip(&want) {
                 assert!(

@@ -7,129 +7,37 @@
 //! switch to an aggregator host never exists, halving the volume on the
 //! aggregator's link and removing the host fold from the critical path.
 //!
-//! The fold order is the worker order, so the result is bit-identical to
-//! [`worker_aggregator_allreduce_over`](crate::worker_aggregator_allreduce_over)
-//! under the same fabric — pinned by tests here, which is what makes the
-//! mode a drop-in substitution rather than a numerically different
-//! algorithm.
+//! The schedule is [`ExchangeStrategy::SwitchReduce`] in the chunked
+//! executor ([`crate::pipeline`]), reached through
+//! [`Exchange::run`](crate::Exchange::run). The fold order is the worker
+//! order, so the result is bit-identical to
+//! [`ExchangeStrategy::WorkerAggregator`] under the same fabric — pinned
+//! by tests here, which is what makes the mode a drop-in substitution
+//! rather than a numerically different algorithm.
 
-use crate::fabric::{CodecSelection, Fabric, FabricBuilder, FabricError, PayloadKind, SwitchAccum};
-
-/// In-place all-reduce through a switch-resident reduce unit:
-/// `endpoints[k]` is worker `k`'s NIC. Gather: each worker's gradient is
-/// encoded, charged one **uplink half-leg**, and folded into the switch
-/// accumulator. Distribute: the folded sum streams down every member
-/// port as a plain (incompressible) frame, charged one **downlink
-/// half-leg** each.
-///
-/// The reduce unit has no retransmission protocol: a contribution that
-/// fails recoverably leaves a partial fold behind, so the whole gather
-/// restarts from a zeroed accumulator with plain frames (and the failing
-/// endpoint's leg is noted degraded). Modeling shortcut on the
-/// distribute leg: the plain frame is encoded at the receiving endpoint
-/// — the bytes equal what the switch would send, and the wire counters
-/// attribute the downlink volume to the endpoint that owns the link.
-///
-/// # Errors
-///
-/// Returns [`FabricError`] if a fold or delivery fails past recovery
-/// (wrong wire format for the transport, a crashed endpoint, or a
-/// failure on the already-degraded plain path).
-///
-/// # Panics
-///
-/// Panics if `workers` is empty, the gradients differ in length,
-/// `endpoints.len() != workers.len()`, or an endpoint is out of range.
-pub fn switch_allreduce_over(
-    fabric: &mut dyn Fabric,
-    workers: &mut [Vec<f32>],
-    endpoints: &[usize],
-) -> Result<(), FabricError> {
-    let n = workers.len();
-    assert!(n > 0, "at least one worker required");
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|w| w.len() == len),
-        "all workers must hold equally sized gradients"
-    );
-    assert_eq!(endpoints.len(), n, "one endpoint per worker");
-    assert!(
-        endpoints.iter().all(|&e| e < fabric.endpoints()),
-        "endpoint out of range for a fabric with {} endpoints",
-        fabric.endpoints()
-    );
-
-    // The fabric picks the accumulator shape: dense `f32` lanes for the
-    // engine families, the integer sketch unit for the homomorphic
-    // codec (contributions then fold without ever decompressing).
-    let mut accum = fabric.switch_accum(len);
-    let mut plain_restart = false;
-    'gather: loop {
-        for (k, w) in workers.iter().enumerate() {
-            let kind = if plain_restart {
-                PayloadKind::Plain
-            } else {
-                PayloadKind::Gradient
-            };
-            let frame = fabric.encode(endpoints[k], w, kind);
-            fabric.charge_to_switch(endpoints[k], &frame);
-            match fabric.switch_fold_into(&mut accum, &frame) {
-                Ok(()) => {}
-                Err(e) if e.is_recoverable() && !plain_restart => {
-                    fabric.note_degraded(endpoints[k], endpoints[k]);
-                    // The exact re-gather always folds plain frames into
-                    // a fresh dense accumulator — never through a codec's
-                    // sketch unit.
-                    accum = SwitchAccum::dense(len);
-                    plain_restart = true;
-                    continue 'gather;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        break;
-    }
-    let mut sum = vec![0.0f32; len];
-    accum.finish_into(&mut sum);
-
-    for (k, w) in workers.iter_mut().enumerate() {
-        let e = endpoints[k];
-        let frame = fabric.encode(e, &sum, PayloadKind::Plain);
-        fabric.charge_from_switch(e, &frame);
-        match fabric.deliver(e, &frame, &mut |b| w.copy_from_slice(b)) {
-            Ok(()) => {}
-            Err(err) if err.is_recoverable() => {
-                fabric.note_degraded(e, e);
-                let frame = fabric.encode(e, &sum, PayloadKind::Plain);
-                fabric.charge_from_switch(e, &frame);
-                fabric.deliver(e, &frame, &mut |b| w.copy_from_slice(b))?;
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    Ok(())
-}
+use crate::exchange::Exchange;
+use crate::fabric::{CodecSelection, FabricBuilder};
+use crate::trainer::ExchangeStrategy;
 
 /// Switch-resident all-reduce with the in-process shortcut: builds a
 /// fabric with one endpoint per worker (the switch itself holds no
-/// endpoint) and runs [`switch_allreduce_over`] with worker `k` on
-/// endpoint `k`.
+/// endpoint) and runs [`ExchangeStrategy::SwitchReduce`] with worker `k`
+/// on endpoint `k`.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is empty or the gradients differ in length.
 pub fn switch_allreduce(workers: &mut [Vec<f32>], codec: CodecSelection) {
-    let endpoints: Vec<usize> = (0..workers.len()).collect();
     let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
-    switch_allreduce_over(fabric.as_mut(), workers, &endpoints)
+    Exchange::new(workers.len())
+        .run_all(ExchangeStrategy::SwitchReduce, fabric.as_mut(), workers)
         .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::aggregator::worker_aggregator_allreduce_over;
-    use crate::fabric::{FabricStats, TransportKind, WireFrame};
+    use crate::fabric::{Fabric, FabricError, FabricStats, PayloadKind, TransportKind, WireFrame};
     use inceptionn_compress::ErrorBound;
     use inceptionn_netsim::NetworkConfig;
     use rand::rngs::StdRng;
@@ -140,6 +48,18 @@ mod tests {
         (0..n)
             .map(|_| (0..len).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
             .collect()
+    }
+
+    fn switch_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
+        Exchange::new(grads.len())
+            .run_all(ExchangeStrategy::SwitchReduce, fabric, grads)
+            .unwrap();
+    }
+
+    fn worker_aggregator_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
+        Exchange::new(grads.len())
+            .run_all(ExchangeStrategy::WorkerAggregator, fabric, grads)
+            .unwrap();
     }
 
     fn build(
@@ -153,6 +73,62 @@ mod tests {
             .build()
     }
 
+    /// A real fabric whose first `remaining_failures` switch folds fail
+    /// recoverably after scribbling on the accumulator, and which logs
+    /// every degraded leg. Shared with the chunked-restart test in
+    /// `pipeline::tests`.
+    pub(crate) struct PoisonedSwitch {
+        pub(crate) inner: Box<dyn Fabric>,
+        pub(crate) remaining_failures: u32,
+        pub(crate) degraded: Vec<(usize, usize)>,
+    }
+    impl Fabric for PoisonedSwitch {
+        fn endpoints(&self) -> usize {
+            self.inner.endpoints()
+        }
+        fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
+            self.inner.encode(src, values, kind)
+        }
+        fn charge(&mut self, src: usize, dst: usize, frame: &WireFrame) {
+            self.inner.charge(src, dst, frame);
+        }
+        fn charge_to_switch(&mut self, endpoint: usize, frame: &WireFrame) {
+            self.inner.charge_to_switch(endpoint, frame);
+        }
+        fn charge_from_switch(&mut self, endpoint: usize, frame: &WireFrame) {
+            self.inner.charge_from_switch(endpoint, frame);
+        }
+        fn deliver(
+            &mut self,
+            dst: usize,
+            frame: &WireFrame,
+            sink: &mut dyn FnMut(&[f32]),
+        ) -> Result<(), FabricError> {
+            self.inner.deliver(dst, frame, sink)
+        }
+        fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
+            if self.remaining_failures > 0 {
+                self.remaining_failures -= 1;
+                // Scribble on the accumulator to prove the restart
+                // really zeroes partial state.
+                acc.fill(1e9);
+                return Err(FabricError::Decode(inceptionn_compress::DecodeError {
+                    at_value: 0,
+                    bit_offset: 0,
+                    tag: None,
+                }));
+            }
+            self.inner.switch_fold(acc, frame)
+        }
+        fn stats(&self) -> FabricStats {
+            self.inner.stats()
+        }
+        fn note_degraded(&mut self, src: usize, dst: usize) {
+            self.degraded.push((src, dst));
+            self.inner.note_degraded(src, dst);
+        }
+    }
+
     #[test]
     fn switch_fold_matches_the_host_aggregator_bit_exactly() {
         // The acceptance bar for in-network reduction: final weights
@@ -163,11 +139,10 @@ mod tests {
                 let grads = random_grads(5, 300, 31);
                 let mut host = grads.clone();
                 let mut wa = build(kind, 6, bound); // workers + aggregator
-                worker_aggregator_allreduce_over(wa.as_mut(), &mut host).unwrap();
+                worker_aggregator_over(wa.as_mut(), &mut host);
                 let mut net = grads.clone();
-                let endpoints: Vec<usize> = (0..5).collect();
                 let mut sw = build(kind, 5, bound); // workers only
-                switch_allreduce_over(sw.as_mut(), &mut net, &endpoints).unwrap();
+                switch_over(sw.as_mut(), &mut net);
                 assert_eq!(host, net, "{kind:?} bound {bound:?}");
             }
         }
@@ -177,9 +152,8 @@ mod tests {
     fn gather_leg_compresses_and_distribute_stays_plain() {
         let n = 4;
         let mut compressed = random_grads(n, 512, 32);
-        let endpoints: Vec<usize> = (0..n).collect();
         let mut fabric = build(TransportKind::Nic, n, Some(ErrorBound::pow2(10)));
-        switch_allreduce_over(fabric.as_mut(), &mut compressed, &endpoints).unwrap();
+        switch_over(fabric.as_mut(), &mut compressed);
         let stats = fabric.stats();
         assert_eq!(
             stats.transfers,
@@ -189,7 +163,7 @@ mod tests {
 
         let mut plain = random_grads(n, 512, 32);
         let mut baseline = build(TransportKind::Nic, n, None);
-        switch_allreduce_over(baseline.as_mut(), &mut plain, &endpoints).unwrap();
+        switch_over(baseline.as_mut(), &mut plain);
         assert!(
             stats.wire_bytes < baseline.stats().wire_bytes,
             "compressed gather must shrink the exchange: {} vs {}",
@@ -211,15 +185,14 @@ mod tests {
             .transport(TransportKind::TimedNic)
             .network(net)
             .build();
-        worker_aggregator_allreduce_over(wa.as_mut(), &mut host).unwrap();
+        worker_aggregator_over(wa.as_mut(), &mut host);
 
         let mut net_side = grads.clone();
-        let endpoints: Vec<usize> = (0..4).collect();
         let mut sw = FabricBuilder::new(4)
             .transport(TransportKind::TimedNic)
             .network(net)
             .build();
-        switch_allreduce_over(sw.as_mut(), &mut net_side, &endpoints).unwrap();
+        switch_over(sw.as_mut(), &mut net_side);
 
         assert_eq!(host, net_side);
         let (host_ns, switch_ns) = (wa.stats().link_latency_ns, sw.stats().link_latency_ns);
@@ -235,62 +208,6 @@ mod tests {
         // A reduce unit cannot retransmit one packet; the exchange
         // restarts from a zeroed accumulator. Wrap a real fabric and
         // poison the first fold.
-        struct PoisonedSwitch {
-            inner: Box<dyn Fabric>,
-            remaining_failures: u32,
-            degraded: Vec<(usize, usize)>,
-        }
-        impl Fabric for PoisonedSwitch {
-            fn endpoints(&self) -> usize {
-                self.inner.endpoints()
-            }
-            fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-                self.inner.encode(src, values, kind)
-            }
-            fn charge(&mut self, src: usize, dst: usize, frame: &WireFrame) {
-                self.inner.charge(src, dst, frame);
-            }
-            fn charge_to_switch(&mut self, endpoint: usize, frame: &WireFrame) {
-                self.inner.charge_to_switch(endpoint, frame);
-            }
-            fn charge_from_switch(&mut self, endpoint: usize, frame: &WireFrame) {
-                self.inner.charge_from_switch(endpoint, frame);
-            }
-            fn deliver(
-                &mut self,
-                dst: usize,
-                frame: &WireFrame,
-                sink: &mut dyn FnMut(&[f32]),
-            ) -> Result<(), FabricError> {
-                self.inner.deliver(dst, frame, sink)
-            }
-            fn switch_fold(
-                &mut self,
-                acc: &mut [f32],
-                frame: &WireFrame,
-            ) -> Result<(), FabricError> {
-                if self.remaining_failures > 0 {
-                    self.remaining_failures -= 1;
-                    // Scribble on the accumulator to prove the restart
-                    // really zeroes partial state.
-                    acc.fill(1e9);
-                    return Err(FabricError::Decode(inceptionn_compress::DecodeError {
-                        at_value: 0,
-                        bit_offset: 0,
-                        tag: None,
-                    }));
-                }
-                self.inner.switch_fold(acc, frame)
-            }
-            fn stats(&self) -> FabricStats {
-                self.inner.stats()
-            }
-            fn note_degraded(&mut self, src: usize, dst: usize) {
-                self.degraded.push((src, dst));
-                self.inner.note_degraded(src, dst);
-            }
-        }
-
         let mut grads = random_grads(3, 64, 34);
         let want = {
             let mut exact = grads.clone();
@@ -302,8 +219,7 @@ mod tests {
             remaining_failures: 1,
             degraded: Vec::new(),
         };
-        let endpoints: Vec<usize> = (0..3).collect();
-        switch_allreduce_over(&mut fabric, &mut grads, &endpoints).unwrap();
+        switch_over(&mut fabric, &mut grads);
         // The restart re-encodes every contribution Plain, so the result
         // is the exact sum even though the fabric compresses.
         for w in &grads {
@@ -345,15 +261,13 @@ mod tests {
         merged
             .decode_into(&mut want)
             .expect("host merge of well-formed frames decodes");
-
-        let endpoints: Vec<usize> = (0..n).collect();
         for kind in TransportKind::ALL {
             let mut net = grads.clone();
             let mut fabric = FabricBuilder::new(n)
                 .transport(kind)
                 .codec(CodecSelection::Sketch { frac_bits })
                 .build();
-            switch_allreduce_over(fabric.as_mut(), &mut net, &endpoints).unwrap();
+            switch_over(fabric.as_mut(), &mut net);
             for w in &net {
                 assert_eq!(w, &want, "{kind:?}: switch fold must equal the host merge");
             }
@@ -372,7 +286,6 @@ mod tests {
         // accumulator, and the uplink carries only the surviving pairs.
         let n = 4;
         let len = 512;
-        let endpoints: Vec<usize> = (0..n).collect();
         // Threshold alone keeps too much of a uniform gradient to win
         // against 4-byte dense lanes (pairs cost 8); the top-k cap is
         // what guarantees the uplink shrinks.
@@ -384,14 +297,14 @@ mod tests {
         let grads = random_grads(n, len, 36);
         let mut in_process = grads.clone();
         let mut ip = FabricBuilder::new(n).codec(codec).build();
-        switch_allreduce_over(ip.as_mut(), &mut in_process, &endpoints).unwrap();
+        switch_over(ip.as_mut(), &mut in_process);
 
         let mut over_nic = grads.clone();
         let mut nic = FabricBuilder::new(n)
             .transport(TransportKind::Nic)
             .codec(codec)
             .build();
-        switch_allreduce_over(nic.as_mut(), &mut over_nic, &endpoints).unwrap();
+        switch_over(nic.as_mut(), &mut over_nic);
         assert_eq!(
             in_process, over_nic,
             "sparse switch fold must be transport-invariant"
@@ -399,7 +312,7 @@ mod tests {
 
         let mut plain = grads.clone();
         let mut baseline = build(TransportKind::Nic, n, None);
-        switch_allreduce_over(baseline.as_mut(), &mut plain, &endpoints).unwrap();
+        switch_over(baseline.as_mut(), &mut plain);
         assert!(
             nic.stats().wire_bytes < baseline.stats().wire_bytes,
             "sparse gather must shrink the exchange: {} vs {}",

@@ -236,8 +236,7 @@ fn transfer_snapshot(
 /// left — with snapshot catch-up (parameters + optimizer state shipped
 /// from the current leader over the fabric as plain frames) and
 /// re-grafts it at its original topology position; a `Crash` surfaces
-/// through the fabric exactly like the deprecated `FaultPlan::crash`
-/// hook did.
+/// through the fabric as `EndpointDown` on every touching delivery.
 ///
 /// # Examples
 ///

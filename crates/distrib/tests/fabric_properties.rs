@@ -7,11 +7,9 @@
 
 use std::sync::Mutex;
 
-use inceptionn_distrib::aggregator::worker_aggregator_allreduce_over;
 use inceptionn_distrib::fabric::{Fabric, FabricBuilder, TransportKind};
-use inceptionn_distrib::ring::{
-    hierarchical_ring_allreduce_over, ring_allreduce_over, threaded_ring_allreduce_over,
-};
+use inceptionn_distrib::ring::threaded_ring_allreduce_over;
+use inceptionn_distrib::{Exchange, ExchangeStrategy, PipelineConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +35,23 @@ fn build(kind: TransportKind, endpoints: usize) -> Box<dyn Fabric> {
     FabricBuilder::new(endpoints).transport(kind).build()
 }
 
+/// One all-reduce through `Exchange::run`, worker `k` on endpoint `k`:
+/// whole-leg when `chunk` is `None`, otherwise cut into `chunk`-value
+/// pipeline chunks.
+fn exchange(
+    strategy: ExchangeStrategy,
+    fabric: &mut dyn Fabric,
+    workers: &mut [Vec<f32>],
+    chunk: Option<usize>,
+) {
+    let live: Vec<usize> = (0..workers.len()).collect();
+    let mut ex = Exchange::new(workers.len());
+    if let Some(chunk) = chunk {
+        ex = ex.pipelined(PipelineConfig::with_chunk(chunk));
+    }
+    ex.run(strategy, fabric, workers, &live).unwrap();
+}
+
 fn divisor_of(n: usize, pick: u64) -> usize {
     let divisors: Vec<usize> = (1..=n).filter(|d| n.is_multiple_of(*d)).collect();
     divisors[pick as usize % divisors.len()]
@@ -59,56 +74,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // The acceptance property of the refactor: the fabric changes
-    // accounting, never values. Includes len < n, where trailing blocks
-    // are empty.
+    // accounting, never values — and neither does chunking. Includes
+    // len < n, where trailing blocks are empty, and chunks longer and
+    // shorter than a block.
     #[test]
     fn prop_every_exchange_is_lossless_on_every_fabric(
         n in 1usize..7,
         len in 0usize..40,
+        chunk in 1usize..12,
         seed in any::<u64>(),
     ) {
         let inputs = random_grads(n, len, seed);
-        let endpoints: Vec<usize> = (0..n).collect();
         let group_size = divisor_of(n, seed);
+        let strategies = [
+            ("ring", ExchangeStrategy::Ring, n),
+            ("hier", ExchangeStrategy::HierarchicalRing { group_size }, n),
+            ("agg", ExchangeStrategy::WorkerAggregator, n + 1),
+            ("switch", ExchangeStrategy::SwitchReduce, n),
+        ];
 
         let mut ring_reference: Option<Vec<Vec<f32>>> = None;
         for kind in TransportKind::ALL {
-            let mut by_ring = inputs.clone();
-            ring_allreduce_over(
-                build(kind, n).as_mut(),
-                &mut by_ring,
-                &endpoints,
-            ).unwrap();
-            if len > 0 {
-                assert_lossless_allreduce(&by_ring, &inputs, &format!("ring/{kind:?}"));
-            }
-            // Bit-exact across fabrics, not merely close.
-            match &ring_reference {
-                None => ring_reference = Some(by_ring),
-                Some(reference) => prop_assert_eq!(reference, &by_ring),
-            }
-
-            let mut by_hier = inputs.clone();
-            hierarchical_ring_allreduce_over(
-                build(kind, n).as_mut(),
-                &mut by_hier,
-                group_size,
-            ).unwrap();
-            if len > 0 {
-                assert_lossless_allreduce(
-                    &by_hier,
-                    &inputs,
-                    &format!("hier({group_size})/{kind:?}"),
-                );
-            }
-
-            let mut by_agg = inputs.clone();
-            worker_aggregator_allreduce_over(
-                build(kind, n + 1).as_mut(),
-                &mut by_agg,
-            ).unwrap();
-            if len > 0 {
-                assert_lossless_allreduce(&by_agg, &inputs, &format!("agg/{kind:?}"));
+            for (name, strategy, endpoints) in strategies {
+                let mut whole = inputs.clone();
+                exchange(strategy, build(kind, endpoints).as_mut(), &mut whole, None);
+                if len > 0 {
+                    assert_lossless_allreduce(&whole, &inputs, &format!("{name}/{kind:?}"));
+                }
+                let mut chunked = inputs.clone();
+                exchange(strategy, build(kind, endpoints).as_mut(), &mut chunked, Some(chunk));
+                prop_assert_eq!(&whole, &chunked, "{}/{:?} chunk {}", name, kind, chunk);
+                // Bit-exact across fabrics, not merely close.
+                if name == "ring" {
+                    match &ring_reference {
+                        None => ring_reference = Some(whole),
+                        Some(reference) => prop_assert_eq!(reference, &whole),
+                    }
+                }
             }
         }
     }
@@ -120,10 +122,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let inputs = random_grads(n, len, seed);
-        let endpoints: Vec<usize> = (0..n).collect();
         for kind in TransportKind::ALL {
             let mut seq = inputs.clone();
-            ring_allreduce_over(build(kind, n).as_mut(), &mut seq, &endpoints).unwrap();
+            exchange(ExchangeStrategy::Ring, build(kind, n).as_mut(), &mut seq, None);
             let fabric = Mutex::new(build(kind, n));
             let mut thr = inputs.clone();
             threaded_ring_allreduce_over(&fabric, &mut thr).unwrap();

@@ -6,9 +6,8 @@
 
 use inceptionn_compress::ErrorBound;
 use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, TransportKind};
-use inceptionn_distrib::ring::ring_allreduce_over;
 use inceptionn_distrib::trainer::{DistributedTrainer, ExchangeStrategy, TrainerConfig};
-use inceptionn_distrib::{FaultPlan, FaultStats, MembershipSchedule};
+use inceptionn_distrib::{Exchange, FaultPlan, FaultStats, MembershipSchedule};
 use inceptionn_dnn::data::DigitDataset;
 use inceptionn_dnn::models;
 use rand::rngs::StdRng;
@@ -46,7 +45,13 @@ fn fabric_level_replay_is_bit_exact() {
             .compression(Some(ErrorBound::pow2(10)))
             .faults(noisy_plan(77))
             .build();
-        ring_allreduce_over(fabric.as_mut(), &mut grads, &endpoints)
+        Exchange::new(5)
+            .run(
+                ExchangeStrategy::Ring,
+                fabric.as_mut(),
+                &mut grads,
+                &endpoints,
+            )
             .expect("all injected faults in this plan are recoverable");
         (
             grads.iter().map(|g| bits(g)).collect(),

@@ -1,18 +1,17 @@
-//! Differential contract of the pipelined exchange engine: for every
-//! strategy × codec × transport cell, the chunked, windowed, arena-fed
-//! schedule must land on gradients bit-identical to the whole-block
-//! `_over` schedule it accelerates. The INCEPTIONN codec quantizes per
-//! value, so splitting a leg into pipeline chunks cannot change any
-//! encoded byte — these tests pin that equivalence from outside the
-//! crate, over the public builder API, including ragged final chunks
-//! and fault-plan replay under pipelining.
+//! Differential contract of the chunked exchange executor: for every
+//! strategy × codec × transport cell, a chunked, windowed run must land
+//! on gradients bit-identical to the whole-leg default of the same
+//! [`Exchange`]. Every codec quantizes per value, so splitting a leg
+//! into pipeline chunks cannot change any encoded byte — these tests
+//! pin that from outside the crate, over the public API, including
+//! ragged final chunks and fault-plan replay under chunking. (That the
+//! whole-leg default is itself right is pinned against
+//! executor-independent references in `tests/fabric_stack.rs`.)
 
 use inceptionn_compress::ErrorBound;
 use inceptionn_distrib::{
-    pipelined_ring_allreduce_over, pipelined_switch_allreduce_over, pipelined_tree_allreduce_over,
-    pipelined_worker_aggregator_allreduce_over, ring_allreduce_over, switch_allreduce_over,
-    tree_allreduce_over, worker_aggregator_allreduce_over, CodecSelection, Fabric, FabricBuilder,
-    FaultPlan, FaultStats, PipelineConfig, TransportKind,
+    CodecSelection, Exchange, ExchangeStrategy, Fabric, FabricBuilder, FaultPlan, FaultStats,
+    PipelineConfig, TransportKind,
 };
 use inceptionn_netsim::Topology;
 use rand::rngs::StdRng;
@@ -75,38 +74,44 @@ fn build(endpoints: usize, transport: TransportKind, codec: CodecSelection) -> B
         .build()
 }
 
-/// Runs one (unpipelined, pipelined) pair over fresh fabrics and
-/// asserts bit-identical results, labeling failures with the cell.
+/// Runs one (whole-leg, chunked) pair of `exchange()` over fresh
+/// fabrics and asserts bit-identical results, labeling failures with
+/// the cell.
 fn assert_cell(
     label: &str,
+    strategy: ExchangeStrategy,
+    exchange: impl Fn() -> Exchange,
     transport: TransportKind,
     codec: CodecSelection,
     cfg: PipelineConfig,
-    run_plain: impl Fn(&mut dyn Fabric, &mut [Vec<f32>]),
-    run_piped: impl Fn(&mut dyn Fabric, &mut [Vec<f32>], PipelineConfig),
     endpoints: usize,
 ) {
+    let live: Vec<usize> = (0..WORKERS).collect();
     let grads = random_grads(WORKERS, LEN, 0xd1ff);
-    let mut plain = grads.clone();
+    let mut whole = grads.clone();
     let mut fabric = build(endpoints, transport, codec);
-    run_plain(fabric.as_mut(), &mut plain);
+    exchange()
+        .run(strategy, fabric.as_mut(), &mut whole, &live)
+        .expect(label);
     let mut piped = grads;
     let mut fabric = build(endpoints, transport, codec);
-    run_piped(fabric.as_mut(), &mut piped, cfg);
+    exchange()
+        .pipelined(cfg)
+        .run(strategy, fabric.as_mut(), &mut piped, &live)
+        .expect(label);
     assert_eq!(
-        bits(&plain),
+        bits(&whole),
         bits(&piped),
-        "{label}/{codec:?}/{transport:?} chunk={} depth={}: pipelined diverged",
+        "{label}/{codec:?}/{transport:?} chunk={} depth={}: chunked diverged",
         cfg.chunk_values,
         cfg.depth,
     );
 }
 
 /// Ring: every codec variant × both transports × ragged chunk sizes
-/// (including chunk 1 at depth 1, the stop-and-wait degenerate case).
+/// (including depth 1, the stop-and-wait degenerate case).
 #[test]
 fn pipelined_ring_matches_for_every_codec_and_transport() {
-    let endpoints: Vec<usize> = (0..WORKERS).collect();
     for (name, codec) in all_codecs() {
         for transport in [TransportKind::InProcess, TransportKind::Nic] {
             for cfg in [
@@ -118,14 +123,11 @@ fn pipelined_ring_matches_for_every_codec_and_transport() {
             ] {
                 assert_cell(
                     &format!("ring/{name}"),
+                    ExchangeStrategy::Ring,
+                    || Exchange::new(WORKERS),
                     transport,
                     codec,
                     cfg,
-                    |f, w| ring_allreduce_over(f, w, &endpoints).expect("ring"),
-                    |f, w, cfg| {
-                        pipelined_ring_allreduce_over(f, w, &endpoints, cfg)
-                            .expect("pipelined ring")
-                    },
                     WORKERS,
                 );
             }
@@ -140,11 +142,11 @@ fn pipelined_tree_matches_for_every_codec() {
     for (name, codec) in all_codecs() {
         assert_cell(
             &format!("tree/{name}"),
+            ExchangeStrategy::Tree,
+            || Exchange::new(WORKERS).with_topology(topo.clone()),
             TransportKind::Nic,
             codec,
             PipelineConfig::with_chunk(97),
-            |f, w| tree_allreduce_over(f, w, &topo).expect("tree"),
-            |f, w, cfg| pipelined_tree_allreduce_over(f, w, &topo, cfg).expect("pipelined tree"),
             WORKERS,
         );
     }
@@ -157,13 +159,11 @@ fn pipelined_worker_aggregator_matches_for_every_codec() {
     for (name, codec) in all_codecs() {
         assert_cell(
             &format!("worker-aggregator/{name}"),
+            ExchangeStrategy::WorkerAggregator,
+            || Exchange::new(WORKERS),
             TransportKind::Nic,
             codec,
             PipelineConfig::with_chunk(97),
-            |f, w| worker_aggregator_allreduce_over(f, w).expect("wa"),
-            |f, w, cfg| {
-                pipelined_worker_aggregator_allreduce_over(f, w, cfg).expect("pipelined wa")
-            },
             WORKERS + 1,
         );
     }
@@ -172,28 +172,25 @@ fn pipelined_worker_aggregator_matches_for_every_codec() {
 /// Switch-resident in-network reduction: every codec variant.
 #[test]
 fn pipelined_switch_matches_for_every_codec() {
-    let endpoints: Vec<usize> = (0..WORKERS).collect();
     for (name, codec) in all_codecs() {
         assert_cell(
             &format!("switch/{name}"),
+            ExchangeStrategy::SwitchReduce,
+            || Exchange::new(WORKERS),
             TransportKind::Nic,
             codec,
             PipelineConfig::with_chunk(97),
-            |f, w| switch_allreduce_over(f, w, &endpoints).expect("switch"),
-            |f, w, cfg| {
-                pipelined_switch_allreduce_over(f, w, &endpoints, cfg).expect("pipelined switch")
-            },
             WORKERS,
         );
     }
 }
 
-/// The fault-determinism contract survives pipelining: one seed and one
+/// The fault-determinism contract survives chunking: one seed and one
 /// plan replayed over the chunked schedule land on byte-identical
 /// gradients and identical fault counters, and the plan actually fires.
 #[test]
 fn pipelined_ring_replays_fault_plans_bit_exactly() {
-    let endpoints: Vec<usize> = (0..WORKERS).collect();
+    let live: Vec<usize> = (0..WORKERS).collect();
     let run = || -> (Vec<Vec<u32>>, FaultStats) {
         let mut grads = random_grads(WORKERS, LEN, 0xfa57);
         let mut fabric = FabricBuilder::new(WORKERS)
@@ -201,20 +198,11 @@ fn pipelined_ring_replays_fault_plans_bit_exactly() {
             .compression(Some(ErrorBound::pow2(10)))
             .faults(FaultPlan::new(91).drop_prob(0.05).corrupt_prob(0.02))
             .build();
-        pipelined_ring_allreduce_over(
-            fabric.as_mut(),
-            &mut grads,
-            &endpoints,
-            PipelineConfig::with_chunk(97),
-        )
-        .expect("all injected faults in this plan are recoverable");
-        (
-            grads
-                .iter()
-                .map(|g| g.iter().map(|v| v.to_bits()).collect())
-                .collect(),
-            fabric.fault_stats(),
-        )
+        Exchange::new(WORKERS)
+            .pipelined(PipelineConfig::with_chunk(97))
+            .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut grads, &live)
+            .expect("all injected faults in this plan are recoverable");
+        (bits(&grads), fabric.fault_stats())
     };
     let (values_a, stats_a) = run();
     let (values_b, stats_b) = run();

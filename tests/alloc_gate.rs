@@ -1,10 +1,10 @@
-//! Dynamic zero-allocation gate for the pipelined NIC exchange.
+//! Dynamic zero-allocation gate for the NIC exchange.
 //!
 //! The static analyzer forbids allocation *sites* on hot paths; this
 //! gate proves the dynamic property those rules approximate: after a
-//! one-iteration warmup, a training loop that reuses a
-//! [`PipelineScratch`] across iterations of the pipelined NIC-transport
-//! ring all-reduce performs **zero heap allocations** in steady state.
+//! one-iteration warmup, a training loop that holds one [`Exchange`]
+//! across iterations of the NIC-transport ring all-reduce performs
+//! **zero heap allocations** in steady state — chunked or whole-leg.
 //! Every buffer the exchange touches — arena frames, flat wire payloads,
 //! the in-flight window, the recovery ladders, the fabric's decode
 //! scratch, and the codec's append sink — is recycled.
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use inceptionn_compress::ErrorBound;
 use inceptionn_distrib::fabric::{FabricBuilder, TransportKind};
-use inceptionn_distrib::{pipelined_ring_allreduce_over_with, PipelineConfig, PipelineScratch};
+use inceptionn_distrib::{Exchange, ExchangeStrategy, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,105 +58,98 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The tentpole assertion: iteration 2..N of the compressed pipelined
-/// ring exchange over the (untimed) NIC fabric allocates nothing.
+/// Runs the NIC-transport ring on one held `exchange`: a warm-up
+/// iteration, then three more that must allocate nothing and stay
+/// bit-identical to the first.
 ///
 /// The same gradient values are re-exchanged each iteration — as a
 /// fixed training step would re-fill the same gradient buffers — so
 /// compressed wire sizes repeat and every warmed capacity suffices.
-#[test]
-fn pipelined_nic_ring_steady_state_allocates_nothing() {
-    let n = 4usize;
-    let len = 4000usize;
-    let endpoints: Vec<usize> = (0..n).collect();
-    let cfg = PipelineConfig::with_chunk(500);
+fn assert_steady_state_allocates_nothing(
+    label: &str,
+    mut exchange: Exchange,
+    n: usize,
+    len: usize,
+    bound: Option<ErrorBound>,
+) {
+    let live: Vec<usize> = (0..n).collect();
     let mut fabric = FabricBuilder::new(n)
         .transport(TransportKind::Nic)
-        .compression(Some(ErrorBound::pow2(10)))
+        .compression(bound)
         .build();
-    let mut scratch = PipelineScratch::new();
     let inputs = worker_grads(n, len, 0xA110C);
 
     // Warmup: one iteration populates the arena free lists, the
     // in-flight window, the fabric's decode scratch, and the codec's
     // wire buffers.
-    let mut grads = inputs.clone();
-    pipelined_ring_allreduce_over_with(fabric.as_mut(), &mut grads, &endpoints, cfg, &mut scratch)
+    let mut reduced = inputs.clone();
+    exchange
+        .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut reduced, &live)
         .unwrap();
-    let reduced = grads.clone();
 
     for iter in 0..3 {
         let mut grads = inputs.clone();
         let before = allocations();
-        pipelined_ring_allreduce_over_with(
-            fabric.as_mut(),
-            &mut grads,
-            &endpoints,
-            cfg,
-            &mut scratch,
-        )
-        .unwrap();
+        exchange
+            .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut grads, &live)
+            .unwrap();
         let after = allocations();
         assert_eq!(
             after - before,
             0,
-            "steady-state iteration {iter} of the pipelined NIC ring \
-             exchange allocated {} times",
+            "{label}: steady-state iteration {iter} of the NIC ring exchange allocated {} times",
             after - before
         );
-        assert_eq!(grads, reduced, "steady state must stay bit-identical");
+        assert_eq!(
+            grads, reduced,
+            "{label}: steady state must stay bit-identical"
+        );
     }
 }
 
-/// The lossless path shares every buffer with the compressed path and
-/// must be just as quiet.
+/// The tentpole assertion: iteration 2..N of the ring exchange over the
+/// (untimed) NIC fabric allocates nothing — compressed and lossless
+/// (they share every buffer), chunked and under the whole-leg default
+/// the trainer runs.
+///
+/// One test function on purpose: the counter is process-wide, so a
+/// second test running on another harness thread would be counted.
 #[test]
-fn lossless_pipelined_nic_ring_steady_state_allocates_nothing() {
-    let n = 3usize;
-    let len = 2500usize;
-    let endpoints: Vec<usize> = (0..n).collect();
-    let cfg = PipelineConfig::with_chunk(700);
-    let mut fabric = FabricBuilder::new(n).transport(TransportKind::Nic).build();
-    let mut scratch = PipelineScratch::new();
-    let inputs = worker_grads(n, len, 0xBEEF);
-
-    let mut grads = inputs.clone();
-    pipelined_ring_allreduce_over_with(fabric.as_mut(), &mut grads, &endpoints, cfg, &mut scratch)
-        .unwrap();
-
-    let mut grads = inputs.clone();
+fn nic_ring_steady_state_allocates_nothing() {
+    // Sanity check on the instrument itself: a cold exchange (nothing
+    // warmed) *does* allocate, so a zero reading below reflects
+    // recycling, not a broken counter.
+    let mut fabric = FabricBuilder::new(3).transport(TransportKind::Nic).build();
+    let mut grads = worker_grads(3, 1000, 7);
     let before = allocations();
-    pipelined_ring_allreduce_over_with(fabric.as_mut(), &mut grads, &endpoints, cfg, &mut scratch)
+    Exchange::new(3)
+        .run(
+            ExchangeStrategy::Ring,
+            fabric.as_mut(),
+            &mut grads,
+            &[0, 1, 2],
+        )
         .unwrap();
-    assert_eq!(
-        allocations() - before,
-        0,
-        "lossless steady state must not allocate"
-    );
-}
-
-/// Sanity check on the instrument itself: the one-shot entry point
-/// (fresh scratch every call) *does* allocate, so a zero reading above
-/// reflects recycling, not a broken counter.
-#[test]
-fn counting_allocator_observes_the_one_shot_entry_point() {
-    let n = 3usize;
-    let endpoints: Vec<usize> = (0..n).collect();
-    let mut fabric = FabricBuilder::new(n)
-        .transport(TransportKind::Nic)
-        .compression(Some(ErrorBound::pow2(10)))
-        .build();
-    let mut grads = worker_grads(n, 1000, 7);
-    let before = allocations();
-    inceptionn_distrib::pipelined_ring_allreduce_over(
-        fabric.as_mut(),
-        &mut grads,
-        &endpoints,
-        PipelineConfig::with_chunk(250),
-    )
-    .unwrap();
     assert!(
         allocations() > before,
         "a cold exchange must be visible to the counter"
     );
+
+    let bound = Some(ErrorBound::pow2(10));
+    assert_steady_state_allocates_nothing(
+        "chunked/compressed",
+        Exchange::new(4).pipelined(PipelineConfig::with_chunk(500)),
+        4,
+        4000,
+        bound,
+    );
+    assert_steady_state_allocates_nothing(
+        "chunked/lossless",
+        Exchange::new(3).pipelined(PipelineConfig::with_chunk(700)),
+        3,
+        2500,
+        None,
+    );
+    assert_steady_state_allocates_nothing("whole/compressed", Exchange::new(4), 4, 4000, bound);
+    assert_steady_state_allocates_nothing("whole/lossless", Exchange::new(3), 3, 2500, None);
 }

@@ -114,13 +114,13 @@ fn seeded_violations_fail_with_file_and_line() {
     )
     .expect("seed file");
 
-    // The interprocedural seed: a pipelined hot root in one crate whose
+    // The interprocedural seed: a schedule hot root in one crate whose
     // panic and allocation live two calls away in another crate. Only
     // root→sink propagation over the cross-file call graph can connect
     // them.
     fs::write(
         faults_dir.join("pipeline.rs"),
-        "pub fn pipelined_ring_allreduce_over(n: usize) {\n\
+        "pub fn ring_schedule(n: usize) {\n\
          \x20   super_stage(n)\n\
          }\n\
          fn super_stage(n: usize) { crate::stage(n) }\n",
@@ -159,7 +159,7 @@ fn seeded_violations_fail_with_file_and_line() {
             diags.iter().any(|d| d.rule == rule
                 && d.file.ends_with("parallel.rs")
                 && d.message
-                    .contains("pipelined_ring_allreduce_over -> super_stage -> stage -> finish")),
+                    .contains("ring_schedule -> super_stage -> stage -> finish")),
             "`{rule}` diagnostic lost its call chain; got:\n{}",
             rendered.join("\n")
         );

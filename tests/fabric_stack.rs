@@ -6,10 +6,10 @@
 
 use inceptionn_compress::{ErrorBound, InceptionnCodec};
 use inceptionn_distrib::fabric::{
-    CodecSelection, FabricBuilder, FrameBody, PayloadKind, TransportKind,
+    CodecSelection, Fabric, FabricBuilder, FrameBody, PayloadKind, TransportKind,
 };
-use inceptionn_distrib::ring::{block_range, ring_allreduce, ring_allreduce_over};
-use inceptionn_distrib::FaultPlan;
+use inceptionn_distrib::ring::{block_range, ring_allreduce};
+use inceptionn_distrib::{Exchange, ExchangeStrategy, FaultPlan, PipelineConfig};
 use inceptionn_netsim::NetworkConfig;
 use inceptionn_nicsim::engine::{CompressionEngine, DecompressionEngine, PIPELINE_DEPTH};
 use inceptionn_nicsim::VALUES_PER_PACKET;
@@ -70,6 +70,32 @@ fn reference_ring_allreduce(workers: &mut [Vec<f32>], codec: Option<&InceptionnC
     }
 }
 
+/// The two fold-in-worker-order strategies (worker-aggregator and
+/// switch reduce) as one line of arithmetic, independent of any
+/// executor: `Σ_k quantize(w_k)`, folded in worker order from zero.
+fn reference_gather_sum(workers: &[Vec<f32>], codec: Option<&InceptionnCodec>) -> Vec<f32> {
+    let mut sum = vec![0.0f32; workers[0].len()];
+    for w in workers {
+        let contribution = match codec {
+            None => w.clone(),
+            Some(c) => c.quantize(w),
+        };
+        for (s, v) in sum.iter_mut().zip(&contribution) {
+            *s += *v;
+        }
+    }
+    sum
+}
+
+/// A ring all-reduce through [`Exchange::run`] with its whole-leg
+/// default, worker `i` on endpoint `i`.
+fn ring_over(fabric: &mut dyn Fabric, workers: &mut [Vec<f32>]) {
+    let live: Vec<usize> = (0..workers.len()).collect();
+    Exchange::new(workers.len())
+        .run(ExchangeStrategy::Ring, fabric, workers, &live)
+        .unwrap();
+}
+
 #[test]
 fn fabric_ring_is_bit_exact_with_the_pre_refactor_reference() {
     // The refactor's core promise: routing Algorithm 1 through the
@@ -88,6 +114,50 @@ fn fabric_ring_is_bit_exact_with_the_pre_refactor_reference() {
             };
             ring_allreduce(&mut got, selection);
             assert_eq!(got, want, "n={n} len={len} bound={bound:?} diverged");
+        }
+    }
+}
+
+#[test]
+fn gather_strategies_equal_the_ordered_quantized_sum_on_every_transport() {
+    // The oracle for the strategies whose reference used to be the
+    // whole-block schedule bodies: every worker ends with exactly
+    // `Σ_k quantize(w_k)` in worker order, whole-leg or in ragged
+    // chunks, on every transport.
+    for (n, len) in [(2usize, 64usize), (4, 1013), (5, 37)] {
+        for bound in [None, Some(ErrorBound::pow2(10)), Some(ErrorBound::pow2(6))] {
+            let codec = bound.map(InceptionnCodec::new);
+            let inputs = worker_grads(n, len, 2000 + n as u64 + len as u64);
+            let want = reference_gather_sum(&inputs, codec.as_ref());
+            let live: Vec<usize> = (0..n).collect();
+            for (strategy, endpoints) in [
+                (ExchangeStrategy::WorkerAggregator, n + 1),
+                (ExchangeStrategy::SwitchReduce, n),
+            ] {
+                for kind in TransportKind::ALL {
+                    for chunk in [None, Some(97)] {
+                        let mut fabric = FabricBuilder::new(endpoints)
+                            .transport(kind)
+                            .compression(bound)
+                            .build();
+                        let mut exchange = Exchange::new(n);
+                        if let Some(chunk) = chunk {
+                            exchange = exchange.pipelined(PipelineConfig::with_chunk(chunk));
+                        }
+                        let mut got = inputs.clone();
+                        exchange
+                            .run(strategy, fabric.as_mut(), &mut got, &live)
+                            .unwrap();
+                        for (k, w) in got.iter().enumerate() {
+                            assert_eq!(
+                                w, &want,
+                                "{strategy:?}/{kind:?} n={n} len={len} bound={bound:?} \
+                                 chunk={chunk:?}: worker {k} diverged from the ordered sum"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -181,7 +251,6 @@ fn timed_nic_ring_matches_the_analytic_engine_and_network_models() {
     let len = 2000usize;
     let bound = ErrorBound::pow2(10);
     let net = NetworkConfig::ten_gbe(n);
-    let endpoints: Vec<usize> = (0..n).collect();
     let block_values: Vec<usize> = (0..n).map(|k| block_range(len, n, k).len()).collect();
     let rounds = 2 * (n as u64 - 1);
 
@@ -192,7 +261,7 @@ fn timed_nic_ring_matches_the_analytic_engine_and_network_models() {
         .network(net)
         .build();
     let mut grads = worker_grads(n, len, 7);
-    ring_allreduce_over(fabric.as_mut(), &mut grads, &endpoints).unwrap();
+    ring_over(fabric.as_mut(), &mut grads);
     let stats = fabric.stats();
     assert_eq!(
         stats.engine_cycles, 0,
@@ -217,7 +286,7 @@ fn timed_nic_ring_matches_the_analytic_engine_and_network_models() {
         .network(net)
         .build();
     let mut grads = worker_grads(n, len, 7);
-    ring_allreduce_over(fabric.as_mut(), &mut grads, &endpoints).unwrap();
+    ring_over(fabric.as_mut(), &mut grads);
     let stats = fabric.stats();
     let want_cycles: u64 = rounds
         * block_values
@@ -262,7 +331,6 @@ fn zero_fault_decorator_is_bit_invisible() {
     // counters — the decorator's pass-through path is free of side
     // effects.
     for bound in [None, Some(ErrorBound::pow2(10))] {
-        let endpoints: Vec<usize> = (0..4).collect();
         let inputs = worker_grads(4, 900, 55);
 
         let mut plain = inputs.clone();
@@ -270,7 +338,7 @@ fn zero_fault_decorator_is_bit_invisible() {
             .transport(TransportKind::TimedNic)
             .compression(bound)
             .build();
-        ring_allreduce_over(bare.as_mut(), &mut plain, &endpoints).unwrap();
+        ring_over(bare.as_mut(), &mut plain);
 
         let mut decorated = inputs;
         let mut faulty = FabricBuilder::new(4)
@@ -278,7 +346,7 @@ fn zero_fault_decorator_is_bit_invisible() {
             .compression(bound)
             .faults(FaultPlan::new(99))
             .build();
-        ring_allreduce_over(faulty.as_mut(), &mut decorated, &endpoints).unwrap();
+        ring_over(faulty.as_mut(), &mut decorated);
 
         assert_eq!(plain, decorated, "bound {bound:?}: values changed");
         assert_eq!(
