@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use inceptionn_compress::gradmodel::{GradientModel, GradientPreset};
 use inceptionn_compress::ErrorBound;
-use inceptionn_netsim::sim::{NetworkConfig, StarNetworkSim};
+use inceptionn_netsim::sim::NetworkConfig;
+use inceptionn_netsim::topology::phase;
 use inceptionn_netsim::transfer::Transfer;
 use inceptionn_nicsim::engine::{CompressionEngine, DecompressionEngine};
 use rand::rngs::StdRng;
@@ -32,11 +33,10 @@ fn bench_network_sim(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("wa_gather_100mb_4workers", |b| {
         b.iter(|| {
-            let mut sim = StarNetworkSim::new(NetworkConfig::ten_gbe(5));
-            for w in 0..4 {
-                sim.add_transfer(Transfer::new(w, 4, 25_000_000));
-            }
-            sim.run()
+            phase(
+                &NetworkConfig::ten_gbe(5).tree(),
+                (0..4).map(|w| Transfer::new(w, 4, 25_000_000)),
+            )
         })
     });
     group.finish();

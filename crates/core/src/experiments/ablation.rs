@@ -4,7 +4,8 @@ use inceptionn_compress::gradmodel::{GradientModel, GradientPreset};
 use inceptionn_compress::inceptionn::Tag;
 use inceptionn_compress::{ErrorBound, InceptionnCodec};
 use inceptionn_netsim::collective::ring_exchange;
-use inceptionn_netsim::sim::{NetworkConfig, StarNetworkSim};
+use inceptionn_netsim::sim::NetworkConfig;
+use inceptionn_netsim::topology::phase;
 use inceptionn_netsim::transfer::{CompressionSpec, Transfer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,15 +73,14 @@ pub fn topology(nodes_list: &[usize]) -> Vec<TopologyAblation> {
             let ring = ring_exchange(&cfg, bytes, 0.0, None, 0.0).comm_s;
             // All-to-all: every node unicasts its full gradient to every
             // other node, all at once.
-            let mut sim = StarNetworkSim::new(cfg);
-            for src in 0..p {
-                for dst in 0..p {
-                    if src != dst {
-                        sim.add_transfer(Transfer::new(src, dst, bytes));
-                    }
-                }
-            }
-            let all_to_all = sim.run().makespan().as_secs_f64();
+            let all_to_all = phase(
+                &cfg.tree(),
+                (0..p).flat_map(|src| {
+                    (0..p)
+                        .filter(move |&dst| src != dst)
+                        .map(move |dst| Transfer::new(src, dst, bytes))
+                }),
+            );
             TopologyAblation {
                 nodes: p,
                 ring_s: ring,
@@ -114,17 +114,9 @@ pub fn packet_overhead_sweep() -> Vec<PacketOverheadPoint> {
             // Isolate the header effect: near-zero host cost per packet.
             cfg.host_ns_per_packet = 10;
             let bytes = 20_000_000u64;
-            let run = |spec: Option<CompressionSpec>| {
-                let mut sim = StarNetworkSim::new(cfg);
-                let mut t = Transfer::new(0, 1, bytes);
-                if let Some(s) = spec {
-                    t = t.compressed(s);
-                }
-                sim.add_transfer(t);
-                sim.run().makespan().as_secs_f64()
-            };
-            let plain = run(None);
-            let compressed = run(Some(CompressionSpec::new(ratio, 500)));
+            let (tree, t) = (cfg.tree(), Transfer::new(0, 1, bytes));
+            let plain = phase(&tree, [t]);
+            let compressed = phase(&tree, [t.compressed(CompressionSpec::new(ratio, 500))]);
             PacketOverheadPoint {
                 header_bytes,
                 ratio,

@@ -9,9 +9,7 @@
 
 use inceptionn_compress::gradmodel::GradientPreset;
 use inceptionn_netsim::collective::RING_HOST_S_PER_BYTE;
-use inceptionn_netsim::twotier::{
-    flat_ring, flat_wa, hierarchical_ring, hierarchical_wa, TwoTierConfig,
-};
+use inceptionn_netsim::topology::{ring_exchange_on, wa_exchange_on, TreeConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::compression_spec;
@@ -67,23 +65,27 @@ pub struct HierarchyPoint {
 /// gradients, sweeping core oversubscription, with and without
 /// compression.
 pub fn run(ratio_samples: usize) -> Vec<HierarchyPoint> {
+    // Collective shapes over the same 32 workers: one group of all of
+    // them, or 4 racks of 8.
+    const FLAT: [usize; 1] = [32];
+    const RACKS: [usize; 2] = [4, 8];
     let bytes = 233_000_000u64;
     let gamma = 1e-10f64;
     let spec = compression_spec(GradientPreset::AlexNet, ErrorBound::pow2(10), ratio_samples);
     let mut out = Vec::new();
     for oversub in [1u64, 4, 16, 80] {
-        let cfg = TwoTierConfig::ten_gbe(4, 8, oversub);
+        let cfg = TreeConfig::ten_gbe(&RACKS, &[oversub, 1]);
         for compressed in [false, true] {
             let s = compressed.then_some(spec);
             for org in Organization::ALL {
                 let times = match org {
-                    Organization::FlatWa => flat_wa(&cfg, bytes, gamma, s),
-                    Organization::HierarchicalWa => hierarchical_wa(&cfg, bytes, gamma, s),
+                    Organization::FlatWa => wa_exchange_on(&cfg, &FLAT, bytes, gamma, s),
+                    Organization::HierarchicalWa => wa_exchange_on(&cfg, &RACKS, bytes, gamma, s),
                     Organization::FlatRing => {
-                        flat_ring(&cfg, bytes, gamma, s, RING_HOST_S_PER_BYTE)
+                        ring_exchange_on(&cfg, &FLAT, bytes, gamma, s, RING_HOST_S_PER_BYTE)
                     }
                     Organization::HierarchicalRing => {
-                        hierarchical_ring(&cfg, bytes, gamma, s, RING_HOST_S_PER_BYTE)
+                        ring_exchange_on(&cfg, &RACKS, bytes, gamma, s, RING_HOST_S_PER_BYTE)
                     }
                 };
                 out.push(HierarchyPoint {

@@ -12,7 +12,8 @@
 //!   all-gather steps propagate the fully reduced blocks. Every link
 //!   carries traffic concurrently and aggregation work is spread evenly.
 
-use crate::sim::{NetworkConfig, StarNetworkSim};
+use crate::sim::NetworkConfig;
+use crate::topology::{maybe_compress, phase};
 use crate::transfer::{CompressionSpec, Transfer};
 
 /// Wall-clock breakdown of one gradient exchange (seconds).
@@ -57,24 +58,20 @@ pub fn worker_aggregator_exchange(
         "config must include the aggregator node"
     );
     let agg = workers;
+    let tree = cfg.tree();
     // Phase 1: gradient gather (incast onto the aggregator's downlink).
-    let mut gather = StarNetworkSim::new(*cfg);
-    for w in 0..workers {
-        let mut t = Transfer::new(w, agg, gradient_bytes);
-        if let Some(spec) = gradient_compression {
-            t = t.compressed(spec);
-        }
-        gather.add_transfer(t);
-    }
-    let t_gather = gather.run().makespan().as_secs_f64();
+    let t_gather = phase(
+        &tree,
+        (0..workers)
+            .map(|w| maybe_compress(Transfer::new(w, agg, gradient_bytes), gradient_compression)),
+    );
     // Phase 2: the aggregator folds `workers` streams into the model.
     let t_reduce = workers as f64 * gradient_bytes as f64 * gamma_s_per_byte;
     // Phase 3: weight broadcast (unicast per worker off one uplink).
-    let mut scatter = StarNetworkSim::new(*cfg);
-    for w in 0..workers {
-        scatter.add_transfer(Transfer::new(agg, w, gradient_bytes));
-    }
-    let t_scatter = scatter.run().makespan().as_secs_f64();
+    let t_scatter = phase(
+        &tree,
+        (0..workers).map(|w| Transfer::new(agg, w, gradient_bytes)),
+    );
     ExchangeTimes {
         comm_s: t_gather + t_scatter,
         reduce_s: t_reduce,
@@ -122,20 +119,11 @@ pub fn ring_exchange(
     let block = gradient_bytes.div_ceil(p as u64);
     // One ring step: every node sends one block to its successor; links
     // are disjoint so a single simulated step generalizes to all steps.
-    let step = |compressed: bool| -> f64 {
-        let mut sim = StarNetworkSim::new(*cfg);
-        for i in 0..p {
-            let mut t = Transfer::new(i, (i + 1) % p, block);
-            if compressed {
-                if let Some(spec) = compression {
-                    t = t.compressed(spec);
-                }
-            }
-            sim.add_transfer(t);
-        }
-        sim.run().makespan().as_secs_f64()
-    };
-    let step_s = step(compression.is_some()) + block as f64 * host_s_per_byte;
+    let wire_s = phase(
+        &cfg.tree(),
+        (0..p).map(|i| maybe_compress(Transfer::new(i, (i + 1) % p, block), compression)),
+    );
+    let step_s = wire_s + block as f64 * host_s_per_byte;
     let steps = (p - 1) as f64;
     // Reduce-scatter: each step is receive + local block sum;
     // all-gather: receive only.

@@ -1,41 +1,19 @@
-//! Deterministic event scheduling for the discrete-event network cores.
+//! Deterministic event scheduling for the discrete-event network core.
 //!
-//! Both DES engines — the star fabric in [`crate::sim`] and the
-//! topology-tree fabric in [`crate::topology`] — schedule `(time, kind)`
-//! events and rely on a strict total order: ascending time, FIFO among
-//! equal times. This module provides two interchangeable schedulers
-//! behind one trait:
+//! The packet-level simulator in [`crate::topology`] schedules `(time,
+//! kind)` events and relies on a strict total order: ascending time,
+//! FIFO among equal times. [`CalendarQueue`] (Brown's calendar queue)
+//! provides it in amortized O(1) enqueue/dequeue regardless of
+//! pending-event count, which is what lets a 1024-node simulation
+//! finish inside the CI smoke budget. The original binary-heap scheduler
+//! survives only in this module's tests, as the independently
+//! implemented oracle the differential tests replay seeded workloads
+//! against, asserting event-for-event identical pop order and
+//! timestamps.
 //!
-//! * [`CalendarQueue`] — the production scheduler (Brown's calendar
-//!   queue): amortized O(1) enqueue/dequeue regardless of pending-event
-//!   count, which is what lets a 1024-node simulation finish inside the
-//!   CI smoke budget;
-//! * [`BinaryHeapQueue`] — the original binary-heap scheduler, retained
-//!   as the reference implementation. The differential tests replay
-//!   seeded workloads through both and assert event-for-event identical
-//!   pop order and timestamps; it has no production callers.
-//!
-//! Determinism is load-bearing: the simulators must not depend on wall
+//! Determinism is load-bearing: the simulator must not depend on wall
 //! clocks or RNG (the analyzer's `no-time-rng-in-wire` rule covers this
-//! file), so both queues break time ties by insertion order alone.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// A strict-total-order event scheduler: pops in ascending `(time,
-/// insertion order)`.
-pub trait EventQueue<T> {
-    /// Enqueues `item` at `time`.
-    fn push(&mut self, time: u64, item: T);
-    /// Dequeues the earliest event; equal times pop in insertion order.
-    fn pop(&mut self) -> Option<(u64, T)>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// True when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+//! file), so the queue breaks time ties by insertion order alone.
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -44,63 +22,7 @@ struct Entry<T> {
     item: T,
 }
 
-/// The reference scheduler: a binary min-heap ordered by `(time, seq)`.
-///
-/// O(log n) per operation. Kept solely so the calendar queue has an
-/// independently-implemented oracle to be diffed against.
-#[derive(Debug, Default)]
-pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct HeapEntry<T>(u64, u64, T);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, o: &Self) -> bool {
-        (self.0, self.1) == (o.0, o.1)
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        (self.0, self.1).cmp(&(o.0, o.1))
-    }
-}
-
-impl<T> BinaryHeapQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T> EventQueue<T> for BinaryHeapQueue<T> {
-    fn push(&mut self, time: u64, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(HeapEntry(time, seq, item)));
-    }
-
-    fn pop(&mut self) -> Option<(u64, T)> {
-        self.heap.pop().map(|Reverse(e)| (e.0, e.2))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// The production scheduler: a calendar queue (R. Brown, CACM 1988).
+/// The event scheduler: a calendar queue (R. Brown, CACM 1988).
 ///
 /// Events hash into `buckets` by `(time / width) % buckets.len()`; a pop
 /// scans forward from the virtual clock one bucket-day at a time, so for
@@ -178,10 +100,9 @@ impl<T> CalendarQueue<T> {
             }
         }
     }
-}
 
-impl<T> EventQueue<T> for CalendarQueue<T> {
-    fn push(&mut self, time: u64, item: T) {
+    /// Enqueues `item` at `time`.
+    pub fn push(&mut self, time: u64, item: T) {
         // A push behind the clock (never produced by a causal DES, but
         // legal for the queue) rewinds the scan cursor so the event is
         // not skipped.
@@ -199,7 +120,8 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
         }
     }
 
-    fn pop(&mut self) -> Option<(u64, T)> {
+    /// Dequeues the earliest event; equal times pop in insertion order.
+    pub fn pop(&mut self) -> Option<(u64, T)> {
         if self.len == 0 {
             return None;
         }
@@ -253,14 +175,75 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
         Some((e.time, e.item))
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// True when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference scheduler: a binary min-heap ordered by `(time,
+    /// insertion order)`, O(log n) per operation. Kept solely so the
+    /// calendar queue has an independently-implemented oracle to be
+    /// diffed against.
+    #[derive(Debug)]
+    struct BinaryHeapQueue<T> {
+        heap: BinaryHeap<Reverse<HeapEntry<T>>>,
+        seq: u64,
+    }
+
+    #[derive(Debug)]
+    struct HeapEntry<T>(u64, u64, T);
+
+    impl<T> PartialEq for HeapEntry<T> {
+        fn eq(&self, o: &Self) -> bool {
+            (self.0, self.1) == (o.0, o.1)
+        }
+    }
+    impl<T> Eq for HeapEntry<T> {}
+    impl<T> PartialOrd for HeapEntry<T> {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+    impl<T> Ord for HeapEntry<T> {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            (self.0, self.1).cmp(&(o.0, o.1))
+        }
+    }
+
+    impl<T> BinaryHeapQueue<T> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, time: u64, item: T) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Reverse(HeapEntry(time, seq, item)));
+        }
+
+        fn pop(&mut self) -> Option<(u64, T)> {
+            self.heap.pop().map(|Reverse(e)| (e.0, e.2))
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     /// Deterministic xorshift so the differential workloads need no RNG
     /// dependency (and stay reproducible byte-for-byte).

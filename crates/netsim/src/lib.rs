@@ -5,9 +5,16 @@
 //! switch (NETGEAR XS712T, Intel X540 NICs). This crate substitutes for
 //! that hardware with a packet-level discrete-event simulation:
 //!
-//! * [`sim`] — the event core: full-duplex node↔switch links modeled as
-//!   FIFO servers, store-and-forward switching with output queueing,
-//!   per-packet wire framing and host (driver/stack) overheads;
+//! * [`topology`] — the event core: first-class topology trees of
+//!   arbitrary depth whose worker↔switch and switch↔switch edges are
+//!   full-duplex FIFO servers with store-and-forward switching, output
+//!   queueing, per-packet wire framing and host (driver/stack)
+//!   overheads; the paper's star is the depth-1 tree. Also the generic
+//!   tree exchanges and the switch-resident in-network aggregation mode;
+//! * [`sim`] — the star's parameters ([`NetworkConfig`], whose
+//!   [`tree`](NetworkConfig::tree) hands the star to the event core),
+//!   its closed-form per-message latency charges, simulated time and
+//!   link-rate degradation schedules;
 //! * [`transfer`] — point-to-point transfer descriptions, including the
 //!   on-NIC compression model (payload shrinks, packet count and headers
 //!   do not — the reason compression ratio does not translate 1:1 into
@@ -17,24 +24,20 @@
 //!   ring reduce-scatter/all-gather (Algorithm 1);
 //! * [`analytic`] — the closed-form α-β-γ cost models of Sec. VIII-D,
 //!   cross-validated against the event simulation in this crate's tests;
-//! * [`event`] — the calendar-queue scheduler every simulator in this
-//!   crate runs on (O(1) amortized vs the binary heap's O(log n));
-//! * [`topology`] — first-class topology trees: arbitrary-depth switch
-//!   hierarchies the exchanges traverse generically, plus the
-//!   switch-resident in-network aggregation mode.
+//! * [`event`] — the calendar-queue scheduler the event core runs on
+//!   (O(1) amortized vs a binary heap's O(log n)).
 //!
 //! # Examples
 //!
 //! ```
-//! use inceptionn_netsim::sim::{NetworkConfig, StarNetworkSim};
+//! use inceptionn_netsim::sim::NetworkConfig;
+//! use inceptionn_netsim::topology::phase;
 //! use inceptionn_netsim::transfer::Transfer;
 //!
-//! let cfg = NetworkConfig::ten_gbe(2);
-//! let mut sim = StarNetworkSim::new(cfg);
-//! sim.add_transfer(Transfer::new(0, 1, 1_000_000));
-//! let done = sim.run();
+//! let star = NetworkConfig::ten_gbe(2).tree();
+//! let makespan_s = phase(&star, [Transfer::new(0, 1, 1_000_000)]);
 //! // ~1 MB over 10 Gb/s takes a bit under a millisecond of simulated time.
-//! assert!(done.makespan().as_secs_f64() < 0.002);
+//! assert!(makespan_s < 0.002);
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -47,9 +50,8 @@ pub mod sharing;
 pub mod sim;
 pub mod topology;
 pub mod transfer;
-pub mod twotier;
 
 pub use sharing::TenantShares;
-pub use sim::{LinkRateSchedule, NetworkConfig, RateWindow, SimTime, StarNetworkSim};
+pub use sim::{LinkRateSchedule, NetworkConfig, RateWindow, SimTime};
 pub use topology::{TierMap, Topology, TreeConfig, TreeSim};
 pub use transfer::{CompressionSpec, Transfer};

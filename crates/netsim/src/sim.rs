@@ -1,14 +1,15 @@
-//! The discrete-event core: a star of full-duplex links around one
-//! store-and-forward switch.
+//! The star network's parameters: simulated time, the one-switch
+//! [`NetworkConfig`] with its closed-form latency charges, and link-rate
+//! degradation schedules. The packet-level simulation of a star is the
+//! depth-1 case of [`crate::topology::TreeSim`] — see
+//! [`NetworkConfig::tree`].
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{CalendarQueue, EventQueue};
-use crate::transfer::Transfer;
+use crate::topology::{Topology, TreeConfig};
 
 /// Simulated time in nanoseconds since the start of the run.
 #[derive(
@@ -79,6 +80,21 @@ impl NetworkConfig {
         }
     }
 
+    /// The star as the packet-level simulator sees it: a
+    /// [`Topology::flat`] tree whose single tier runs at `link_bps`,
+    /// with the same per-hop constants.
+    pub fn tree(&self) -> TreeConfig {
+        TreeConfig {
+            topology: Topology::flat(self.nodes),
+            tier_bps: vec![self.link_bps],
+            hop_latency_ns: self.hop_latency_ns,
+            switch_latency_ns: self.switch_latency_ns,
+            mtu_payload: self.mtu_payload,
+            header_bytes: self.header_bytes,
+            host_ns_per_packet: self.host_ns_per_packet,
+        }
+    }
+
     /// Serialization time of `bytes` on a link, nanoseconds (rounded up).
     pub fn serialize_ns(&self, bytes: u64) -> u64 {
         (bytes * 8 * 1_000_000_000).div_ceil(self.link_bps)
@@ -88,9 +104,10 @@ impl NetworkConfig {
     /// nanoseconds, given the *wire* payload of each of its packets
     /// (post-compression, headers excluded — they are added here).
     ///
-    /// This is the closed-form solution of the discrete-event model in
-    /// [`StarNetworkSim`] for a single flow: packets are injected one
-    /// host interval apart, serialized FIFO onto the uplink, forwarded
+    /// This is the closed-form solution of the discrete-event model —
+    /// the depth-1 [`TreeSim`](crate::topology::TreeSim) over
+    /// [`NetworkConfig::tree`] — for a single flow: packets are injected
+    /// one host interval apart, serialized FIFO onto the uplink, forwarded
     /// across the switch, then serialized FIFO onto the downlink. It is
     /// exact (not an approximation) when no other flow shares the links,
     /// which makes it suitable as a per-transfer latency charge for
@@ -228,317 +245,23 @@ impl LinkRateSchedule {
     }
 }
 
-/// Completion report for one simulated transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransferResult {
-    /// Index of the transfer in submission order.
-    pub id: usize,
-    /// When the last packet fully arrived at the destination.
-    pub finish: SimTime,
-    /// Total bytes that crossed the wire (payloads + headers, both hops
-    /// counted once).
-    pub wire_bytes: u64,
-}
-
-/// The set of completion reports from one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunReport {
-    results: Vec<TransferResult>,
-}
-
-impl RunReport {
-    /// Per-transfer results in submission order.
-    pub fn results(&self) -> &[TransferResult] {
-        &self.results
-    }
-
-    /// Completion time of the slowest transfer ([`SimTime::ZERO`] when
-    /// no transfers ran).
-    pub fn makespan(&self) -> SimTime {
-        self.results
-            .iter()
-            .map(|r| r.finish)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Total wire bytes across all transfers.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.results.iter().map(|r| r.wire_bytes).sum()
-    }
-}
-
-/// A packet in flight.
-#[derive(Debug, Clone, Copy)]
-struct Packet {
-    transfer: usize,
-    dst: usize,
-    wire_bytes: u64,
-    /// Extra latency added once (compression + decompression pipelines).
-    extra_latency_ns: u64,
-    /// Marks the final packet of its transfer.
-    last: bool,
-}
-
-/// A directed link modeled as a FIFO server.
-#[derive(Debug, Default)]
-struct LinkState {
-    queue: VecDeque<Packet>,
-    busy: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LinkId {
-    Up(usize),
-    Down(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum EventKind {
-    /// A flow injects its next packet onto its uplink queue.
-    Inject { transfer: usize },
-    /// A link finished serializing its head packet.
-    LinkFree { link: LinkId },
-    /// A packet fully arrived at the switch.
-    AtSwitch { packet: Packet },
-    /// A packet fully arrived at its destination node.
-    AtDst { packet: Packet },
-}
-
-/// Progress of one transfer during the run.
-#[derive(Debug, Clone, Copy)]
-struct FlowState {
-    transfer: Transfer,
-    next_packet: u64,
-    packets: u64,
-    finish: Option<SimTime>,
-    wire_bytes: u64,
-}
-
-/// A packet-level simulation of concurrent transfers through one switch.
-///
-/// Submission order is deterministic: the calendar queue resolves ties
-/// in event time by push sequence, so repeated runs produce identical
-/// results.
-#[derive(Debug)]
-pub struct StarNetworkSim {
-    cfg: NetworkConfig,
-    flows: Vec<FlowState>,
-    uplinks: Vec<LinkState>,
-    downlinks: Vec<LinkState>,
-    events: CalendarQueue<EventKind>,
-}
-
-impl StarNetworkSim {
-    /// Creates an empty simulation over `cfg.nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no nodes or zero bandwidth.
-    pub fn new(cfg: NetworkConfig) -> Self {
-        assert!(cfg.nodes > 0, "network needs at least one node");
-        assert!(cfg.link_bps > 0, "link bandwidth must be positive");
-        assert!(cfg.mtu_payload > 0, "mtu payload must be positive");
-        StarNetworkSim {
-            cfg,
-            flows: Vec::new(),
-            uplinks: (0..cfg.nodes).map(|_| LinkState::default()).collect(),
-            downlinks: (0..cfg.nodes).map(|_| LinkState::default()).collect(),
-            events: CalendarQueue::new(),
-        }
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
-    /// Submits a transfer; returns its id (submission index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn add_transfer(&mut self, t: Transfer) -> usize {
-        assert!(
-            t.src < self.cfg.nodes && t.dst < self.cfg.nodes,
-            "endpoint out of range ({} -> {}, {} nodes)",
-            t.src,
-            t.dst,
-            self.cfg.nodes
-        );
-        let id = self.flows.len();
-        self.flows.push(FlowState {
-            transfer: t,
-            next_packet: 0,
-            packets: t.packet_count(self.cfg.mtu_payload),
-            finish: None,
-            wire_bytes: 0,
-        });
-        id
-    }
-
-    fn push_event(&mut self, time: u64, kind: EventKind) {
-        self.events.push(time, kind);
-    }
-
-    fn start_link(&mut self, link: LinkId, now: u64) {
-        let state = match link {
-            LinkId::Up(n) => &mut self.uplinks[n],
-            LinkId::Down(n) => &mut self.downlinks[n],
-        };
-        if state.busy {
-            return;
-        }
-        let Some(&pkt) = state.queue.front() else {
-            return;
-        };
-        state.busy = true;
-        let ser = self
-            .cfg
-            .serialize_ns(pkt.wire_bytes + self.cfg.header_bytes);
-        self.push_event(now + ser, EventKind::LinkFree { link });
-    }
-
-    /// Runs the simulation to completion.
-    pub fn run(&mut self) -> RunReport {
-        // Seed injection events.
-        for id in 0..self.flows.len() {
-            let flow = &self.flows[id];
-            if flow.packets == 0 {
-                self.flows[id].finish = Some(SimTime(flow.transfer.start_ns));
-            } else {
-                self.push_event(flow.transfer.start_ns, EventKind::Inject { transfer: id });
-            }
-        }
-        while let Some((now, kind)) = self.events.pop() {
-            match kind {
-                EventKind::Inject { transfer } => {
-                    let cfg = self.cfg;
-                    let flow = &mut self.flows[transfer];
-                    let i = flow.next_packet;
-                    flow.next_packet += 1;
-                    let wire = flow.transfer.wire_payload(cfg.mtu_payload, i);
-                    flow.wire_bytes += wire + cfg.header_bytes;
-                    let pkt = Packet {
-                        transfer,
-                        dst: flow.transfer.dst,
-                        wire_bytes: wire,
-                        extra_latency_ns: flow
-                            .transfer
-                            .compression
-                            .map_or(0, |c| c.engine_latency_ns),
-                        last: i + 1 == flow.packets,
-                    };
-                    let src = flow.transfer.src;
-                    let more = flow.next_packet < flow.packets;
-                    self.uplinks[src].queue.push_back(pkt);
-                    self.start_link(LinkId::Up(src), now);
-                    if more {
-                        // The host can prepare the next packet one
-                        // host-interval later; the uplink FIFO provides
-                        // the back-pressure beyond that.
-                        self.push_event(
-                            now + cfg.host_ns_per_packet,
-                            EventKind::Inject { transfer },
-                        );
-                    }
-                }
-                EventKind::LinkFree { link } => {
-                    let pkt = {
-                        let state = match link {
-                            LinkId::Up(n) => &mut self.uplinks[n],
-                            LinkId::Down(n) => &mut self.downlinks[n],
-                        };
-                        state.busy = false;
-                        state
-                            .queue
-                            .pop_front()
-                            .expect("busy link has a head packet")
-                    };
-                    match link {
-                        LinkId::Up(_) => {
-                            self.push_event(
-                                now + self.cfg.hop_latency_ns + self.cfg.switch_latency_ns,
-                                EventKind::AtSwitch { packet: pkt },
-                            );
-                        }
-                        LinkId::Down(_) => {
-                            self.push_event(
-                                now + self.cfg.hop_latency_ns + pkt.extra_latency_ns,
-                                EventKind::AtDst { packet: pkt },
-                            );
-                        }
-                    }
-                    self.start_link(link, now);
-                }
-                EventKind::AtSwitch { packet } => {
-                    let dst = packet.dst;
-                    self.downlinks[dst].queue.push_back(packet);
-                    self.start_link(LinkId::Down(dst), now);
-                }
-                EventKind::AtDst { packet } => {
-                    if packet.last {
-                        self.flows[packet.transfer].finish = Some(SimTime(now));
-                    }
-                }
-            }
-        }
-        RunReport {
-            results: self
-                .flows
-                .iter()
-                .enumerate()
-                .map(|(id, f)| TransferResult {
-                    id,
-                    finish: f.finish.expect("flow completed"),
-                    wire_bytes: f.wire_bytes,
-                })
-                .collect(),
-        }
-    }
-
-    /// Replays the completed run into an obs buffer: one virtual-time
-    /// span per flow (track = source, key = destination, start → finish
-    /// in simulated nanoseconds) plus its wire-byte counter. Call after
-    /// [`StarNetworkSim::run`]; flows that have not finished are skipped.
-    pub fn record_into(&self, buf: &mut obs::EventBuf) {
-        if !buf.is_on() {
-            return;
-        }
-        for flow in &self.flows {
-            let Some(finish) = flow.finish else {
-                continue;
-            };
-            let start = flow.transfer.start_ns;
-            let src = flow.transfer.src as u32;
-            let dst = flow.transfer.dst as u32;
-            buf.push(obs::Event::complete(
-                obs::labels::NET_TRANSFER,
-                obs::Domain::Net,
-                src,
-                dst,
-                start,
-                finish.as_nanos() - start,
-            ));
-            buf.push(obs::Event::count(
-                obs::labels::NET_TRANSFER_BYTES,
-                obs::Domain::Net,
-                src,
-                dst,
-                start,
-                flow.wire_bytes,
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transfer::CompressionSpec;
+    use crate::topology::{TreeRunReport, TreeSim};
+    use crate::transfer::{CompressionSpec, Transfer};
 
     fn cfg(nodes: usize) -> NetworkConfig {
         NetworkConfig::ten_gbe(nodes)
+    }
+
+    /// Runs `transfers` through the star `c` on the packet-level DES.
+    fn run(c: &NetworkConfig, transfers: impl IntoIterator<Item = Transfer>) -> TreeRunReport {
+        let mut sim = TreeSim::new(c.tree());
+        for t in transfers {
+            sim.add_transfer(t);
+        }
+        sim.run()
     }
 
     /// Ideal line-rate time for `bytes` (payload-only accounting).
@@ -547,13 +270,18 @@ mod tests {
         ((bytes + packets * c.header_bytes) * 8) as f64 / c.link_bps as f64
     }
 
+    /// The per-packet wire payloads of `t`, as the closed forms take them.
+    fn payloads(c: &NetworkConfig, t: &Transfer) -> Vec<u64> {
+        (0..t.packet_count(c.mtu_payload))
+            .map(|i| t.wire_payload(c.mtu_payload, i))
+            .collect()
+    }
+
     #[test]
     fn single_transfer_close_to_line_rate() {
         let c = cfg(2);
-        let mut sim = StarNetworkSim::new(c);
         let bytes = 10_000_000u64;
-        sim.add_transfer(Transfer::new(0, 1, bytes));
-        let t = sim.run().makespan().as_secs_f64();
+        let t = run(&c, [Transfer::new(0, 1, bytes)]).makespan_s;
         let ideal = ideal_secs(&c, bytes);
         assert!(t >= ideal, "faster than the wire: {t} < {ideal}");
         assert!(t < ideal * 1.05, "too slow: {t} vs {ideal}");
@@ -561,10 +289,8 @@ mod tests {
 
     #[test]
     fn empty_transfer_finishes_at_start() {
-        let mut sim = StarNetworkSim::new(cfg(2));
-        sim.add_transfer(Transfer::new(0, 1, 0).starting_at(42));
-        let rep = sim.run();
-        assert_eq!(rep.results()[0].finish, SimTime(42));
+        let rep = run(&cfg(2), [Transfer::new(0, 1, 0).starting_at(42)]);
+        assert_eq!(rep.makespan_ns, 42);
     }
 
     #[test]
@@ -573,11 +299,7 @@ mod tests {
         // everything, so the makespan is ~4x a single flow.
         let c = cfg(5);
         let bytes = 5_000_000u64;
-        let mut sim = StarNetworkSim::new(c);
-        for s in 1..5 {
-            sim.add_transfer(Transfer::new(s, 0, bytes));
-        }
-        let t = sim.run().makespan().as_secs_f64();
+        let t = run(&c, (1..5).map(|s| Transfer::new(s, 0, bytes))).makespan_s;
         let ideal = 4.0 * ideal_secs(&c, bytes);
         assert!(t >= ideal * 0.98 && t < ideal * 1.05, "{t} vs {ideal}");
     }
@@ -587,10 +309,7 @@ mod tests {
         let c = cfg(4);
         let bytes = 5_000_000u64;
         // 0->1 and 2->3 share nothing.
-        let mut sim = StarNetworkSim::new(c);
-        sim.add_transfer(Transfer::new(0, 1, bytes));
-        sim.add_transfer(Transfer::new(2, 3, bytes));
-        let t = sim.run().makespan().as_secs_f64();
+        let t = run(&c, [Transfer::new(0, 1, bytes), Transfer::new(2, 3, bytes)]).makespan_s;
         let solo = ideal_secs(&c, bytes);
         assert!(t < solo * 1.05, "parallel flows slowed down: {t} vs {solo}");
     }
@@ -600,11 +319,7 @@ mod tests {
         // i -> (i+1)%p uses p distinct uplinks and p distinct downlinks.
         let c = cfg(4);
         let bytes = 2_000_000u64;
-        let mut sim = StarNetworkSim::new(c);
-        for i in 0..4 {
-            sim.add_transfer(Transfer::new(i, (i + 1) % 4, bytes));
-        }
-        let t = sim.run().makespan().as_secs_f64();
+        let t = run(&c, (0..4).map(|i| Transfer::new(i, (i + 1) % 4, bytes))).makespan_s;
         let solo = ideal_secs(&c, bytes);
         assert!(t < solo * 1.05, "{t} vs {solo}");
     }
@@ -613,13 +328,9 @@ mod tests {
     fn compression_cuts_time_but_not_proportionally() {
         let c = cfg(2);
         let bytes = 20_000_000u64;
-        let mut plain = StarNetworkSim::new(c);
-        plain.add_transfer(Transfer::new(0, 1, bytes));
-        let t_plain = plain.run().makespan().as_secs_f64();
-
-        let mut comp = StarNetworkSim::new(c);
-        comp.add_transfer(Transfer::new(0, 1, bytes).compressed(CompressionSpec::new(14.9, 500)));
-        let t_comp = comp.run().makespan().as_secs_f64();
+        let t_plain = run(&c, [Transfer::new(0, 1, bytes)]).makespan_s;
+        let spec = CompressionSpec::new(14.9, 500);
+        let t_comp = run(&c, [Transfer::new(0, 1, bytes).compressed(spec)]).makespan_s;
         let gain = t_plain / t_comp;
         // Sec. VIII-C: ratio 14.9 yields only ~5.5-11.6x time reduction
         // because packet count and headers are unchanged.
@@ -629,57 +340,68 @@ mod tests {
 
     #[test]
     fn staggered_start_delays_completion() {
-        let c = cfg(2);
-        let mut sim = StarNetworkSim::new(c);
-        sim.add_transfer(Transfer::new(0, 1, 1000).starting_at(1_000_000));
-        let rep = sim.run();
-        assert!(rep.makespan().as_nanos() > 1_000_000);
+        let rep = run(&cfg(2), [Transfer::new(0, 1, 1000).starting_at(1_000_000)]);
+        assert!(rep.makespan_ns > 1_000_000);
     }
 
     #[test]
     fn deterministic_across_runs() {
         let build = || {
-            let mut sim = StarNetworkSim::new(cfg(5));
-            for s in 1..5 {
-                sim.add_transfer(Transfer::new(s, 0, 3_333_333));
-                sim.add_transfer(Transfer::new(0, s, 1_234_567));
-            }
-            sim.run()
+            run(
+                &cfg(5),
+                (1..5).flat_map(|s| {
+                    [
+                        Transfer::new(s, 0, 3_333_333),
+                        Transfer::new(0, s, 1_234_567),
+                    ]
+                }),
+            )
         };
         assert_eq!(build(), build());
     }
 
     #[test]
     fn wire_bytes_account_headers() {
+        // Two full packets, each served once by the source's uplink and
+        // once by the destination's downlink, headers included.
         let c = cfg(2);
-        let mut sim = StarNetworkSim::new(c);
-        sim.add_transfer(Transfer::new(0, 1, 2 * c.mtu_payload));
-        let rep = sim.run();
-        assert_eq!(
-            rep.total_wire_bytes(),
-            2 * c.mtu_payload + 2 * c.header_bytes
-        );
+        let rep = run(&c, [Transfer::new(0, 1, 2 * c.mtu_payload)]);
+        let per_link = 2 * c.mtu_payload + 2 * c.header_bytes;
+        let mut busy = rep.wire_bytes_by_link.clone();
+        busy.retain(|&b| b > 0);
+        assert_eq!(busy, [per_link, per_link]);
+        assert_eq!(rep.total_wire_bytes(), 2 * per_link);
     }
 
     #[test]
     fn run_replays_flows_into_obs() {
         let c = cfg(3);
-        let mut sim = StarNetworkSim::new(c);
-        sim.add_transfer(Transfer::new(0, 1, 100_000));
-        sim.add_transfer(Transfer::new(2, 1, 50_000).starting_at(5_000));
+        let mut sim = TreeSim::new(c.tree());
+        let flows = [
+            Transfer::new(0, 1, 100_000),
+            Transfer::new(2, 1, 50_000).starting_at(5_000),
+        ];
+        for t in flows {
+            sim.add_transfer(t);
+        }
+        let mut early = obs::EventBuf::local();
+        sim.record_into(&mut early);
+        assert!(early.events().is_empty(), "unfinished flows are skipped");
         let rep = sim.run();
         let mut buf = obs::EventBuf::local();
         sim.record_into(&mut buf);
         let summary = obs::export::Summary::of(buf.events());
         assert_eq!(summary.net_transfers, 2);
-        assert_eq!(summary.net_transfer_bytes, rep.total_wire_bytes());
-        let total_ns: u64 = rep
-            .results()
+        // Each packet is counted once per flow, not once per link.
+        let wire: u64 = flows
             .iter()
-            .zip([0u64, 5_000])
-            .map(|(r, start)| r.finish.as_nanos() - start)
+            .map(|t| t.bytes + t.packet_count(c.mtu_payload) * c.header_bytes)
             .sum();
-        assert_eq!(summary.net_transfer_ns, total_ns);
+        assert_eq!(summary.net_transfer_bytes, wire);
+        // Both flows share node 1's downlink; the second finishes first,
+        // at 92_810 ns (recorded from the star core this DES replaced).
+        assert_eq!(rep.makespan_ns, 130_794);
+        assert_eq!(summary.net_transfer_ns, 130_794 + (92_810 - 5_000));
         let mut off = obs::EventBuf::disabled();
         sim.record_into(&mut off);
         assert!(off.events().is_empty());
@@ -688,8 +410,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "endpoint out of range")]
     fn add_transfer_validates_endpoints() {
-        let mut sim = StarNetworkSim::new(cfg(2));
-        sim.add_transfer(Transfer::new(0, 7, 10));
+        run(&cfg(2), [Transfer::new(0, 7, 10)]);
     }
 
     #[test]
@@ -699,15 +420,9 @@ mod tests {
         let c = cfg(2);
         for &bytes in &[1u64, 100, 1448, 1449, 50_000, 3_000_000] {
             let t = Transfer::new(0, 1, bytes);
-            let payloads: Vec<u64> = (0..t.packet_count(c.mtu_payload))
-                .map(|i| t.wire_payload(c.mtu_payload, i))
-                .collect();
-            let mut sim = StarNetworkSim::new(c);
-            sim.add_transfer(t);
-            let des = sim.run().makespan().as_nanos();
             assert_eq!(
-                c.message_latency_ns(&payloads),
-                des,
+                c.message_latency_ns(&payloads(&c, &t)),
+                run(&c, [t]).makespan_ns,
                 "closed form diverged from DES at {bytes} bytes"
             );
         }
@@ -722,13 +437,10 @@ mod tests {
         let c = cfg(2);
         let spec = CompressionSpec::new(5.2, 0);
         let t = Transfer::new(0, 1, 500_000).compressed(spec);
-        let payloads: Vec<u64> = (0..t.packet_count(c.mtu_payload))
-            .map(|i| t.wire_payload(c.mtu_payload, i))
-            .collect();
-        let mut sim = StarNetworkSim::new(c);
-        sim.add_transfer(t);
-        let des = sim.run().makespan().as_nanos();
-        assert_eq!(c.message_latency_ns(&payloads), des);
+        assert_eq!(
+            c.message_latency_ns(&payloads(&c, &t)),
+            run(&c, [t]).makespan_ns
+        );
         assert!(c.message_latency_ns(&[]) == 0);
     }
 
@@ -739,10 +451,7 @@ mod tests {
         // than the serialization floor of the same packets on one link.
         let c = cfg(2);
         for &bytes in &[1u64, 1448, 50_000, 3_000_000] {
-            let t = Transfer::new(0, 1, bytes);
-            let payloads: Vec<u64> = (0..t.packet_count(c.mtu_payload))
-                .map(|i| t.wire_payload(c.mtu_payload, i))
-                .collect();
+            let payloads = payloads(&c, &Transfer::new(0, 1, bytes));
             let half = c.half_message_latency_ns(&payloads);
             let full = c.message_latency_ns(&payloads);
             assert!(half < full, "{bytes} bytes: half {half} vs full {full}");

@@ -1,10 +1,12 @@
-//! First-class topology trees and the generic tree-fabric simulator.
+//! First-class topology trees and the packet-level simulator.
 //!
-//! The paper's evaluation ladder stops at a hard-coded two-tier fabric
-//! ([`crate::twotier`]). This module replaces that special case with a
+//! The paper's testbed is a star around one switch and its Fig. 1
+//! sketches stop at racks under a core. Both are instances of a
 //! configurable [`Topology`] — rings of racks, racks of rings, arbitrary
 //! depth — that the exchange strategies traverse generically and the
-//! packet-level [`TreeSim`] simulates directly. The DES runs on the
+//! packet-level [`TreeSim`], the crate's one discrete-event loop,
+//! simulates directly: the star is the depth-1 tree
+//! ([`crate::sim::NetworkConfig::tree`]). The DES runs on the
 //! calendar-queue scheduler from [`crate::event`], which is what keeps a
 //! 1024-worker simulation inside the CI smoke budget.
 //!
@@ -16,8 +18,7 @@
 //!   [`TierMap`] for per-tier wire accounting;
 //! * [`TreeSim`] / [`TreeConfig`] — the event core: every worker↔switch
 //!   and switch↔switch edge is a full-duplex FIFO server, with
-//!   store-and-forward latency per hop exactly as in the star and
-//!   two-tier models;
+//!   store-and-forward latency per hop;
 //! * the generic exchanges — [`wa_exchange_on`], [`ring_exchange_on`]
 //!   and [`switch_reduce_exchange`]: the worker-aggregator and ring
 //!   collectives over an arbitrary collective hierarchy, plus the
@@ -30,7 +31,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::collective::ExchangeTimes;
-use crate::event::{CalendarQueue, EventQueue};
+use crate::event::CalendarQueue;
 use crate::transfer::{CompressionSpec, Transfer};
 
 /// A cluster topology: a worker leaf or a group of subtrees joined at
@@ -254,7 +255,8 @@ impl TierMap {
 }
 
 /// Parameters of the tree fabric: a topology plus per-tier link rates
-/// and the same per-hop constants as the star and two-tier models.
+/// and the per-hop constants of the star's
+/// [`NetworkConfig`](crate::sim::NetworkConfig).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TreeConfig {
     /// The switch tree. Workers must be numbered `0..worker_count`.
@@ -366,12 +368,18 @@ struct Flow {
     route: Vec<usize>,
     next_packet: u64,
     packets: u64,
-    finish_ns: u64,
+    /// When the last packet fully arrived; `None` until then.
+    finish_ns: Option<u64>,
+    /// Payload + header bytes injected so far, each packet counted once
+    /// however many links it crosses.
+    wire_bytes: u64,
 }
 
 /// What one [`TreeSim`] run moved and how long it took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeRunReport {
+    /// Makespan in integer nanoseconds of simulated time.
+    pub makespan_ns: u64,
     /// Makespan in seconds.
     pub makespan_s: f64,
     /// On-wire bytes (payload + headers) served per link tier; one
@@ -414,8 +422,9 @@ impl TreeSim {
     ///
     /// # Panics
     ///
-    /// Panics if the topology's workers are not exactly `0..n` or any
-    /// tier lacks a bandwidth entry.
+    /// Panics if the topology's workers are not exactly `0..n`, any
+    /// tier lacks a bandwidth entry or has zero bandwidth, or the MTU
+    /// payload is zero.
     pub fn new(cfg: TreeConfig) -> Self {
         let n = cfg.topology.worker_count();
         let depth = cfg.topology.depth().max(1);
@@ -424,6 +433,11 @@ impl TreeSim {
             depth,
             "one bandwidth per tier (depth {depth})"
         );
+        assert!(
+            cfg.tier_bps.iter().all(|&bps| bps > 0),
+            "link bandwidth must be positive"
+        );
+        assert!(cfg.mtu_payload > 0, "mtu payload must be positive");
         let workers = cfg.topology.workers();
         assert!(
             workers.iter().enumerate().all(|(i, &w)| i == w),
@@ -552,7 +566,8 @@ impl TreeSim {
             transfer: t,
             route,
             next_packet: 0,
-            finish_ns: 0,
+            finish_ns: None,
+            wire_bytes: 0,
         });
         id
     }
@@ -666,7 +681,7 @@ impl TreeSim {
     pub fn run(&mut self) -> TreeRunReport {
         for id in 0..self.flows.len() {
             if self.flows[id].packets == 0 {
-                self.flows[id].finish_ns = self.flows[id].transfer.start_ns;
+                self.flows[id].finish_ns = Some(self.flows[id].transfer.start_ns);
             } else {
                 self.events.push(
                     self.flows[id].transfer.start_ns,
@@ -674,18 +689,20 @@ impl TreeSim {
                 );
             }
         }
-        let mut makespan = 0u64;
         while let Some((now, ev)) = self.events.pop() {
             match ev {
                 Ev::Inject { transfer } => {
                     let cfg_host = self.cfg.host_ns_per_packet;
                     let mtu = self.cfg.mtu_payload;
+                    let header = self.cfg.header_bytes;
                     let flow = &mut self.flows[transfer];
                     let i = flow.next_packet;
                     flow.next_packet += 1;
+                    let wire = flow.transfer.wire_payload(mtu, i);
+                    flow.wire_bytes += wire + header;
                     let pkt = Pkt {
                         transfer,
-                        wire_bytes: flow.transfer.wire_payload(mtu, i),
+                        wire_bytes: wire,
                         extra_latency_ns: flow
                             .transfer
                             .compression
@@ -724,29 +741,67 @@ impl TreeSim {
                         self.links[next].queue.push_back(pkt);
                         self.kick(next, now);
                     } else if pkt.last {
-                        self.flows[pkt.transfer].finish_ns = now;
-                        makespan = makespan.max(now);
+                        self.flows[pkt.transfer].finish_ns = Some(now);
                     }
                 }
             }
         }
-        for f in &self.flows {
-            makespan = makespan.max(f.finish_ns);
-        }
+        let makespan = self
+            .flows
+            .iter()
+            .filter_map(|f| f.finish_ns)
+            .max()
+            .unwrap_or(0);
         let tiers = self.cfg.tier_bps.len();
         let mut by_tier = vec![0u64; tiers];
         for (l, &bytes) in self.served.iter().enumerate() {
             by_tier[self.tiers[l]] += bytes;
         }
         TreeRunReport {
+            makespan_ns: makespan,
             makespan_s: makespan as f64 * 1e-9,
             wire_bytes_by_tier: by_tier,
             wire_bytes_by_link: self.served.clone(),
         }
     }
+
+    /// Replays the completed run into an obs buffer: one virtual-time
+    /// span per flow (track = source, key = destination, start → finish
+    /// in simulated nanoseconds) plus its wire-byte counter, each packet
+    /// counted once however many links it crossed. Call after
+    /// [`TreeSim::run`]; flows that have not finished are skipped.
+    pub fn record_into(&self, buf: &mut obs::EventBuf) {
+        if !buf.is_on() {
+            return;
+        }
+        for flow in &self.flows {
+            let Some(finish) = flow.finish_ns else {
+                continue;
+            };
+            let start = flow.transfer.start_ns;
+            let src = flow.transfer.src as u32;
+            let dst = flow.transfer.dst as u32;
+            buf.push(obs::Event::complete(
+                obs::labels::NET_TRANSFER,
+                obs::Domain::Net,
+                src,
+                dst,
+                start,
+                finish - start,
+            ));
+            buf.push(obs::Event::count(
+                obs::labels::NET_TRANSFER_BYTES,
+                obs::Domain::Net,
+                src,
+                dst,
+                start,
+                flow.wire_bytes,
+            ));
+        }
+    }
 }
 
-fn maybe_compress(t: Transfer, spec: Option<CompressionSpec>) -> Transfer {
+pub(crate) fn maybe_compress(t: Transfer, spec: Option<CompressionSpec>) -> Transfer {
     match spec {
         Some(s) => t.compressed(s),
         None => t,
@@ -818,7 +873,7 @@ pub fn wa_exchange_on(
     }
     // Folds: the flat organization folds p-1 incoming streams at the
     // root; each hierarchical level folds `arity` streams per leader
-    // (members plus the leader's own, matching the two-tier model).
+    // (members plus the leader's own).
     let reduce = if arities.len() == 1 {
         (n - 1) as f64 * bytes as f64 * gamma
     } else {
@@ -897,8 +952,7 @@ pub fn ring_exchange_on(
         reduce += (level.arity - 1) as f64 * block as f64 * gamma;
     }
     // Broadcast phases, top first: each group leader seeds a pipelined
-    // chain through its group (modeled as the first-hop transfer, as in
-    // the two-tier fabric).
+    // chain through its group (modeled as the first-hop transfer).
     for level in lv.iter().skip(1) {
         if level.arity < 2 {
             continue;
@@ -1068,8 +1122,16 @@ pub fn wa_exchange_wire(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::NetworkConfig;
 
     const MB: u64 = 1_000_000;
+    const GAMMA: f64 = 1e-10;
+
+    /// The rack fabric of the paper's Fig. 1 sketches: `racks` ×
+    /// `per_rack` 10 GbE servers under a core oversubscribed `oversub`:1.
+    fn racks(racks: usize, per_rack: usize, oversub: u64) -> TreeConfig {
+        TreeConfig::ten_gbe(&[racks, per_rack], &[oversub, 1])
+    }
 
     #[test]
     fn uniform_tree_shape() {
@@ -1138,6 +1200,196 @@ mod tests {
         assert_eq!(t.depth(), 1);
         assert_eq!(t.tier_map().tier_of(0, 3), 0);
         assert_eq!(Topology::two_tier(2, 3), Topology::uniform(&[2, 3]));
+    }
+
+    #[test]
+    fn star_makespans_are_pinned_to_the_nanosecond() {
+        // Integer-ns makespans recorded from the dedicated star event
+        // loop this simulator replaced (`sim.rs` at 79b589c): the
+        // depth-1 tree must reproduce every one exactly.
+        let ten = NetworkConfig::ten_gbe;
+        let odd = NetworkConfig {
+            nodes: 3,
+            link_bps: 25_000_000_000,
+            hop_latency_ns: 700,
+            switch_latency_ns: 1_300,
+            mtu_payload: 1_000,
+            header_bytes: 120,
+            host_ns_per_packet: 3_000,
+        };
+        let spec = CompressionSpec::new(14.9, 500);
+        let cases: [(&str, NetworkConfig, Vec<Transfer>, u64); 8] = [
+            (
+                "single flow",
+                ten(2),
+                vec![Transfer::new(0, 1, 1_000_000)],
+                847_478,
+            ),
+            (
+                "4->1 incast",
+                ten(5),
+                (1..5).map(|s| Transfer::new(s, 0, 500_000)).collect(),
+                1_690_861,
+            ),
+            (
+                "disjoint pairs",
+                ten(4),
+                vec![Transfer::new(0, 1, 500_000), Transfer::new(2, 3, 500_000)],
+                425_881,
+            ),
+            (
+                "5-node ring step",
+                ten(5),
+                (0..5)
+                    .map(|i| Transfer::new(i, (i + 1) % 5, 400_000))
+                    .collect(),
+                341_561,
+            ),
+            (
+                "compressed flow with engine latency",
+                ten(2),
+                vec![Transfer::new(0, 1, 2_000_000).compressed(spec)],
+                210_862,
+            ),
+            (
+                "staggered start",
+                ten(3),
+                vec![
+                    Transfer::new(0, 1, 100_000),
+                    Transfer::new(2, 1, 50_000).starting_at(5_000),
+                ],
+                130_794,
+            ),
+            (
+                "every constant off its default",
+                odd,
+                vec![Transfer::new(0, 2, 300_000), Transfer::new(1, 2, 300_000)],
+                900_777,
+            ),
+            (
+                "zero-byte flow",
+                ten(2),
+                vec![Transfer::new(0, 1, 0).starting_at(42)],
+                42,
+            ),
+        ];
+        for (name, cfg, transfers, want_ns) in cases {
+            let mut sim = TreeSim::new(cfg.tree());
+            for t in transfers {
+                sim.add_transfer(t);
+            }
+            assert_eq!(sim.run().makespan_ns, want_ns, "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link bandwidth must be positive")]
+    fn rejects_a_tier_whose_rate_rounds_to_zero() {
+        TreeSim::new(TreeConfig::ten_gbe(&[2, 2], &[u64::MAX, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "mtu payload must be positive")]
+    fn rejects_zero_mtu() {
+        TreeSim::new(TreeConfig {
+            mtu_payload: 0,
+            ..TreeConfig::ten_gbe(&[2], &[1])
+        });
+    }
+
+    #[test]
+    fn intra_rack_transfer_ignores_uplink() {
+        // Same-rack transfer speed must not depend on oversubscription.
+        let t_fast = phase(&racks(2, 4, 1), [Transfer::new(0, 1, 10 * MB)]);
+        let t_slow = phase(&racks(2, 4, 8), [Transfer::new(0, 1, 10 * MB)]);
+        assert!((t_fast - t_slow).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cross_rack_transfer_is_uplink_bound() {
+        let cfg = racks(2, 4, 8); // uplink 5 Gb/s
+        let within = phase(&cfg, [Transfer::new(0, 1, 10 * MB)]);
+        let across = phase(&cfg, [Transfer::new(0, 4, 10 * MB)]);
+        assert!(
+            across > within * 1.8,
+            "across {across:.4} vs within {within:.4}"
+        );
+    }
+
+    #[test]
+    fn nonblocking_core_behaves_like_one_switch() {
+        // With a full-bisection uplink, a cross-rack transfer runs at edge
+        // speed (plus one extra switch hop of latency).
+        let cfg = racks(2, 2, 1);
+        let within = phase(&cfg, [Transfer::new(0, 1, 20 * MB)]);
+        let across = phase(&cfg, [Transfer::new(0, 2, 20 * MB)]);
+        assert!((across - within) / within < 0.02, "{across} vs {within}");
+    }
+
+    #[test]
+    fn flat_wa_suffers_most_from_oversubscription() {
+        let cfg = racks(4, 4, 4);
+        let n = 50 * MB;
+        let wa = wa_exchange_on(&cfg, &[16], n, GAMMA, None);
+        let hwa = wa_exchange_on(&cfg, &[4, 4], n, GAMMA, None);
+        let ring = ring_exchange_on(&cfg, &[16], n, GAMMA, None, 0.0);
+        // All gather traffic squeezes through one uplink for flat WA.
+        assert!(
+            wa.comm_s > hwa.comm_s * 1.5,
+            "flat {:.3} vs hierarchical {:.3}",
+            wa.comm_s,
+            hwa.comm_s
+        );
+        assert!(ring.comm_s < hwa.comm_s, "ring should beat both WAs");
+    }
+
+    #[test]
+    fn hierarchical_ring_beats_flat_ring_under_heavy_oversubscription() {
+        // The flat ring pushes 2(p-1)/p·n bytes across every uplink while
+        // the leader ring pushes only 2(R-1)/R·n; with the core the clear
+        // bottleneck (1 Gb/s uplinks) that volume difference dominates
+        // the hierarchy's extra intra-rack phases.
+        let cfg = racks(2, 8, 80);
+        let n = 100 * MB;
+        let flat = ring_exchange_on(&cfg, &[16], n, GAMMA, None, 0.0);
+        let hier = ring_exchange_on(&cfg, &[2, 8], n, GAMMA, None, 0.0);
+        assert!(
+            hier.comm_s < flat.comm_s * 0.85,
+            "hier {:.3} vs flat {:.3}",
+            hier.comm_s,
+            flat.comm_s
+        );
+    }
+
+    #[test]
+    fn flat_ring_wins_on_nonblocking_fabric() {
+        // Without oversubscription the hierarchy's extra phases are pure
+        // overhead — the paper's flat testbed rightly used one ring.
+        let cfg = racks(2, 4, 1);
+        let n = 50 * MB;
+        let flat = ring_exchange_on(&cfg, &[8], n, GAMMA, None, 0.0);
+        let hier = ring_exchange_on(&cfg, &[2, 4], n, GAMMA, None, 0.0);
+        assert!(
+            flat.comm_s < hier.comm_s,
+            "flat {:.3} vs hier {:.3}",
+            flat.comm_s,
+            hier.comm_s
+        );
+    }
+
+    #[test]
+    fn compression_relieves_the_oversubscribed_core() {
+        let cfg = racks(4, 4, 8);
+        let n = 50 * MB;
+        let spec = CompressionSpec::new(8.0, 500);
+        let plain = ring_exchange_on(&cfg, &[4, 4], n, GAMMA, None, 0.0);
+        let comp = ring_exchange_on(&cfg, &[4, 4], n, GAMMA, Some(spec), 0.0);
+        assert!(
+            comp.comm_s < plain.comm_s * 0.35,
+            "comp {:.3} vs plain {:.3}",
+            comp.comm_s,
+            plain.comm_s
+        );
     }
 
     #[test]
