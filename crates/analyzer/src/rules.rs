@@ -75,6 +75,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/compress/src/bitio.rs",
     "crates/compress/src/sparse.rs",
     "crates/compress/src/sketch.rs",
+    "crates/distrib/src/crc32.rs",
     "crates/distrib/src/fabric.rs",
     "crates/distrib/src/ring.rs",
     "crates/distrib/src/aggregator.rs",
@@ -100,6 +101,7 @@ pub const TRANSIENT_THREAD_FILES: &[&str] = &[
     "crates/compress/src/bitio.rs",
     "crates/compress/src/sparse.rs",
     "crates/compress/src/sketch.rs",
+    "crates/distrib/src/crc32.rs",
     "crates/distrib/src/fabric.rs",
     "crates/distrib/src/aggregator.rs",
     "crates/distrib/src/pipeline.rs",

@@ -249,6 +249,27 @@ mod tests {
         }
     }
 
+    /// Hand-written codec behaviour, the ratios and single-thread rates
+    /// of the committed `results/fig07.txt`, so the `fig7` verdicts below
+    /// depend on the model and not on how fast or loaded the host is.
+    /// (16b-T's verdict flips near 0.6 GB/s, which is how the
+    /// host-timed form of these tests flaked.)
+    fn model_profiles() -> Vec<CodecProfile> {
+        [
+            (SoftScheme::Base, 1.0, f64::INFINITY),
+            (SoftScheme::Lz, 1.0, 0.2e9),
+            (SoftScheme::Sz, 3.9, 0.13e9),
+            (SoftScheme::Trunc16, 2.0, 0.5e9),
+        ]
+        .into_iter()
+        .map(|(scheme, ratio, throughput_bps)| CodecProfile {
+            scheme,
+            ratio,
+            throughput_bps,
+        })
+        .collect()
+    }
+
     #[test]
     fn lossless_ratio_is_poor_on_gradients() {
         let codecs = profile_codecs(Fidelity::Quick, 1);
@@ -262,8 +283,7 @@ mod tests {
     fn software_compression_hurts_total_time() {
         // Fig. 7's headline: every software scheme makes AlexNet training
         // slower than no compression at all.
-        let codecs = profile_codecs(Fidelity::Quick, 2);
-        let rows = fig7(&quick_cfg(), &codecs);
+        let rows = fig7(&quick_cfg(), &model_profiles());
         let alex: Vec<&Fig7Row> = rows.iter().filter(|r| r.model == "AlexNet").collect();
         let base = alex.iter().find(|r| r.scheme == SoftScheme::Base).unwrap();
         assert!((base.normalized - 1.0).abs() < 1e-9);
@@ -281,8 +301,7 @@ mod tests {
 
     #[test]
     fn rows_cover_both_models_and_all_schemes() {
-        let codecs = profile_codecs(Fidelity::Quick, 3);
-        let rows = fig7(&quick_cfg(), &codecs);
+        let rows = fig7(&quick_cfg(), &model_profiles());
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().any(|r| r.model == "HDC"));
     }
@@ -295,8 +314,7 @@ mod tests {
         let cfg = quick_cfg();
         let hw = fig7_nic_reference(&cfg, Fidelity::Quick, 4);
         assert_eq!(hw.len(), 2);
-        let codecs = profile_codecs(Fidelity::Quick, 4);
-        let soft = fig7(&cfg, &codecs);
+        let soft = fig7(&cfg, &model_profiles());
         for row in &hw {
             assert!(
                 row.normalized < 1.0,

@@ -41,6 +41,7 @@ use inceptionn_nicsim::{
 };
 use obs::{labels, Domain, Event, EventBuf, Recorder};
 
+use crate::crc32::Crc32;
 use crate::faults::{FaultPlan, FaultStats, FaultyFabric};
 use crate::membership::MembershipSchedule;
 
@@ -55,50 +56,6 @@ pub enum PayloadKind {
     /// Plain traffic the engines must never touch (e.g. the
     /// worker-aggregator weight broadcast, Fig. 4).
     Plain,
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
-/// built at compile time so framing stays dependency-free.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Incremental CRC-32 over a frame body.
-#[derive(Debug, Clone, Copy)]
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
 }
 
 /// The payload of a [`WireFrame`]: either the in-process value shortcut
@@ -117,26 +74,49 @@ pub enum FrameBody {
     Flat(FlatPayload),
 }
 
+/// The integrity tag of a body: CRC-32 over its wire serialisation —
+/// loopback values as little-endian `f32`s; per packet the ToS byte, the
+/// value count as a `u64` (`u64::MAX` for plain) and the payload; for a
+/// flat payload every 17-byte segment descriptor (`compressed`,
+/// `value_count`, `wire_bytes`, the integers as little-endian `u64`s),
+/// then the wire bytes. Small fields are staged through stack buffers so
+/// the kernel is fed long runs, never a field at a time.
 fn crc_of(body: &FrameBody) -> u32 {
     let mut c = Crc32::new();
     match body {
         FrameBody::Loopback(values) => {
-            for v in values {
-                c.update(&v.to_le_bytes());
+            let mut buf = [0u8; 4 * 1024];
+            for run in values.chunks(1024) {
+                for (dst, v) in buf.chunks_exact_mut(4).zip(run) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                c.update(&buf[..run.len() * 4]);
             }
         }
         FrameBody::Packets(packets) => {
+            // The 9-byte header rides in front of the payload's leading
+            // bytes, so even it reaches the kernel as one 64-byte run.
+            const HEADER: usize = 9;
+            let mut buf = [0u8; 64];
             for p in packets {
-                c.update(&[p.tos]);
-                c.update(&(p.value_count.map_or(u64::MAX, |n| n as u64)).to_le_bytes());
-                c.update(&p.payload);
+                let count = p.value_count.map_or(u64::MAX, |n| n as u64);
+                buf[0] = p.tos;
+                buf[1..HEADER].copy_from_slice(&count.to_le_bytes());
+                let lead = p.payload.len().min(buf.len() - HEADER);
+                buf[HEADER..HEADER + lead].copy_from_slice(&p.payload[..lead]);
+                c.update(&buf[..HEADER + lead]);
+                c.update(&p.payload[lead..]);
             }
         }
         FrameBody::Flat(payload) => {
-            for seg in &payload.segs {
-                c.update(&[seg.compressed as u8]);
-                c.update(&(seg.value_count as u64).to_le_bytes());
-                c.update(&(seg.wire_bytes as u64).to_le_bytes());
+            let mut buf = [0u8; 17 * 64];
+            for run in payload.segs.chunks(64) {
+                for (dst, seg) in buf.chunks_exact_mut(17).zip(run) {
+                    dst[0] = seg.compressed as u8;
+                    dst[1..9].copy_from_slice(&(seg.value_count as u64).to_le_bytes());
+                    dst[9..].copy_from_slice(&(seg.wire_bytes as u64).to_le_bytes());
+                }
+                c.update(&buf[..run.len() * 17]);
             }
             c.update(&payload.bytes);
         }
@@ -2511,6 +2491,88 @@ mod tests {
             .expect_err("stale CRC must be rejected");
         assert_eq!(err, FabricError::Integrity { src: 0 });
         assert!(!delivered, "no bytes may reach the sink past the gate");
+    }
+
+    /// The fixed body the pinned CRC constants below were recorded over.
+    fn ramp() -> Vec<f32> {
+        (0..3001).map(|i| (i as f32 - 1500.0) / 16384.0).collect()
+    }
+
+    /// One frame per body kind over [`ramp`], lossless (`None`) or
+    /// through engines programmed to `bound`.
+    fn nic_frames(bound: Option<ErrorBound>) -> (WireFrame, WireFrame) {
+        let mut tx = NicPipeline::new(NicConfig {
+            bound: bound.unwrap_or_default(),
+            ..NicConfig::default()
+        });
+        let (packets, _) = inceptionn_nicsim::encode_payload(&mut tx, &ramp(), bound.is_some());
+        let mut flat = FlatPayload::new();
+        encode_payload_flat(&mut tx, &ramp(), bound.is_some(), &mut flat);
+        (WireFrame::packets(2, packets), WireFrame::flat(2, flat))
+    }
+
+    #[test]
+    fn crc_values_are_pinned_per_body_kind() {
+        // Recorded with the byte-at-a-time table loop feeding `crc_of`
+        // one field per `update` (commit 2df0e3c). A kernel differential
+        // cannot see a change in how `crc_of` serialises a body; these
+        // constants can.
+        assert_eq!(WireFrame::empty().crc(), 0);
+        assert_eq!(WireFrame::loopback(2, ramp(), true).crc(), 0x2496_3134);
+        let (packets, flat) = nic_frames(None);
+        assert_eq!(packets.crc(), 0x489A_5C4B);
+        assert_eq!(flat.crc(), 0xDF2B_1E82);
+        let (packets, flat) = nic_frames(Some(ErrorBound::pow2(8)));
+        assert!(packets.is_compressed() && flat.is_compressed());
+        assert_eq!(packets.crc(), 0xEA8E_CC96);
+        assert_eq!(flat.crc(), 0x76DD_4AA5);
+    }
+
+    #[test]
+    fn a_single_flipped_bit_anywhere_in_a_body_is_detected() {
+        // Positions chosen against how `crc_of` feeds the kernel: the
+        // first and last byte, the sub-16-byte tail of the final run, a
+        // staged segment descriptor, and the two values either side of
+        // the 1024-value loopback staging boundary.
+        fn assert_detected(fabric: &mut dyn Fabric, good: &WireFrame, body: FrameBody, at: &str) {
+            let bad = good.with_perturbed_body(body);
+            assert!(!bad.integrity_ok(), "flip at {at} went unnoticed");
+            let mut delivered = false;
+            let err = fabric
+                .deliver(1, &bad, &mut |_| delivered = true)
+                .expect_err("stale CRC must be rejected");
+            assert_eq!(err, FabricError::Integrity { src: 2 }, "flip at {at}");
+            assert!(!delivered, "flip at {at} reached the sink");
+        }
+
+        let mut nic = build(TransportKind::Nic, 3, None);
+        let (_, frame) = nic_frames(None);
+        nic.deliver(1, &frame, &mut |_| {}).expect("intact frame");
+        let FrameBody::Flat(payload) = frame.body() else {
+            panic!("flat frame expected");
+        };
+        let len = payload.bytes.len();
+        assert_eq!(len % 16, 4, "the body must end in a sub-16-byte tail");
+        for (byte, at) in [(0, "first byte"), (len - 1, "last byte"), (len - 3, "tail")] {
+            let mut flipped = payload.clone();
+            flipped.flip_bit(byte * 8 + 5);
+            assert_detected(&mut *nic, &frame, FrameBody::Flat(flipped), at);
+        }
+        let mut flipped = payload.clone();
+        flipped.segs[4].value_count ^= 1;
+        assert_detected(&mut *nic, &frame, FrameBody::Flat(flipped), "descriptor");
+
+        let mut in_proc = build(TransportKind::InProcess, 3, None);
+        let frame = WireFrame::loopback(2, ramp(), false);
+        in_proc
+            .deliver(1, &frame, &mut |_| {})
+            .expect("intact frame");
+        for i in [0, 1023, 1024, 3000] {
+            let mut flipped = ramp();
+            flipped[i] = f32::from_bits(flipped[i].to_bits() ^ (1 << 9));
+            let at = format!("value {i}");
+            assert_detected(&mut *in_proc, &frame, FrameBody::Loopback(flipped), &at);
+        }
     }
 
     #[test]

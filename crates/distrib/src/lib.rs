@@ -64,6 +64,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aggregator;
+mod crc32;
 pub mod exchange;
 pub mod fabric;
 pub mod faults;
