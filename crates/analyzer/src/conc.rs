@@ -16,7 +16,7 @@
 //!   schedule (this is how the racy fixture is caught);
 //! - **nondeterministic output**: the model's result bytes differ
 //!   between two schedules — the INCEPTIONN exactness claim is exactly
-//!   "this never happens" for the codec and the ring.
+//!   "this never happens" for the codec and the exchange pipeline.
 //!
 //! Bounds: `max_preemptions` caps forced context switches per schedule
 //! (unforced switches — the running thread blocked or finished — are

@@ -17,9 +17,9 @@
 //!   with the root→sink call chain, modulo a shrink-only allowlist.
 //! - [`conc`] + [`models`]: a mini-loom that exhaustively explores
 //!   bounded-preemption thread interleavings of the ParallelCodec shard
-//!   protocol, the threaded ring handshake, the compression pool's
-//!   park/unpark handshake, the `FrameArena` checkout/recycle
-//!   discipline, and the pipeline's bounded in-flight window, asserting
+//!   protocol, the compression pool's park/unpark handshake, the
+//!   `FrameArena` checkout/recycle discipline, and the pipeline's
+//!   bounded in-flight window, asserting
 //!   deadlock freedom and byte-identical output on every schedule —
 //!   plus racy, deadlocking, lost-wakeup, and use-after-recycle
 //!   fixtures it must keep catching.
@@ -88,7 +88,7 @@ pub fn run_lint(repo_root: &Path) -> CheckOutcome {
 /// shrinks the model sizes for CI latency without changing the bounds.
 pub fn run_conc(smoke: bool) -> CheckOutcome {
     let mut out = CheckOutcome::default();
-    let (shards, per_shard, ring_n) = if smoke { (2, 24, 3) } else { (3, 24, 3) };
+    let (shards, per_shard) = if smoke { (2, 24) } else { (3, 24) };
 
     match models::parallel_encode_model(shards, per_shard) {
         Ok(r) => out.summary.push(format!(
@@ -103,13 +103,6 @@ pub fn run_conc(smoke: bool) -> CheckOutcome {
             r.schedules, r.total_steps
         )),
         Err(v) => out.failures.push(format!("conc: parallel decode: {v}")),
-    }
-    match models::ring_reduce_model(ring_n, 1) {
-        Ok(r) => out.summary.push(format!(
-            "conc: threaded ring OK ({} schedules, {} steps, all workers converge)",
-            r.schedules, r.total_steps
-        )),
-        Err(v) => out.failures.push(format!("conc: threaded ring: {v}")),
     }
     match models::pool_handshake_model(2, 3) {
         Ok(r) => out.summary.push(format!(

@@ -1,11 +1,12 @@
-//! Concurrency models of the repo's two hand-rolled threading
-//! protocols, plus the intentionally-broken fixtures the checker must
-//! catch.
+//! Concurrency models of the repo's hand-rolled threading protocols
+//! (the codec's shard fan-out and its worker pool) and of the
+//! pipeline's frame discipline, plus the intentionally-broken fixtures
+//! the checker must catch.
 //!
 //! The models run the *real* production kernels — `BurstCodec`
 //! encode/decode from `inceptionn-compress`, `block_range` from
 //! `inceptionn-distrib` — under the mini-loom's instrumented
-//! primitives, so what gets explored is the actual sharding/handshake
+//! primitives, so what gets explored is the actual sharding
 //! protocol logic with the actual codec math inside it. What the
 //! checker proves within its preemption bound:
 //!
@@ -13,10 +14,6 @@
 //!   ParallelCodec shard protocol (fan out disjoint shards, collect
 //!   results through a shared table, assemble in shard order) never
 //!   deadlocks and yields byte-identical frames on every schedule;
-//! - [`ring_reduce_model`]: the threaded ring's reduce-scatter +
-//!   all-gather over capacity-1 channels with a shared locked codec
-//!   never deadlocks and every worker converges to the same vector on
-//!   every schedule;
 //! - [`racy_counter_model`] and [`lock_inversion_model`]: seeded-bug
 //!   fixtures — a lost-update race and an AB-BA deadlock — that the
 //!   checker MUST flag; the gate test fails if it ever stops catching
@@ -136,115 +133,6 @@ pub fn parallel_decode_model(shards: usize, values_per_shard: usize) -> Result<R
             .flat_map(|s| s.as_ref().expect("every shard decoded"))
             .flat_map(|v| v.to_le_bytes())
             .collect()
-    })
-}
-
-/// The threaded ring's reduce-scatter + all-gather handshake: `n`
-/// workers, capacity-1 channels to the right neighbor (the real code's
-/// `sync_channel(1)`), and a single shared, locked codec standing in
-/// for the ring's `Mutex<Box<dyn Fabric>>`. Reduce-scatter re-encodes
-/// the accumulated block each hop; all-gather forwards reduced bytes
-/// verbatim, so every worker must end with the identical vector.
-pub fn ring_reduce_model(n: usize, values_per_block: usize) -> Result<Report, Violation> {
-    let len = n * values_per_block;
-    let explorer = Explorer {
-        // The ring model has ~an order of magnitude more scheduling
-        // points than the shard models; one preemption already explores
-        // every single-interference schedule of the handshake.
-        max_preemptions: 1,
-        ..Explorer::default()
-    };
-    explorer.explore(move |sim| {
-        let fabric = Arc::new(SimMutex::new(sim, BurstCodec::new(ErrorBound::pow2(8))));
-        // links[i] feeds worker (i + 1) % n.
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = sim_channel::<Vec<u8>>(sim, 1);
-            senders.push(Some(tx));
-            receivers.push(Some(rx));
-        }
-        let finals: Arc<SimMutex<Vec<Option<Vec<f32>>>>> =
-            Arc::new(SimMutex::new(sim, vec![None; n]));
-        let handles: Vec<JoinHandle> = (0..n)
-            .map(|w| {
-                let tx = senders[w].take().expect("one sender per link");
-                let rx = receivers[(w + n - 1) % n]
-                    .take()
-                    .expect("one receiver per link");
-                let (fabric, finals) = (Arc::clone(&fabric), Arc::clone(&finals));
-                sim.spawn(move || {
-                    // Each worker contributes a distinct deterministic vector.
-                    let mut data: Vec<f32> = (0..len)
-                        .map(|i| ((i + 1) * (w + 1)) as f32 * 0.25)
-                        .collect();
-                    // Reduce-scatter: after n-1 rounds, worker w owns the
-                    // fully reduced block (w + 1) % n.
-                    for round in 0..n - 1 {
-                        let send_block = (w + n - round) % n;
-                        let recv_block = (w + n - round - 1) % n;
-                        let bytes = {
-                            let codec = fabric.lock();
-                            codec.compress(&data[block_range(len, n, send_block)]).bytes
-                        };
-                        tx.send(bytes);
-                        let incoming = rx.recv();
-                        let r = block_range(len, n, recv_block);
-                        let decoded = {
-                            let codec = fabric.lock();
-                            let mut out = vec![0f32; r.len()];
-                            codec
-                                .decompress_into(&incoming, r.len(), &mut out)
-                                .expect("ring payload decodes");
-                            out
-                        };
-                        for (slot, v) in data[r].iter_mut().zip(decoded) {
-                            *slot += v;
-                        }
-                    }
-                    // All-gather: forward the owned block's reduced bytes
-                    // verbatim around the ring. The codec is lossy, so the
-                    // owner adopts the decoded view of its own block — the
-                    // same bytes everyone else will decode.
-                    let owned = (w + 1) % n;
-                    let mut outgoing = {
-                        let codec = fabric.lock();
-                        let r = block_range(len, n, owned);
-                        let bytes = codec.compress(&data[r.clone()]).bytes;
-                        let mut out = vec![0f32; r.len()];
-                        codec
-                            .decompress_into(&bytes, r.len(), &mut out)
-                            .expect("own block decodes");
-                        data[r].copy_from_slice(&out);
-                        bytes
-                    };
-                    for round in 0..n - 1 {
-                        tx.send(outgoing);
-                        let incoming = rx.recv();
-                        let recv_block = (w + n - round) % n;
-                        let r = block_range(len, n, recv_block);
-                        let codec = fabric.lock();
-                        let mut out = vec![0f32; r.len()];
-                        codec
-                            .decompress_into(&incoming, r.len(), &mut out)
-                            .expect("gathered payload decodes");
-                        data[r].copy_from_slice(&out);
-                        outgoing = incoming;
-                    }
-                    finals.lock()[w] = Some(data);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        let table = finals.lock();
-        let first = table[0].as_ref().expect("worker 0 finished");
-        for (w, other) in table.iter().enumerate().skip(1) {
-            let other = other.as_ref().expect("worker finished");
-            assert_eq!(first, other, "worker {w} diverged from worker 0");
-        }
-        first.iter().flat_map(|v| v.to_le_bytes()).collect()
     })
 }
 
@@ -596,13 +484,6 @@ mod tests {
         assert!(report.schedules > 1);
         // Output is the stitched f32 bytes: 2 shards × 24 values × 4 bytes.
         assert_eq!(report.output.len(), 2 * 24 * 4);
-    }
-
-    #[test]
-    fn ring_handshake_is_deadlock_free_and_converges() {
-        let report = ring_reduce_model(3, 1).expect("ring handshake is clean");
-        assert!(report.schedules > 1);
-        assert_eq!(report.output.len(), 3 * 4);
     }
 
     #[test]

@@ -23,11 +23,9 @@
 //! matches the paper's Fig. 5 measurements for models too large to train
 //! here.
 //!
-//! Two extension modules go beyond the paper's evaluation: [`adaptive`]
-//! re-derives the error bound per block (relative precision against each
-//! block's peak), and [`reduction`] implements the related-work gradient
-//! reducers of Sec. IX (1-bit SGD, TernGrad, DGC-style top-k) for
-//! head-to-head comparison.
+//! One extension module goes beyond the paper's evaluation: [`reduction`]
+//! implements the related-work gradient reducers of Sec. IX (1-bit SGD,
+//! TernGrad, DGC-style top-k) for head-to-head comparison.
 //!
 //! # Examples
 //!
@@ -47,7 +45,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod bitio;
 pub mod burst;
 pub mod gradmodel;

@@ -195,8 +195,8 @@ impl WorkerPool {
         }
         if self.workers > 0 && n_jobs > 1 {
             // A concurrent submission already owns the pool: run inline
-            // rather than queue behind it (e.g. the threaded ring
-            // encodes on several exchange threads at once).
+            // rather than queue behind it (e.g. two fabrics on
+            // different threads encoding through the global pool).
             if let Ok(_guard) = self.submit.try_lock() {
                 return self.run_pooled(n_jobs, job);
             }

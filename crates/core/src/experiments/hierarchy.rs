@@ -181,9 +181,13 @@ pub fn measured_wire_volume(values_per_worker: usize, seed: u64) -> Vec<WireVolu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn points() -> Vec<HierarchyPoint> {
-        run(2_000)
+    /// One sweep shared by every test that reads it: `run` is
+    /// deterministic and by far the slowest thing in tier-1.
+    fn points() -> &'static [HierarchyPoint] {
+        static POINTS: OnceLock<Vec<HierarchyPoint>> = OnceLock::new();
+        POINTS.get_or_init(|| run(2_000))
     }
 
     fn get(pts: &[HierarchyPoint], org: Organization, oversub: u64, compressed: bool) -> f64 {
@@ -199,9 +203,9 @@ mod tests {
     fn rings_beat_aggregators_everywhere() {
         let pts = points();
         for oversub in [1u64, 4, 16, 80] {
-            let flat_wa = get(&pts, Organization::FlatWa, oversub, false);
-            let best_ring = get(&pts, Organization::FlatRing, oversub, false).min(get(
-                &pts,
+            let flat_wa = get(pts, Organization::FlatWa, oversub, false);
+            let best_ring = get(pts, Organization::FlatRing, oversub, false).min(get(
+                pts,
                 Organization::HierarchicalRing,
                 oversub,
                 false,
@@ -218,19 +222,19 @@ mod tests {
         let pts = points();
         // Non-blocking core: flat ring wins (the paper's testbed choice).
         assert!(
-            get(&pts, Organization::FlatRing, 1, false)
-                < get(&pts, Organization::HierarchicalRing, 1, false)
+            get(pts, Organization::FlatRing, 1, false)
+                < get(pts, Organization::HierarchicalRing, 1, false)
         );
         // Heavily oversubscribed core: the hierarchy's smaller cross-core
         // volume wins.
         assert!(
-            get(&pts, Organization::HierarchicalRing, 80, false)
-                < get(&pts, Organization::FlatRing, 80, false)
+            get(pts, Organization::HierarchicalRing, 80, false)
+                < get(pts, Organization::FlatRing, 80, false)
         );
         // Same flip for the worker-aggregator organizations.
         assert!(
-            get(&pts, Organization::HierarchicalWa, 80, false)
-                < get(&pts, Organization::FlatWa, 80, false)
+            get(pts, Organization::HierarchicalWa, 80, false)
+                < get(pts, Organization::FlatWa, 80, false)
         );
     }
 
@@ -238,8 +242,8 @@ mod tests {
     fn compression_helps_most_where_links_are_scarce() {
         let pts = points();
         let gain_at = |oversub| {
-            get(&pts, Organization::HierarchicalRing, oversub, false)
-                / get(&pts, Organization::HierarchicalRing, oversub, true)
+            get(pts, Organization::HierarchicalRing, oversub, false)
+                / get(pts, Organization::HierarchicalRing, oversub, true)
         };
         assert!(gain_at(80) > 1.5, "gain at 80:1 {:.2}", gain_at(80));
         // Compression gain should not *shrink* as the core gets slower.
@@ -284,8 +288,8 @@ mod tests {
     fn exchange_time_grows_with_oversubscription() {
         let pts = points();
         for org in Organization::ALL {
-            let t1 = get(&pts, org, 1, false);
-            let t80 = get(&pts, org, 80, false);
+            let t1 = get(pts, org, 1, false);
+            let t80 = get(pts, org, 80, false);
             assert!(t80 > t1, "{}: {t1:.3} -> {t80:.3}", org.label());
         }
     }

@@ -135,8 +135,8 @@ fn crc_of(body: &FrameBody) -> u32 {
 /// body without re-tagging are therefore caught as
 /// [`FabricError::Integrity`] and recovered by retransmission.
 ///
-/// Frames are [`Send`] so threaded exchanges can pass them through
-/// channels exactly like byte streams on a real fabric.
+/// Frames are [`Send`]: like a byte stream on a real fabric, a frame
+/// owns everything it carries and can move to another thread.
 #[derive(Debug, Clone)]
 pub struct WireFrame {
     src: usize,
@@ -286,8 +286,8 @@ impl FrameArena {
 /// moves `f32` vectors, the NIC datapath moves encoded packets. Handing
 /// a frame to the wrong transport — or bytes the receive engines cannot
 /// decode — is reported here instead of tearing down the process, so
-/// threaded exchanges can surface the fault through their result
-/// channel.
+/// an exchange can surface the fault through its `Result` and the
+/// trainer can recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
     /// A frame of the wrong wire format reached this fabric (e.g. a
@@ -415,11 +415,11 @@ impl FabricStats {
 /// latency.
 ///
 /// The split into [`encode`](Fabric::encode) /
-/// [`charge`](Fabric::charge) / [`deliver`](Fabric::deliver) exists so
-/// threaded exchanges can serialize at the sender, move the frame
-/// through a channel, and decode at the receiver — the same structure a
-/// real transport has. Single-threaded callers use the
-/// [`transfer`](Fabric::transfer) convenience wrappers.
+/// [`charge`](Fabric::charge) / [`deliver`](Fabric::deliver) mirrors a
+/// real transport — serialize at the sender, cross the link, decode at
+/// the receiver — and lets the chunked executor keep several encoded
+/// frames in flight between the two ends. Callers moving one block at a
+/// time use the [`transfer`](Fabric::transfer) convenience wrappers.
 pub trait Fabric: Send {
     /// Number of endpoints (workers plus any aggregator).
     fn endpoints(&self) -> usize;

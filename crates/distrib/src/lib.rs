@@ -18,7 +18,7 @@
 //! [`ExchangeStrategy`]:
 //!
 //! * `Ring` — deterministic sequential-semantics implementation of
-//!   Algorithm 1 (used by experiments and tests);
+//!   Algorithm 1;
 //! * `HierarchicalRing` / `Tree` — the grouped composition of
 //!   Fig. 1(c) and its generalisation to a topology tree of arbitrary
 //!   depth (the former is the two-tier special case of the latter);
@@ -30,15 +30,10 @@
 //!
 //! Each strategy has exactly one schedule body, in the chunked executor
 //! [`pipeline`]; whole-block and pipelined exchange are two
-//! [`PipelineConfig`] values of it. Beside them:
-//!
-//! * [`ring::threaded_ring_allreduce_over`] — a real concurrent
-//!   implementation of Algorithm 1: worker threads exchanging wire
-//!   frames over bounded channels (with a [`fabric::NicFabric`], the
-//!   actual hardware-compressed byte streams);
-//! * [`trainer::DistributedTrainer`] — end-to-end data-parallel training
-//!   of model replicas over dataset shards with any exchange × transport
-//!   combination ([`trainer::TrainerConfig::transport`]).
+//! [`PipelineConfig`] values of it. [`trainer::DistributedTrainer`]
+//! drives them end to end: data-parallel training of model replicas
+//! over dataset shards with any exchange × transport combination
+//! ([`trainer::TrainerConfig::transport`]).
 //!
 //! A note on Algorithm 1 as printed: the paper's pseudo-code for the
 //! propagation phase (lines 14–18) uses block indices shifted by one
@@ -84,6 +79,6 @@ pub use fabric::{
 pub use faults::{FaultPlan, FaultStats, FaultyFabric, LinkFaults, RENEGOTIATE_AFTER};
 pub use membership::{MembershipEvent, MembershipSchedule};
 pub use pipeline::PipelineConfig;
-pub use ring::{ring_allreduce, threaded_ring_allreduce};
+pub use ring::ring_allreduce;
 pub use switch::switch_allreduce;
 pub use trainer::{DistributedTrainer, ExchangeStrategy, TrainerConfig};

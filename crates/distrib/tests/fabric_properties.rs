@@ -5,10 +5,7 @@
 //! (`len < n`, empty gradients, single worker) where `block_range`
 //! produces empty blocks.
 
-use std::sync::Mutex;
-
 use inceptionn_distrib::fabric::{Fabric, FabricBuilder, TransportKind};
-use inceptionn_distrib::ring::threaded_ring_allreduce_over;
 use inceptionn_distrib::{Exchange, ExchangeStrategy, PipelineConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -112,23 +109,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prop_threaded_ring_matches_sequential_on_every_fabric(
-        n in 2usize..6,
-        len in 0usize..30,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_grads(n, len, seed);
-        for kind in TransportKind::ALL {
-            let mut seq = inputs.clone();
-            exchange(ExchangeStrategy::Ring, build(kind, n).as_mut(), &mut seq, None);
-            let fabric = Mutex::new(build(kind, n));
-            let mut thr = inputs.clone();
-            threaded_ring_allreduce_over(&fabric, &mut thr).unwrap();
-            prop_assert_eq!(&seq, &thr);
         }
     }
 }

@@ -41,7 +41,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod data;
 pub mod layer;
 pub mod loss;

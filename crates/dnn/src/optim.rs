@@ -75,12 +75,13 @@ impl Sgd {
         self.iteration
     }
 
-    /// The momentum buffer (for checkpointing).
+    /// The momentum buffer (what a rejoining replica copies from its
+    /// leader).
     pub fn velocity(&self) -> &[f32] {
         &self.velocity
     }
 
-    /// Restores optimizer state from a checkpoint.
+    /// Restores optimizer state captured from another replica.
     ///
     /// # Panics
     ///

@@ -47,8 +47,6 @@ pub mod labels {
     pub const EXCHANGE_HIERARCHICAL: &str = "exchange/hierarchical";
     /// Wall-time span: worker/aggregator gradient exchange.
     pub const EXCHANGE_WORKER_AGGREGATOR: &str = "exchange/worker-aggregator";
-    /// Wall-time span: threaded ring gradient exchange.
-    pub const EXCHANGE_THREADED_RING: &str = "exchange/threaded-ring";
     /// Wall-time span: topology-tree gradient exchange (rings per tier).
     pub const EXCHANGE_TREE: &str = "exchange/tree";
     /// Wall-time span: switch-resident in-network reduction exchange.

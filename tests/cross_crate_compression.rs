@@ -5,8 +5,10 @@
 use inceptionn::cluster::{compression_spec, measured_compression_ratio};
 use inceptionn::{ErrorBound, InceptionnCodec};
 use inceptionn_compress::gradmodel::{GradientModel, GradientPreset};
-use inceptionn_distrib::ring::{ring_allreduce, threaded_ring_allreduce};
-use inceptionn_distrib::CodecSelection;
+use inceptionn_distrib::ring::ring_allreduce;
+use inceptionn_distrib::{
+    CodecSelection, Exchange, ExchangeStrategy, FabricBuilder, TransportKind,
+};
 use inceptionn_nicsim::engine::{CompressionEngine, DecompressionEngine};
 use inceptionn_nicsim::{NicConfig, NicPipeline, Packet};
 use rand::rngs::StdRng;
@@ -60,18 +62,31 @@ fn decompression_matches_quantize_through_every_path() {
 }
 
 #[test]
-fn threaded_ring_carries_the_hardware_wire_format_correctly() {
-    // The threaded runtime exchanges real compressed byte streams; its
-    // result must equal the sequential simulation for every bound.
+fn nic_ring_carries_the_hardware_wire_format_correctly() {
+    // The NIC transport exchanges real compressed byte streams; its
+    // result must equal the in-process quantization shortcut on real
+    // gradient distributions, for every bound.
     for e in [10u8, 6] {
         let codec = CodecSelection::Scalar(ErrorBound::pow2(e));
         let inputs: Vec<Vec<f32>> = (0..4)
             .map(|w| sample(GradientPreset::ResNet50, 400, 100 + w))
             .collect();
-        let mut seq = inputs.clone();
-        ring_allreduce(&mut seq, codec);
-        let thr = threaded_ring_allreduce(inputs, codec);
-        assert_eq!(seq, thr, "bound 2^-{e}");
+        let mut in_proc = inputs.clone();
+        ring_allreduce(&mut in_proc, codec);
+        let mut over_nic = inputs;
+        let mut fabric = FabricBuilder::new(4)
+            .transport(TransportKind::Nic)
+            .codec(codec)
+            .build();
+        Exchange::new(4)
+            .run(
+                ExchangeStrategy::Ring,
+                fabric.as_mut(),
+                &mut over_nic,
+                &[0, 1, 2, 3],
+            )
+            .unwrap();
+        assert_eq!(in_proc, over_nic, "bound 2^-{e}");
     }
 }
 
