@@ -2,8 +2,8 @@
 //!
 //! Real OS threads run the model, but a lockstep scheduler lets exactly
 //! one *virtual* thread make progress at a time: every instrumented
-//! operation ([`SimMutex::lock`], [`SimSender::send`], [`SimReceiver::recv`],
-//! [`RaceCell`] reads/writes, [`Sim::spawn`], [`JoinHandle::join`]) is a
+//! operation ([`SimMutex::lock`], [`SimCondvar::wait`], [`RaceCell`]
+//! reads/writes, [`Sim::spawn`], [`JoinHandle::join`]) is a
 //! scheduling point where the checker picks which thread runs next. A
 //! depth-first search over those decisions — bounded by a preemption
 //! budget, loom/CHESS-style — re-executes the model once per distinct
@@ -16,7 +16,7 @@
 //!   schedule (this is how the racy fixture is caught);
 //! - **nondeterministic output**: the model's result bytes differ
 //!   between two schedules — the INCEPTIONN exactness claim is exactly
-//!   "this never happens" for the codec and the exchange pipeline.
+//!   "this never happens" for the codec's shard and pool protocols.
 //!
 //! Bounds: `max_preemptions` caps forced context switches per schedule
 //! (unforced switches — the running thread blocked or finished — are
@@ -24,7 +24,6 @@
 //! runaway exploration into an explicit [`Violation`] instead of a hang.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -617,127 +616,6 @@ impl SimCondvar {
 }
 
 // ---------------------------------------------------------------------
-// Bounded channel (models std::sync::mpsc::sync_channel)
-// ---------------------------------------------------------------------
-
-struct ChanState<T> {
-    queue: VecDeque<T>,
-    capacity: usize,
-    senders: usize,
-}
-
-struct Chan<T> {
-    sim: Arc<Sim>,
-    resource: usize,
-    state: Mutex<ChanState<T>>,
-}
-
-/// Creates a bounded channel of the given capacity (capacity 1 mirrors
-/// the ring's `sync_channel(1)` handshake).
-pub fn sim_channel<T: Send>(sim: &Arc<Sim>, capacity: usize) -> (SimSender<T>, SimReceiver<T>) {
-    let chan = Arc::new(Chan {
-        sim: Arc::clone(sim),
-        resource: sim.fresh_resource(),
-        state: Mutex::new(ChanState {
-            queue: VecDeque::new(),
-            capacity: capacity.max(1),
-            senders: 1,
-        }),
-    });
-    (
-        SimSender {
-            chan: Arc::clone(&chan),
-        },
-        SimReceiver { chan },
-    )
-}
-
-/// Sending half; blocks when the queue is at capacity.
-pub struct SimSender<T: Send> {
-    chan: Arc<Chan<T>>,
-}
-
-impl<T: Send> fmt::Debug for SimSender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimSender")
-            .field("resource", &self.chan.resource)
-            .finish()
-    }
-}
-
-impl<T: Send> SimSender<T> {
-    /// Blocking bounded send. A scheduling point.
-    pub fn send(&self, value: T) {
-        self.chan.sim.schedule_point();
-        let mut value = Some(value);
-        loop {
-            {
-                let mut st = match self.chan.state.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                if st.queue.len() < st.capacity {
-                    st.queue
-                        .push_back(value.take().expect("send value consumed once"));
-                    drop(st);
-                    self.chan.sim.wake(self.chan.resource);
-                    return;
-                }
-            }
-            self.chan.sim.block_on(self.chan.resource);
-        }
-    }
-}
-
-impl<T: Send> Drop for SimSender<T> {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.chan.state.lock() {
-            st.senders -= 1;
-        }
-        self.chan.sim.wake(self.chan.resource);
-    }
-}
-
-/// Receiving half; blocks until a value arrives.
-pub struct SimReceiver<T: Send> {
-    chan: Arc<Chan<T>>,
-}
-
-impl<T: Send> fmt::Debug for SimReceiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimReceiver")
-            .field("resource", &self.chan.resource)
-            .finish()
-    }
-}
-
-impl<T: Send> SimReceiver<T> {
-    /// Blocking receive. A scheduling point. Panics (→ model violation)
-    /// if every sender is gone and the queue is empty.
-    pub fn recv(&self) -> T {
-        self.chan.sim.schedule_point();
-        loop {
-            {
-                let mut st = match self.chan.state.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.chan.sim.wake(self.chan.resource);
-                    return v;
-                }
-                if st.senders == 0 {
-                    drop(st);
-                    panic!("recv on a channel whose senders all disconnected");
-                }
-            }
-            self.chan.sim.block_on(self.chan.resource);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // RaceCell — a deliberately non-atomic shared cell
 // ---------------------------------------------------------------------
 
@@ -1003,25 +881,6 @@ mod tests {
             })
             .expect_err("AB-BA must deadlock on some schedule");
         assert!(matches!(err, Violation::Deadlock { .. }), "got {err}");
-    }
-
-    #[test]
-    fn capacity_one_channel_ping_pong_is_clean() {
-        let report = Explorer::default()
-            .explore(|sim| {
-                let (tx, rx) = sim_channel::<u8>(sim, 1);
-                let producer = sim.spawn(move || {
-                    for i in 0..3 {
-                        tx.send(i);
-                    }
-                });
-                let got: Vec<u8> = (0..3).map(|_| rx.recv()).collect();
-                producer.join();
-                got
-            })
-            .expect("bounded producer/consumer is deadlock-free");
-        assert_eq!(report.output, vec![0, 1, 2]);
-        assert!(report.schedules >= 1);
     }
 
     #[test]

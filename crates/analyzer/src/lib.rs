@@ -17,12 +17,10 @@
 //!   with the root→sink call chain, modulo a shrink-only allowlist.
 //! - [`conc`] + [`models`]: a mini-loom that exhaustively explores
 //!   bounded-preemption thread interleavings of the ParallelCodec shard
-//!   protocol, the compression pool's park/unpark handshake, the
-//!   `FrameArena` checkout/recycle discipline, and the pipeline's
-//!   bounded in-flight window, asserting
-//!   deadlock freedom and byte-identical output on every schedule —
-//!   plus racy, deadlocking, lost-wakeup, and use-after-recycle
-//!   fixtures it must keep catching.
+//!   protocol and the compression pool's park/unpark handshake — the
+//!   workspace's only cross-thread protocols — asserting deadlock
+//!   freedom and byte-identical output on every schedule, plus racy,
+//!   deadlocking and lost-wakeup fixtures it must keep catching.
 //!
 //! `cargo run -p analyzer -- --check` runs both and exits nonzero on
 //! any violation; `tests/analyzer_gate.rs` wires the same entry points
@@ -83,8 +81,8 @@ pub fn run_lint(repo_root: &Path) -> CheckOutcome {
     out
 }
 
-/// Runs the concurrency checker: the two production-protocol models
-/// must be clean, the two seeded-bug fixtures must be caught. `smoke`
+/// Runs the concurrency checker: the four production-protocol models
+/// must be clean, the three seeded-bug fixtures must be caught. `smoke`
 /// shrinks the model sizes for CI latency without changing the bounds.
 pub fn run_conc(smoke: bool) -> CheckOutcome {
     let mut out = CheckOutcome::default();
@@ -120,20 +118,6 @@ pub fn run_conc(smoke: bool) -> CheckOutcome {
             .failures
             .push(format!("conc: pool panic propagation: {v}")),
     }
-    match models::frame_arena_model(false) {
-        Ok(r) => out.summary.push(format!(
-            "conc: frame arena discipline OK ({} schedules, recycle-after-ack is safe)",
-            r.schedules
-        )),
-        Err(v) => out.failures.push(format!("conc: frame arena: {v}")),
-    }
-    match models::pipeline_window_model(4, 2) {
-        Ok(r) => out.summary.push(format!(
-            "conc: pipeline window OK ({} schedules, in-flight stays within the window)",
-            r.schedules
-        )),
-        Err(v) => out.failures.push(format!("conc: pipeline window: {v}")),
-    }
     match models::racy_counter_model() {
         Err(conc::Violation::ModelPanic { .. }) => out
             .summary
@@ -166,23 +150,6 @@ pub fn run_conc(smoke: bool) -> CheckOutcome {
             .push(format!("conc: lost-wakeup fixture misreported: {v}")),
         Ok(_) => out.failures.push(
             "conc: lost-wakeup fixture NOT caught — checker is blind to lost wakeups".to_string(),
-        ),
-    }
-    match models::frame_arena_model(true) {
-        Err(conc::Violation::ModelPanic { message, .. })
-            if message.contains("use-after-recycle") =>
-        {
-            out.summary.push(
-                "conc: use-after-recycle fixture caught (early recycle corrupts a chunk)"
-                    .to_string(),
-            )
-        }
-        Err(v) => out
-            .failures
-            .push(format!("conc: use-after-recycle fixture misreported: {v}")),
-        Ok(_) => out.failures.push(
-            "conc: use-after-recycle fixture NOT caught — checker is blind to arena reuse"
-                .to_string(),
         ),
     }
     out

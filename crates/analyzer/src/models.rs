@@ -1,7 +1,8 @@
 //! Concurrency models of the repo's hand-rolled threading protocols
-//! (the codec's shard fan-out and its worker pool) and of the
-//! pipeline's frame discipline, plus the intentionally-broken fixtures
-//! the checker must catch.
+//! (the codec's shard fan-out and its worker pool — the only code in
+//! the workspace that shares state between threads; `distrib`'s
+//! pipeline is one thread), plus the intentionally-broken fixtures the
+//! checker must catch.
 //!
 //! The models run the *real* production kernels — `BurstCodec`
 //! encode/decode from `inceptionn-compress`, `block_range` from
@@ -14,19 +15,21 @@
 //!   ParallelCodec shard protocol (fan out disjoint shards, collect
 //!   results through a shared table, assemble in shard order) never
 //!   deadlocks and yields byte-identical frames on every schedule;
-//! - [`racy_counter_model`] and [`lock_inversion_model`]: seeded-bug
-//!   fixtures — a lost-update race and an AB-BA deadlock — that the
-//!   checker MUST flag; the gate test fails if it ever stops catching
-//!   them.
+//! - [`pool_handshake_model`] / [`pool_panic_propagation_model`]: the
+//!   `compress::pool` park/claim/notify handshake loses no wakeup and
+//!   places shards (and a captured job panic) identically on every
+//!   schedule;
+//! - [`racy_counter_model`], [`lock_inversion_model`] and
+//!   [`pool_lost_wakeup_fixture`]: seeded-bug fixtures — a lost-update
+//!   race, an AB-BA deadlock and a lost wakeup — that the checker MUST
+//!   flag; the gate test fails if it ever stops catching them.
 
 use std::sync::Arc;
 
 use inceptionn_compress::{BurstCodec, ErrorBound};
 use inceptionn_distrib::ring::block_range;
 
-use crate::conc::{
-    sim_channel, Explorer, JoinHandle, RaceCell, Report, SimCondvar, SimMutex, Violation,
-};
+use crate::conc::{Explorer, JoinHandle, RaceCell, Report, SimCondvar, SimMutex, Violation};
 
 /// Deterministic pseudo-gradient: a fixed mix of zeros, small and large
 /// magnitudes, with no RNG (the checker forbids wall-clock/RNG in
@@ -351,122 +354,6 @@ pub fn pool_lost_wakeup_fixture() -> Result<Report, Violation> {
     })
 }
 
-/// The `FrameArena` checkout/recycle discipline under a pipelined
-/// chunk in flight. A producer checks frames out of a two-frame free
-/// list, writes the chunk payload, and sends the frame index to a
-/// consumer over a capacity-1 channel (the in-flight chunk). Correct
-/// discipline (`buggy = false`) recycles a frame only after the
-/// consumer acknowledges the read. With `buggy = true` the producer
-/// checks the frame back into the free list while the chunk still
-/// references it — the next checkout reuses and overwrites the frame
-/// under the consumer, and the consumer's payload assertion fails on
-/// some schedule: the use-after-recycle the checker must catch.
-pub fn frame_arena_model(buggy: bool) -> Result<Report, Violation> {
-    const CHUNKS: u32 = 3;
-    Explorer::default().explore(move |sim| {
-        let free: Arc<SimMutex<Vec<usize>>> = Arc::new(SimMutex::new(sim, vec![0, 1]));
-        let frames: Arc<Vec<RaceCell<u32>>> =
-            Arc::new((0..2).map(|_| RaceCell::new(sim, 0)).collect());
-        let (tx, rx) = sim_channel::<usize>(sim, 1);
-        let (ack_tx, ack_rx) = sim_channel::<u8>(sim, 1);
-
-        let consumer = {
-            let frames = Arc::clone(&frames);
-            sim.spawn(move || {
-                for chunk in 0..CHUNKS {
-                    let idx = rx.recv();
-                    let got = frames[idx].get();
-                    assert_eq!(
-                        got,
-                        10 + chunk,
-                        "use-after-recycle: chunk {chunk} in frame {idx} was overwritten"
-                    );
-                    if !buggy {
-                        ack_tx.send(1);
-                    }
-                }
-            })
-        };
-
-        for chunk in 0..CHUNKS {
-            let idx = free.lock().pop().expect("two frames cover one in flight");
-            frames[idx].set(10 + chunk);
-            tx.send(idx);
-            if buggy {
-                // Recycled while the chunk is still in flight.
-                free.lock().push(idx);
-            } else {
-                ack_rx.recv();
-                free.lock().push(idx);
-            }
-        }
-        consumer.join();
-        Vec::new()
-    })
-}
-
-/// The bounded in-flight window of `distrib::pipeline`: a producer may
-/// encode at most `window` chunks ahead of the consumer's folds
-/// (`deliver_ring_chunk` recycles a frame per fold before the next
-/// checkout). Window permits are a condvar-guarded counter; the
-/// consumer asserts, at every fold, that folds arrive in order and
-/// that `1 <= in-flight <= window` — the window invariant on every
-/// interleaving. Output is the fold order, so determinism is also
-/// checked.
-pub fn pipeline_window_model(chunks: u8, window: usize) -> Result<Report, Violation> {
-    let explorer = Explorer {
-        max_preemptions: 1,
-        ..Explorer::default()
-    };
-    explorer.explore(move |sim| {
-        let in_flight = Arc::new(SimMutex::new(sim, 0usize));
-        let space_cv = Arc::new(SimCondvar::new(sim));
-        let (tx, rx) = sim_channel::<u8>(sim, window.max(1));
-        let folds: Arc<SimMutex<Vec<u8>>> = Arc::new(SimMutex::new(sim, Vec::new()));
-
-        let consumer = {
-            let (in_flight, space_cv, folds) = (
-                Arc::clone(&in_flight),
-                Arc::clone(&space_cv),
-                Arc::clone(&folds),
-            );
-            sim.spawn(move || {
-                for k in 0..chunks {
-                    let chunk = rx.recv();
-                    let mut log = folds.lock();
-                    assert_eq!(chunk, k, "folds must land in pipeline order");
-                    log.push(chunk);
-                    drop(log);
-                    let mut g = in_flight.lock();
-                    assert!(
-                        *g >= 1 && *g <= window,
-                        "window invariant violated: {} in flight, window {window}",
-                        *g
-                    );
-                    *g -= 1; // fold recycles the frame
-                    drop(g);
-                    space_cv.notify_all();
-                }
-            })
-        };
-
-        for chunk in 0..chunks {
-            // Checkout blocks while the window is full — the pipeline's
-            // backpressure.
-            let mut g = in_flight.lock();
-            while *g == window {
-                g = space_cv.wait(g);
-            }
-            *g += 1;
-            drop(g);
-            tx.send(chunk);
-        }
-        consumer.join();
-        let order = folds.lock().clone();
-        order
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,28 +410,5 @@ mod tests {
     fn pool_lost_wakeup_fixture_is_caught() {
         let err = pool_lost_wakeup_fixture().expect_err("the lost wakeup must be found");
         assert!(matches!(err, Violation::Deadlock { .. }), "got {err}");
-    }
-
-    #[test]
-    fn frame_arena_discipline_is_clean() {
-        let report = frame_arena_model(false).expect("ack-before-recycle is safe");
-        assert!(report.schedules > 1);
-    }
-
-    #[test]
-    fn frame_arena_use_after_recycle_is_caught() {
-        let err = frame_arena_model(true).expect_err("early recycle must corrupt a chunk");
-        match err {
-            Violation::ModelPanic { message, .. } => {
-                assert!(message.contains("use-after-recycle"), "message: {message}")
-            }
-            other => panic!("expected ModelPanic, got {other}"),
-        }
-    }
-
-    #[test]
-    fn pipeline_window_invariant_holds_on_every_schedule() {
-        let report = pipeline_window_model(4, 2).expect("bounded window is clean");
-        assert_eq!(report.output, vec![0, 1, 2, 3], "folds in pipeline order");
     }
 }

@@ -639,7 +639,7 @@ pub fn rule_target_feature_dispatch(
 /// Finds `unwrap()` / `expect(` / `panic!` in non-test code of a
 /// fault-recovery file. Unlike the hot-path rule there is no allowlist
 /// escape hatch: every failure a recovery path can see must flow into a
-/// typed [`FabricError`]-style result.
+/// typed `FabricError`-style result.
 pub fn rule_no_panic_recovery_path(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if !RECOVERY_PATH_FILES.contains(&ctx.path) {
         return;

@@ -1,6 +1,6 @@
 //! Topology-tree scaling sweep: 4→1024 workers, four exchange modes.
 //!
-//! Runs [`toposcale::run`] over radix-4 switch trees of growing depth
+//! Runs [`toposcale::run`](inceptionn::experiments::toposcale::run) over radix-4 switch trees of growing depth
 //! (4:1 core oversubscription) for the flat worker/aggregator, the flat
 //! ring, tiered rings over the topology tree, and switch-resident
 //! in-network reduction, then writes the fig12-style curves to

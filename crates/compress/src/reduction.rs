@@ -9,7 +9,7 @@
 //!   residual is added to the next iteration's gradient);
 //! * **TernGrad** (Wen et al., NIPS'17) — stochastic ternarization to
 //!   `{-s, 0, +s}` with `s = max|g|`;
-//! * **QSGD** (Alistarh et al., NIPS'17 — the paper's citation [27]) —
+//! * **QSGD** (Alistarh et al., NIPS'17 — the paper's citation \[27\]) —
 //!   stochastic uniform quantization against per-chunk L2 norms;
 //! * **Deep Gradient Compression**-style top-k sparsification (Lin et
 //!   al., ICLR'18) — only the largest-magnitude fraction of gradients is
@@ -253,7 +253,7 @@ impl GradientReduction for TopK {
     }
 }
 
-/// QSGD (Alistarh et al., NIPS'17 — the paper's citation [27]):
+/// QSGD (Alistarh et al., NIPS'17 — the paper's citation \[27\]):
 /// stochastic uniform quantization to `s` levels per chunk-norm,
 /// `Q(g) = ‖g‖₂ · sign(g) · ξ(g, s)` with `ξ` the stochastically rounded
 /// level. Wire cost modeled as the dense code (sign + level per value

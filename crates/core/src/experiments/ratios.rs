@@ -134,7 +134,7 @@ pub fn fig14_accuracy(model: ProxyModel, fidelity: Fidelity, seed: u64) -> Vec<A
 
 /// Reproduces Fig. 14(a) *on the wire*: instead of asking the software
 /// codec for its output size, every stream is pushed through the
-/// modeled NIC datapath ([`NicFabric`]) and the ratio is read off the
+/// modeled NIC datapath (`NicFabric`) and the ratio is read off the
 /// transport counters — payload bytes in over post-compression packet
 /// payload bytes out. Slightly below [`fig14_ratios`] because each MTU
 /// packet is compressed independently (per-packet byte alignment), which

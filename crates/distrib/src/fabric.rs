@@ -13,14 +13,15 @@
 //!   round trip on the burst-vectorized, sharded
 //!   [`ParallelCodec`] fast path (elementwise codec, so the values are
 //!   identical to the scalar reference). Fast, bit-exact baseline.
-//! * [`NicFabric`] — the real datapath: every payload is cut into MTU
-//!   packets and pushed through `inceptionn-nicsim`'s compression /
-//!   decompression engines, so the bytes "on the wire" are the actual
-//!   INCEPTIONN encoding and engine cycles are accounted. Per-packet
-//!   hardware compression composes to exactly the same values as the
-//!   whole-stream software quantization, so [`NicFabric`] and
-//!   [`InProcessFabric`] agree bit for bit — a property the cross-crate
-//!   tests pin.
+//! * [`NicFabric`] — the real datapath: every payload is cut into
+//!   MTU-sized chunks and pushed through `inceptionn-nicsim`'s
+//!   compression / decompression engines into one flat wire image
+//!   ([`FrameBody::Flat`], the only NIC body), so the bytes "on the
+//!   wire" are the actual INCEPTIONN encoding and engine cycles are
+//!   accounted. Per-packet hardware compression composes to exactly the
+//!   same values as the whole-stream software quantization, so
+//!   [`NicFabric`] and [`InProcessFabric`] agree bit for bit — a
+//!   property the cross-crate tests pin.
 //! * [`TimedFabric`] — wraps either of the above and charges
 //!   `inceptionn-netsim` serialization + store-and-forward latency per
 //!   transfer, accumulated per source link.
@@ -36,8 +37,8 @@ use inceptionn_compress::{
 };
 use inceptionn_netsim::{LinkRateSchedule, NetworkConfig, TierMap, Topology};
 use inceptionn_nicsim::{
-    decode_payload_flat, decode_payload_into, encode_payload_flat, engine, switchagg, FlatPayload,
-    FlatSeg, FlatTrace, NicConfig, NicPipeline, Packet, SketchSwitchUnit, SwitchReducer,
+    decode_payload_flat, encode_payload_flat, engine, switchagg, FlatPayload, FlatSeg, FlatTrace,
+    NicConfig, NicPipeline, Packet, SketchSwitchUnit, SwitchReducer,
 };
 use obs::{labels, Domain, Event, EventBuf, Recorder};
 
@@ -59,28 +60,30 @@ pub enum PayloadKind {
 }
 
 /// The payload of a [`WireFrame`]: either the in-process value shortcut
-/// or real NIC datapath packets.
+/// or the NIC datapath's flat wire image.
 #[derive(Debug, Clone)]
 pub enum FrameBody {
     /// In-process shortcut: the (possibly quantized) values themselves.
     Loopback(Vec<f32>),
-    /// Real NIC datapath output: ToS-tagged MTU packets whose payloads
-    /// are the hardware-encoded bytes.
+    /// One refcounted buffer per MTU packet. No frame can carry this
+    /// body: nothing constructs it, and every fabric rejects it as a
+    /// [`FabricError::FrameMismatch`]. Only the name remains, pinned by
+    /// the repository benchmark until ROADMAP item 1c removes it.
     Packets(Vec<Packet>),
-    /// Real NIC datapath output in flat form: the same hardware-encoded
-    /// bytes as [`FrameBody::Packets`], segment for segment, but laid
-    /// back to back in one reusable buffer — the representation the
-    /// zero-allocation steady state of the pipelined exchanges runs on.
+    /// Real NIC datapath output: the hardware-encoded bytes of every MTU
+    /// segment laid back to back in one reusable buffer, with a
+    /// per-segment descriptor table — the one NIC wire body, and the
+    /// representation the zero-allocation steady state of the pipelined
+    /// exchanges runs on.
     Flat(FlatPayload),
 }
 
 /// The integrity tag of a body: CRC-32 over its wire serialisation —
-/// loopback values as little-endian `f32`s; per packet the ToS byte, the
-/// value count as a `u64` (`u64::MAX` for plain) and the payload; for a
-/// flat payload every 17-byte segment descriptor (`compressed`,
-/// `value_count`, `wire_bytes`, the integers as little-endian `u64`s),
-/// then the wire bytes. Small fields are staged through stack buffers so
-/// the kernel is fed long runs, never a field at a time.
+/// loopback values as little-endian `f32`s; for a flat payload every
+/// 17-byte segment descriptor (`compressed`, `value_count`,
+/// `wire_bytes`, the integers as little-endian `u64`s), then the wire
+/// bytes. Small fields are staged through stack buffers so the kernel is
+/// fed long runs, never a field at a time.
 fn crc_of(body: &FrameBody) -> u32 {
     let mut c = Crc32::new();
     match body {
@@ -93,21 +96,9 @@ fn crc_of(body: &FrameBody) -> u32 {
                 c.update(&buf[..run.len() * 4]);
             }
         }
-        FrameBody::Packets(packets) => {
-            // The 9-byte header rides in front of the payload's leading
-            // bytes, so even it reaches the kernel as one 64-byte run.
-            const HEADER: usize = 9;
-            let mut buf = [0u8; 64];
-            for p in packets {
-                let count = p.value_count.map_or(u64::MAX, |n| n as u64);
-                buf[0] = p.tos;
-                buf[1..HEADER].copy_from_slice(&count.to_le_bytes());
-                let lead = p.payload.len().min(buf.len() - HEADER);
-                buf[HEADER..HEADER + lead].copy_from_slice(&p.payload[..lead]);
-                c.update(&buf[..HEADER + lead]);
-                c.update(&p.payload[lead..]);
-            }
-        }
+        // No constructor takes this body, so no frame carries one:
+        // nothing to hash.
+        FrameBody::Packets(_) => {}
         FrameBody::Flat(payload) => {
             let mut buf = [0u8; 17 * 64];
             for run in payload.segs.chunks(64) {
@@ -126,9 +117,11 @@ fn crc_of(body: &FrameBody) -> u32 {
 
 /// An encoded payload in flight between two endpoints: a source-address
 /// header, a frame-level CRC-32 integrity tag, a compression marker, and
-/// the body.
+/// the body — loopback values ([`loopback`](Self::loopback)) or the NIC
+/// datapath's flat wire image ([`flat`](Self::flat)); there is no other
+/// constructor.
 ///
-/// The tag covers the body only — it rides *next to* the packet payload
+/// The tag covers the body only — it rides *next to* the payload
 /// bytes, like an Ethernet FCS, so wire-byte and serialization
 /// accounting are unchanged by its presence. Delivery verifies it before
 /// any bytes reach the receive engines; fault decorators that perturb a
@@ -173,22 +166,8 @@ impl WireFrame {
         }
     }
 
-    /// A packet frame from endpoint `src`. The compression marker is
-    /// read off the first packet's ToS classification.
-    pub fn packets(src: usize, packets: Vec<Packet>) -> Self {
-        let compressed = packets.first().is_some_and(|p| p.value_count.is_some());
-        let body = FrameBody::Packets(packets);
-        WireFrame {
-            src,
-            crc: crc_of(&body),
-            compressed,
-            body,
-        }
-    }
-
     /// A flat-datapath frame from endpoint `src`. The compression
-    /// marker is read off the first segment's classification, mirroring
-    /// [`packets`](Self::packets).
+    /// marker is read off the first segment's classification.
     pub fn flat(src: usize, payload: FlatPayload) -> Self {
         let compressed = payload.is_compressed();
         let body = FrameBody::Flat(payload);
@@ -283,7 +262,7 @@ impl FrameArena {
 /// A delivery failure at a fabric endpoint.
 ///
 /// Transports are typed about what they carry: the loopback shortcut
-/// moves `f32` vectors, the NIC datapath moves encoded packets. Handing
+/// moves `f32` vectors, the NIC datapath moves encoded segments. Handing
 /// a frame to the wrong transport — or bytes the receive engines cannot
 /// decode — is reported here instead of tearing down the process, so
 /// an exchange can surface the fault through its `Result` and the
@@ -291,7 +270,7 @@ impl FrameArena {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
     /// A frame of the wrong wire format reached this fabric (e.g. a
-    /// packet frame delivered to the loopback transport).
+    /// flat NIC frame delivered to the loopback transport).
     FrameMismatch {
         /// The transport that rejected the frame.
         fabric: &'static str,
@@ -430,7 +409,7 @@ pub trait Fabric: Send {
     /// Encodes `values` at endpoint `src` **into** a caller-owned frame
     /// — the zero-copy seam: production transports serialize straight
     /// into the frame's existing body allocation (the loopback value
-    /// vector, or the packet vector) instead of materializing a fresh
+    /// vector, or the flat wire buffer) instead of materializing a fresh
     /// one per leg. The resulting frame is identical to what
     /// [`encode`](Fabric::encode) returns; pair with a [`FrameArena`]
     /// to recycle frames across exchange legs. The default falls back
@@ -1196,12 +1175,14 @@ impl Fabric for InProcessFabric {
 }
 
 /// The real datapath: every payload traverses the nicsim compression /
-/// decompression engines and packet chunker, so wire bytes are the
+/// decompression engines MTU chunk by MTU chunk, so wire bytes are the
 /// actual INCEPTIONN encoding and engine cycles are accounted.
 ///
-/// Each endpoint owns a [`NicPipeline`] (its NIC). Lossless mode tags
-/// packets as plain traffic, which bypasses the engines but still ships
-/// the real little-endian bytes.
+/// Each endpoint owns a [`NicPipeline`] (its NIC). Every frame carries
+/// one [`FrameBody::Flat`] wire image; any other body is a typed
+/// [`FabricError::FrameMismatch`]. Lossless mode marks segments as plain
+/// traffic, which bypasses the engines but still ships the real
+/// little-endian bytes.
 #[derive(Debug, Clone)]
 pub struct NicFabric {
     nics: Vec<NicPipeline>,
@@ -1275,6 +1256,17 @@ fn segment_codec_frame(wire: &mut FlatPayload, values: usize) {
     }
 }
 
+/// The flat wire image of a frame handed to the NIC datapath, or the
+/// typed mismatch for a body it does not carry.
+fn flat_body(frame: &WireFrame) -> Result<&FlatPayload, FabricError> {
+    let got = match frame.body() {
+        FrameBody::Flat(payload) => return Ok(payload),
+        FrameBody::Loopback(_) => "loopback",
+        FrameBody::Packets(_) => "packet",
+    };
+    Err(FabricError::FrameMismatch { fabric: "NIC", got })
+}
+
 impl NicFabric {
     /// The real constructor, reached through [`FabricBuilder`].
     pub(crate) fn assemble(endpoints: usize, codec: CodecSelection, recorder: &Recorder) -> Self {
@@ -1322,7 +1314,7 @@ impl NicFabric {
     }
 
     /// The truncation-engine bound, when this fabric runs the engine
-    /// family (the reduce-unit and packet paths only exist there).
+    /// family (the dense reduce unit only exists there).
     fn engine_bound(&self) -> Option<ErrorBound> {
         match &self.family {
             NicCodec::Engine(b) => *b,
@@ -1334,6 +1326,36 @@ impl NicFabric {
     /// byte payloads (sparse/sketch) rather than engine-burst segments.
     fn codec_frame_family(&self) -> bool {
         matches!(self.family, NicCodec::Sparse { .. } | NicCodec::Sketch(_))
+    }
+
+    /// Makes one switch fold observable. The reduce unit's cycles belong
+    /// to the switch, not to any endpoint's NIC engines, so they surface
+    /// as `switch/reduce` spans on the switch clock rather than as
+    /// engine-cycle stats.
+    fn record_switch_fold(&mut self, src: usize, payload: &FlatPayload, cycles: u64) {
+        if !self.buf.is_on() {
+            return;
+        }
+        let track = src as u32;
+        if cycles > 0 {
+            self.buf.push(Event::complete(
+                labels::SWITCH_REDUCE,
+                Domain::Cycles,
+                track,
+                payload.segs.len() as u32,
+                self.switch_clock,
+                cycles,
+            ));
+        }
+        self.buf.push(Event::count(
+            labels::SWITCH_REDUCE_BYTES,
+            Domain::Cycles,
+            track,
+            0,
+            self.switch_clock,
+            payload.wire_bytes(),
+        ));
+        self.switch_clock += cycles;
     }
 }
 
@@ -1462,142 +1484,73 @@ impl Fabric for NicFabric {
         if !frame.integrity_ok() {
             return Err(FabricError::Integrity { src: frame.src() });
         }
-        match frame.body() {
-            FrameBody::Loopback(_) => Err(FabricError::FrameMismatch {
-                fabric: "NIC",
-                got: "loopback",
-            }),
-            FrameBody::Packets(packets) => {
-                let bursts_before = self.nics[dst].stats().rx_bursts;
-                let mut values = std::mem::take(&mut self.scratch);
-                let decoded = decode_payload_into(&mut self.nics[dst], packets, &mut values);
-                let (_ns, cycles) = match decoded {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        self.scratch = values;
-                        return Err(e.into());
-                    }
-                };
-                self.stats.engine_cycles += cycles;
-                if self.buf.is_on() {
-                    let track = dst as u32;
-                    if cycles > 0 {
-                        self.buf.push(Event::complete(
-                            labels::NIC_DECOMPRESS,
-                            Domain::Cycles,
-                            track,
-                            packets.len() as u32,
-                            self.clock[dst],
-                            cycles,
-                        ));
-                    }
-                    let bursts = self.nics[dst].stats().rx_bursts - bursts_before;
-                    if bursts > 0 {
-                        self.buf.push(Event::count(
-                            labels::NIC_RX_BURSTS,
-                            Domain::Cycles,
-                            track,
-                            0,
-                            self.clock[dst],
-                            bursts,
-                        ));
-                    }
-                    self.clock[dst] += cycles;
-                }
-                sink(&values);
-                self.scratch = values;
-                Ok(())
+        let payload = flat_body(frame)?;
+        let bursts_before = self.nics[dst].stats().rx_bursts;
+        let mut values = std::mem::take(&mut self.scratch);
+        let decoded = if frame.is_compressed() && self.codec_frame_family() {
+            // Sparse/sketch gradient frames: one self-describing byte
+            // frame, contiguous across the MTU segments, with the
+            // codec's own decoder and cycle model. Truncation (the
+            // poison fault) fails the frame-length checks and surfaces
+            // as a typed decode error.
+            let n = payload.value_count();
+            values.clear();
+            values.resize(n, 0.0);
+            if let NicCodec::Sparse { .. } = &self.family {
+                sparse::decode_frame(&payload.bytes, &mut values).map(|()| {
+                    let pairs = payload
+                        .bytes
+                        .len()
+                        .saturating_sub(sparse::FRAME_HEADER_BYTES)
+                        / sparse::PAIR_BYTES;
+                    engine::sparse_decode_cycles(n, pairs)
+                })
+            } else {
+                sketch::decode_frame(&payload.bytes, &mut values)
+                    .map(|()| engine::sketch_decode_cycles(n, payload.bytes.len()))
             }
-            FrameBody::Flat(payload) if frame.is_compressed() && self.codec_frame_family() => {
-                // Sparse/sketch gradient frames: one self-describing
-                // byte frame, contiguous across the MTU segments, with
-                // the codec's own decoder and cycle model. Truncation
-                // (the poison fault) fails the frame-length checks and
-                // surfaces as a typed decode error.
-                let n = payload.value_count();
-                let mut values = std::mem::take(&mut self.scratch);
-                values.clear();
-                values.resize(n, 0.0);
-                let cycles = match &self.family {
-                    NicCodec::Sparse { .. } => {
-                        if let Err(e) = sparse::decode_frame(&payload.bytes, &mut values) {
-                            self.scratch = values;
-                            return Err(e.into());
-                        }
-                        let pairs = payload
-                            .bytes
-                            .len()
-                            .saturating_sub(sparse::FRAME_HEADER_BYTES)
-                            / sparse::PAIR_BYTES;
-                        engine::sparse_decode_cycles(n, pairs)
-                    }
-                    _ => {
-                        if let Err(e) = sketch::decode_frame(&payload.bytes, &mut values) {
-                            self.scratch = values;
-                            return Err(e.into());
-                        }
-                        engine::sketch_decode_cycles(n, payload.bytes.len())
-                    }
-                };
-                self.stats.engine_cycles += cycles;
-                if self.buf.is_on() {
-                    let track = dst as u32;
-                    self.buf.push(Event::complete(
-                        labels::NIC_DECOMPRESS,
-                        Domain::Cycles,
-                        track,
-                        payload.segs.len() as u32,
-                        self.clock[dst],
-                        cycles,
-                    ));
-                    self.clock[dst] += cycles;
-                }
-                sink(&values);
+        } else {
+            decode_payload_flat(&mut self.nics[dst], payload, &mut values)
+                .map(|(_ns, cycles)| cycles)
+        };
+        let cycles = match decoded {
+            Ok(cycles) => cycles,
+            Err(e) => {
                 self.scratch = values;
-                Ok(())
+                return Err(e.into());
             }
-            FrameBody::Flat(payload) => {
-                let bursts_before = self.nics[dst].stats().rx_bursts;
-                let mut values = std::mem::take(&mut self.scratch);
-                let decoded = decode_payload_flat(&mut self.nics[dst], payload, &mut values);
-                let (_ns, cycles) = match decoded {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        self.scratch = values;
-                        return Err(e.into());
-                    }
-                };
-                self.stats.engine_cycles += cycles;
-                if self.buf.is_on() {
-                    let track = dst as u32;
-                    if cycles > 0 {
-                        self.buf.push(Event::complete(
-                            labels::NIC_DECOMPRESS,
-                            Domain::Cycles,
-                            track,
-                            payload.segs.len() as u32,
-                            self.clock[dst],
-                            cycles,
-                        ));
-                    }
-                    let bursts = self.nics[dst].stats().rx_bursts - bursts_before;
-                    if bursts > 0 {
-                        self.buf.push(Event::count(
-                            labels::NIC_RX_BURSTS,
-                            Domain::Cycles,
-                            track,
-                            0,
-                            self.clock[dst],
-                            bursts,
-                        ));
-                    }
-                    self.clock[dst] += cycles;
-                }
-                sink(&values);
-                self.scratch = values;
-                Ok(())
+        };
+        self.stats.engine_cycles += cycles;
+        if self.buf.is_on() {
+            let track = dst as u32;
+            if cycles > 0 {
+                self.buf.push(Event::complete(
+                    labels::NIC_DECOMPRESS,
+                    Domain::Cycles,
+                    track,
+                    payload.segs.len() as u32,
+                    self.clock[dst],
+                    cycles,
+                ));
             }
+            // The codec-frame decoders never enter the NIC pipeline, so
+            // only engine-burst payloads move this counter.
+            let bursts = self.nics[dst].stats().rx_bursts - bursts_before;
+            if bursts > 0 {
+                self.buf.push(Event::count(
+                    labels::NIC_RX_BURSTS,
+                    Domain::Cycles,
+                    track,
+                    0,
+                    self.clock[dst],
+                    bursts,
+                ));
+            }
+            self.clock[dst] += cycles;
         }
+        sink(&values);
+        self.scratch = values;
+        Ok(())
     }
 
     fn stats(&self) -> FabricStats {
@@ -1628,132 +1581,43 @@ impl Fabric for NicFabric {
         if !frame.integrity_ok() {
             return Err(FabricError::Integrity { src: frame.src() });
         }
-        match frame.body() {
-            FrameBody::Loopback(_) => Err(FabricError::FrameMismatch {
-                fabric: "NIC",
-                got: "loopback",
-            }),
-            FrameBody::Packets(packets) => {
-                // The switch's reduce unit decodes and folds the
-                // contribution; its cycles belong to the switch, not to
-                // any endpoint's NIC engines, so they are observable as
-                // `switch/reduce` spans rather than engine-cycle stats.
-                let mut unit = match self.engine_bound() {
-                    Some(bound) => SwitchReducer::with_codec(acc.len(), bound),
-                    None => SwitchReducer::plain(acc.len()),
-                };
-                unit.fold_contribution(packets)?;
-                for (a, &v) in acc.iter_mut().zip(unit.sum()) {
+        let payload = flat_body(frame)?;
+        let cycles = if payload.is_compressed() && self.codec_frame_family() {
+            // Codec-framed contributions skip the engine reduce unit:
+            // the switch folds the frame bytes natively. Sparse frames
+            // are streamed pair-adds into the dense accumulator (only
+            // the nnz pairs cost lanes); sketch frames fold through a
+            // one-shot sketch unit, since this legacy dense-`acc` entry
+            // point cannot hold integer cells across contributions —
+            // the `switch_accum`/`switch_fold_into` seam does.
+            if let NicCodec::Sketch(c) = &self.family {
+                let mut unit = SketchSwitchUnit::new(acc.len(), c.frac_bits());
+                unit.fold_frame(&payload.bytes)?;
+                let mut tmp = vec![0.0f32; acc.len()];
+                unit.finish_into(&mut tmp);
+                for (a, v) in acc.iter_mut().zip(tmp) {
                     *a += v;
                 }
-                if self.buf.is_on() {
-                    let track = frame.src() as u32;
-                    let cycles = unit.cycles();
-                    let wire: u64 = packets.iter().map(|p| p.payload.len() as u64).sum();
-                    if cycles > 0 {
-                        self.buf.push(Event::complete(
-                            labels::SWITCH_REDUCE,
-                            Domain::Cycles,
-                            track,
-                            packets.len() as u32,
-                            self.switch_clock,
-                            cycles,
-                        ));
-                    }
-                    self.buf.push(Event::count(
-                        labels::SWITCH_REDUCE_BYTES,
-                        Domain::Cycles,
-                        track,
-                        0,
-                        self.switch_clock,
-                        wire,
-                    ));
-                    self.switch_clock += cycles;
-                }
-                Ok(())
+                unit.cycles()
+            } else {
+                let nnz = sparse::fold_frame(&payload.bytes, acc.len(), |i, v| acc[i] += v)?;
+                switchagg::sparse_fold_cycles(nnz as u64)
             }
-            FrameBody::Flat(payload) if payload.is_compressed() && self.codec_frame_family() => {
-                // Codec-framed contributions skip the engine reduce unit:
-                // the switch folds the frame bytes natively. Sparse frames
-                // are streamed pair-adds into the dense accumulator (only
-                // the nnz pairs cost lanes); sketch frames fold through a
-                // one-shot sketch unit, since this legacy dense-`acc` entry
-                // point cannot hold integer cells across contributions —
-                // the `switch_accum`/`switch_fold_into` seam does.
-                let wire = payload.wire_bytes();
-                let cycles = if let NicCodec::Sketch(c) = &self.family {
-                    let mut unit = SketchSwitchUnit::new(acc.len(), c.frac_bits());
-                    unit.fold_frame(&payload.bytes)?;
-                    let mut tmp = vec![0.0f32; acc.len()];
-                    unit.finish_into(&mut tmp);
-                    for (a, v) in acc.iter_mut().zip(tmp) {
-                        *a += v;
-                    }
-                    unit.cycles()
-                } else {
-                    let nnz = sparse::fold_frame(&payload.bytes, acc.len(), |i, v| acc[i] += v)?;
-                    switchagg::sparse_fold_cycles(nnz as u64)
-                };
-                if self.buf.is_on() {
-                    let track = frame.src() as u32;
-                    if cycles > 0 {
-                        self.buf.push(Event::complete(
-                            labels::SWITCH_REDUCE,
-                            Domain::Cycles,
-                            track,
-                            payload.segs.len() as u32,
-                            self.switch_clock,
-                            cycles,
-                        ));
-                    }
-                    self.buf.push(Event::count(
-                        labels::SWITCH_REDUCE_BYTES,
-                        Domain::Cycles,
-                        track,
-                        0,
-                        self.switch_clock,
-                        wire,
-                    ));
-                    self.switch_clock += cycles;
-                }
-                Ok(())
+        } else {
+            // The switch's reduce unit decodes and folds the
+            // contribution.
+            let mut unit = match self.engine_bound() {
+                Some(bound) => SwitchReducer::with_codec(acc.len(), bound),
+                None => SwitchReducer::plain(acc.len()),
+            };
+            unit.fold_flat_contribution(payload)?;
+            for (a, &v) in acc.iter_mut().zip(unit.sum()) {
+                *a += v;
             }
-            FrameBody::Flat(payload) => {
-                let mut unit = match self.engine_bound() {
-                    Some(bound) => SwitchReducer::with_codec(acc.len(), bound),
-                    None => SwitchReducer::plain(acc.len()),
-                };
-                unit.fold_flat_contribution(payload)?;
-                for (a, &v) in acc.iter_mut().zip(unit.sum()) {
-                    *a += v;
-                }
-                if self.buf.is_on() {
-                    let track = frame.src() as u32;
-                    let cycles = unit.cycles();
-                    let wire = payload.wire_bytes();
-                    if cycles > 0 {
-                        self.buf.push(Event::complete(
-                            labels::SWITCH_REDUCE,
-                            Domain::Cycles,
-                            track,
-                            payload.segs.len() as u32,
-                            self.switch_clock,
-                            cycles,
-                        ));
-                    }
-                    self.buf.push(Event::count(
-                        labels::SWITCH_REDUCE_BYTES,
-                        Domain::Cycles,
-                        track,
-                        0,
-                        self.switch_clock,
-                        wire,
-                    ));
-                    self.switch_clock += cycles;
-                }
-                Ok(())
-            }
-        }
+            unit.cycles()
+        };
+        self.record_switch_fold(frame.src(), payload, cycles);
+        Ok(())
     }
 
     fn switch_accum(&mut self, len: usize) -> SwitchAccum {
@@ -1775,53 +1639,22 @@ impl Fabric for NicFabric {
         if !frame.integrity_ok() {
             return Err(FabricError::Integrity { src: frame.src() });
         }
-        match frame.body() {
-            FrameBody::Flat(payload) if frame.is_compressed() && payload.is_compressed() => {
-                // Native in-network sketch fold: the switch adds integer
-                // cells straight off the frame bytes, never widening to
-                // f32. The cycle delta the unit reports is switch time,
-                // observable under the same `switch/reduce` labels as the
-                // engine reduce unit.
-                let before = unit.cycles();
-                unit.fold_frame(&payload.bytes)?;
-                let cycles = unit.cycles() - before;
-                if self.buf.is_on() {
-                    let track = frame.src() as u32;
-                    if cycles > 0 {
-                        self.buf.push(Event::complete(
-                            labels::SWITCH_REDUCE,
-                            Domain::Cycles,
-                            track,
-                            payload.segs.len() as u32,
-                            self.switch_clock,
-                            cycles,
-                        ));
-                    }
-                    self.buf.push(Event::count(
-                        labels::SWITCH_REDUCE_BYTES,
-                        Domain::Cycles,
-                        track,
-                        0,
-                        self.switch_clock,
-                        payload.wire_bytes(),
-                    ));
-                    self.switch_clock += cycles;
-                }
-                Ok(())
-            }
-            FrameBody::Flat(_) => Err(FabricError::FrameMismatch {
+        let payload = flat_body(frame)?;
+        if !(frame.is_compressed() && payload.is_compressed()) {
+            return Err(FabricError::FrameMismatch {
                 fabric: "sketch switch unit",
                 got: "plain flat frame",
-            }),
-            FrameBody::Packets(_) => Err(FabricError::FrameMismatch {
-                fabric: "sketch switch unit",
-                got: "packets",
-            }),
-            FrameBody::Loopback(_) => Err(FabricError::FrameMismatch {
-                fabric: "NIC",
-                got: "loopback",
-            }),
+            });
         }
+        // Native in-network sketch fold: the switch adds integer cells
+        // straight off the frame bytes, never widening to f32. The cycle
+        // delta the unit reports is switch time, observable under the
+        // same `switch/reduce` labels as the engine reduce unit.
+        let before = unit.cycles();
+        unit.fold_frame(&payload.bytes)?;
+        let cycles = unit.cycles() - before;
+        self.record_switch_fold(frame.src(), payload, cycles);
+        Ok(())
     }
 
     fn begin_iteration(&mut self, _iteration: u64) {
@@ -2498,17 +2331,16 @@ mod tests {
         (0..3001).map(|i| (i as f32 - 1500.0) / 16384.0).collect()
     }
 
-    /// One frame per body kind over [`ramp`], lossless (`None`) or
-    /// through engines programmed to `bound`.
-    fn nic_frames(bound: Option<ErrorBound>) -> (WireFrame, WireFrame) {
+    /// The NIC frame over [`ramp`], lossless (`None`) or through engines
+    /// programmed to `bound`.
+    fn nic_frame(bound: Option<ErrorBound>) -> WireFrame {
         let mut tx = NicPipeline::new(NicConfig {
             bound: bound.unwrap_or_default(),
             ..NicConfig::default()
         });
-        let (packets, _) = inceptionn_nicsim::encode_payload(&mut tx, &ramp(), bound.is_some());
         let mut flat = FlatPayload::new();
         encode_payload_flat(&mut tx, &ramp(), bound.is_some(), &mut flat);
-        (WireFrame::packets(2, packets), WireFrame::flat(2, flat))
+        WireFrame::flat(2, flat)
     }
 
     #[test]
@@ -2519,12 +2351,9 @@ mod tests {
         // constants can.
         assert_eq!(WireFrame::empty().crc(), 0);
         assert_eq!(WireFrame::loopback(2, ramp(), true).crc(), 0x2496_3134);
-        let (packets, flat) = nic_frames(None);
-        assert_eq!(packets.crc(), 0x489A_5C4B);
-        assert_eq!(flat.crc(), 0xDF2B_1E82);
-        let (packets, flat) = nic_frames(Some(ErrorBound::pow2(8)));
-        assert!(packets.is_compressed() && flat.is_compressed());
-        assert_eq!(packets.crc(), 0xEA8E_CC96);
+        assert_eq!(nic_frame(None).crc(), 0xDF2B_1E82);
+        let flat = nic_frame(Some(ErrorBound::pow2(8)));
+        assert!(flat.is_compressed());
         assert_eq!(flat.crc(), 0x76DD_4AA5);
     }
 
@@ -2546,7 +2375,7 @@ mod tests {
         }
 
         let mut nic = build(TransportKind::Nic, 3, None);
-        let (_, frame) = nic_frames(None);
+        let frame = nic_frame(None);
         nic.deliver(1, &frame, &mut |_| {}).expect("intact frame");
         let FrameBody::Flat(payload) = frame.body() else {
             panic!("flat frame expected");

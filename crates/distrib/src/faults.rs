@@ -422,22 +422,9 @@ impl FaultyFabric {
                 }
                 frame.with_perturbed_body(FrameBody::Loopback(flipped))
             }
-            FrameBody::Packets(packets) => {
-                let mut packets = packets.clone();
-                if !packets.is_empty() {
-                    let i = pos(packets.len());
-                    let bit = draw_index(
-                        self.plan.seed,
-                        src,
-                        dst,
-                        seq,
-                        SALT_POSITION ^ 1,
-                        packets[i].payload.len().max(1) * 8,
-                    );
-                    packets[i] = packets[i].with_bit_flipped(bit);
-                }
-                frame.with_perturbed_body(FrameBody::Packets(packets))
-            }
+            // No fabric carries this body: handed on unperturbed, the
+            // inner one rejects it (likewise in the two methods below).
+            FrameBody::Packets(_) => frame.clone(),
             FrameBody::Flat(payload) => {
                 let mut payload = payload.clone();
                 payload.flip_bit(pos(payload.bytes.len().max(1) * 8));
@@ -446,7 +433,7 @@ impl FaultyFabric {
         }
     }
 
-    /// The frame with two packets (or values) swapped, CRC stale: the
+    /// The frame with two segments (or values) swapped, CRC stale: the
     /// tag covers order, so the gate catches the reorder.
     fn reordered(&self, frame: &WireFrame, seq: u64, dst: usize) -> WireFrame {
         let src = frame.src();
@@ -460,15 +447,7 @@ impl FaultyFabric {
                 }
                 frame.with_perturbed_body(FrameBody::Loopback(values))
             }
-            FrameBody::Packets(packets) => {
-                let mut packets = packets.clone();
-                if packets.len() >= 2 {
-                    let i = draw_index(self.plan.seed, src, dst, seq, SALT_POSITION, packets.len());
-                    let j = (i + 1) % packets.len();
-                    packets.swap(i, j);
-                }
-                frame.with_perturbed_body(FrameBody::Packets(packets))
-            }
+            FrameBody::Packets(_) => frame.clone(),
             FrameBody::Flat(payload) => {
                 let mut payload = payload.clone();
                 if payload.segs.len() >= 2 {
@@ -497,22 +476,7 @@ impl FaultyFabric {
         sink: &mut dyn FnMut(&[f32]),
     ) -> Result<(), FabricError> {
         match frame.body() {
-            FrameBody::Packets(packets) => {
-                let mut packets = packets.clone();
-                if let Some(i) = packets.iter().position(|p| p.value_count.is_some()) {
-                    let keep = packets[i].payload.len() / 2;
-                    packets[i] = packets[i].truncated(keep);
-                }
-                // Rebuilt (not perturbed), so the CRC is fresh: this
-                // fault models sender-side damage before framing.
-                let poisoned = WireFrame::packets(frame.src(), packets);
-                match self.inner.deliver(dst, &poisoned, sink) {
-                    // A lossless stream has no decode step; an undamaged
-                    // delivery is simply a miss for this fault.
-                    Ok(()) => Ok(()),
-                    Err(e) => Err(e),
-                }
-            }
+            FrameBody::Packets(_) => self.inner.deliver(dst, frame, sink),
             FrameBody::Flat(payload) => {
                 let mut payload = payload.clone();
                 if let Some(i) = payload.segs.iter().position(|s| s.compressed) {

@@ -44,10 +44,8 @@
 pub mod data;
 pub mod layer;
 pub mod loss;
-pub mod metrics;
 pub mod models;
 pub mod network;
-pub mod norm;
 pub mod optim;
 pub mod profile;
 

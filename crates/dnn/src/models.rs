@@ -6,7 +6,6 @@ use rand::SeedableRng;
 
 use crate::layer::{Conv2d, Dropout, Flatten, Linear, MaxPool2d, Relu};
 use crate::network::Network;
-use crate::norm::LocalResponseNorm;
 
 /// Number of classes in the digit task.
 pub const DIGIT_CLASSES: usize = 10;
@@ -75,36 +74,6 @@ pub fn mini_cnn(seed: u64) -> Network {
     Network::new(layers)
 }
 
-/// A structurally faithful miniature of AlexNet: conv → LRN → pool
-/// stages followed by dropout-regularized fully connected layers —
-/// AlexNet's published block structure (including its Local Response
-/// Normalization) scaled to 28×28 inputs.
-pub fn mini_alexnet(seed: u64) -> Network {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let layers: Vec<Box<dyn crate::layer::Layer>> = vec![
-        // Stage 1: conv + ReLU + LRN + overlapping max pool.
-        Box::new(Conv2d::new(&mut rng, ConvSpec::new(1, 12, 5, 1, 2))),
-        Box::new(Relu::new()),
-        Box::new(LocalResponseNorm::alexnet()),
-        Box::new(MaxPool2d::new(PoolSpec::new(3, 2))), // 28 -> 13
-        // Stage 2.
-        Box::new(Conv2d::new(&mut rng, ConvSpec::new(12, 24, 5, 1, 2))),
-        Box::new(Relu::new()),
-        Box::new(LocalResponseNorm::alexnet()),
-        Box::new(MaxPool2d::new(PoolSpec::new(3, 2))), // 13 -> 6
-        // Classifier: dropout + two FC layers + readout.
-        Box::new(Flatten::new()),
-        Box::new(Dropout::new(0.5, seed.wrapping_add(11))),
-        Box::new(Linear::new(&mut rng, 24 * 6 * 6, 192)),
-        Box::new(Relu::new()),
-        Box::new(Dropout::new(0.5, seed.wrapping_add(12))),
-        Box::new(Linear::new(&mut rng, 192, 96)),
-        Box::new(Relu::new()),
-        Box::new(Linear::new(&mut rng, 96, DIGIT_CLASSES)),
-    ];
-    Network::new(layers)
-}
-
 /// A tiny two-layer MLP over the digit inputs (784 → 32 → 10), for
 /// tests that need digit-shaped data without HDC-scale cost.
 pub fn tiny_mlp_for_digits() -> Network {
@@ -163,24 +132,6 @@ mod tests {
         assert_eq!(g.len(), net.param_count());
         assert!(g.iter().any(|&v| v != 0.0));
         assert!(g.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn mini_alexnet_forward_backward_and_learning_signal() {
-        let mut net = mini_alexnet(4);
-        let x = Tensor::full(&[2, 1, 28, 28], 0.3);
-        let y = net.forward(&x, false);
-        assert_eq!(y.dims(), &[2, DIGIT_CLASSES]);
-        net.forward_backward(&x, &[1, 8]);
-        let g = net.flat_grads();
-        assert_eq!(g.len(), net.param_count());
-        assert!(g.iter().all(|v| v.is_finite()));
-        assert!(g.iter().any(|&v| v != 0.0));
-        // Structural check: conv-LRN-pool twice plus 3 FC layers.
-        let s = format!("{net:?}");
-        assert_eq!(s.matches("lrn").count(), 2);
-        assert_eq!(s.matches("conv2d").count(), 2);
-        assert_eq!(s.matches("linear").count(), 3);
     }
 
     #[test]

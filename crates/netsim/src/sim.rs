@@ -135,9 +135,10 @@ impl NetworkConfig {
     /// switch-resident aggregation path pays per contribution: packets
     /// terminate (or originate) at the switch's reduce unit, so only one
     /// access link is serialized instead of the uplink + downlink pair of
-    /// [`message_latency_ns`]. Injection pacing applies in both
-    /// directions (the switch forwards at the same per-packet cadence the
-    /// host injects at — a deliberate simplification).
+    /// [`message_latency_ns`](Self::message_latency_ns). Injection pacing
+    /// applies in both directions (the switch forwards at the same
+    /// per-packet cadence the host injects at — a deliberate
+    /// simplification).
     pub fn half_message_latency_ns(&self, packet_payloads: &[u64]) -> u64 {
         let mut link_free = 0u64;
         for (i, &payload) in packet_payloads.iter().enumerate() {

@@ -1,178 +1,25 @@
-//! Splitting gradient streams into MTU-sized ToS-tagged packets.
+//! Splitting gradient streams into MTU-sized ToS-tagged packets: the
+//! per-packet reference the flat transport path is checked against.
 //!
 //! The NIC engines operate per packet (Sec. VI-A): a multi-megabyte
 //! gradient transfer reaches them as thousands of independent
 //! ~1448-byte TCP segments, each compressed on its own. This module is
 //! the software side of that contract: [`packetize`] cuts a gradient
 //! slice into gradient packets sized so every payload is whole `f32`s,
-//! and [`reassemble`] restores the stream on the receive side. The
-//! tests pin the end-to-end property the system relies on: per-packet
-//! compression composes to exactly the same values as compressing the
-//! whole stream.
+//! and [`reassemble`] restores the stream on the receive side. Pushed
+//! packet by packet through [`NicPipeline`](crate::nic::NicPipeline)'s
+//! `transmit` and `receive` they are the oracle that [`crate::flat`] —
+//! the one path a fabric moves payloads on — is compared with, segment
+//! for segment. The tests here pin the end-to-end property the system
+//! relies on: per-packet compression composes to exactly the same
+//! values as compressing the whole stream.
 
 use bytes::Bytes;
-use inceptionn_compress::DecodeError;
 
-use crate::engine::NS_PER_CYCLE;
-use crate::nic::NicPipeline;
 use crate::packet::Packet;
 
 /// `f32` lanes per MTU payload (1448 B / 4).
 pub const VALUES_PER_PACKET: usize = 362;
-
-/// ToS value for plain (never-compressed) traffic emitted by
-/// [`encode_payload`] when the sender asks for a lossless transfer.
-pub const TOS_PLAIN: u8 = 0;
-
-/// What the TX NIC did to one application payload: the sizes that hit
-/// the wire and the cycles/latency the datapath spent producing them.
-///
-/// Transport layers (see `inceptionn-distrib`'s `NicFabric`) use this to
-/// account wire volume and engine time per transfer, and feed
-/// `packet_wire_bytes` to `inceptionn-netsim`'s per-message latency
-/// charge.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PayloadTrace {
-    /// Application payload bytes entering the TX NIC.
-    pub payload_bytes_in: u64,
-    /// Post-compression payload bytes of each packet, in order.
-    pub packet_wire_bytes: Vec<u64>,
-    /// TX NIC traversal latency, nanoseconds (base cost + engine).
-    pub nic_latency_ns: u64,
-    /// Compression-engine cycles spent on this payload.
-    pub engine_cycles: u64,
-}
-
-impl PayloadTrace {
-    /// Number of packets the payload was cut into.
-    pub fn packets(&self) -> u64 {
-        self.packet_wire_bytes.len() as u64
-    }
-
-    /// Total post-compression payload bytes on the wire.
-    pub fn wire_payload_bytes(&self) -> u64 {
-        self.packet_wire_bytes.iter().sum()
-    }
-
-    /// Achieved payload compression ratio (1.0 for an empty payload).
-    pub fn wire_ratio(&self) -> f64 {
-        let out = self.wire_payload_bytes();
-        if out == 0 {
-            1.0
-        } else {
-            self.payload_bytes_in as f64 / out as f64
-        }
-    }
-}
-
-/// Pushes one application payload through the TX NIC packet by packet:
-/// the reusable per-payload datapath entry point.
-///
-/// `compressible` selects the ToS tag: gradient packets
-/// ([`TOS_COMPRESSED`](crate::TOS_COMPRESSED)) traverse the compression
-/// engine; plain packets ([`TOS_PLAIN`]) bypass it and carry the raw
-/// little-endian `f32` bytes. Returns the on-wire packets plus a
-/// [`PayloadTrace`] of what the datapath did.
-pub fn encode_payload(
-    tx: &mut NicPipeline,
-    values: &[f32],
-    compressible: bool,
-) -> (Vec<Packet>, PayloadTrace) {
-    let mut wire = Vec::with_capacity(values.len().div_ceil(VALUES_PER_PACKET));
-    let trace = encode_payload_into(tx, values, compressible, &mut wire);
-    (wire, trace)
-}
-
-/// [`encode_payload`] writing **into** a caller-owned packet vector
-/// (cleared first), so exchange loops can recycle the allocation across
-/// legs instead of materializing a fresh `Vec` per transfer.
-pub fn encode_payload_into(
-    tx: &mut NicPipeline,
-    values: &[f32],
-    compressible: bool,
-    wire: &mut Vec<Packet>,
-) -> PayloadTrace {
-    let base = tx.config().base_latency_ns;
-    let mut trace = PayloadTrace {
-        payload_bytes_in: (values.len() * 4) as u64,
-        packet_wire_bytes: Vec::with_capacity(values.len().div_ceil(VALUES_PER_PACKET)),
-        ..PayloadTrace::default()
-    };
-    wire.clear();
-    wire.reserve(values.len().div_ceil(VALUES_PER_PACKET));
-    for chunk in values.chunks(VALUES_PER_PACKET) {
-        let payload: Vec<u8> = chunk.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let pkt = if compressible {
-            Packet::gradient(Bytes::from(payload))
-        } else {
-            Packet::regular(TOS_PLAIN, Bytes::from(payload))
-        };
-        let (out, ns) = tx.transmit(pkt);
-        trace.packet_wire_bytes.push(out.payload.len() as u64);
-        trace.nic_latency_ns += ns;
-        // `transmit` reports base cost plus engine time; recover cycles.
-        trace.engine_cycles += ns.saturating_sub(base) / NS_PER_CYCLE;
-        wire.push(out);
-    }
-    trace
-}
-
-/// Receives on-wire packets produced by [`encode_payload`] through the
-/// RX NIC and reassembles the value stream. Returns the values, the RX
-/// NIC traversal latency in nanoseconds, and the decompression-engine
-/// cycles spent.
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] if a compressed payload is truncated or
-/// corrupt (cannot happen when both NICs share a bound).
-pub fn decode_payload(
-    rx: &mut NicPipeline,
-    wire: &[Packet],
-) -> Result<(Vec<f32>, u64, u64), DecodeError> {
-    let mut values = Vec::new();
-    let (total_ns, cycles) = decode_payload_into(rx, wire, &mut values)?;
-    Ok((values, total_ns, cycles))
-}
-
-/// [`decode_payload`] reassembling **into** a caller-owned value buffer
-/// (cleared first), so receive loops can recycle the allocation across
-/// legs. Returns the RX NIC traversal latency in nanoseconds and the
-/// decompression-engine cycles spent.
-///
-/// # Errors
-///
-/// Exactly those of [`decode_payload`].
-///
-/// # Panics
-///
-/// Panics if a decompressed payload is not whole `f32`s (like
-/// [`reassemble`]).
-pub fn decode_payload_into(
-    rx: &mut NicPipeline,
-    wire: &[Packet],
-    values: &mut Vec<f32>,
-) -> Result<(u64, u64), DecodeError> {
-    let base = rx.config().base_latency_ns;
-    values.clear();
-    let mut total_ns = 0u64;
-    let mut cycles = 0u64;
-    for pkt in wire {
-        let (out, ns) = rx.receive(pkt.clone())?;
-        total_ns += ns;
-        cycles += ns.saturating_sub(base) / NS_PER_CYCLE;
-        assert!(
-            out.payload.len() % 4 == 0,
-            "gradient payload must be whole f32s"
-        );
-        values.extend(
-            out.payload
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-    }
-    Ok((total_ns, cycles))
-}
 
 /// Cuts a gradient slice into ToS-tagged MTU packets (the last packet
 /// may be short).
@@ -208,28 +55,10 @@ pub fn reassemble(packets: &[Packet]) -> Vec<f32> {
     out
 }
 
-/// Convenience: pushes a gradient slice through a TX NIC and an RX NIC
-/// packet by packet, returning the values the receiver reassembles and
-/// the summed NIC latency in nanoseconds.
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] if any wire packet fails to decode (cannot
-/// happen for NICs configured with the same bound).
-pub fn transfer_gradients(
-    tx: &mut NicPipeline,
-    rx: &mut NicPipeline,
-    values: &[f32],
-) -> Result<(Vec<f32>, u64), DecodeError> {
-    let (wire, trace) = encode_payload(tx, values, true);
-    let (restored, rx_ns, _) = decode_payload(rx, &wire)?;
-    Ok((restored, trace.nic_latency_ns + rx_ns))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nic::NicConfig;
+    use crate::nic::{NicConfig, NicPipeline};
     use inceptionn_compress::{ErrorBound, InceptionnCodec};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -268,68 +97,16 @@ mod tests {
         });
         let mut rx = NicPipeline::new(*tx.config());
         let vals = gradients(2000, 5);
-        let (received, ns) = transfer_gradients(&mut tx, &mut rx, &vals).unwrap();
+        let mut ns = 0;
+        let mut received = Vec::new();
+        for pkt in packetize(&vals) {
+            let (wire, tx_ns) = tx.transmit(pkt);
+            let (out, rx_ns) = rx.receive(wire).unwrap();
+            ns += tx_ns + rx_ns;
+            received.push(out);
+        }
         let want = InceptionnCodec::new(bound).quantize(&vals);
-        assert_eq!(received, want);
+        assert_eq!(reassemble(&received), want);
         assert!(ns > 0);
-    }
-
-    #[test]
-    fn nic_stats_accumulate_across_the_transfer() {
-        let mut tx = NicPipeline::new(NicConfig::default());
-        let mut rx = NicPipeline::new(NicConfig::default());
-        let vals = gradients(3620, 7);
-        transfer_gradients(&mut tx, &mut rx, &vals).unwrap();
-        assert_eq!(tx.stats().compressed_packets, 10);
-        assert_eq!(tx.stats().tx_payload_in, 3620 * 4);
-        assert!(tx.stats().tx_ratio() > 2.0);
-    }
-
-    #[test]
-    fn empty_stream_transfers_trivially() {
-        let mut tx = NicPipeline::new(NicConfig::default());
-        let mut rx = NicPipeline::new(NicConfig::default());
-        let (out, ns) = transfer_gradients(&mut tx, &mut rx, &[]).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(ns, 0);
-    }
-
-    #[test]
-    fn encode_payload_traces_wire_sizes_and_cycles() {
-        let mut tx = NicPipeline::new(NicConfig::default());
-        let mut rx = NicPipeline::new(NicConfig::default());
-        let vals = gradients(1000, 11);
-        let (wire, trace) = encode_payload(&mut tx, &vals, true);
-        assert_eq!(trace.packets(), 3);
-        assert_eq!(trace.payload_bytes_in, 4000);
-        assert_eq!(
-            trace.wire_payload_bytes(),
-            wire.iter().map(|p| p.payload.len() as u64).sum::<u64>()
-        );
-        assert!(trace.wire_ratio() > 1.0, "ratio {}", trace.wire_ratio());
-        assert!(trace.engine_cycles > 0);
-        assert!(trace.nic_latency_ns > 3 * tx.config().base_latency_ns);
-
-        let (restored, rx_ns, rx_cycles) = decode_payload(&mut rx, &wire).unwrap();
-        assert_eq!(
-            restored,
-            InceptionnCodec::new(tx.config().bound).quantize(&vals)
-        );
-        assert!(rx_ns > 0 && rx_cycles > 0);
-    }
-
-    #[test]
-    fn plain_payload_bypasses_engines_bit_exactly() {
-        let mut tx = NicPipeline::new(NicConfig::default());
-        let mut rx = NicPipeline::new(NicConfig::default());
-        let vals = gradients(725, 13);
-        let (wire, trace) = encode_payload(&mut tx, &vals, false);
-        assert!(wire.iter().all(|p| !p.is_compressible()));
-        assert_eq!(trace.wire_payload_bytes(), trace.payload_bytes_in);
-        assert_eq!(trace.engine_cycles, 0);
-        let (restored, _, rx_cycles) = decode_payload(&mut rx, &wire).unwrap();
-        assert_eq!(restored, vals, "bypass path must be lossless");
-        assert_eq!(rx_cycles, 0);
-        assert_eq!(tx.stats().compressed_packets, 0);
     }
 }

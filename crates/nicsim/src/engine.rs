@@ -65,7 +65,8 @@ impl EngineMetrics {
 /// alignment unit (Fig. 9).
 ///
 /// Functionally bit-exact with
-/// [`InceptionnCodec::compress`]; additionally accounts hardware cycles.
+/// [`InceptionnCodec::compress`](inceptionn_compress::InceptionnCodec::compress);
+/// additionally accounts hardware cycles.
 #[derive(Debug, Clone, Copy)]
 pub struct CompressionEngine {
     codec: BurstCodec,

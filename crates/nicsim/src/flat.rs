@@ -1,17 +1,19 @@
-//! The flat wire representation: one contiguous byte buffer per
-//! payload, plus per-MTU-segment descriptors.
+//! The flat wire representation, the one transport path: one
+//! contiguous byte buffer per payload, plus per-MTU-segment descriptors.
 //!
-//! The packet path ([`crate::chunker`]) materializes one refcounted
-//! byte buffer per MTU packet — faithful to a real NIC's descriptor
-//! rings, but impossible to drive allocation-free, since every packet
-//! clones its payload into a fresh `Bytes`. The flat path keeps the
-//! exact same per-packet engine application (each
-//! [`VALUES_PER_PACKET`]-value chunk is compressed independently, so
-//! the wire bytes are bit-identical segment for segment) while landing
-//! every segment back to back in one reusable `Vec<u8>`, described by a
-//! [`FlatSeg`] table. Exchange loops that recycle the [`FlatPayload`]
-//! run the whole TX→wire→RX traversal with **zero steady-state heap
-//! allocations** — the property `tests/alloc_gate.rs` enforces.
+//! A real NIC's descriptor rings hold one buffer per MTU packet, and
+//! the per-packet reference ([`crate::chunker`] driving
+//! [`NicPipeline::transmit`] / [`NicPipeline::receive`]) models exactly
+//! that — faithful, but impossible to drive allocation-free, since every
+//! packet owns a fresh `Bytes`. The flat path keeps the exact same
+//! per-packet engine application (each [`VALUES_PER_PACKET`]-value chunk
+//! is compressed independently, so the wire bytes are bit-identical
+//! segment for segment — the differential tests below compare the two)
+//! while landing every segment back to back in one reusable `Vec<u8>`,
+//! described by a [`FlatSeg`] table. Exchange loops that recycle the
+//! [`FlatPayload`] run the whole TX→wire→RX traversal with **zero
+//! steady-state heap allocations** — the property `tests/alloc_gate.rs`
+//! enforces.
 
 use inceptionn_compress::DecodeError;
 
@@ -68,7 +70,7 @@ impl FlatPayload {
     }
 
     /// Whether the first segment is compressed (the frame-level marker,
-    /// mirroring how a packet frame reads its first packet's ToS).
+    /// like the ToS classification of a transfer's first packet).
     pub fn is_compressed(&self) -> bool {
         self.segs.first().is_some_and(|s| s.compressed)
     }
@@ -114,11 +116,15 @@ impl FlatPayload {
         let j = (i + 1) % self.segs.len();
         let (a, b) = (i.min(j), i.max(j));
         let start = self.seg_offset(a);
-        let mid = start + self.segs[a].wire_bytes as usize;
-        let end = mid + self.segs[b].wire_bytes as usize;
-        // Rotate [start..end) left by seg a's length: b's bytes move to
-        // the front, a's to the back.
-        self.bytes[start..end].rotate_left(mid - start);
+        let a_len = self.segs[a].wire_bytes as usize;
+        let b_len = self.segs[b].wire_bytes as usize;
+        let end = self.seg_offset(b) + b_len;
+        // [A|M|B] -> [M|B|A] -> [B|M|A]; M is empty unless the pair
+        // wraps around (last and first segment).
+        let span = &mut self.bytes[start..end];
+        span.rotate_left(a_len);
+        let prefix = span.len() - a_len;
+        span[..prefix].rotate_right(b_len);
         self.segs.swap(a, b);
     }
 
@@ -138,10 +144,10 @@ impl FlatPayload {
     }
 }
 
-/// What the TX NIC did to one flat payload: the [`crate::PayloadTrace`]
-/// accounting without its per-packet size vector (those sizes live in
-/// the payload's own segment table), so the trace is `Copy` and the
-/// encode path moves no allocations.
+/// What the TX NIC did to one flat payload: the sizes that hit the wire
+/// and the cycles/latency the datapath spent producing them. Per-packet
+/// sizes live in the payload's own segment table, so the trace is `Copy`
+/// and the encode path moves no allocations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlatTrace {
     /// Application payload bytes entering the TX NIC.
@@ -159,10 +165,10 @@ pub struct FlatTrace {
 /// Pushes one application payload through the TX NIC segment by segment
 /// into a caller-owned [`FlatPayload`] (cleared first, capacity kept).
 ///
-/// Stats, cycles, and wire bytes are accounted exactly as the packet
-/// path's [`encode_payload_into`](crate::chunker::encode_payload_into):
-/// each [`VALUES_PER_PACKET`] chunk traverses the engine independently,
-/// so the wire image is bit-identical segment for segment.
+/// Stats, cycles, and wire bytes are accounted exactly as one
+/// [`NicPipeline::transmit`] per packet accounts them: each
+/// [`VALUES_PER_PACKET`] chunk traverses the engine independently, so
+/// the wire image is bit-identical segment for segment.
 pub fn encode_payload_flat(
     tx: &mut NicPipeline,
     values: &[f32],
@@ -183,7 +189,7 @@ pub fn encode_payload_flat(
         trace.packets += 1;
         trace.nic_latency_ns += ns;
         // `transmit_chunk` reports base cost plus engine time; recover
-        // cycles exactly like the packet path does.
+        // the cycles.
         trace.engine_cycles += ns.saturating_sub(base) / NS_PER_CYCLE;
     }
     trace
@@ -192,8 +198,7 @@ pub fn encode_payload_flat(
 /// Receives a flat payload through the RX NIC, reassembling the value
 /// stream **into** a caller-owned buffer (cleared first, capacity
 /// kept). Returns the RX NIC traversal latency in nanoseconds and the
-/// decompression-engine cycles spent — the flat twin of
-/// [`decode_payload_into`](crate::chunker::decode_payload_into).
+/// decompression-engine cycles spent.
 ///
 /// # Errors
 ///
@@ -223,8 +228,9 @@ pub fn decode_payload_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunker::{decode_payload, encode_payload};
+    use crate::chunker::{packetize, reassemble};
     use crate::nic::NicConfig;
+    use crate::packet::Packet;
     use inceptionn_compress::{ErrorBound, InceptionnCodec};
 
     fn grad(seed: u32, len: usize) -> Vec<f32> {
@@ -240,11 +246,40 @@ mod tests {
         NicPipeline::new(NicConfig::default())
     }
 
+    /// The per-packet reference TX: [`packetize`] pushed packet by
+    /// packet through `transmit`. Returns the wire packets, the summed
+    /// latency and the engine cycles, recovered from each packet's
+    /// latency exactly as [`encode_payload_flat`] recovers them.
+    fn packet_tx(tx: &mut NicPipeline, vals: &[f32]) -> (Vec<Packet>, u64, u64) {
+        let base = tx.config().base_latency_ns;
+        let (mut wire, mut total_ns, mut cycles) = (Vec::new(), 0, 0);
+        for pkt in packetize(vals) {
+            let (out, ns) = tx.transmit(pkt);
+            total_ns += ns;
+            cycles += ns.saturating_sub(base) / NS_PER_CYCLE;
+            wire.push(out);
+        }
+        (wire, total_ns, cycles)
+    }
+
+    /// The per-packet reference RX: every wire packet through `receive`,
+    /// then [`reassemble`]. Returns the values and the engine cycles.
+    fn packet_rx(rx: &mut NicPipeline, wire: &[Packet]) -> (Vec<f32>, u64) {
+        let base = rx.config().base_latency_ns;
+        let (mut plain, mut cycles) = (Vec::new(), 0);
+        for pkt in wire {
+            let (out, ns) = rx.receive(pkt.clone()).unwrap();
+            cycles += ns.saturating_sub(base) / NS_PER_CYCLE;
+            plain.push(out);
+        }
+        (reassemble(&plain), cycles)
+    }
+
     #[test]
     fn flat_wire_bytes_match_the_packet_path_segment_for_segment() {
         for n in [0usize, 1, 361, 362, 363, 1000, 3620] {
             let vals = grad(n as u32, n);
-            let (wire, ptrace) = encode_payload(&mut pipeline(), &vals, true);
+            let (wire, pkt_ns, pkt_cycles) = packet_tx(&mut pipeline(), &vals);
             let mut flat = FlatPayload::new();
             let ftrace = encode_payload_flat(&mut pipeline(), &vals, true, &mut flat);
             assert_eq!(flat.segs.len(), wire.len(), "n={n}");
@@ -253,10 +288,12 @@ mod tests {
                 assert_eq!(seg.value_count as usize, pkt.value_count.unwrap());
                 assert!(seg.compressed);
             }
-            assert_eq!(ftrace.wire_payload_bytes, ptrace.wire_payload_bytes());
-            assert_eq!(ftrace.packets, ptrace.packets());
-            assert_eq!(ftrace.engine_cycles, ptrace.engine_cycles);
-            assert_eq!(ftrace.nic_latency_ns, ptrace.nic_latency_ns);
+            let pkt_wire: u64 = wire.iter().map(|p| p.payload.len() as u64).sum();
+            assert_eq!(ftrace.payload_bytes_in, (n * 4) as u64);
+            assert_eq!(ftrace.wire_payload_bytes, pkt_wire);
+            assert_eq!(ftrace.packets, wire.len() as u64);
+            assert_eq!(ftrace.engine_cycles, pkt_cycles);
+            assert_eq!(ftrace.nic_latency_ns, pkt_ns);
         }
     }
 
@@ -276,9 +313,8 @@ mod tests {
         assert_eq!(out, InceptionnCodec::new(bound).quantize(&vals));
         assert!(ns > 0 && cycles > 0);
 
-        let mut tx = NicPipeline::new(cfg);
-        let (wire, _) = encode_payload(&mut tx, &vals, true);
-        let (pkt_vals, _, pkt_cycles) = decode_payload(&mut NicPipeline::new(cfg), &wire).unwrap();
+        let (wire, _, _) = packet_tx(&mut NicPipeline::new(cfg), &vals);
+        let (pkt_vals, pkt_cycles) = packet_rx(&mut NicPipeline::new(cfg), &wire);
         assert_eq!(out, pkt_vals);
         assert_eq!(cycles, pkt_cycles);
     }
@@ -287,9 +323,9 @@ mod tests {
     fn flat_stats_match_the_packet_path() {
         let vals = grad(3, 3620);
         let mut ptx = pipeline();
-        let (wire, _) = encode_payload(&mut ptx, &vals, true);
+        let (wire, _, _) = packet_tx(&mut ptx, &vals);
         let mut prx = pipeline();
-        decode_payload(&mut prx, &wire).unwrap();
+        packet_rx(&mut prx, &wire);
 
         let mut ftx = pipeline();
         let mut flat = FlatPayload::new();
@@ -300,6 +336,10 @@ mod tests {
 
         assert_eq!(ftx.stats(), ptx.stats());
         assert_eq!(frx.stats(), prx.stats());
+        assert_eq!(ftx.stats().compressed_packets, 10);
+        assert_eq!(ftx.stats().tx_payload_in, 3620 * 4);
+        // 1.90 on this ramp: mostly 16-bit tags.
+        assert!(ftx.stats().tx_ratio() > 1.5);
     }
 
     #[test]
@@ -343,6 +383,24 @@ mod tests {
         assert_eq!(after[1], before[0]);
         assert_eq!(after[2], before[2]);
         assert_eq!(swapped.bytes.len(), flat.bytes.len());
+    }
+
+    #[test]
+    fn swap_adjacent_segs_wraps_the_last_segment_onto_the_first() {
+        // 1000 values compress to three segments of unequal length; the
+        // wrapping pair (2, 0) must exchange whole byte ranges and leave
+        // the middle segment's bytes where its descriptor says they are.
+        let vals = grad(11, 1000);
+        let mut flat = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &vals, true, &mut flat);
+        let mut want: Vec<Vec<u8>> = flat.iter().map(|(_, b)| b.to_vec()).collect();
+        assert_eq!(want.len(), 3);
+        want.swap(0, 2);
+        let mut swapped = flat.clone();
+        swapped.swap_adjacent_segs(2);
+        let after: Vec<Vec<u8>> = swapped.iter().map(|(_, b)| b.to_vec()).collect();
+        assert_eq!(after, want);
+        assert_eq!(swapped.segs, [flat.segs[2], flat.segs[1], flat.segs[0]]);
     }
 
     #[test]

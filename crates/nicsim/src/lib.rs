@@ -20,7 +20,14 @@
 //! * [`packet`] — ToS-tagged packets and the per-packet classify /
 //!   bypass logic;
 //! * [`nic::NicPipeline`] — the TX and RX paths: classify, compress or
-//!   decompress the payload, account pipeline latency in nanoseconds.
+//!   decompress the payload, account pipeline latency in nanoseconds;
+//! * [`flat`] — the transport path: a whole application payload through
+//!   those engines MTU chunk by MTU chunk into one contiguous, reusable
+//!   wire buffer ([`FlatPayload`]), which is what a fabric frames, CRCs
+//!   and delivers and what the [`switchagg`] reduce units fold;
+//! * [`chunker`] — the per-packet reference ([`chunker::packetize`] /
+//!   [`chunker::reassemble`] around `NicPipeline::{transmit, receive}`)
+//!   the flat path is checked against, segment for segment.
 //!
 //! The engines are *bit-exact* against the software reference codec in
 //! [`inceptionn_compress`]: the tests assert that hardware-packed bytes
@@ -51,10 +58,7 @@ pub mod nic;
 pub mod packet;
 pub mod switchagg;
 
-pub use chunker::{
-    decode_payload, decode_payload_into, encode_payload, encode_payload_into, PayloadTrace,
-    TOS_PLAIN, VALUES_PER_PACKET,
-};
+pub use chunker::VALUES_PER_PACKET;
 pub use engine::{CompressionEngine, DecompressionEngine, EngineMetrics, EngineOutput};
 pub use flat::{decode_payload_flat, encode_payload_flat, FlatPayload, FlatSeg, FlatTrace};
 pub use nic::{NicConfig, NicPipeline};

@@ -62,37 +62,6 @@ impl Packet {
     pub fn wire_bytes(&self) -> usize {
         HEADER_BYTES + self.payload.len()
     }
-
-    /// A copy of this packet with one payload bit inverted — the model
-    /// of a burst error on the engine path that slips past link-level
-    /// coding. `bit` is taken modulo the payload size; an empty payload
-    /// is returned unchanged.
-    pub fn with_bit_flipped(&self, bit: usize) -> Packet {
-        if self.payload.is_empty() {
-            return self.clone();
-        }
-        let mut bytes = self.payload.to_vec();
-        let i = (bit / 8) % bytes.len();
-        bytes[i] ^= 1 << (bit % 8);
-        Packet {
-            tos: self.tos,
-            payload: Bytes::from(bytes),
-            value_count: self.value_count,
-        }
-    }
-
-    /// A copy of this packet with the payload truncated to its first
-    /// `keep` bytes — a burst error that destroys the packet tail. The
-    /// `value_count` framing is preserved, so a truncated *compressed*
-    /// payload starves the decompression engine mid-stream and surfaces
-    /// as a typed decode error.
-    pub fn truncated(&self, keep: usize) -> Packet {
-        Packet {
-            tos: self.tos,
-            payload: self.payload.slice(..keep.min(self.payload.len())),
-            value_count: self.value_count,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,38 +81,5 @@ mod tests {
     fn wire_bytes_include_header() {
         let p = Packet::gradient(vec![0u8; 100].into());
         assert_eq!(p.wire_bytes(), 140);
-    }
-
-    #[test]
-    fn bit_flip_touches_exactly_one_bit() {
-        let p = Packet::gradient(vec![0u8; 8].into());
-        let c = p.with_bit_flipped(19);
-        assert_eq!(c.payload[2], 0b_1000);
-        let ones: u32 = c.payload.iter().map(|b| b.count_ones()).sum();
-        assert_eq!(ones, 1);
-        assert_eq!(c.tos, p.tos);
-        // Flipping the same bit twice restores the payload.
-        assert_eq!(c.with_bit_flipped(19).payload, p.payload);
-        // Out-of-range bit positions wrap instead of panicking.
-        let wrapped = p.with_bit_flipped(8 * 8 + 19);
-        assert_eq!(wrapped.payload, c.payload);
-        assert_eq!(
-            Packet::gradient(Bytes::new()).with_bit_flipped(3),
-            Packet::gradient(Bytes::new())
-        );
-    }
-
-    #[test]
-    fn truncation_preserves_framing() {
-        let mut p = Packet::gradient(vec![7u8; 10].into());
-        p.value_count = Some(42);
-        let t = p.truncated(4);
-        assert_eq!(t.payload.len(), 4);
-        assert_eq!(t.value_count, Some(42), "framing metadata survives");
-        assert_eq!(
-            p.truncated(100).payload.len(),
-            10,
-            "over-long keep is a no-op"
-        );
     }
 }

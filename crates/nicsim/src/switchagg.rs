@@ -4,14 +4,15 @@
 //! NetReduce (PAPERS.md) observes that the gather leg of a
 //! worker-aggregator exchange disappears entirely once the switch sums
 //! gradient packets as they arrive: no contribution ever descends to an
-//! aggregation host. This module models that reduce unit at packet
-//! granularity, composing with the INCEPTIONN wire codec through the
-//! reduction-friendly hooks of `inceptionn_compress::reduction`:
+//! aggregation host. This module models that reduce unit at MTU-segment
+//! granularity over the flat wire form ([`FlatPayload`]), composing with
+//! the INCEPTIONN wire codec through the reduction-friendly hooks of
+//! `inceptionn_compress::reduction`:
 //!
-//! * **plain path** — `TOS_PLAIN` packets carry raw little-endian `f32`
-//!   lanes; the unit adds them straight into the running sum;
-//! * **compressed path** — `TOS_COMPRESSED` packets are walked value by
-//!   value with the streaming fold
+//! * **plain path** — uncompressed segments carry raw little-endian
+//!   `f32` lanes; the unit adds them straight into the running sum;
+//! * **compressed path** — engine-compressed segments are walked value
+//!   by value with the streaming fold
 //!   ([`fold_compressed_payload_into`]) — constant space, no
 //!   materialized vector, each decoded value added in stream order.
 //!
@@ -24,7 +25,6 @@ use inceptionn_compress::reduction::fold_compressed_payload_into;
 use inceptionn_compress::{DecodeError, ErrorBound, InceptionnCodec};
 
 use crate::flat::FlatPayload;
-use crate::packet::Packet;
 
 /// Reduce-unit cycles charged per 8-lane group of folded values: one
 /// decode+add per lane per cycle, mirroring the NIC engines' burst
@@ -43,14 +43,15 @@ const LANES_PER_CYCLE: u64 = 8;
 ///
 /// ```
 /// use inceptionn_nicsim::switchagg::SwitchReducer;
-/// use inceptionn_nicsim::{encode_payload, NicConfig, NicPipeline};
+/// use inceptionn_nicsim::{encode_payload_flat, FlatPayload, NicConfig, NicPipeline};
 ///
 /// let mut tx = NicPipeline::new(NicConfig::default());
 /// let grad = vec![0.5f32; 100];
-/// let (wire, _) = encode_payload(&mut tx, &grad, false);
+/// let mut wire = FlatPayload::new();
+/// encode_payload_flat(&mut tx, &grad, false, &mut wire);
 /// let mut unit = SwitchReducer::plain(100);
-/// unit.fold_contribution(&wire).unwrap();
-/// unit.fold_contribution(&wire).unwrap();
+/// unit.fold_flat_contribution(&wire).unwrap();
+/// unit.fold_flat_contribution(&wire).unwrap();
 /// assert_eq!(unit.sum()[0], 1.0);
 /// assert_eq!(unit.contributions(), 2);
 /// ```
@@ -74,8 +75,8 @@ impl SwitchReducer {
         }
     }
 
-    /// A reduce unit that also decodes INCEPTIONN-compressed packets
-    /// under `bound` (plain packets are still accepted — a mixed
+    /// A reduce unit that also decodes INCEPTIONN-compressed segments
+    /// under `bound` (plain segments are still accepted — a mixed
     /// contribution stream folds fine).
     pub fn with_codec(values: usize, bound: ErrorBound) -> Self {
         SwitchReducer {
@@ -86,53 +87,22 @@ impl SwitchReducer {
         }
     }
 
-    /// Folds one worker's full contribution — the packet sequence of
-    /// one gradient transfer, in order — into the running sum.
+    /// Folds one worker's full contribution — the segments of one
+    /// gradient transfer in wire order, values in stream order — into
+    /// the running sum, allocating no per-contribution buffers.
     ///
     /// # Errors
     ///
     /// Fails with the codec's [`DecodeError`] on a corrupt or truncated
-    /// compressed payload; the accumulator is left with the partial
+    /// compressed segment; the accumulator is left with the partial
     /// fold, matching what real reduce hardware would have committed —
-    /// callers recover by restarting the exchange, not the packet.
+    /// callers recover by restarting the exchange, not the segment.
     ///
     /// # Panics
     ///
     /// Panics if the contribution does not cover exactly the unit's
-    /// lane count, if a compressed packet arrives on a plain-only unit,
-    /// or if a plain payload is not whole `f32`s — all collective-layer
-    /// bugs, not wire faults.
-    pub fn fold_contribution(&mut self, packets: &[Packet]) -> Result<(), DecodeError> {
-        let mut at = 0usize;
-        for pkt in packets {
-            at += self.fold_packet(at, pkt)?;
-        }
-        assert_eq!(
-            at,
-            self.acc.len(),
-            "contribution covered {at} of {} lanes",
-            self.acc.len()
-        );
-        self.contributions += 1;
-        Ok(())
-    }
-
-    /// Folds one worker's contribution in flat wire form — the exact
-    /// same per-segment fold as [`fold_contribution`](Self::fold_contribution)
-    /// over equivalent packets (segments arrive in wire order, values in
-    /// stream order), so the sum stays bit-identical between
-    /// representations and no per-contribution buffers are allocated.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`DecodeError`] on a corrupt or truncated compressed
-    /// segment, leaving the partial fold committed (see
-    /// [`fold_contribution`](Self::fold_contribution)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on lane-count mismatch, a compressed segment on a
-    /// plain-only unit, or a ragged plain segment — collective-layer
+    /// lane count, if a compressed segment arrives on a plain-only unit,
+    /// or if a plain segment is not whole `f32`s — all collective-layer
     /// bugs, not wire faults.
     pub fn fold_flat_contribution(&mut self, payload: &FlatPayload) -> Result<(), DecodeError> {
         let mut at = 0usize;
@@ -169,47 +139,6 @@ impl SwitchReducer {
         );
         self.contributions += 1;
         Ok(())
-    }
-
-    /// Folds one packet's values into the sum starting at lane `at`;
-    /// returns how many lanes it covered.
-    fn fold_packet(&mut self, at: usize, pkt: &Packet) -> Result<usize, DecodeError> {
-        if pkt.is_compressible() {
-            let values = pkt
-                .value_count
-                .expect("compressed gradient packet carries its value count");
-            let codec = self
-                .codec
-                .as_ref()
-                .expect("compressed packet reached a plain-only reduce unit");
-            assert!(
-                at + values <= self.acc.len(),
-                "contribution overruns the sum"
-            );
-            fold_compressed_payload_into(
-                codec,
-                &mut self.acc[at..at + values],
-                &pkt.payload,
-                values,
-            )?;
-            self.cycles += (values as u64).div_ceil(LANES_PER_CYCLE);
-            Ok(values)
-        } else {
-            assert!(
-                pkt.payload.len().is_multiple_of(4),
-                "plain gradient payload must be whole f32s"
-            );
-            let values = pkt.payload.len() / 4;
-            assert!(
-                at + values <= self.acc.len(),
-                "contribution overruns the sum"
-            );
-            for (lane, chunk) in pkt.payload.chunks_exact(4).enumerate() {
-                self.acc[at + lane] += f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
-            self.cycles += (values as u64).div_ceil(LANES_PER_CYCLE);
-            Ok(values)
-        }
     }
 
     /// The running sum.
@@ -385,7 +314,7 @@ impl SketchSwitchUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunker::encode_payload;
+    use crate::flat::{decode_payload_flat, encode_payload_flat};
     use crate::nic::{NicConfig, NicPipeline};
     use inceptionn_compress::SketchCodec;
 
@@ -408,9 +337,10 @@ mod tests {
     fn plain_fold_matches_host_sum_bit_for_bit() {
         let grads: Vec<Vec<f32>> = (0..4).map(|w| grad(w, 1000)).collect();
         let mut unit = SwitchReducer::plain(1000);
+        let mut wire = FlatPayload::new();
         for g in &grads {
-            let (wire, _) = encode_payload(&mut pipeline(), g, false);
-            unit.fold_contribution(&wire).unwrap();
+            encode_payload_flat(&mut pipeline(), g, false, &mut wire);
+            unit.fold_flat_contribution(&wire).unwrap();
         }
         let mut host = vec![0.0f32; 1000];
         for g in &grads {
@@ -428,17 +358,19 @@ mod tests {
         let bound = inceptionn_compress::ErrorBound::pow2(10);
         let grads: Vec<Vec<f32>> = (0..3).map(|w| grad(w + 9, 725)).collect();
         let mut unit = SwitchReducer::with_codec(725, bound);
+        let mut wire = FlatPayload::new();
         for g in &grads {
-            let (wire, _) = encode_payload(&mut pipeline(), g, true);
-            unit.fold_contribution(&wire).unwrap();
+            encode_payload_flat(&mut pipeline(), g, true, &mut wire);
+            unit.fold_flat_contribution(&wire).unwrap();
         }
         // Host side: decode every contribution (the lossy round trip)
         // and add in the same worker order.
         let mut host = vec![0.0f32; 725];
+        let mut vals = Vec::new();
         for g in &grads {
-            let (wire, _) = encode_payload(&mut pipeline(), g, true);
-            let (vals, _, _) = crate::chunker::decode_payload(&mut pipeline(), &wire).unwrap();
-            for (a, v) in host.iter_mut().zip(vals) {
+            encode_payload_flat(&mut pipeline(), g, true, &mut wire);
+            decode_payload_flat(&mut pipeline(), &wire, &mut vals).unwrap();
+            for (a, &v) in host.iter_mut().zip(&vals) {
                 *a += v;
             }
         }
@@ -446,28 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn flat_fold_is_bit_identical_with_the_packet_fold() {
-        let bound = inceptionn_compress::ErrorBound::pow2(10);
-        let grads: Vec<Vec<f32>> = (0..3).map(|w| grad(w + 21, 900)).collect();
-        let mut pkt_unit = SwitchReducer::with_codec(900, bound);
-        let mut flat_unit = SwitchReducer::with_codec(900, bound);
-        let mut flat = crate::flat::FlatPayload::new();
-        for g in &grads {
-            let (wire, _) = encode_payload(&mut pipeline(), g, true);
-            pkt_unit.fold_contribution(&wire).unwrap();
-            crate::flat::encode_payload_flat(&mut pipeline(), g, true, &mut flat);
-            flat_unit.fold_flat_contribution(&flat).unwrap();
-        }
-        assert_eq!(flat_unit.sum(), pkt_unit.sum());
-        assert_eq!(flat_unit.contributions(), pkt_unit.contributions());
-        assert_eq!(flat_unit.cycles(), pkt_unit.cycles());
-    }
-
-    #[test]
     fn reset_clears_state_for_the_next_iteration() {
         let mut unit = SwitchReducer::plain(10);
-        let (wire, _) = encode_payload(&mut pipeline(), &grad(1, 10), false);
-        unit.fold_contribution(&wire).unwrap();
+        let mut wire = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(1, 10), false, &mut wire);
+        unit.fold_flat_contribution(&wire).unwrap();
         unit.reset();
         assert!(unit.sum().iter().all(|&v| v == 0.0));
         assert_eq!(unit.contributions(), 0);
@@ -477,26 +392,29 @@ mod tests {
     #[test]
     fn corrupt_compressed_payload_is_an_error() {
         let bound = inceptionn_compress::ErrorBound::pow2(10);
-        let (wire, _) = encode_payload(&mut pipeline(), &grad(2, 500), true);
+        let mut wire = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(2, 500), true, &mut wire);
+        wire.truncate_seg(0, 3);
         let mut unit = SwitchReducer::with_codec(500, bound);
-        let truncated: Vec<Packet> = wire.iter().map(|p| p.truncated(3)).collect();
-        assert!(unit.fold_contribution(&truncated).is_err());
+        assert!(unit.fold_flat_contribution(&wire).is_err());
     }
 
     #[test]
     #[should_panic(expected = "covered")]
     fn short_contribution_is_a_collective_bug() {
         let mut unit = SwitchReducer::plain(100);
-        let (wire, _) = encode_payload(&mut pipeline(), &grad(3, 50), false);
-        unit.fold_contribution(&wire).unwrap();
+        let mut wire = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(3, 50), false, &mut wire);
+        unit.fold_flat_contribution(&wire).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "plain-only reduce unit")]
     fn compressed_packet_needs_a_codec() {
         let mut unit = SwitchReducer::plain(500);
-        let (wire, _) = encode_payload(&mut pipeline(), &grad(4, 500), true);
-        let _ = unit.fold_contribution(&wire);
+        let mut wire = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(4, 500), true, &mut wire);
+        let _ = unit.fold_flat_contribution(&wire);
     }
 
     #[test]

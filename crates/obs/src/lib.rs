@@ -113,10 +113,6 @@ pub mod labels {
     pub const PHASE_UPDATE: &str = "phase/update";
     /// Virtual-time span: paper-reported communication time.
     pub const PHASE_COMMUNICATE: &str = "phase/communicate";
-    /// Metric: classification accuracy (dnn::metrics adapter).
-    pub const METRIC_ACCURACY: &str = "metrics/accuracy";
-    /// Counter: one confusion-matrix cell (track = truth, key = predicted).
-    pub const METRIC_CONFUSION: &str = "metrics/confusion";
     /// Counter: a transmission dropped by fault injection (track = src,
     /// key = dst).
     pub const FAULT_DROP: &str = "fault/drop";

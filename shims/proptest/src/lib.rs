@@ -313,7 +313,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait IntoLenRange {
         /// Inclusive `(min, max)` length bounds.
         fn len_bounds(&self) -> (usize, usize);

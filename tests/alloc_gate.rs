@@ -12,9 +12,17 @@
 //! The counting `#[global_allocator]` is compiled only under the
 //! `alloc-gate` feature (see `crates/core/Cargo.toml`), so the rest of
 //! the test suite keeps the system allocator untouched.
+//!
+//! The count is **per thread**. libtest's `main` thread allocates
+//! (48–148 bytes at a time) while the test thread measures, so a
+//! process-wide counter fails about one run in three with "allocated 4
+//! times" at a random cell. Counting only the measuring thread loses
+//! nothing: the NIC ring runs the engines inline and never enters the
+//! codec pool, so no exchange work happens on another thread. (A cell
+//! that does hand work to pool threads would have to sum their counts.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use inceptionn_compress::ErrorBound;
 use inceptionn_distrib::fabric::{FabricBuilder, TransportKind};
@@ -22,24 +30,35 @@ use inceptionn_distrib::{Exchange, ExchangeStrategy, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A passthrough allocator that counts allocations and reallocations.
-/// Frees are not counted: the gate is about *acquiring* memory in
-/// steady state, and a free implies a matching earlier acquisition.
+/// A passthrough allocator that counts the calling thread's allocations
+/// and reallocations. Frees are not counted: the gate is about
+/// *acquiring* memory in steady state, and a free implies a matching
+/// earlier acquisition.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it never
+    // allocates or registers a TLS dtor from inside the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may allocate after its TLS
+    // is gone; that allocation is nobody's measurement.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: defers entirely to `System`, which upholds the contract.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,8 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Acquisitions made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -112,8 +132,8 @@ fn assert_steady_state_allocates_nothing(
 /// (they share every buffer), chunked and under the whole-leg default
 /// the trainer runs.
 ///
-/// One test function on purpose: the counter is process-wide, so a
-/// second test running on another harness thread would be counted.
+/// One test function: every cell rides on the same cold-exchange check
+/// of the instrument.
 #[test]
 fn nic_ring_steady_state_allocates_nothing() {
     // Sanity check on the instrument itself: a cold exchange (nothing
