@@ -463,18 +463,23 @@ fn parse_file(
         }
         let name = ctx.text(i + 1).to_string();
         // Body: the first `{` before any terminating `;` (a `;` first
-        // means a bodyless trait/extern declaration).
+        // means a bodyless trait/extern declaration). A `;` inside
+        // brackets is an array type's length (`&[u8; 32]`), not one.
         let mut j = i + 2;
         let mut open = None;
+        let mut brackets = 0u32;
         while j < n {
             match ctx.ct(j).kind {
                 TokenKind::Punct(b'{') => {
                     open = Some(j);
                     break;
                 }
-                TokenKind::Punct(b';') => break,
-                _ => j += 1,
+                TokenKind::Punct(b'[') => brackets += 1,
+                TokenKind::Punct(b']') => brackets = brackets.saturating_sub(1),
+                TokenKind::Punct(b';') if brackets == 0 => break,
+                _ => {}
             }
+            j += 1;
         }
         let Some(open) = open else {
             i = j.max(i + 2) + 1;

@@ -36,9 +36,9 @@ impl BitWriter {
     /// Creates an empty writer whose backing buffer can hold `bits` bits
     /// without reallocating.
     ///
-    /// Encoders that can estimate their output size (e.g. from a tag
-    /// histogram) use this to avoid the repeated `Vec` growth that
-    /// otherwise dominates small-field packing.
+    /// Encoders that know a bound on their output size use this to
+    /// avoid the repeated `Vec` growth that otherwise dominates
+    /// small-field packing.
     pub fn with_capacity_bits(bits: usize) -> Self {
         BitWriter {
             bytes: Vec::with_capacity(bits.div_ceil(8)),

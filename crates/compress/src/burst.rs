@@ -23,14 +23,16 @@
 //!   produces identical bytes, just one bit at a time.
 //! * **Load-based unpacking** — the decoder mirrors that: one
 //!   unaligned `u32` load per lane, masked to the tagged width, with
-//!   branch-free integer reconstruction. Only the stream tail (where
-//!   loads could run past the buffer) falls back to the careful
-//!   bit-reader path, which also reports truncation errors at exact
-//!   bit offsets.
+//!   branch-free integer reconstruction. The last few bytes, where a
+//!   load could run past the buffer, are decoded from a zero-padded
+//!   stack copy; only the final partial group and truncated input fall
+//!   back to the careful bit-reader path, which reports truncation
+//!   errors at exact bit offsets.
 //!
 //! The output is **bit-identical** to
-//! [`InceptionnCodec::compress`]/[`InceptionnCodec::decompress`] —
-//! pinned by the differential tests in `tests/differential.rs` and by
+//! [`InceptionnCodec::compress`](crate::InceptionnCodec::compress) /
+//! [`InceptionnCodec::decompress`](crate::InceptionnCodec::decompress)
+//! — pinned by the differential tests in `tests/differential.rs` and by
 //! the `nicsim` golden tests, since the modeled hardware engines run on
 //! this path.
 //!
@@ -64,7 +66,8 @@
 //! subnormals (zero test trivially true).
 
 use crate::inceptionn::{
-    CompressedStream, DecodeError, ErrorBound, InceptionnCodec, Tag, LANES_PER_BURST,
+    max_wire_bytes, CompressedStream, DecodeError, ErrorBound, Tag, LANES_PER_BURST,
+    MAX_GROUP_BYTES,
 };
 
 /// Payload width in bits, indexed by the 2-bit tag.
@@ -93,8 +96,9 @@ pub struct Lane {
 /// Classifies one value with integer/bit operations only.
 ///
 /// `eb_exp` is the error-bound exponent `E` (bound `2⁻ᴱ`, `1..=30`).
-/// Equivalent to [`InceptionnCodec::compress_value`] on every `f32`
-/// input — see the module docs for the argument.
+/// Equivalent to
+/// [`InceptionnCodec::compress_value`](crate::InceptionnCodec::compress_value)
+/// on every `f32` input — see the module docs for the argument.
 #[inline]
 pub fn classify(eb_exp: u32, f: f32) -> Lane {
     let bits = f.to_bits();
@@ -132,8 +136,10 @@ pub fn classify(eb_exp: u32, f: f32) -> Lane {
 
 /// Reconstructs the receiver-side value of one classified lane.
 ///
-/// Identical to [`InceptionnCodec::decompress_value`] (same operations
-/// on the same fields, with the `2⁻³²` scale pre-folded).
+/// Identical to
+/// [`InceptionnCodec::decompress_value`](crate::InceptionnCodec::decompress_value)
+/// (same operations on the same fields, with the `2⁻³²` scale
+/// pre-folded).
 #[inline]
 pub fn reconstruct(tag: u32, payload: u32) -> f32 {
     match tag & 0b11 {
@@ -531,14 +537,12 @@ struct ByteSink {
     out: Vec<u8>,
 }
 
-/// Upper bound on one group's wire size: 2 tag bytes + 8 full payloads.
-const MAX_GROUP_BYTES: usize = 2 + LANES_PER_BURST * 4;
-
 impl ByteSink {
-    /// Wraps an existing buffer, reserving room for `bits` more bits of
-    /// stream: groups append after whatever the buffer already holds.
-    fn appending_to(mut out: Vec<u8>, bits: usize) -> Self {
-        out.reserve(bits.div_ceil(8) + MAX_GROUP_BYTES + 4);
+    /// Wraps an existing buffer, reserving the worst case for `len`
+    /// more values once, so no group's own reservation reallocates:
+    /// groups append after whatever the buffer already holds.
+    fn appending_to(mut out: Vec<u8>, len: usize) -> Self {
+        out.reserve(max_wire_bytes(len));
         ByteSink { out }
     }
 
@@ -640,10 +644,10 @@ impl<'a> WordReader<'a> {
 /// The burst-vectorized INCEPTIONN codec.
 ///
 /// Produces and consumes exactly the wire format of the scalar
-/// [`InceptionnCodec`] — same bytes, same bit length, same decode
-/// errors — several times faster. The modeled NIC engines
-/// (`inceptionn-nicsim`) and both fabric implementations run on this
-/// path.
+/// [`InceptionnCodec`](crate::InceptionnCodec) — same bytes, same bit
+/// length, same decode errors — several times faster. The modeled NIC
+/// engines (`inceptionn-nicsim`) and both fabric implementations run on
+/// this path.
 ///
 /// # Examples
 ///
@@ -709,7 +713,7 @@ impl BurstCodec {
     }
 
     /// Compresses a gradient slice — bit-identical to
-    /// [`InceptionnCodec::compress`].
+    /// [`InceptionnCodec::compress`](crate::InceptionnCodec::compress).
     pub fn compress(&self, values: &[f32]) -> CompressedStream {
         let mut bytes = Vec::new();
         let bit_len = self.compress_append(values, &mut bytes);
@@ -726,11 +730,8 @@ impl BurstCodec {
     /// [`BurstCodec::compress`]'s stream for `values`; returns its bit
     /// length.
     pub fn compress_append(&self, values: &[f32], out: &mut Vec<u8>) -> usize {
-        // Pre-size from the scalar codec's sampled tag histogram so the
-        // flush loop never reallocates on typical gradient streams.
-        let estimate = InceptionnCodec::new(self.bound).estimate_wire_bits(values);
         let start = out.len();
-        let mut w = ByteSink::appending_to(std::mem::take(out), estimate);
+        let mut w = ByteSink::appending_to(std::mem::take(out), values.len());
         let mut rest = values;
         #[cfg(target_arch = "x86_64")]
         if self.avx512 {
@@ -767,7 +768,8 @@ impl BurstCodec {
     }
 
     /// Decompresses a packed stream — same values and same
-    /// [`DecodeError`]s as [`InceptionnCodec::decompress`].
+    /// [`DecodeError`]s as
+    /// [`InceptionnCodec::decompress`](crate::InceptionnCodec::decompress).
     pub fn decompress(&self, stream: &CompressedStream) -> Result<Vec<f32>, DecodeError> {
         let mut out = vec![0f32; stream.len];
         self.decompress_into(&stream.bytes, stream.len, &mut out)?;
@@ -801,62 +803,98 @@ impl BurstCodec {
         self.decode_tail(bytes, cur * 8, done, count, out)
     }
 
-    /// Fast decode of full groups: one unaligned u32 load per lane,
-    /// masked to the tagged width (gathered as a whole burst on AVX2
-    /// hosts). The loop guard keeps every load in bounds — a maximal
-    /// group spans `MAX_GROUP_BYTES` and each load touches 4 bytes from
-    /// its base — so no error is possible here (whatever bytes exist
-    /// are readable, exactly the reference `BitReader` boundary).
-    /// Returns the byte cursor and value count consumed.
+    /// Fast decode of every whole group that lies inside `bytes`. Groups
+    /// are decoded in place while a maximal group's loads stay in
+    /// bounds; the remaining `< MAX_GROUP_BYTES` bytes are copied into
+    /// a zero-padded stack buffer and their whole groups go through the
+    /// same loop, so only the final partial group and a group that
+    /// overruns the input are left to [`decode_tail`](Self::decode_tail).
+    /// No error is possible here: a group is decoded only when its tag
+    /// vector and payload lie entirely inside the real bytes, and every
+    /// lane load is masked to its tagged width, so padding never reaches
+    /// a value. Returns the byte cursor and value count consumed.
     fn decode_fast(&self, bytes: &[u8], count: usize, out: &mut [f32]) -> (usize, usize) {
-        let mut cur = 0usize;
-        let mut done = 0usize;
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2 {
-            let kernel: unsafe fn(*const u8, u32, *mut f32) = if self.vbmi {
-                x86::decode_group_vbmi
-            } else {
-                x86::decode_group_avx2
-            };
-            while done + LANES_PER_BURST <= count && cur + MAX_GROUP_BYTES + 4 <= bytes.len() {
-                let tags16 = u32::from(u16::from_le_bytes([bytes[cur], bytes[cur + 1]]));
-                // SAFETY: the kernel's feature set was verified at
-                // construction; the loop guard leaves >= 36 readable
-                // bytes past the payload base, and `out` holds at least
-                // `done + 8` slots.
-                unsafe {
-                    kernel(
-                        bytes.as_ptr().add(cur + 2),
-                        tags16,
-                        out.as_mut_ptr().add(done),
-                    );
-                }
-                cur += 2 + lane_offsets(tags16).1;
-                done += LANES_PER_BURST;
-            }
+        let (cur, done) = self.decode_groups(bytes, bytes.len(), 0, out);
+        if done + LANES_PER_BURST > count {
             return (cur, done);
         }
-        const PAY_MASK32: [u32; 4] = [0, 0xff, 0xffff, u32::MAX];
-        while done + LANES_PER_BURST <= count && cur + MAX_GROUP_BYTES + 4 <= bytes.len() {
-            let tags16 = u32::from(u16::from_le_bytes([bytes[cur], bytes[cur + 1]]));
-            let dst = &mut out[done..done + LANES_PER_BURST];
-            let mut at = cur + 2;
-            for (i, slot) in dst.iter_mut().enumerate() {
-                let tag = (tags16 >> (2 * i)) & 3;
-                let raw = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte load"));
-                *slot = recon_fast(tag, raw & PAY_MASK32[tag as usize]);
-                at += PAYLOAD_BYTES[tag as usize];
+        // The in-place loop stopped for want of a 32-byte load window,
+        // so `rest` is shorter than `MAX_GROUP_BYTES`: a group in it
+        // starts below byte 32 and loads at most `MAX_GROUP_BYTES`
+        // bytes from there.
+        let rest = &bytes[cur..];
+        let mut pad = [0u8; 2 * MAX_GROUP_BYTES];
+        pad[..rest.len()].copy_from_slice(rest);
+        let (more, done) = self.decode_groups(&pad, rest.len(), done, out);
+        (cur + more, done)
+    }
+
+    /// Decodes whole groups from the start of `buf` into `out[done..]`
+    /// while the next group's tag vector and payload lie inside
+    /// `buf[..end]`, its 32-byte load window inside `buf`, and its eight
+    /// values inside `out`. Returns the bytes and value count consumed.
+    fn decode_groups(
+        &self,
+        buf: &[u8],
+        end: usize,
+        mut done: usize,
+        out: &mut [f32],
+    ) -> (usize, usize) {
+        let mut cur = 0usize;
+        while cur + 2 <= end {
+            let (Some(src), Some(dst)) = (
+                buf.get(cur + 2..).and_then(|b| b.first_chunk::<32>()),
+                out.get_mut(done..)
+                    .and_then(|o| o.first_chunk_mut::<LANES_PER_BURST>()),
+            ) else {
+                break;
+            };
+            let tags16 = u32::from(u16::from_le_bytes([buf[cur], buf[cur + 1]]));
+            let width = 2 + lane_offsets(tags16).1;
+            if cur + width > end {
+                break;
             }
-            cur = at;
+            self.decode_group(src, tags16, dst);
+            cur += width;
             done += LANES_PER_BURST;
         }
         (cur, done)
     }
 
-    /// Exact bit-reader decode of everything after the fast loop: the
-    /// final groups near the end of the buffer, where out-of-bounds
-    /// loads could otherwise occur and where truncation errors must be
-    /// reported at their precise value index and bit offset.
+    /// Decodes one full group from its payload's 32-byte load window:
+    /// one unaligned u32 load per lane, masked to the tagged width
+    /// (gathered or shuffled as a whole burst on AVX2 hosts).
+    #[inline]
+    fn decode_group(&self, src: &[u8; 32], tags16: u32, dst: &mut [f32; LANES_PER_BURST]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: the kernels' feature sets were verified at
+            // construction; `src` is the 32 readable bytes and `dst` the
+            // eight writable slots their contracts ask for.
+            unsafe {
+                if self.vbmi {
+                    x86::decode_group_vbmi(src.as_ptr(), tags16, dst.as_mut_ptr());
+                } else {
+                    x86::decode_group_avx2(src.as_ptr(), tags16, dst.as_mut_ptr());
+                }
+            }
+            return;
+        }
+        const PAY_MASK32: [u32; 4] = [0, 0xff, 0xffff, u32::MAX];
+        let mut at = 0;
+        for (i, slot) in dst.iter_mut().enumerate() {
+            let tag = (tags16 >> (2 * i)) & 3;
+            // Lane offsets stay below 29, so the load stays in `src`.
+            let raw = u32::from_le_bytes(src[at..at + 4].try_into().expect("4-byte load"));
+            *slot = recon_fast(tag, raw & PAY_MASK32[tag as usize]);
+            at += PAYLOAD_BYTES[tag as usize];
+        }
+    }
+
+    /// Exact bit-reader decode of everything the fast path leaves: the
+    /// final partial group and a group that overruns the input, where
+    /// truncation errors must be reported at their precise value index
+    /// and bit offset.
     fn decode_tail(
         &self,
         bytes: &[u8],
@@ -893,7 +931,8 @@ impl BurstCodec {
     }
 
     /// The lossy round trip without materializing the bit stream —
-    /// identical values to [`InceptionnCodec::quantize`].
+    /// identical values to
+    /// [`InceptionnCodec::quantize`](crate::InceptionnCodec::quantize).
     pub fn quantize(&self, values: &[f32]) -> Vec<f32> {
         let mut out = values.to_vec();
         self.quantize_inplace(&mut out);
@@ -919,7 +958,10 @@ impl BurstCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inceptionn::InceptionnCodec;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pair(e: u8) -> (BurstCodec, InceptionnCodec) {
         let b = ErrorBound::pow2(e);
@@ -1038,6 +1080,114 @@ mod tests {
                 slow.decompress(&t).unwrap_err(),
                 "cut={cut}"
             );
+        }
+    }
+
+    /// The host's detected kernels, its AVX2-only kernels (the detected
+    /// ones again on a host without AVX-512) and the portable scalar
+    /// path.
+    fn kernels(e: u8) -> [BurstCodec; 3] {
+        let detected = BurstCodec::new(ErrorBound::pow2(e));
+        let avx2_only = BurstCodec {
+            avx512: false,
+            vbmi: false,
+            ..detected
+        };
+        let portable = BurstCodec {
+            avx2: false,
+            ..avx2_only
+        };
+        [detected, avx2_only, portable]
+    }
+
+    /// Every length up to a few MTU chunks, plus whole-packet sizes.
+    fn tail_lengths() -> impl Iterator<Item = usize> {
+        (0..=400).chain([1447, 1448, 2896])
+    }
+
+    /// Random lanes spanning all four tags at every tested bound, then
+    /// all-Full and all-Zero lanes.
+    fn tail_inputs(n: usize) -> [Vec<f32>; 3] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let random = (0..n)
+            .map(|_| {
+                let mag = 2f32.powi(-rng.gen_range(0i32..14)) * rng.gen_range(1.0f32..2.0);
+                if rng.gen::<bool>() {
+                    -mag
+                } else {
+                    mag
+                }
+            })
+            .collect();
+        let full = (0..n).map(|i| 1.0 + i as f32).collect();
+        [random, full, vec![0.0; n]]
+    }
+
+    fn bits(vals: &[f32]) -> Vec<u32> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn decompress_into_matches_scalar_on_every_tail_shape() {
+        for e in [6u8, 8, 10] {
+            let slow = InceptionnCodec::new(ErrorBound::pow2(e));
+            for n in tail_lengths() {
+                for vals in tail_inputs(n) {
+                    let stream = slow.compress(&vals);
+                    let want = bits(&slow.decompress(&stream).unwrap());
+                    for fast in kernels(e) {
+                        let mut out = vec![f32::NAN; n];
+                        fast.decompress_into(&stream.bytes, n, &mut out).unwrap();
+                        assert_eq!(bits(&out), want, "n={n} e={e} {fast:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_prefix_truncation_errors_like_scalar() {
+        for e in [6u8, 8, 10] {
+            let slow = InceptionnCodec::new(ErrorBound::pow2(e));
+            for n in tail_lengths() {
+                for vals in tail_inputs(n) {
+                    let stream = slow.compress(&vals);
+                    for cut in 0..stream.bytes.len() {
+                        let mut t = stream.clone();
+                        t.bytes.truncate(cut);
+                        let want = slow.decompress(&t).unwrap_err();
+                        for fast in kernels(e) {
+                            let mut out = vec![0f32; n];
+                            let got = fast.decompress_into(&t.bytes, n, &mut out).unwrap_err();
+                            assert_eq!(got, want, "n={n} e={e} cut={cut} {fast:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compress_append_is_independent_of_the_buffer_state() {
+        for e in [6u8, 8, 10] {
+            for n in tail_lengths() {
+                for vals in tail_inputs(n) {
+                    for codec in kernels(e) {
+                        let want = codec.compress(&vals);
+                        let mut empty = Vec::new();
+                        let mut exact = Vec::with_capacity(want.bytes.len());
+                        let mut warmed = Vec::with_capacity(8 * want.bytes.len() + 64);
+                        warmed.extend_from_slice(b"prefix");
+                        for buf in [&mut empty, &mut exact, &mut warmed] {
+                            let start = buf.len();
+                            let bit_len = codec.compress_append(&vals, buf);
+                            assert_eq!(&buf[start..], &want.bytes[..], "n={n} e={e}");
+                            assert_eq!(bit_len, want.bit_len);
+                        }
+                        assert_eq!(&warmed[..6], b"prefix");
+                    }
+                }
+            }
         }
     }
 

@@ -32,6 +32,17 @@ use crate::stats::BitwidthHistogram;
 /// Number of `f32` lanes the hardware compresses per 256-bit AXI burst.
 pub const LANES_PER_BURST: usize = 8;
 
+/// Upper bound on one group's wire size: 2 tag bytes + 8 full payloads.
+pub(crate) const MAX_GROUP_BYTES: usize = 2 + LANES_PER_BURST * 4;
+
+/// Worst-case stream size in bytes for `len` values — every group at
+/// [`MAX_GROUP_BYTES`] — plus the 4 bytes of store slack the burst
+/// encoder keeps past each group. A closed form, so sizing an encoder
+/// buffer costs no pass over the values.
+pub(crate) fn max_wire_bytes(len: usize) -> usize {
+    len.div_ceil(LANES_PER_BURST) * MAX_GROUP_BYTES + 4
+}
+
 /// An absolute error bound of the form `2^-E`, the knob the paper sweeps
 /// (`2^-10`, `2^-8`, `2^-6` in the evaluation).
 ///
@@ -344,33 +355,6 @@ impl InceptionnCodec {
         }
     }
 
-    /// Estimates the wire size of `values` in bits from a tag histogram
-    /// of an evenly strided sample (exact for streams of ≤ 256 values).
-    ///
-    /// Used to pre-size encoder buffers so packing does not pay repeated
-    /// `Vec` reallocation; it is an estimate, not a bound — callers must
-    /// still tolerate growth.
-    pub fn estimate_wire_bits(&self, values: &[f32]) -> usize {
-        if values.is_empty() {
-            return 0;
-        }
-        const SAMPLE: usize = 256;
-        let stride = values.len().div_ceil(SAMPLE).max(1);
-        let mut h = BitwidthHistogram::default();
-        let mut i = 0;
-        while i < values.len() {
-            h.record(self.compress_value(values[i]).tag);
-            i += stride;
-        }
-        let sampled = h.total().max(1) as usize;
-        let groups = values.len().div_ceil(LANES_PER_BURST);
-        // Scale sampled payload bits to the full stream and add the
-        // fixed 16 tag bits per 8-lane group (plus slack for sampling
-        // error on skewed streams).
-        let payload = h.payload_bits() * values.len() / sampled;
-        groups * 16 + payload + payload / 8 + 64
-    }
-
     /// Compresses a gradient slice into the packed wire format.
     ///
     /// Values are processed in groups of [`LANES_PER_BURST`]; each group
@@ -383,7 +367,7 @@ impl InceptionnCodec {
     /// path in [`crate::burst`] produces byte-identical streams several
     /// times faster and is what the transport stack uses.
     pub fn compress(&self, values: &[f32]) -> CompressedStream {
-        let mut w = BitWriter::with_capacity_bits(self.estimate_wire_bits(values));
+        let mut w = BitWriter::with_capacity_bits(max_wire_bytes(values.len()) * 8);
         for group in values.chunks(LANES_PER_BURST) {
             let mut cvs = [CompressedValue {
                 tag: Tag::Zero,

@@ -219,13 +219,28 @@ impl WireFrame {
     /// Post-compression payload bytes of each packet this frame occupies
     /// on the wire (loopback frames count raw `f32` MTU packets).
     pub fn packet_wire_bytes(&self) -> Vec<u64> {
+        let mut sizes = Vec::new();
+        self.packet_wire_bytes_into(&mut sizes);
+        sizes
+    }
+
+    /// [`packet_wire_bytes`](Self::packet_wire_bytes) into a caller-held
+    /// buffer (cleared first, capacity kept), so a per-frame link charge
+    /// allocates nothing once the buffer has warmed.
+    pub(crate) fn packet_wire_bytes_into(&self, sizes: &mut Vec<u64>) {
+        sizes.clear();
         match &self.body {
-            FrameBody::Loopback(values) => values
-                .chunks(VALUES_PER_PACKET)
-                .map(|c| (c.len() * 4) as u64)
-                .collect(),
-            FrameBody::Packets(packets) => packets.iter().map(|p| p.payload.len() as u64).collect(),
-            FrameBody::Flat(payload) => payload.segs.iter().map(|s| s.wire_bytes as u64).collect(),
+            FrameBody::Loopback(values) => sizes.extend(
+                values
+                    .chunks(VALUES_PER_PACKET)
+                    .map(|c| (c.len() * 4) as u64),
+            ),
+            FrameBody::Packets(packets) => {
+                sizes.extend(packets.iter().map(|p| p.payload.len() as u64));
+            }
+            FrameBody::Flat(payload) => {
+                sizes.extend(payload.segs.iter().map(|s| s.wire_bytes as u64));
+            }
         }
     }
 }
@@ -1689,6 +1704,9 @@ pub struct TimedFabric {
     /// single-switch tree (everything on tier 0).
     tiers: TierMap,
     total_ns: u64,
+    /// Per-packet wire sizes of the frame being charged, reused across
+    /// charges.
+    sizes: Vec<u64>,
     buf: EventBuf,
 }
 
@@ -1720,6 +1738,7 @@ impl TimedFabric {
             schedules: vec![LinkRateSchedule::new(); endpoints],
             tiers,
             total_ns: 0,
+            sizes: Vec::new(),
             buf: recorder.buffer(),
         }
     }
@@ -1744,9 +1763,9 @@ impl TimedFabric {
     /// Charges one switch half-leg (uplink when `to_switch`, else
     /// downlink) against `endpoint`'s link and emits its occupancy span.
     fn charge_switch_leg(&mut self, endpoint: usize, frame: &WireFrame, to_switch: bool) {
-        let packet_bytes = frame.packet_wire_bytes();
-        let wire: u64 = packet_bytes.iter().sum();
-        let base_ns = self.net.half_message_latency_ns(&packet_bytes);
+        frame.packet_wire_bytes_into(&mut self.sizes);
+        let wire: u64 = self.sizes.iter().sum();
+        let base_ns = self.net.half_message_latency_ns(&self.sizes);
         // Only the uplink runs through the endpoint's rate schedule:
         // stragglers and congestion windows model the host's send side.
         let ns = if to_switch {
@@ -1822,8 +1841,8 @@ impl Fabric for TimedFabric {
 
     fn charge(&mut self, src: usize, dst: usize, frame: &WireFrame) {
         self.inner.charge(src, dst, frame);
-        let packet_bytes = frame.packet_wire_bytes();
-        let wire: u64 = packet_bytes.iter().sum();
+        frame.packet_wire_bytes_into(&mut self.sizes);
+        let wire: u64 = self.sizes.iter().sum();
         // Tier attribution happens before the self-delivery early return:
         // a self-transfer's encoded bytes were counted by the wire
         // counters, so the edge tier absorbs them to keep the per-tier
@@ -1834,7 +1853,7 @@ impl Fabric for TimedFabric {
             // never touches the network.
             return;
         }
-        let base_ns = self.net.message_latency_ns(&packet_bytes);
+        let base_ns = self.net.message_latency_ns(&self.sizes);
         // A slowdown window (congestion, straggler uplink) stretches the
         // charge by the schedule's factor at the link's current virtual
         // time; the identity schedule is exactly the historical charge.

@@ -15,6 +15,7 @@
 //! steady-state heap allocations** — the property `tests/alloc_gate.rs`
 //! enforces.
 
+use inceptionn_compress::inceptionn::LANES_PER_BURST;
 use inceptionn_compress::DecodeError;
 
 use crate::chunker::VALUES_PER_PACKET;
@@ -202,16 +203,19 @@ pub fn encode_payload_flat(
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] if a compressed segment is truncated or
-/// corrupt; `values` then holds a partial reassembly.
+/// Returns [`DecodeError`] if the segment table cannot describe `bytes`
+/// (checked before `values` is touched), or if a compressed segment is
+/// truncated or corrupt, in which case `values` holds a partial
+/// reassembly.
 pub fn decode_payload_flat(
     rx: &mut NicPipeline,
     payload: &FlatPayload,
     values: &mut Vec<f32>,
 ) -> Result<(u64, u64), DecodeError> {
+    let count = checked_value_count(payload)?;
     let base = rx.config().base_latency_ns;
     values.clear();
-    values.resize(payload.value_count(), 0.0);
+    values.resize(count, 0.0);
     let mut total_ns = 0u64;
     let mut cycles = 0u64;
     let mut at = 0usize;
@@ -223,6 +227,39 @@ pub fn decode_payload_flat(
         cycles += ns.saturating_sub(base) / NS_PER_CYCLE;
     }
     Ok((total_ns, cycles))
+}
+
+/// Checks a received segment table against its byte image before
+/// anything is sized from it, and returns the total value count. A
+/// bypass segment holds exactly four bytes per value; a compressed one
+/// at least the densest legal encoding, a 2-byte tag vector per group
+/// of Zero lanes; and the segments tile `bytes` exactly. So a forged
+/// `value_count` cannot reserve more than four values per wire byte,
+/// and a table that overruns `bytes` is an error, not a panic.
+fn checked_value_count(payload: &FlatPayload) -> Result<usize, DecodeError> {
+    let (mut values, mut bytes) = (0usize, 0usize);
+    let reject = |at_value: usize, at_byte: usize| DecodeError {
+        at_value,
+        bit_offset: at_byte * 8,
+        tag: None,
+    };
+    for seg in &payload.segs {
+        let (n, wire) = (seg.value_count as usize, seg.wire_bytes as usize);
+        let legal = if seg.compressed {
+            2 * n.div_ceil(LANES_PER_BURST) <= wire
+        } else {
+            wire == 4 * n
+        };
+        if !legal {
+            return Err(reject(values, bytes));
+        }
+        values += n;
+        bytes += wire;
+    }
+    if bytes != payload.bytes.len() {
+        return Err(reject(values, bytes));
+    }
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -368,6 +405,40 @@ mod tests {
         flat.truncate_seg(0, 2);
         let mut out = Vec::new();
         assert!(decode_payload_flat(&mut pipeline(), &flat, &mut out).is_err());
+    }
+
+    #[test]
+    fn forged_value_count_is_rejected_before_sizing_the_output() {
+        let mut flat = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(15, 500), true, &mut flat);
+        let mut out = Vec::with_capacity(16);
+        for compressed in [true, false] {
+            let mut forged = flat.clone();
+            forged.segs[1] = FlatSeg {
+                value_count: u32::MAX,
+                compressed,
+                ..forged.segs[1]
+            };
+            let err = decode_payload_flat(&mut pipeline(), &forged, &mut out).unwrap_err();
+            assert_eq!(err.at_value, VALUES_PER_PACKET);
+            assert_eq!(out.capacity(), 16);
+        }
+    }
+
+    #[test]
+    fn overrunning_segment_table_is_a_decode_error() {
+        let mut flat = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(17, 500), true, &mut flat);
+        let mut out = Vec::new();
+        let mut long = flat.clone();
+        long.segs[0].wire_bytes += 1;
+        assert!(decode_payload_flat(&mut pipeline(), &long, &mut out).is_err());
+        let mut extra = flat.clone();
+        extra.segs.push(flat.segs[0]);
+        assert!(decode_payload_flat(&mut pipeline(), &extra, &mut out).is_err());
+        let mut short = flat;
+        short.segs.pop();
+        assert!(decode_payload_flat(&mut pipeline(), &short, &mut out).is_err());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! gate proves the dynamic property those rules approximate: after a
 //! one-iteration warmup, a training loop that holds one [`Exchange`]
 //! across iterations of the NIC-transport ring all-reduce performs
-//! **zero heap allocations** in steady state — chunked or whole-leg.
-//! Every buffer the exchange touches — arena frames, flat wire payloads,
-//! the in-flight window, the recovery ladders, the fabric's decode
-//! scratch, and the codec's append sink — is recycled.
+//! **zero heap allocations** in steady state — chunked or whole-leg,
+//! untimed or timed. Every buffer the exchange touches — arena frames,
+//! flat wire payloads, the in-flight window, the recovery ladders, the
+//! fabric's decode scratch, the codec's append sink and the timed
+//! fabric's per-packet size buffer — is recycled.
 //!
 //! The counting `#[global_allocator]` is compiled only under the
 //! `alloc-gate` feature (see `crates/core/Cargo.toml`), so the rest of
@@ -78,7 +79,7 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Runs the NIC-transport ring on one held `exchange`: a warm-up
+/// Runs the ring over `transport` on one held `exchange`: a warm-up
 /// iteration, then three more that must allocate nothing and stay
 /// bit-identical to the first.
 ///
@@ -87,6 +88,7 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
 /// compressed wire sizes repeat and every warmed capacity suffices.
 fn assert_steady_state_allocates_nothing(
     label: &str,
+    transport: TransportKind,
     mut exchange: Exchange,
     n: usize,
     len: usize,
@@ -94,7 +96,7 @@ fn assert_steady_state_allocates_nothing(
 ) {
     let live: Vec<usize> = (0..n).collect();
     let mut fabric = FabricBuilder::new(n)
-        .transport(TransportKind::Nic)
+        .transport(transport)
         .compression(bound)
         .build();
     let inputs = worker_grads(n, len, 0xA110C);
@@ -117,7 +119,7 @@ fn assert_steady_state_allocates_nothing(
         assert_eq!(
             after - before,
             0,
-            "{label}: steady-state iteration {iter} of the NIC ring exchange allocated {} times",
+            "{label}: steady-state iteration {iter} of the ring exchange allocated {} times",
             after - before
         );
         assert_eq!(
@@ -128,9 +130,10 @@ fn assert_steady_state_allocates_nothing(
 }
 
 /// The tentpole assertion: iteration 2..N of the ring exchange over the
-/// (untimed) NIC fabric allocates nothing — compressed and lossless
-/// (they share every buffer), chunked and under the whole-leg default
-/// the trainer runs.
+/// NIC fabric allocates nothing — compressed and lossless (they share
+/// every buffer), chunked and under the whole-leg default the trainer
+/// runs — and neither does the timed NIC fabric's per-frame link
+/// charge.
 ///
 /// One test function: every cell rides on the same cold-exchange check
 /// of the instrument.
@@ -156,8 +159,10 @@ fn nic_ring_steady_state_allocates_nothing() {
     );
 
     let bound = Some(ErrorBound::pow2(10));
+    let nic = TransportKind::Nic;
     assert_steady_state_allocates_nothing(
         "chunked/compressed",
+        nic,
         Exchange::new(4).pipelined(PipelineConfig::with_chunk(500)),
         4,
         4000,
@@ -165,11 +170,27 @@ fn nic_ring_steady_state_allocates_nothing() {
     );
     assert_steady_state_allocates_nothing(
         "chunked/lossless",
+        nic,
         Exchange::new(3).pipelined(PipelineConfig::with_chunk(700)),
         3,
         2500,
         None,
     );
-    assert_steady_state_allocates_nothing("whole/compressed", Exchange::new(4), 4, 4000, bound);
-    assert_steady_state_allocates_nothing("whole/lossless", Exchange::new(3), 3, 2500, None);
+    assert_steady_state_allocates_nothing(
+        "whole/compressed",
+        nic,
+        Exchange::new(4),
+        4,
+        4000,
+        bound,
+    );
+    assert_steady_state_allocates_nothing("whole/lossless", nic, Exchange::new(3), 3, 2500, None);
+    assert_steady_state_allocates_nothing(
+        "timed/chunked/compressed",
+        TransportKind::TimedNic,
+        Exchange::new(4).pipelined(PipelineConfig::with_chunk(500)),
+        4,
+        4000,
+        bound,
+    );
 }
