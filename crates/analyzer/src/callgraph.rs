@@ -6,7 +6,7 @@
 //! information. Function *definitions* are discovered with their
 //! enclosing `impl`/`trait` qualifier; call *sites* are classified as
 //! free calls (`helper(x)`), method calls (`fabric.deliver(x)`), or
-//! qualified calls (`Fabric::transfer(..)`, `pool::global()`), and
+//! qualified calls (`Fabric::transfer(..)`, `sparse::decode_frame(..)`), and
 //! resolved by name:
 //!
 //! - free calls bind to free functions of the same name anywhere in the
@@ -15,7 +15,7 @@
 //!   over-approximation of dynamic dispatch through `dyn Fabric`);
 //! - qualified calls bind to methods whose `impl` self-type or trait
 //!   matches the qualifier, falling back to free functions when the
-//!   qualifier is a lowercase module path (`pool::global`).
+//!   qualifier is a lowercase module path (`sparse::decode_frame`).
 //!
 //! Hot roots — `encode_into`/`decode_into`, the `Fabric::transfer*`
 //! family, `Exchange::run` and the four `*_schedule` bodies it calls,
@@ -167,7 +167,7 @@ enum Callee {
     Free(String),
     /// `recv.deliver(x)` — binds to every method of that name.
     Method(String),
-    /// `Fabric::transfer(..)`, `pool::global()` — binds through the
+    /// `Fabric::transfer(..)`, `sparse::decode_frame(..)` — binds through the
     /// qualifier.
     Qualified(String, String),
 }
@@ -366,7 +366,7 @@ impl CallGraph {
                     if let Some(v) = by_qual.get(&(q.as_str(), n.as_str())) {
                         v
                     } else if q.starts_with(|c: char| c.is_lowercase()) {
-                        // Module-qualified free call: `pool::global()`.
+                        // Module-qualified free call: `sparse::decode_frame(..)`.
                         by_free.get(n.as_str()).unwrap_or(&empty)
                     } else {
                         &empty

@@ -1,11 +1,7 @@
 //! CLI for the analyzer: `cargo run -p analyzer -- --check`.
 //!
 //! Modes:
-//! - `--check` (default): invariant linter + concurrency checker
-//!   (smoke-sized models); exit 1 on any violation.
-//! - `--lint`: linter only.
-//! - `--conc`: concurrency checker only, full-sized models.
-//! - `--smoke`: concurrency checker only, smoke-sized models.
+//! - `--check` (default): invariant linter; exit 1 on any violation.
 //! - `--callgraph`: emit the hot-reachable call subgraph as DOT on
 //!   stdout (per-crate node/edge summary in leading comment lines);
 //!   pipe through `dot -Tsvg` to render.
@@ -18,7 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use analyzer::{run_callgraph, run_conc, run_lint, CheckOutcome};
+use analyzer::{run_callgraph, run_lint, CheckOutcome};
 
 fn find_repo_root(explicit: Option<PathBuf>) -> Option<PathBuf> {
     if let Some(root) = explicit {
@@ -56,13 +52,11 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" | "--lint" | "--conc" | "--smoke" | "--callgraph" => mode = arg,
+            "--check" | "--callgraph" => mode = arg,
             "--root" => root = args.next().map(PathBuf::from),
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!(
-                    "usage: analyzer [--check|--lint|--conc|--smoke|--callgraph] [--root <dir>]"
-                );
+                eprintln!("usage: analyzer [--check|--callgraph] [--root <dir>]");
                 return ExitCode::from(2);
             }
         }
@@ -87,23 +81,13 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut ok = true;
-    if matches!(mode.as_str(), "--check" | "--lint") {
-        match find_repo_root(root.clone()) {
-            Some(repo_root) => {
-                ok &= report("lint", &run_lint(&repo_root));
-            }
-            None => {
-                eprintln!("lint: could not locate workspace root (pass --root <dir>)");
-                ok = false;
-            }
+    let ok = match find_repo_root(root) {
+        Some(repo_root) => report("lint", &run_lint(&repo_root)),
+        None => {
+            eprintln!("lint: could not locate workspace root (pass --root <dir>)");
+            false
         }
-    }
-    if matches!(mode.as_str(), "--check" | "--conc" | "--smoke") {
-        let smoke = mode != "--conc";
-        ok &= report("conc", &run_conc(smoke));
-    }
-
+    };
     if ok {
         println!("analyzer: all checks passed");
         ExitCode::SUCCESS

@@ -2,8 +2,8 @@
 //!
 //! Nine rules over every `crates/*/src/**/*.rs` file, each encoding an
 //! invariant the INCEPTIONN reproduction's correctness story depends on
-//! (see DESIGN.md §"Static analysis & concurrency audit" for the
-//! catalog and how to add a rule):
+//! (see DESIGN.md §"Static analysis" for the catalog and how to add a
+//! rule):
 //!
 //! | id | invariant |
 //! |----|-----------|
@@ -15,7 +15,7 @@
 //! | `no-time-rng-in-wire` | code that determines wire byte layout never consults wall clocks or RNGs |
 //! | `shim-facade` | vendored shims are only imported by the crates the facade declares |
 //! | `no-eager-format-hot-path` | obs-instrumented hot paths never format strings (`format!`, `.to_string()`) or read `Instant` — events are static labels + integers, rendering deferred to export |
-//! | `no-transient-thread-hot-path` | codec/fabric hot paths never create threads per call (`thread::spawn` / `thread::scope`) — shard work goes through the persistent pool |
+//! | `no-thread-in-library` | no library code creates threads (`std::thread`'s `spawn`, `scope` or `Builder`): every codec, fabric and exchange runs on the caller's thread |
 //!
 //! The two hot-path rules are *interprocedural*: instead of a file
 //! list, [`crate::callgraph`] seeds the codec/transport entry points
@@ -79,31 +79,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/distrib/src/fabric.rs",
     "crates/distrib/src/ring.rs",
     "crates/distrib/src/aggregator.rs",
-    "crates/nicsim/src/chunker.rs",
-    "crates/nicsim/src/datapath.rs",
-    "crates/nicsim/src/engine.rs",
-    "crates/nicsim/src/nic.rs",
-    "crates/nicsim/src/packet.rs",
-];
-
-/// Files covered by `no-transient-thread-hot-path`: the per-exchange
-/// codec and fabric paths, where creating OS threads per call would put
-/// spawn/teardown latency on every transfer. Shard fan-out belongs on
-/// the persistent worker pool (`inceptionn_compress::pool::global()`).
-/// Deliberately absent: `crates/compress/src/pool.rs` (its spawns run
-/// once per process, building that pool).
-pub const TRANSIENT_THREAD_FILES: &[&str] = &[
-    "crates/compress/src/burst.rs",
-    "crates/compress/src/parallel.rs",
-    "crates/compress/src/inceptionn.rs",
-    "crates/compress/src/bitio.rs",
-    "crates/compress/src/sparse.rs",
-    "crates/compress/src/sketch.rs",
-    "crates/distrib/src/crc32.rs",
-    "crates/distrib/src/fabric.rs",
-    "crates/distrib/src/ring.rs",
-    "crates/distrib/src/aggregator.rs",
-    "crates/distrib/src/pipeline.rs",
     "crates/nicsim/src/chunker.rs",
     "crates/nicsim/src/datapath.rs",
     "crates/nicsim/src/engine.rs",
@@ -754,17 +729,18 @@ pub fn rule_no_eager_format_hot_path(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------
-// Rule: no-transient-thread-hot-path
+// Rule: no-thread-in-library
 // ---------------------------------------------------------------------
 
-/// Flags per-call thread creation (`thread::spawn`, `thread::scope`) in
-/// non-test code of pooled hot-path files. The parallel codec's shard
-/// fan-out runs on a persistent, parked worker pool precisely so the
-/// steady-state exchange loop never pays thread spawn/teardown; a
-/// transient scope reappearing on one of these paths silently reverts
-/// that and the analyzer treats it as a perf regression, not style.
-pub fn rule_no_transient_thread_hot_path(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !TRANSIENT_THREAD_FILES.contains(&ctx.path) {
+/// Flags thread creation — a `thread` path ending in `spawn`, `scope` or
+/// `Builder` — in non-test code of any file under `crates/`. The
+/// library runs every codec, fabric and exchange on the caller's
+/// thread, so bit-determinism never depends on a schedule and there is
+/// no cross-thread protocol to model-check. Reading the host
+/// (`available_parallelism`) is not thread creation and stays legal;
+/// the benchmark package outside `crates/` is out of scope.
+pub fn rule_no_thread_in_library(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
+    if !ctx.path.starts_with("crates/") {
         return;
     }
     for i in 0..ctx.code.len() {
@@ -777,18 +753,14 @@ pub fn rule_no_transient_thread_hot_path(ctx: &FileCtx, out: &mut Vec<Diagnostic
             continue;
         }
         let callee = ctx.text(i + 3);
-        if callee == "spawn" || callee == "scope" {
+        if matches!(callee, "spawn" | "scope" | "Builder") {
             out.push(Diagnostic {
-                rule: "no-transient-thread-hot-path",
+                rule: "no-thread-in-library",
                 file: ctx.path.to_string(),
                 line: ctx.ct(i).line,
-                message: format!(
-                    "`thread::{callee}` creates transient threads on a pooled hot path"
-                ),
-                hint: "run shard work on the persistent pool \
-                       (inceptionn_compress::pool::global().run_indexed) so steady-state \
-                       exchanges never pay thread creation; one-time spawns belong in \
-                       pool.rs, long-lived exchange threads in ring.rs"
+                message: format!("`thread::{callee}` creates a thread in library code"),
+                hint: "run the work on the calling thread; a cross-thread protocol \
+                       needs a measured reason and a checker of its own"
                     .to_string(),
             });
         }
@@ -967,7 +939,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     rule_no_panic_recovery_path(&ctx, &mut out);
     rule_no_time_rng_in_wire(&ctx, &mut out);
     rule_no_eager_format_hot_path(&ctx, &mut out);
-    rule_no_transient_thread_hot_path(&ctx, &mut out);
+    rule_no_thread_in_library(&ctx, &mut out);
     rule_shim_facade(&ctx, &mut out);
     let graph = crate::callgraph::CallGraph::build(std::slice::from_ref(&ctx));
     crate::callgraph::rule_hot_reachability(&graph, &mut out);
@@ -1037,7 +1009,7 @@ pub fn lint_tree(repo_root: &Path) -> Result<Vec<Diagnostic>, String> {
         rule_no_panic_recovery_path(ctx, &mut raw);
         rule_no_time_rng_in_wire(ctx, &mut raw);
         rule_no_eager_format_hot_path(ctx, &mut raw);
-        rule_no_transient_thread_hot_path(ctx, &mut raw);
+        rule_no_thread_in_library(ctx, &mut raw);
         rule_shim_facade(ctx, &mut raw);
     }
     // The interprocedural pass needs the whole tree at once: hot roots
@@ -1338,44 +1310,41 @@ mod tests {
         assert!(lint_source("crates/distrib/src/fabric.rs", src).is_empty());
     }
 
-    // -- no-transient-thread-hot-path ----------------------------------
+    // -- no-thread-in-library ------------------------------------------
 
     #[test]
-    fn transient_thread_creation_is_flagged_on_pooled_hot_paths() {
+    fn thread_creation_is_flagged_in_any_library_file() {
         let src = "fn f() { std::thread::scope(|s| { let _ = s; }); }\n";
         let diags = lint_source("crates/compress/src/parallel.rs", src);
-        assert_eq!(fired(&diags), ["no-transient-thread-hot-path"]);
+        assert_eq!(fired(&diags), ["no-thread-in-library"]);
         assert!(diags[0].message.contains("thread::scope"));
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
         assert_eq!(
-            fired(&lint_source("crates/distrib/src/pipeline.rs", src)),
-            ["no-transient-thread-hot-path"]
+            fired(&lint_source("crates/core/src/service.rs", src)),
+            ["no-thread-in-library"]
         );
-    }
-
-    #[test]
-    fn pool_spawns_are_out_of_scope() {
-        // pool.rs spawns once per process to build the persistent pool:
-        // not a per-call fan-out. ring.rs is covered like every other
-        // exchange file, so a spawn appearing there must fire.
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(lint_source("crates/compress/src/pool.rs", src).is_empty());
+        let src = "fn f() { let _ = std::thread::Builder::new(); }\n";
         assert_eq!(
-            fired(&lint_source("crates/distrib/src/ring.rs", src)),
-            ["no-transient-thread-hot-path"]
+            fired(&lint_source("crates/tensor/src/ops.rs", src)),
+            ["no-thread-in-library"]
         );
     }
 
     #[test]
-    fn transient_thread_rule_exempts_tests_and_plain_idents() {
-        let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::scope(|s| { let _ = s; }); }\n}\n";
-        assert!(lint_source("crates/compress/src/parallel.rs", test_src).is_empty());
+    fn thread_rule_exempts_tests_host_queries_and_plain_idents() {
+        let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
+        assert!(lint_source("crates/distrib/src/ring.rs", test_src).is_empty());
+        let src = "fn f() -> usize {\n    std::thread::available_parallelism().map_or(1, |n| n.get())\n}\n";
+        assert!(lint_source("crates/compress/src/parallel.rs", src).is_empty());
         // `thread` as an ordinary identifier (no `::spawn`/`::scope`
         // path) and other thread:: items stay legal.
         let src = "fn f(thread: u8) -> u8 { thread }\n";
         assert!(lint_source("crates/compress/src/parallel.rs", src).is_empty());
         let src = "fn f() { std::thread::yield_now(); }\n";
         assert!(lint_source("crates/compress/src/parallel.rs", src).is_empty());
+        // The benchmark package is not library code.
+        let src = "fn f() { std::thread::spawn(|| {}); }\n";
+        assert!(lint_source("perfbench/src/main.rs", src).is_empty());
     }
 
     // -- shim-facade ---------------------------------------------------

@@ -1,19 +1,15 @@
-//! Codec fast-path perf harness: scalar vs burst vs parallel, plus the
-//! sparse and sketch wire families.
+//! Codec fast-path perf harness: scalar vs burst, plus the sparse and
+//! sketch wire families.
 //!
 //! Times encode and decode of one large gradient block through the
 //! scalar reference codec ([`InceptionnCodec`]), the burst-vectorized
-//! fast path ([`BurstCodec`]), the sharded [`ParallelCodec`], the
-//! threshold+error-feedback [`SparseCodec`], and the homomorphic
-//! [`SketchCodec`], then
-//! writes the numbers to `BENCH_codec.json` at the repo root (or the
-//! path given as the first argument). Future PRs regress against that
-//! artifact; the binary itself exits nonzero if the parallel codec's
-//! combined encode+decode throughput drops below the scalar baseline,
-//! so CI catches a fast-path regression without comparing files. It
-//! also exits nonzero if the obs-instrumented entry points cost more
-//! than 2% over the plain ones when tracing is disabled, keeping the
-//! no-op recorder effectively free.
+//! fast path ([`BurstCodec`]), the threshold+error-feedback
+//! [`SparseCodec`], and the homomorphic [`SketchCodec`], then writes the
+//! numbers to `BENCH_codec.json` at the repo root (or the path given as
+//! the first argument). Future PRs regress against that artifact; the
+//! binary itself exits nonzero if the burst codec's combined
+//! encode+decode throughput drops below the scalar baseline, so CI
+//! catches a fast-path regression without comparing files.
 //!
 //! `INCEPTIONN_QUICK=1` shrinks the block for smoke runs; the full run
 //! uses the 16M-value block the acceptance numbers are quoted for.
@@ -23,8 +19,8 @@ use std::time::Instant;
 use inceptionn_bench::{banner, fidelity_from_env};
 use inceptionn_compress::gradmodel::{GradientModel, GradientPreset};
 use inceptionn_compress::{
-    sketch, sparse, BurstCodec, ErrorBound, InceptionnCodec, ParallelCodec, ResidualState,
-    SketchCodec, SparseCodec, SparseConfig,
+    sketch, sparse, BurstCodec, ErrorBound, InceptionnCodec, ResidualState, SketchCodec,
+    SparseCodec, SparseConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,29 +84,22 @@ fn main() {
     let bound = ErrorBound::pow2(BOUND_EXP);
     let scalar = InceptionnCodec::new(bound);
     let burst = BurstCodec::new(bound);
-    let parallel = ParallelCodec::with_host_parallelism(bound);
 
     println!(
-        "block: {n} values ({:.1} MiB), bound 2^-{BOUND_EXP}, {} shard(s), {REPS} reps (best)",
+        "block: {n} values ({:.1} MiB), bound 2^-{BOUND_EXP}, {REPS} reps (best)",
         (n * 4) as f64 / (1024.0 * 1024.0),
-        parallel.shards(),
     );
     let mut rng = StdRng::seed_from_u64(0x1ce9);
     let grads = GradientModel::preset(GradientPreset::AlexNet).sample(&mut rng, n);
     let raw_bytes = n * 4;
 
-    // Untimed warm-up roundtrips: fault in the input pages, size the
-    // allocator pools, and spin up the persistent codec workers so the
-    // first timed rep measures the codec, not first-touch costs.
+    // Untimed warm-up roundtrips: fault in the input pages and size the
+    // allocator pools so the first timed rep measures the codec, not
+    // first-touch costs.
     let _ = scalar
         .decompress(&scalar.compress(&grads[..n.min(1 << 20)]))
         .expect("scalar warm-up");
     let _ = burst.compress(&grads[..n.min(1 << 20)]);
-    let mut pframe = parallel.encode(&grads);
-    let mut pout = vec![0f32; n];
-    parallel
-        .decode_into(&pframe, &mut pout)
-        .expect("parallel warm-up");
 
     // --- scalar reference ---
     let (enc_s, stream) = best(|| scalar.compress(&grads));
@@ -122,7 +111,7 @@ fn main() {
         decode_s: dec_s,
     };
 
-    // --- burst fast path (single shard) ---
+    // --- burst fast path ---
     let (enc_s, bstream) = best(|| burst.compress(&grads));
     assert_eq!(
         bstream.bytes, stream.bytes,
@@ -140,28 +129,6 @@ fn main() {
         encode_s: enc_s,
         decode_s: dec_s,
     };
-
-    // --- sharded parallel codec ---
-    // Timed through the zero-copy entry points with reused buffers:
-    // `encode_into` refills the warm frame and `decode_into` writes into
-    // a caller-owned slice, so the loop measures codec throughput, not
-    // a 64 MiB zeroed allocation per call (the exchange hot path reuses
-    // its buffers the same way).
-    let (enc_s, ()) = best(|| parallel.encode_into(&grads, &mut pframe));
-    let (dec_s, ()) = best(|| {
-        parallel
-            .decode_into(&pframe, &mut pout)
-            .expect("parallel decode")
-    });
-    assert_eq!(pout, restored, "parallel decode diverged from scalar");
-    let parallel_t = CodecTiming {
-        name: "parallel",
-        encode_s: enc_s,
-        decode_s: dec_s,
-    };
-    let frame_ratio = raw_bytes as f64 / pframe.wire_bytes() as f64;
-    let frame_shards = pframe.shards.len();
-    let pool_workers = inceptionn_compress::pool::global().workers();
 
     // --- sparse threshold+EF codec ---
     // A different wire family (index/value pairs, not truncated floats),
@@ -209,7 +176,7 @@ fn main() {
         decode_s: dec_s,
     };
 
-    let timings = [&scalar_t, &burst_t, &parallel_t, &sparse_t, &sketch_t];
+    let timings = [&scalar_t, &burst_t, &sparse_t, &sketch_t];
     println!(
         "\n{:<10} {:>12} {:>12} {:>14}",
         "codec", "enc GB/s", "dec GB/s", "enc+dec GB/s"
@@ -223,81 +190,11 @@ fn main() {
             t.roundtrip_gbps(raw_bytes),
         );
     }
-    let speedup = parallel_t.roundtrip_gbps(raw_bytes) / scalar_t.roundtrip_gbps(raw_bytes);
-    println!(
-        "\nwire ratio {wire_ratio:.2}x (framed {frame_ratio:.2}x), parallel/scalar speedup {speedup:.2}x, \
-         {frame_shards} shard(s) over {pool_workers} pool worker(s)"
-    );
+    let speedup = burst_t.roundtrip_gbps(raw_bytes) / scalar_t.roundtrip_gbps(raw_bytes);
+    println!("\nwire ratio {wire_ratio:.2}x, burst/scalar speedup {speedup:.2}x");
     println!(
         "sparse wire ratio {sparse_wire_ratio:.2}x (2^-6 threshold), \
          sketch wire ratio {sketch_wire_ratio:.2}x (frac_bits 6)"
-    );
-
-    // --- tracing-off overhead gate ---
-    // The instrumented entry points with a disabled buffer must cost the
-    // same as the plain ones. The pair is timed *interleaved* (plain
-    // roundtrip, then traced roundtrip, per rep) with more reps than the
-    // throughput numbers above, so scheduler jitter and cache state hit
-    // both sides equally and best-of stays meaningful at smoke sizes.
-    const OVERHEAD_REPS: usize = 9;
-    // Each timed sample loops the roundtrip enough times to cover at
-    // least ~10 ms of work, so sub-millisecond smoke blocks don't turn
-    // the gate into a timer-jitter lottery.
-    let roundtrip_est = parallel_t.encode_s + parallel_t.decode_s;
-    let inner = ((0.010 / roundtrip_est.max(1e-6)).ceil() as usize).clamp(1, 32);
-    let mut disabled = obs::EventBuf::disabled();
-    // The gate is the *median of per-rep ratios*: the two sides of one
-    // rep run back to back, so a frequency or scheduler excursion hits
-    // both and cancels in the ratio, and the median discards the reps
-    // it did not. Measured on a single-shard codec — the per-shard
-    // instrumentation cost is what's gated, and skipping the spawn of
-    // worker threads removes their (dominant, unrelated) jitter.
-    let single = ParallelCodec::new(bound, 1);
-    // One untimed warm-up pair so neither side pays first-touch costs.
-    let _ = single.decode(&single.encode(&grads)).expect("warm-up");
-    let _ = single
-        .decode_traced(&single.encode_traced(&grads, &mut disabled), &mut disabled)
-        .expect("warm-up (traced)");
-    let mut ratios = Vec::with_capacity(OVERHEAD_REPS);
-    for _ in 0..OVERHEAD_REPS {
-        let mut plain_s = 0.0;
-        let mut traced_s = 0.0;
-        let time_plain = |acc: &mut f64| {
-            let t = Instant::now();
-            let f = single.encode(&grads);
-            let out = single.decode(&f).expect("parallel decode");
-            *acc += t.elapsed().as_secs_f64();
-            assert_eq!(out.len(), n);
-        };
-        let mut time_traced = |acc: &mut f64| {
-            let t = Instant::now();
-            let f = single.encode_traced(&grads, &mut disabled);
-            let out = single
-                .decode_traced(&f, &mut disabled)
-                .expect("parallel decode (traced)");
-            *acc += t.elapsed().as_secs_f64();
-            assert_eq!(out.len(), n);
-        };
-        // Palindrome (plain, traced, traced, plain) interleave: each
-        // side takes every position equally, so both linear drift *and*
-        // whatever state the previous call leaves behind (allocator,
-        // caches) cancel in the ratio of the sums.
-        for _ in 0..inner.div_ceil(2) {
-            time_plain(&mut plain_s);
-            time_traced(&mut traced_s);
-            time_traced(&mut traced_s);
-            time_plain(&mut plain_s);
-        }
-        ratios.push(traced_s / plain_s.max(1e-12));
-    }
-    assert!(disabled.events().is_empty(), "disabled buffer recorded");
-    ratios.sort_by(f64::total_cmp);
-    let tracing_off_overhead = ratios[OVERHEAD_REPS / 2] - 1.0;
-    println!(
-        "tracing-off overhead {:+.2}% (median of {OVERHEAD_REPS} traced/plain ratios, \
-         {} roundtrips per side, no-op recorder)",
-        tracing_off_overhead * 100.0,
-        inner.div_ceil(2) * 2,
     );
 
     let mut json = String::new();
@@ -305,8 +202,6 @@ fn main() {
     json.push_str(&format!("  \"values\": {n},\n"));
     json.push_str(&format!("  \"raw_bytes\": {raw_bytes},\n"));
     json.push_str(&format!("  \"bound_exp\": {BOUND_EXP},\n"));
-    json.push_str(&format!("  \"shards\": {frame_shards},\n"));
-    json.push_str(&format!("  \"pool_workers\": {pool_workers},\n"));
     json.push_str(&format!(
         "  \"fidelity\": \"{}\",\n",
         if n == 16 * 1024 * 1024 {
@@ -316,7 +211,6 @@ fn main() {
         }
     ));
     json.push_str(&format!("  \"wire_ratio\": {wire_ratio:.4},\n"));
-    json.push_str(&format!("  \"framed_wire_ratio\": {frame_ratio:.4},\n"));
     json.push_str(&format!(
         "  \"sparse_wire_ratio\": {sparse_wire_ratio:.4},\n"
     ));
@@ -335,25 +229,13 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"parallel_over_scalar_speedup\": {speedup:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"tracing_off_overhead\": {tracing_off_overhead:.4}\n"
-    ));
+    json.push_str(&format!("  \"burst_over_scalar_speedup\": {speedup:.4}\n"));
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_codec.json");
     println!("wrote {out_path}");
 
     if speedup < 1.0 {
-        eprintln!("FAIL: parallel codec ({speedup:.2}x) regressed below the scalar baseline");
-        std::process::exit(1);
-    }
-    if tracing_off_overhead > 0.02 {
-        eprintln!(
-            "FAIL: disabled tracing costs {:.2}% (> 2%) on the codec hot path",
-            tracing_off_overhead * 100.0
-        );
+        eprintln!("FAIL: burst codec ({speedup:.2}x) regressed below the scalar baseline");
         std::process::exit(1);
     }
 }

@@ -724,9 +724,9 @@ impl BurstCodec {
         }
     }
 
-    /// Compresses a gradient slice **appending** to `out`, so shard
-    /// streams can serialize straight into a caller-owned wire buffer
-    /// with no intermediate `Vec`. The appended bytes are exactly
+    /// Compresses a gradient slice **appending** to `out`, so a stream
+    /// can serialize straight into a caller-owned wire buffer with no
+    /// intermediate `Vec`. The appended bytes are exactly
     /// [`BurstCodec::compress`]'s stream for `values`; returns its bit
     /// length.
     pub fn compress_append(&self, values: &[f32], out: &mut Vec<u8>) -> usize {
@@ -777,9 +777,9 @@ impl BurstCodec {
     }
 
     /// Decompresses `count` values from raw stream bytes into `out`
-    /// (which must hold exactly `count` slots). Used by the sharded
-    /// parallel decoder to write worker outputs straight into disjoint
-    /// segments of the destination block.
+    /// (which must hold exactly `count` slots), with no allocation: the
+    /// NIC decode path and the switch reduce unit write into buffers
+    /// they hold.
     ///
     /// # Errors
     ///

@@ -51,7 +51,6 @@ pub mod gradmodel;
 pub mod inceptionn;
 pub mod lz;
 pub mod parallel;
-pub mod pool;
 pub mod reduction;
 pub mod sketch;
 pub mod sparse;
@@ -61,8 +60,7 @@ pub mod truncate;
 
 pub use burst::BurstCodec;
 pub use inceptionn::{CompressedStream, DecodeError, ErrorBound, InceptionnCodec, Tag};
-pub use parallel::{ParallelCodec, ShardFrame};
-pub use pool::WorkerPool;
+pub use parallel::ParallelCodec;
 pub use sketch::{SketchCodec, SketchFrame};
 pub use sparse::{ResidualState, SparseCodec, SparseConfig};
 pub use stats::{BitwidthHistogram, CodecStats};

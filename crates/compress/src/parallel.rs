@@ -1,176 +1,15 @@
-//! Sharded multi-threaded INCEPTIONN codec.
+//! The name the repository benchmark calls the INCEPTIONN round trip by.
 //!
-//! A single compressed stream is inherently sequential to decode (every
-//! group's bit offset depends on all previous groups), so the burst
-//! fast path alone cannot use more than one core. [`ParallelCodec`]
-//! restores scaling the way a multi-queue NIC would: the gradient block
-//! is split into **deterministic shards** — near-equal slices rounded
-//! up to whole 8-lane bursts — and each shard is encoded into its own
-//! self-contained [`burst`](crate::burst) stream. A small header
-//! (shard count plus per-shard value/byte lengths) makes the frame
-//! self-describing, so decode fans the shards back out across cores and
-//! writes results straight into disjoint segments of the output block.
-//!
-//! Determinism: shard boundaries are a pure function of `(len, shards)`
-//! and every shard's bytes equal the scalar reference
-//! [`InceptionnCodec`](crate::InceptionnCodec) compressing that slice,
-//! so the concatenated payload is reproducible across runs, machines,
-//! and thread schedules — pinned by `tests/differential.rs`.
-
-use std::fmt;
-use std::sync::Mutex;
+//! [`ParallelCodec`] wraps one [`BurstCodec`] and runs on the calling
+//! thread. It exists only because the benchmark's pinned API names it
+//! (ROADMAP item 1(c) unpins it); library code uses [`BurstCodec`]
+//! directly.
 
 use crate::burst::BurstCodec;
-use crate::inceptionn::{DecodeError, ErrorBound, LANES_PER_BURST};
-use crate::pool;
+use crate::inceptionn::ErrorBound;
 
-/// Below this many values, shard work runs inline on the calling
-/// thread: waking the pool would cost more than the codec work itself.
-/// The frame *format* is unaffected — only where the work executes.
-const POOL_THRESHOLD: usize = 64 * 1024;
-
-/// One shard's decode work unit: header entry, payload slice, disjoint
-/// output segment, and the shard's absolute value/byte offsets for
-/// error reporting.
-type DecodeJob<'a> = (&'a ShardInfo, &'a [u8], &'a mut [f32], usize, usize);
-
-/// Per-shard entry of a [`ShardFrame`] header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardInfo {
-    /// Number of `f32` values encoded in this shard.
-    pub values: usize,
-    /// Byte length of this shard's stream within the payload.
-    pub bytes: usize,
-    /// Exact bit count of this shard's stream before byte padding.
-    pub bit_len: usize,
-}
-
-/// A sharded compressed gradient block: header plus the concatenation
-/// of the per-shard burst streams (each byte-padded).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFrame {
-    /// Total number of encoded values across all shards.
-    pub len: usize,
-    /// Per-shard lengths, in payload order.
-    pub shards: Vec<ShardInfo>,
-    /// Concatenated shard streams.
-    pub payload: Vec<u8>,
-}
-
-impl ShardFrame {
-    /// Uncompressed size in bytes (`4·len`).
-    pub fn original_bytes(&self) -> usize {
-        self.len * 4
-    }
-
-    /// Wire size in bytes: header plus payload.
-    pub fn wire_bytes(&self) -> usize {
-        self.header_bytes() + self.payload.len()
-    }
-
-    /// Serialized header size in bytes.
-    pub fn header_bytes(&self) -> usize {
-        4 + 8 + self.shards.len() * 8
-    }
-
-    /// Achieved compression ratio including the header (1.0 when empty).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.len == 0 {
-            1.0
-        } else {
-            self.original_bytes() as f64 / self.wire_bytes().max(1) as f64
-        }
-    }
-
-    /// Serializes the frame into one wire buffer:
-    /// `[shard count: u32][total values: u64]` then per shard
-    /// `[values: u32][bytes: u32]`, then the payload. All little-endian.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_bytes());
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for s in &self.shards {
-            out.extend_from_slice(&(s.values as u32).to_le_bytes());
-            out.extend_from_slice(&(s.bytes as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses a frame serialized by [`ShardFrame::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError`] if the buffer is truncated or the header
-    /// is inconsistent with the payload length.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardFrame, FrameError> {
-        let take = |at: usize, n: usize| -> Result<&[u8], FrameError> {
-            bytes.get(at..at + n).ok_or(FrameError {
-                detail: "frame header truncated",
-            })
-        };
-        let take_u32 = |at: usize| -> Result<usize, FrameError> {
-            let arr: [u8; 4] = take(at, 4)?.try_into().map_err(|_| FrameError {
-                detail: "frame header truncated",
-            })?;
-            Ok(u32::from_le_bytes(arr) as usize)
-        };
-        let take_u64 = |at: usize| -> Result<usize, FrameError> {
-            let arr: [u8; 8] = take(at, 8)?.try_into().map_err(|_| FrameError {
-                detail: "frame header truncated",
-            })?;
-            Ok(u64::from_le_bytes(arr) as usize)
-        };
-        let shard_count = take_u32(0)?;
-        let len = take_u64(4)?;
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut offset = 12;
-        let mut total_values = 0usize;
-        let mut total_bytes = 0usize;
-        for _ in 0..shard_count {
-            let values = take_u32(offset)?;
-            let nbytes = take_u32(offset + 4)?;
-            shards.push(ShardInfo {
-                values,
-                bytes: nbytes,
-                // Recovered lower bound; exact bit_len is not on the wire.
-                bit_len: nbytes * 8,
-            });
-            total_values += values;
-            total_bytes += nbytes;
-            offset += 8;
-        }
-        let payload = take(offset, total_bytes)?.to_vec();
-        if total_values != len {
-            return Err(FrameError {
-                detail: "shard value counts do not sum to the frame length",
-            });
-        }
-        Ok(ShardFrame {
-            len,
-            shards,
-            payload,
-        })
-    }
-}
-
-/// Error parsing a serialized [`ShardFrame`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameError {
-    /// What was wrong with the buffer.
-    pub detail: &'static str,
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed shard frame: {}", self.detail)
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// The sharded parallel codec: burst-encodes/decodes shards across the
-/// persistent [`pool`] workers (parked threads — no per-call spawn).
+/// The INCEPTIONN lossy round trip on the burst kernel — identical
+/// values to [`InceptionnCodec::quantize`](crate::InceptionnCodec::quantize).
 ///
 /// # Examples
 ///
@@ -178,355 +17,32 @@ impl std::error::Error for FrameError {}
 /// use inceptionn_compress::parallel::ParallelCodec;
 /// use inceptionn_compress::{ErrorBound, InceptionnCodec};
 ///
-/// let codec = ParallelCodec::new(ErrorBound::pow2(10), 4);
+/// let codec = ParallelCodec::with_host_parallelism(ErrorBound::pow2(10));
 /// let vals: Vec<f32> = (0..100).map(|i| (i as f32) * 1e-3).collect();
-/// let frame = codec.encode(&vals);
-/// assert_eq!(frame.shards.len(), 4);
-/// let out = codec.decode(&frame).unwrap();
-/// assert_eq!(out, InceptionnCodec::new(ErrorBound::pow2(10)).quantize(&vals));
+/// assert_eq!(codec.quantize(&vals), InceptionnCodec::new(ErrorBound::pow2(10)).quantize(&vals));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelCodec {
     burst: BurstCodec,
-    shards: usize,
 }
 
 impl ParallelCodec {
-    /// Creates a codec splitting blocks into up to `shards` shards.
-    /// `shards == 0` adapts to the host's available cores (the
-    /// explicit-override contract: pass a nonzero count to pin it).
-    pub fn new(bound: ErrorBound, shards: usize) -> Self {
+    /// Creates the codec for `bound`. The name is historical: the work
+    /// runs on the calling thread.
+    pub fn with_host_parallelism(bound: ErrorBound) -> Self {
         ParallelCodec {
             burst: BurstCodec::new(bound),
-            shards: if shards == 0 {
-                pool::host_parallelism()
-            } else {
-                shards
-            },
         }
     }
 
-    /// Creates a codec sharded to the host's available parallelism.
-    pub fn with_host_parallelism(bound: ErrorBound) -> Self {
-        Self::new(bound, 0)
-    }
-
-    /// The configured error bound.
-    pub fn bound(&self) -> ErrorBound {
-        self.burst.bound()
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Deterministic shard ranges for a block of `len` values:
-    /// near-equal slices rounded up to whole 8-lane bursts. Every range
-    /// is non-empty except that a short block yields fewer shards.
-    pub fn shard_ranges(&self, len: usize) -> Vec<std::ops::Range<usize>> {
-        if len == 0 {
-            return std::iter::once(0..0).collect();
-        }
-        let per_shard = len
-            .div_ceil(self.shards)
-            .next_multiple_of(LANES_PER_BURST)
-            .max(LANES_PER_BURST);
-        let mut ranges = Vec::with_capacity(self.shards);
-        let mut start = 0;
-        while start < len {
-            let end = (start + per_shard).min(len);
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
-    }
-
-    /// Encodes a gradient block into a sharded frame. Shards encode on
-    /// the persistent pool for large blocks; the resulting bytes depend
-    /// only on `(values, shards)`, never on thread scheduling.
-    pub fn encode(&self, values: &[f32]) -> ShardFrame {
-        let mut frame = ShardFrame {
-            len: 0,
-            shards: Vec::new(),
-            payload: Vec::new(),
-        };
-        self.encode_into(values, &mut frame);
-        frame
-    }
-
-    /// Encodes a gradient block **into** a caller-owned frame, reusing
-    /// its header and payload allocations across calls. On the serial
-    /// path every shard serializes straight into `frame.payload` via
-    /// [`BurstCodec::compress_append`] — no intermediate `Vec` at all;
-    /// the pooled path compresses shards into index-addressed slots and
-    /// concatenates them in shard order, so both paths emit identical
-    /// bytes.
-    pub fn encode_into(&self, values: &[f32], frame: &mut ShardFrame) {
-        let ranges = self.shard_ranges(values.len());
-        frame.len = values.len();
-        frame.shards.clear();
-        frame.payload.clear();
-        let pool = pool::global();
-        if ranges.len() <= 1 || values.len() < POOL_THRESHOLD || pool.workers() == 0 {
-            for r in &ranges {
-                let before = frame.payload.len();
-                let bit_len = self
-                    .burst
-                    .compress_append(&values[r.clone()], &mut frame.payload);
-                frame.shards.push(ShardInfo {
-                    values: r.len(),
-                    bytes: frame.payload.len() - before,
-                    bit_len,
-                });
-            }
-            return;
-        }
-        // Shard `i` writes slot `i`: output position is a function of
-        // the index, not the claim order, so the concatenation below is
-        // byte-identical to the serial path.
-        let slots: Vec<Mutex<Option<crate::CompressedStream>>> =
-            ranges.iter().map(|_| Mutex::new(None)).collect();
-        let job = |i: usize| {
-            let stream = self.burst.compress(&values[ranges[i].clone()]);
-            if let Ok(mut slot) = slots[i].lock() {
-                *slot = Some(stream);
-            }
-        };
-        pool.run_indexed(ranges.len(), &job)
-            .unwrap_or_else(|p| p.resume());
-        frame.payload.reserve(slots.iter().fold(0, |acc, s| {
-            acc + s
-                .lock()
-                .ok()
-                .and_then(|g| g.as_ref().map(|c| c.bytes.len()))
-                .unwrap_or(0)
-        }));
-        for slot in slots {
-            let Some(stream) = slot.into_inner().unwrap_or_else(|p| p.into_inner()) else {
-                continue;
-            };
-            frame.shards.push(ShardInfo {
-                values: stream.len,
-                bytes: stream.bytes.len(),
-                bit_len: stream.bit_len,
-            });
-            frame.payload.extend_from_slice(&stream.bytes);
-        }
-    }
-
-    /// Decodes a sharded frame back into the gradient block, fanning
-    /// shards across the pool for large frames.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`ParallelCodec::decode_into`].
-    pub fn decode(&self, frame: &ShardFrame) -> Result<Vec<f32>, DecodeError> {
-        let mut out = vec![0f32; frame.len];
-        self.decode_into(frame, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decodes a sharded frame **into** a caller-owned block of exactly
-    /// `frame.len` slots — the zero-copy hot path: no per-call
-    /// allocation, shards write disjoint segments of `out` directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] (with value index and bit offset made
-    /// absolute within the block/payload) if any shard stream is
-    /// truncated, if the header is inconsistent with the payload or
-    /// with `out.len()`, or if a shard decoder panicked (reported at
-    /// the end of the frame rather than unwinding into the recovery
-    /// path).
-    pub fn decode_into(&self, frame: &ShardFrame, out: &mut [f32]) -> Result<(), DecodeError> {
-        let declared: usize = frame.shards.iter().map(|s| s.values).sum();
-        let payload_bytes: usize = frame.shards.iter().map(|s| s.bytes).sum();
-        if declared != frame.len || payload_bytes > frame.payload.len() || out.len() != frame.len {
-            // Header/payload/destination mismatch: report at the first
-            // inconsistent position rather than touching out-of-bounds
-            // memory.
-            return Err(DecodeError {
-                at_value: declared.min(frame.len).min(out.len()),
-                bit_offset: frame.payload.len() * 8,
-                tag: None,
-            });
-        }
-        // Carve the output block and payload into per-shard segments.
-        let mut jobs: Vec<DecodeJob> = Vec::with_capacity(frame.shards.len());
-        {
-            let mut rest: &mut [f32] = out;
-            let mut byte_at = 0usize;
-            let mut value_at = 0usize;
-            for info in &frame.shards {
-                let (seg, tail) = rest.split_at_mut(info.values);
-                rest = tail;
-                let bytes = &frame.payload[byte_at..byte_at + info.bytes];
-                jobs.push((info, bytes, seg, value_at, byte_at));
-                value_at += info.values;
-                byte_at += info.bytes;
-            }
-        }
-        let run = |(info, bytes, seg, value_at, byte_at): DecodeJob| {
-            self.burst
-                .decompress_into(bytes, info.values, seg)
-                .map_err(|e| DecodeError {
-                    at_value: value_at + e.at_value,
-                    bit_offset: byte_at * 8 + e.bit_offset,
-                    tag: e.tag,
-                })
-        };
-        let pool = pool::global();
-        if jobs.len() <= 1 || frame.len < POOL_THRESHOLD || pool.workers() == 0 {
-            for job in jobs {
-                run(job)?;
-            }
-            return Ok(());
-        }
-        // Pooled: shard `i` takes job `i` from its slot; the
-        // lowest-indexed failure wins so the reported error does not
-        // depend on the schedule.
-        let n = jobs.len();
-        let slots: Vec<Mutex<Option<DecodeJob>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let first_err: Mutex<Option<(usize, DecodeError)>> = Mutex::new(None);
-        let job = |i: usize| {
-            let Some(work) = slots[i].lock().ok().and_then(|mut s| s.take()) else {
-                return;
-            };
-            if let Err(e) = run(work) {
-                if let Ok(mut slot) = first_err.lock() {
-                    match &*slot {
-                        Some((at, _)) if *at <= i => {}
-                        _ => *slot = Some((i, e)),
-                    }
-                }
-            }
-        };
-        let outcome = pool.run_indexed(n, &job);
-        if let Some((_, e)) = first_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(e);
-        }
-        match outcome {
-            Ok(()) => Ok(()),
-            // A panicked shard decoder is contained as a typed error so
-            // the recovery ladder can renegotiate the leg plain instead
-            // of unwinding.
-            Err(_panic) => Err(DecodeError {
-                at_value: frame.len,
-                bit_offset: frame.payload.len() * 8,
-                tag: None,
-            }),
-        }
-    }
-
-    /// The lossy round trip, fanned across the pool for large blocks.
-    /// Identical values to the scalar `quantize` (elementwise codec, so
-    /// threading cannot change results).
+    /// The lossy round trip into a fresh vector.
     pub fn quantize(&self, values: &[f32]) -> Vec<f32> {
-        let mut out = values.to_vec();
-        self.quantize_inplace(&mut out);
-        out
+        self.burst.quantize(values)
     }
 
-    /// Applies the lossy round trip in place, in parallel.
+    /// Applies the lossy round trip in place.
     pub fn quantize_inplace(&self, values: &mut [f32]) {
-        let pool = pool::global();
-        if self.shards <= 1 || values.len() < POOL_THRESHOLD || pool.workers() == 0 {
-            self.burst.quantize_inplace(values);
-            return;
-        }
-        let chunk = values.len().div_ceil(self.shards).max(LANES_PER_BURST);
-        let slots: Vec<Mutex<Option<&mut [f32]>>> = values
-            .chunks_mut(chunk)
-            .map(|seg| Mutex::new(Some(seg)))
-            .collect();
-        let job = |i: usize| {
-            if let Some(seg) = slots[i].lock().ok().and_then(|mut s| s.take()) {
-                self.burst.quantize_inplace(seg);
-            }
-        };
-        pool.run_indexed(slots.len(), &job)
-            .unwrap_or_else(|p| p.resume());
-    }
-
-    /// Records one counter pair per shard after the fact: shard workers
-    /// stay untouched (and lock-free), and the events are a pure
-    /// function of the frame, so tracing cannot perturb what it
-    /// measures. Direction keys: 0 encode, 1 decode, 2 quantize.
-    fn record_shards(buf: &mut obs::EventBuf, direction: u32, shards: &[ShardInfo]) {
-        for (i, info) in shards.iter().enumerate() {
-            let track = i as u32;
-            buf.push(obs::Event::count(
-                obs::labels::CODEC_SHARD_VALUES,
-                obs::Domain::Seq,
-                track,
-                direction,
-                i as u64,
-                info.values as u64,
-            ));
-            buf.push(obs::Event::count(
-                obs::labels::CODEC_SHARD_BYTES,
-                obs::Domain::Seq,
-                track,
-                direction,
-                i as u64,
-                info.bytes as u64,
-            ));
-        }
-    }
-
-    /// [`ParallelCodec::encode`], recording per-shard volume counters
-    /// into `buf`. Bytes produced are identical to the untraced path.
-    pub fn encode_traced(&self, values: &[f32], buf: &mut obs::EventBuf) -> ShardFrame {
-        let frame = self.encode(values);
-        if buf.is_on() {
-            Self::record_shards(buf, 0, &frame.shards);
-        }
-        frame
-    }
-
-    /// [`ParallelCodec::decode`], recording per-shard volume counters.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`ParallelCodec::decode`].
-    pub fn decode_traced(
-        &self,
-        frame: &ShardFrame,
-        buf: &mut obs::EventBuf,
-    ) -> Result<Vec<f32>, DecodeError> {
-        let out = self.decode(frame)?;
-        if buf.is_on() {
-            Self::record_shards(buf, 1, &frame.shards);
-        }
-        Ok(out)
-    }
-
-    /// [`ParallelCodec::quantize`], recording one counter per shard
-    /// chunk. Values are identical to the untraced path.
-    pub fn quantize_traced(&self, values: &[f32], buf: &mut obs::EventBuf) -> Vec<f32> {
-        let mut out = values.to_vec();
-        self.quantize_inplace_traced(&mut out, buf);
-        out
-    }
-
-    /// [`ParallelCodec::quantize_inplace`], recording one counter per
-    /// shard chunk. Values are identical to the untraced path.
-    pub fn quantize_inplace_traced(&self, values: &mut [f32], buf: &mut obs::EventBuf) {
-        self.quantize_inplace(values);
-        if buf.is_on() {
-            for (i, r) in self.shard_ranges(values.len()).into_iter().enumerate() {
-                buf.push(obs::Event::count(
-                    obs::labels::CODEC_SHARD_VALUES,
-                    obs::Domain::Seq,
-                    i as u32,
-                    2,
-                    i as u64,
-                    r.len() as u64,
-                ));
-            }
-        }
+        self.burst.quantize_inplace(values);
     }
 }
 
@@ -535,190 +51,13 @@ mod tests {
     use super::*;
     use crate::InceptionnCodec;
 
-    fn vals(n: usize) -> Vec<f32> {
-        (0..n).map(|i| ((i as f32) * 0.61).sin() * 0.7).collect()
-    }
-
-    #[test]
-    fn shard_ranges_cover_exactly_and_are_burst_aligned() {
-        let c = ParallelCodec::new(ErrorBound::pow2(10), 4);
-        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 100, 1000] {
-            let ranges = c.shard_ranges(len);
-            let mut at = 0;
-            for (i, r) in ranges.iter().enumerate() {
-                assert_eq!(r.start, at, "gap before shard {i} at len {len}");
-                assert!(
-                    r.start % LANES_PER_BURST == 0,
-                    "shard {i} start unaligned at len {len}"
-                );
-                at = r.end;
-            }
-            assert_eq!(at, len, "ranges must cover the block");
-        }
-    }
-
-    #[test]
-    fn shards_equal_scalar_streams_of_their_slices() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 3);
-        let scalar = InceptionnCodec::new(ErrorBound::pow2(10));
-        let v = vals(100);
-        let frame = codec.encode(&v);
-        let mut at = 0usize;
-        for (info, r) in frame.shards.iter().zip(codec.shard_ranges(v.len())) {
-            let reference = scalar.compress(&v[r]);
-            assert_eq!(
-                &frame.payload[at..at + info.bytes],
-                &reference.bytes[..],
-                "shard bytes must equal the scalar stream of the slice"
-            );
-            assert_eq!(info.bit_len, reference.bit_len);
-            at += info.bytes;
-        }
-        assert_eq!(at, frame.payload.len());
-    }
-
-    #[test]
-    fn decode_matches_scalar_quantize() {
-        for shards in [1usize, 2, 3, 8] {
-            let codec = ParallelCodec::new(ErrorBound::pow2(8), shards);
-            let scalar = InceptionnCodec::new(ErrorBound::pow2(8));
-            for n in [0usize, 1, 8, 17, 100, 999] {
-                let v = vals(n);
-                let out = codec.decode(&codec.encode(&v)).unwrap();
-                assert_eq!(out, scalar.quantize(&v), "shards={shards} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn frame_serialization_round_trips() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 4);
-        let v = vals(500);
-        let frame = codec.encode(&v);
-        let parsed = ShardFrame::from_bytes(&frame.to_bytes()).unwrap();
-        assert_eq!(parsed.len, frame.len);
-        assert_eq!(parsed.payload, frame.payload);
-        assert_eq!(
-            codec.decode(&parsed).unwrap(),
-            codec.decode(&frame).unwrap()
-        );
-    }
-
-    #[test]
-    fn truncated_frame_bytes_error() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 2);
-        let frame = codec.encode(&vals(64));
-        let wire = frame.to_bytes();
-        assert!(ShardFrame::from_bytes(&wire[..wire.len() - 1]).is_err());
-        assert!(ShardFrame::from_bytes(&wire[..5]).is_err());
-    }
-
-    #[test]
-    fn corrupt_shard_reports_absolute_positions() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 2);
-        let v = vals(64);
-        let mut frame = codec.encode(&v);
-        // Chop the tail: the second shard becomes undecodable.
-        let cut = frame.shards[0].bytes + 1;
-        frame.payload.truncate(cut);
-        frame.shards[1].bytes = 1;
-        let err = codec.decode(&frame).unwrap_err();
-        assert!(
-            err.at_value >= frame.shards[0].values,
-            "error must be attributed past the first shard: {err:?}"
-        );
-    }
-
-    #[test]
-    fn encode_into_reuses_the_frame_and_matches_fresh_encode() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 3);
-        let mut frame = ShardFrame {
-            len: 0,
-            shards: Vec::new(),
-            payload: Vec::new(),
-        };
-        // Encode a large block first so the second call runs inside
-        // already-sized allocations, then verify bytes are identical to
-        // a fresh encode anyway.
-        for n in [999usize, 100, 0, 640] {
-            let v = vals(n);
-            codec.encode_into(&v, &mut frame);
-            assert_eq!(frame, codec.encode(&v), "n={n}");
-        }
-    }
-
-    #[test]
-    fn decode_into_matches_decode_in_a_reused_buffer() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(8), 4);
-        let mut out = vec![7.0f32; 999];
-        for n in [999usize, 640, 8, 0] {
-            let v = vals(n);
-            let frame = codec.encode(&v);
-            out.resize(n, 7.0);
-            // Poison the buffer: decode_into must overwrite every slot.
-            out.fill(7.0);
-            codec.decode_into(&frame, &mut out).unwrap();
-            assert_eq!(out, codec.decode(&frame).unwrap(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn decode_into_rejects_a_mis_sized_destination() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 2);
-        let frame = codec.encode(&vals(64));
-        let mut short = vec![0.0f32; 63];
-        assert!(codec.decode_into(&frame, &mut short).is_err());
-        let mut long = vec![0.0f32; 65];
-        assert!(codec.decode_into(&frame, &mut long).is_err());
-    }
-
-    #[test]
-    fn zero_shard_count_adapts_to_the_host() {
-        let adaptive = ParallelCodec::new(ErrorBound::pow2(10), 0);
-        assert_eq!(adaptive.shards(), crate::pool::host_parallelism());
-        assert_eq!(
-            ParallelCodec::with_host_parallelism(ErrorBound::pow2(10)),
-            adaptive
-        );
-        // Explicit override pins the count regardless of the host.
-        assert_eq!(ParallelCodec::new(ErrorBound::pow2(10), 5).shards(), 5);
-    }
-
     #[test]
     fn parallel_quantize_equals_scalar() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 4);
+        let codec = ParallelCodec::with_host_parallelism(ErrorBound::pow2(10));
         let scalar = InceptionnCodec::new(ErrorBound::pow2(10));
-        let v = vals(10_000);
+        let v: Vec<f32> = (0..10_000)
+            .map(|i| ((i as f32) * 0.61).sin() * 0.7)
+            .collect();
         assert_eq!(codec.quantize(&v), scalar.quantize(&v));
-    }
-
-    #[test]
-    fn traced_paths_match_untraced_and_record_shard_volume() {
-        let codec = ParallelCodec::new(ErrorBound::pow2(10), 3);
-        let v = vals(500);
-        let mut buf = obs::EventBuf::local();
-        let frame = codec.encode_traced(&v, &mut buf);
-        assert_eq!(frame, codec.encode(&v));
-        let out = codec.decode_traced(&frame, &mut buf).unwrap();
-        assert_eq!(out, codec.decode(&frame).unwrap());
-        assert_eq!(codec.quantize_traced(&v, &mut buf), codec.quantize(&v));
-        let values_total: u64 = buf
-            .events()
-            .iter()
-            .filter(|e| e.label == obs::labels::CODEC_SHARD_VALUES && e.key == 0)
-            .map(|e| e.value)
-            .sum();
-        assert_eq!(values_total, v.len() as u64);
-        let bytes_total: u64 = buf
-            .events()
-            .iter()
-            .filter(|e| e.label == obs::labels::CODEC_SHARD_BYTES && e.key == 1)
-            .map(|e| e.value)
-            .sum();
-        assert_eq!(bytes_total, frame.payload.len() as u64);
-        // A disabled buffer records nothing and changes nothing.
-        let mut off = obs::EventBuf::disabled();
-        assert_eq!(codec.encode_traced(&v, &mut off), frame);
-        assert!(off.events().is_empty());
     }
 }

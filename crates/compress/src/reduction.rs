@@ -22,11 +22,6 @@
 
 use rand::Rng;
 
-use crate::bitio::BitReader;
-use crate::inceptionn::{
-    CompressedStream, CompressedValue, DecodeError, InceptionnCodec, Tag, LANES_PER_BURST,
-};
-
 /// The transmitted form of one reduced gradient vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReducedGradient {
@@ -331,94 +326,6 @@ impl<R: Rng + Send> GradientReduction for Qsgd<R> {
     }
 }
 
-/// Streams one INCEPTIONN-compressed gradient into an accumulator
-/// without materializing the decoded vector: the reduction-friendly
-/// codec hook behind switch-resident in-network aggregation (NetReduce;
-/// Li et al. 2024's homomorphic-compression argument).
-///
-/// A switch reduce unit holds the running sum and walks arriving
-/// compressed payloads value by value — 16 tag bits per 8-lane group,
-/// then each lane's variable-width payload — adding each decoded `f32`
-/// in stream order. Because the fold is a plain `f32` add in arrival
-/// order, folding workers 0..n at the switch is bit-identical to the
-/// host-side gather fold over the same round-tripped values, which is
-/// what lets the trainer swap the aggregator out for the switch without
-/// perturbing training.
-///
-/// `stream` is the wire form ([`CompressedStream`]); `acc` must have
-/// exactly `stream.len` elements.
-///
-/// # Errors
-///
-/// Returns the same [`DecodeError`]s as
-/// [`InceptionnCodec::decompress`] on truncated or corrupt payloads.
-///
-/// # Panics
-///
-/// Panics if `acc.len() != stream.len`.
-pub fn fold_compressed_into(
-    codec: &InceptionnCodec,
-    acc: &mut [f32],
-    stream: &CompressedStream,
-) -> Result<(), DecodeError> {
-    assert_eq!(
-        acc.len(),
-        stream.len,
-        "accumulator shape must match the stream"
-    );
-    let mut r = BitReader::new(&stream.bytes);
-    let mut at = 0usize;
-    while at < stream.len {
-        let group = (stream.len - at).min(LANES_PER_BURST);
-        let tags = r
-            .read_bits(16)
-            .ok_or_else(|| DecodeError::at_tags(at, r.bit_pos()))?;
-        let mut lane_tags = [Tag::Zero; LANES_PER_BURST];
-        for (lane, t) in lane_tags.iter_mut().enumerate() {
-            *t = Tag::from_bits((tags >> (2 * lane)) as u8);
-        }
-        for &tag in lane_tags.iter().take(group) {
-            let payload = r
-                .read_bits(tag.payload_bits())
-                .ok_or_else(|| DecodeError::at_payload(at, r.bit_pos(), tag))?;
-            acc[at] += codec.decompress_value(CompressedValue { tag, payload });
-            at += 1;
-        }
-        // Padded lanes of a final partial group consume their (empty in
-        // well-formed streams) payload bits, exactly as in decompress.
-        for &tag in lane_tags.iter().skip(group) {
-            r.read_bits(tag.payload_bits())
-                .ok_or_else(|| DecodeError::at_payload(at, r.bit_pos(), tag))?;
-        }
-    }
-    Ok(())
-}
-
-/// [`fold_compressed_into`] over a raw payload (`bytes` + value count),
-/// the form a switch port actually receives: packet payload bytes and
-/// the header's value-count field, no [`CompressedStream`] envelope.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated or corrupt payloads.
-///
-/// # Panics
-///
-/// Panics if `acc.len() != values`.
-pub fn fold_compressed_payload_into(
-    codec: &InceptionnCodec,
-    acc: &mut [f32],
-    bytes: &[u8],
-    values: usize,
-) -> Result<(), DecodeError> {
-    let stream = CompressedStream {
-        len: values,
-        bit_len: bytes.len() * 8,
-        bytes: bytes.to_vec(),
-    };
-    fold_compressed_into(codec, acc, &stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,69 +487,5 @@ mod tests {
         let mut r = OneBitSgd::new();
         r.reduce(&[1.0, 2.0]);
         r.reduce(&[1.0]);
-    }
-
-    #[test]
-    fn streaming_fold_is_bit_identical_to_decode_then_add() {
-        let codec = InceptionnCodec::new(crate::ErrorBound::pow2(10));
-        let g = grads(21, 1003); // deliberately not a multiple of 8
-        let stream = codec.compress(&g);
-
-        let mut acc = grads(22, 1003);
-        let mut expected = acc.clone();
-        for (a, v) in expected.iter_mut().zip(codec.decompress(&stream).unwrap()) {
-            *a += v;
-        }
-        fold_compressed_into(&codec, &mut acc, &stream).unwrap();
-        assert_eq!(acc, expected, "fold diverged from decode-then-add");
-    }
-
-    #[test]
-    fn multi_worker_switch_fold_matches_host_gather_fold() {
-        // The bit-identity contract behind switch-resident reduction:
-        // folding each worker's compressed stream into the accumulator
-        // in worker order equals the host-side gather loop that
-        // decompresses and adds in the same order.
-        let codec = InceptionnCodec::new(crate::ErrorBound::pow2(12));
-        let streams: Vec<_> = (0..4).map(|w| codec.compress(&grads(w, 257))).collect();
-
-        let mut host = vec![0.0f32; 257];
-        for s in &streams {
-            for (a, v) in host.iter_mut().zip(codec.decompress(s).unwrap()) {
-                *a += v;
-            }
-        }
-        let mut switch = vec![0.0f32; 257];
-        for s in &streams {
-            fold_compressed_into(&codec, &mut switch, s).unwrap();
-        }
-        assert_eq!(switch, host);
-    }
-
-    #[test]
-    fn payload_fold_decodes_the_raw_wire_form() {
-        let codec = InceptionnCodec::new(crate::ErrorBound::pow2(10));
-        let g = grads(23, 100);
-        let stream = codec.compress(&g);
-        let mut from_payload = vec![0.0f32; 100];
-        fold_compressed_payload_into(&codec, &mut from_payload, &stream.bytes, stream.len).unwrap();
-        assert_eq!(from_payload, codec.decompress(&stream).unwrap());
-    }
-
-    #[test]
-    fn truncated_stream_is_a_decode_error_not_a_partial_fold() {
-        let codec = InceptionnCodec::new(crate::ErrorBound::pow2(10));
-        let mut stream = codec.compress(&grads(24, 64));
-        stream.bytes.truncate(stream.bytes.len() / 2);
-        let mut acc = vec![0.0f32; 64];
-        assert!(fold_compressed_into(&codec, &mut acc, &stream).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulator shape")]
-    fn fold_rejects_shape_mismatch() {
-        let codec = InceptionnCodec::new(crate::ErrorBound::pow2(10));
-        let stream = codec.compress(&[1.0f32; 8]);
-        fold_compressed_into(&codec, &mut [0.0f32; 4], &stream).unwrap();
     }
 }

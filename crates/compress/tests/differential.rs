@@ -1,5 +1,5 @@
-//! Differential tests: the burst fast path and the sharded parallel
-//! codec against the scalar reference codec.
+//! Differential tests: the burst fast path against the scalar reference
+//! codec.
 //!
 //! The INCEPTIONN wire format has exactly one reference definition —
 //! [`InceptionnCodec`] — and every accelerated implementation must be
@@ -10,7 +10,7 @@
 //! not multiples of the 8-lane burst, and the value classes that sit on
 //! classifier decision boundaries (±0, subnormals, |g| ≥ 1, NaN/inf).
 
-use inceptionn_compress::{BurstCodec, ErrorBound, InceptionnCodec, ParallelCodec};
+use inceptionn_compress::{BurstCodec, ErrorBound, InceptionnCodec};
 use proptest::prelude::*;
 
 /// The paper's evaluated error-bound exponents.
@@ -52,13 +52,12 @@ fn boundary_values(e: u8) -> Vec<f32> {
     vals
 }
 
-/// Asserts byte-identity and bit-exact round trips of both fast paths
+/// Asserts byte-identity and bit-exact round trips of the burst codec
 /// against the scalar reference for one block.
-fn assert_differential(e: u8, shards: usize, vals: &[f32]) {
+fn assert_differential(e: u8, vals: &[f32]) {
     let bound = ErrorBound::pow2(e);
     let scalar = InceptionnCodec::new(bound);
     let burst = BurstCodec::new(bound);
-    let parallel = ParallelCodec::new(bound, shards);
 
     let reference = scalar.compress(vals);
     let fast = burst.compress(vals);
@@ -84,25 +83,15 @@ fn assert_differential(e: u8, shards: usize, vals: &[f32]) {
         .map(|v| v.to_bits())
         .collect();
     assert_eq!(got, want, "burst round trip diverged (e={e})");
-
-    let frame = parallel.encode(vals);
-    let got: Vec<u32> = parallel
-        .decode(&frame)
-        .expect("parallel decode")
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
     assert_eq!(
-        got, want,
-        "parallel round trip diverged (e={e}, shards={shards})"
+        burst
+            .quantize(vals)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        want,
+        "burst quantize diverged (e={e})"
     );
-
-    // A single-shard frame's payload is exactly the reference stream;
-    // multi-shard frames are deterministic in (len, shards).
-    if shards == 1 {
-        assert_eq!(frame.payload, reference.bytes);
-    }
-    assert_eq!(frame, ParallelCodec::new(bound, shards).encode(vals));
 }
 
 #[test]
@@ -112,29 +101,26 @@ fn boundary_values_differential_across_bounds_and_tails() {
         // Lengths around the burst width exercise padded final groups.
         for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65] {
             let vals: Vec<f32> = (0..n).map(|i| pool[i % pool.len()]).collect();
-            for shards in [1usize, 2, 3] {
-                assert_differential(e, shards, &vals);
-            }
+            assert_differential(e, &vals);
         }
         // The full pool in order, and repeated past two bursts.
-        assert_differential(e, 2, &pool);
+        assert_differential(e, &pool);
         let long: Vec<f32> = pool.iter().copied().cycle().take(pool.len() * 5).collect();
-        assert_differential(e, 4, &long);
+        assert_differential(e, &long);
     }
 }
 
 proptest! {
     /// Arbitrary bit patterns (every NaN payload, subnormal, and
-    /// infinity included) through all three implementations, across the
+    /// infinity included) through both implementations, across the
     /// paper's bounds and non-multiple-of-8 block lengths.
     #[test]
     fn prop_raw_bits_differential(
         bits in proptest::collection::vec(any::<u32>(), 0..100),
         which in 0usize..3,
-        shards in 1usize..5,
     ) {
         let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        assert_differential(BOUNDS[which], shards, &vals);
+        assert_differential(BOUNDS[which], &vals);
     }
 
     /// Gradient-magnitude values (the common case) with a tail that is
@@ -143,8 +129,7 @@ proptest! {
     fn prop_gradient_range_differential(
         vals in proptest::collection::vec(-1.5f32..1.5, 0..200),
         which in 0usize..3,
-        shards in 1usize..5,
     ) {
-        assert_differential(BOUNDS[which], shards, &vals);
+        assert_differential(BOUNDS[which], &vals);
     }
 }

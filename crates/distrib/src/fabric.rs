@@ -10,9 +10,9 @@
 //!
 //! * [`InProcessFabric`] — the modeling shortcut: payloads stay as `f32`
 //!   vectors and compression is applied as a whole-stream `quantize()`
-//!   round trip on the burst-vectorized, sharded
-//!   [`ParallelCodec`] fast path (elementwise codec, so the values are
-//!   identical to the scalar reference). Fast, bit-exact baseline.
+//!   round trip on the burst-vectorized [`BurstCodec`] (elementwise
+//!   codec, so the values are identical to the scalar reference). Fast,
+//!   bit-exact baseline.
 //! * [`NicFabric`] — the real datapath: every payload is cut into
 //!   MTU-sized chunks and pushed through `inceptionn-nicsim`'s
 //!   compression / decompression engines into one flat wire image
@@ -32,8 +32,8 @@
 use std::fmt;
 
 use inceptionn_compress::{
-    sketch, sparse, BurstCodec, DecodeError, ErrorBound, InceptionnCodec, ParallelCodec,
-    ResidualState, SketchCodec, SparseCodec, SparseConfig,
+    sketch, sparse, BurstCodec, DecodeError, ErrorBound, ResidualState, SketchCodec, SparseCodec,
+    SparseConfig,
 };
 use inceptionn_netsim::{LinkRateSchedule, NetworkConfig, TierMap, Topology};
 use inceptionn_nicsim::{
@@ -756,9 +756,11 @@ fn record_transfer(
 /// The gradient codec a fabric runs on the wire.
 ///
 /// The first family (`Scalar`/`Burst`/`Parallel`) is the INCEPTIONN
-/// FP-truncation *quantizer* — three implementations of one elementwise
-/// transform, bit-identical to each other (pinned by the differential
-/// tests), so that selection changes speed and threading, never values.
+/// FP-truncation *quantizer*. The three names are one codec: every
+/// fabric runs each of them on the burst kernel, on the calling thread,
+/// and `Parallel`'s `shards` is ignored. The names stay because the
+/// repository benchmark selects `Parallel { shards: 0 }`; once it no
+/// longer does, they fold into one selection.
 /// `Sparse` and `Sketch` are different *compression families* with
 /// their own wire layouts and semantics (see
 /// `inceptionn_compress::{sparse, sketch}` and DESIGN.md "Compression
@@ -769,16 +771,15 @@ pub enum CodecSelection {
     /// Lossless: no codec in the loop.
     #[default]
     None,
-    /// The scalar reference codec.
+    /// The INCEPTIONN quantizer (the same codec as `Burst`).
     Scalar(ErrorBound),
-    /// The burst-vectorized single-threaded fast path.
+    /// The INCEPTIONN quantizer on the burst kernel.
     Burst(ErrorBound),
-    /// The sharded multi-threaded fast path. `shards == 0` uses the
-    /// host's available parallelism.
+    /// The INCEPTIONN quantizer (the same codec as `Burst`).
     Parallel {
         /// Quantization error bound.
         bound: ErrorBound,
-        /// Shard count (`0` = host parallelism).
+        /// Ignored: the codec runs on the calling thread.
         shards: usize,
     },
     /// Error-feedback sparsification: entries whose residual-corrected
@@ -813,8 +814,7 @@ pub const WIRE_CODEC_SEED: u64 = 0x1CEE_D5EE_D0DE_C0DE;
 
 impl CodecSelection {
     /// The historical `Option<ErrorBound>` spelling: `Some` maps to the
-    /// host-parallel fast path (what every fabric ran before the codec
-    /// became selectable), `None` to lossless.
+    /// INCEPTIONN quantizer, `None` to lossless.
     pub fn from_bound(bound: Option<ErrorBound>) -> Self {
         match bound {
             Some(b) => CodecSelection::Parallel {
@@ -849,16 +849,14 @@ impl CodecSelection {
 
 /// The instantiated codec behind a [`CodecSelection`].
 ///
-/// The quantizer family is stateless; the sparse family carries one
+/// The INCEPTIONN quantizer is stateless; the sparse family carries one
 /// [`ResidualState`] per endpoint (error feedback is per-worker by
 /// definition), which is why every entry point takes the source
 /// endpoint and `&mut self`.
 #[derive(Debug, Clone)]
 enum Quantizer {
     Off,
-    Scalar(InceptionnCodec),
-    Burst(BurstCodec),
-    Parallel(ParallelCodec),
+    Inceptionn(BurstCodec),
     Sparse {
         codec: SparseCodec,
         states: Vec<ResidualState>,
@@ -870,13 +868,10 @@ impl Quantizer {
     fn new(selection: CodecSelection, endpoints: usize) -> Self {
         match selection {
             CodecSelection::None => Quantizer::Off,
-            CodecSelection::Scalar(b) => Quantizer::Scalar(InceptionnCodec::new(b)),
-            CodecSelection::Burst(b) => Quantizer::Burst(BurstCodec::new(b)),
-            CodecSelection::Parallel { bound, shards: 0 } => {
-                Quantizer::Parallel(ParallelCodec::with_host_parallelism(bound))
-            }
-            CodecSelection::Parallel { bound, shards } => {
-                Quantizer::Parallel(ParallelCodec::new(bound, shards))
+            CodecSelection::Scalar(bound)
+            | CodecSelection::Burst(bound)
+            | CodecSelection::Parallel { bound, .. } => {
+                Quantizer::Inceptionn(BurstCodec::new(bound))
             }
             CodecSelection::Sparse {
                 bound,
@@ -918,43 +913,12 @@ impl Quantizer {
         out
     }
 
-    /// Untraced in-place round trip (the stat-free entry points).
+    /// In-place round trip, shared by the zero-copy encode path and the
+    /// stat-free entry points.
     fn quantize_inplace(&mut self, src: usize, values: &mut [f32]) {
         match self {
             Quantizer::Off => {}
-            Quantizer::Scalar(c) => {
-                let q = c.quantize(values);
-                values.copy_from_slice(&q);
-            }
-            Quantizer::Burst(c) => c.quantize_inplace(values),
-            Quantizer::Parallel(c) => c.quantize_inplace(values),
-            Quantizer::Sparse { codec, states } => {
-                codec.apply(src as u64, &mut states[src], values);
-            }
-            Quantizer::Sketch(c) => c.quantize_inplace(values),
-        }
-    }
-
-    /// Like `quantize`, recording shard counters when the codec has
-    /// them (only the sharded fast path is instrumented).
-    fn quantize_traced(&mut self, src: usize, values: &[f32], buf: &mut EventBuf) -> Vec<f32> {
-        match self {
-            Quantizer::Parallel(c) => c.quantize_traced(values, buf),
-            other => other.quantize(src, values),
-        }
-    }
-
-    /// In-place round trip for the zero-copy encode path — identical
-    /// values to [`Quantizer::quantize_traced`] on every codec.
-    fn quantize_inplace_traced(&mut self, src: usize, values: &mut [f32], buf: &mut EventBuf) {
-        match self {
-            Quantizer::Off => {}
-            Quantizer::Scalar(c) => {
-                let q = c.quantize(values);
-                values.copy_from_slice(&q);
-            }
-            Quantizer::Burst(c) => c.quantize_inplace(values),
-            Quantizer::Parallel(c) => c.quantize_inplace_traced(values, buf),
+            Quantizer::Inceptionn(c) => c.quantize_inplace(values),
             Quantizer::Sparse { codec, states } => {
                 codec.apply(src as u64, &mut states[src], values);
             }
@@ -1017,8 +981,7 @@ impl Fabric for InProcessFabric {
         out.clear();
         out.extend_from_slice(values);
         if compressed {
-            self.codec
-                .quantize_inplace_traced(src, &mut out, &mut self.buf);
+            self.codec.quantize_inplace(src, &mut out);
         }
         count_payload(
             &mut self.stats,
@@ -1096,7 +1059,7 @@ impl Fabric for InProcessFabric {
             values.len().div_ceil(VALUES_PER_PACKET) as u64,
         );
         if kind == PayloadKind::Gradient && self.codec.is_on() {
-            sink(&self.codec.quantize_traced(src, values, &mut self.buf));
+            sink(&self.codec.quantize(src, values));
         } else {
             sink(values);
         }
@@ -1222,16 +1185,16 @@ pub struct NicFabric {
 /// [`CodecSelection`].
 ///
 /// The truncation engines are hardware: within the quantizer family
-/// only the error bound is programmable (the software implementation
-/// choice is meaningless on the NIC), so all three quantizer
-/// selections collapse to `Engine(Some(bound))`. The sparse and sketch
+/// only the error bound is programmable, so all three quantizer
+/// selections collapse to `Engine(Some(codec))`, whose burst codec
+/// serves the local round trip. The sparse and sketch
 /// families are separate offload engines with their own frame formats
 /// and cycle models (`inceptionn_nicsim::engine`).
 #[derive(Debug, Clone)]
 enum NicCodec {
     /// The INCEPTIONN truncation engine (or plain traffic when
     /// `None`): MTU-chunked engine bursts.
-    Engine(Option<ErrorBound>),
+    Engine(Option<BurstCodec>),
     /// The sparsifier engine: per-endpoint error-feedback state, exact
     /// `(index, value)` pair frames.
     Sparse {
@@ -1287,8 +1250,11 @@ impl NicFabric {
     pub(crate) fn assemble(endpoints: usize, codec: CodecSelection, recorder: &Recorder) -> Self {
         let family = match codec {
             CodecSelection::None => NicCodec::Engine(None),
-            CodecSelection::Scalar(b) | CodecSelection::Burst(b) => NicCodec::Engine(Some(b)),
-            CodecSelection::Parallel { bound, .. } => NicCodec::Engine(Some(bound)),
+            CodecSelection::Scalar(bound)
+            | CodecSelection::Burst(bound)
+            | CodecSelection::Parallel { bound, .. } => {
+                NicCodec::Engine(Some(BurstCodec::new(bound)))
+            }
             CodecSelection::Sparse {
                 bound,
                 top_per_mille,
@@ -1306,7 +1272,7 @@ impl NicFabric {
         };
         let cfg = NicConfig {
             bound: match &family {
-                NicCodec::Engine(Some(b)) => *b,
+                NicCodec::Engine(Some(c)) => c.bound(),
                 _ => ErrorBound::default(),
             },
             ..NicConfig::default()
@@ -1332,7 +1298,7 @@ impl NicFabric {
     /// family (the dense reduce unit only exists there).
     fn engine_bound(&self) -> Option<ErrorBound> {
         match &self.family {
-            NicCodec::Engine(b) => *b,
+            NicCodec::Engine(c) => c.map(|c| c.bound()),
             NicCodec::Sparse { .. } | NicCodec::Sketch(_) => None,
         }
     }
@@ -1401,8 +1367,8 @@ impl Fabric for NicFabric {
             FrameBody::Loopback(_) | FrameBody::Packets(_) => FlatPayload::new(),
         };
         let trace = match &mut self.family {
-            NicCodec::Engine(bound) => {
-                let compressible = bound.is_some() && kind == PayloadKind::Gradient;
+            NicCodec::Engine(codec) => {
+                let compressible = codec.is_some() && kind == PayloadKind::Gradient;
                 encode_payload_flat(&mut self.nics[src], values, compressible, &mut wire)
             }
             NicCodec::Sparse { codec, states } if kind == PayloadKind::Gradient => {
@@ -1579,8 +1545,8 @@ impl Fabric for NicFabric {
         // or wire accounting. The sparse family is stat-free but not
         // state-free: the round trip is a real encode leg and advances
         // the endpoint's residual like a wire transfer would.
-        if let NicCodec::Engine(Some(bound)) = &self.family {
-            return Ok(ParallelCodec::with_host_parallelism(*bound).quantize(values));
+        if let NicCodec::Engine(Some(c)) = &self.family {
+            return Ok(c.quantize(values));
         }
         if let NicCodec::Sketch(c) = &self.family {
             return Ok(c.quantize(values));
@@ -2424,33 +2390,20 @@ mod tests {
     }
 
     #[test]
-    fn every_codec_selection_is_bit_identical() {
-        // The codec selection picks an implementation, never values: the
-        // scalar reference, the burst fast path, and any sharding of the
-        // parallel path must quantize identically (the cross-codec
-        // differential property, now reachable through one enum).
+    fn inceptionn_selection_matches_the_scalar_oracle() {
+        // The fabric runs the burst kernel; the scalar reference codec
+        // is the specification its values must equal.
         let bound = ErrorBound::pow2(10);
         let vals = gradients(5000, 13);
-        let selections = [
-            CodecSelection::Scalar(bound),
-            CodecSelection::Burst(bound),
-            CodecSelection::Parallel { bound, shards: 0 },
-            CodecSelection::Parallel { bound, shards: 3 },
-        ];
-        let mut reference = None;
-        for sel in selections {
-            let mut fabric = FabricBuilder::new(2).codec(sel).build();
-            let out = fabric.transfer(0, 1, &vals).unwrap();
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "{sel:?} diverged from the scalar codec"),
-            }
-        }
-        assert_ne!(
-            reference.as_deref(),
-            Some(&vals[..]),
-            "the bound must actually quantize"
+        let mut fabric = FabricBuilder::new(2)
+            .codec(CodecSelection::Burst(bound))
+            .build();
+        let out = fabric.transfer(0, 1, &vals).unwrap();
+        assert_eq!(
+            out,
+            inceptionn_compress::InceptionnCodec::new(bound).quantize(&vals)
         );
+        assert_ne!(out, vals, "the bound must actually quantize");
     }
 
     #[test]

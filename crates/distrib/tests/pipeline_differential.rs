@@ -39,9 +39,9 @@ fn bits(workers: &[Vec<f32>]) -> Vec<Vec<u32>> {
 }
 
 /// Every codec the fabric can carry with chunk-stable semantics: the
-/// engine variants and both parallel-shard configurations, plus
-/// threshold-only sparsification and the homomorphic sketch (both
-/// decide per element, so chunking cannot move a byte). The top-k
+/// INCEPTIONN quantizer, threshold-only sparsification and the
+/// homomorphic sketch (all decide per element, so chunking cannot move
+/// a byte). The top-k
 /// sparse cap is deliberately absent — k is computed per encode call,
 /// so a chunked leg legitimately picks a different transmit set than
 /// the whole block (documented in `compress::sparse`).
@@ -49,13 +49,7 @@ fn all_codecs() -> Vec<(&'static str, CodecSelection)> {
     let bound = ErrorBound::pow2(9);
     vec![
         ("none", CodecSelection::None),
-        ("scalar", CodecSelection::Scalar(bound)),
-        ("burst", CodecSelection::Burst(bound)),
-        (
-            "parallel-auto",
-            CodecSelection::Parallel { bound, shards: 0 },
-        ),
-        ("parallel-3", CodecSelection::Parallel { bound, shards: 3 }),
+        ("inceptionn", CodecSelection::Burst(bound)),
         (
             "sparse-thresh",
             CodecSelection::Sparse {

@@ -5,25 +5,23 @@
 //! worker-aggregator exchange disappears entirely once the switch sums
 //! gradient packets as they arrive: no contribution ever descends to an
 //! aggregation host. This module models that reduce unit at MTU-segment
-//! granularity over the flat wire form ([`FlatPayload`]), composing with
-//! the INCEPTIONN wire codec through the reduction-friendly hooks of
-//! `inceptionn_compress::reduction`:
+//! granularity over the flat wire form ([`FlatPayload`]):
 //!
 //! * **plain path** — uncompressed segments carry raw little-endian
 //!   `f32` lanes; the unit adds them straight into the running sum;
-//! * **compressed path** — engine-compressed segments are walked value
-//!   by value with the streaming fold
-//!   ([`fold_compressed_payload_into`]) — constant space, no
-//!   materialized vector, each decoded value added in stream order.
+//! * **compressed path** — engine-compressed segments are decoded by the
+//!   same burst kernel the NICs run ([`BurstCodec::decompress_into`])
+//!   into a scratch the unit holds across segments, then added lane by
+//!   lane.
 //!
 //! Both paths are plain `f32` adds in worker arrival order, so the
 //! switch sum is bit-identical to the host-side gather fold over the
 //! same (round-tripped) values — the property the trainer's
 //! switch-reduce strategy relies on.
 
-use inceptionn_compress::reduction::fold_compressed_payload_into;
-use inceptionn_compress::{DecodeError, ErrorBound, InceptionnCodec};
+use inceptionn_compress::{BurstCodec, DecodeError, ErrorBound};
 
+use crate::chunker::VALUES_PER_PACKET;
 use crate::flat::FlatPayload;
 
 /// Reduce-unit cycles charged per 8-lane group of folded values: one
@@ -58,7 +56,10 @@ const LANES_PER_CYCLE: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct SwitchReducer {
     acc: Vec<f32>,
-    codec: Option<InceptionnCodec>,
+    codec: Option<BurstCodec>,
+    /// Decoded lanes of the compressed segment being folded, sized for
+    /// one MTU segment and held across segments and contributions.
+    scratch: Vec<f32>,
     contributions: u32,
     cycles: u64,
 }
@@ -70,6 +71,7 @@ impl SwitchReducer {
         SwitchReducer {
             acc: vec![0.0; values],
             codec: None,
+            scratch: vec![],
             contributions: 0,
             cycles: 0,
         }
@@ -81,7 +83,8 @@ impl SwitchReducer {
     pub fn with_codec(values: usize, bound: ErrorBound) -> Self {
         SwitchReducer {
             acc: vec![0.0; values],
-            codec: Some(InceptionnCodec::new(bound)),
+            codec: Some(BurstCodec::new(bound)),
+            scratch: Vec::with_capacity(values.min(VALUES_PER_PACKET)),
             contributions: 0,
             cycles: 0,
         }
@@ -94,9 +97,10 @@ impl SwitchReducer {
     /// # Errors
     ///
     /// Fails with the codec's [`DecodeError`] on a corrupt or truncated
-    /// compressed segment; the accumulator is left with the partial
-    /// fold, matching what real reduce hardware would have committed —
-    /// callers recover by restarting the exchange, not the segment.
+    /// compressed segment. The segments before it stay folded, as real
+    /// reduce hardware would have committed them; the failing segment
+    /// adds nothing. Callers recover by restarting the exchange, not
+    /// the segment.
     ///
     /// # Panics
     ///
@@ -117,7 +121,11 @@ impl SwitchReducer {
                     .codec
                     .as_ref()
                     .expect("compressed segment reached a plain-only reduce unit");
-                fold_compressed_payload_into(codec, &mut self.acc[at..at + values], bytes, values)?;
+                self.scratch.resize(values, 0.0);
+                codec.decompress_into(bytes, values, &mut self.scratch)?;
+                for (a, &v) in self.acc[at..at + values].iter_mut().zip(&self.scratch) {
+                    *a += v;
+                }
             } else {
                 assert!(
                     bytes.len() == values * 4,
@@ -397,6 +405,33 @@ mod tests {
         wire.truncate_seg(0, 3);
         let mut unit = SwitchReducer::with_codec(500, bound);
         assert!(unit.fold_flat_contribution(&wire).is_err());
+    }
+
+    #[test]
+    fn truncated_segment_fails_exactly_like_the_scalar_decoder() {
+        // Every prefix of a compressed segment: the burst decode the
+        // unit runs must report the scalar reference's error, value
+        // index and bit offset included.
+        let bound = inceptionn_compress::ErrorBound::pow2(10);
+        let scalar = inceptionn_compress::InceptionnCodec::new(bound);
+        let mut whole = FlatPayload::new();
+        encode_payload_flat(&mut pipeline(), &grad(5, 203), true, &mut whole);
+        assert_eq!(whole.segs.len(), 1);
+        for keep in 0..whole.bytes.len() {
+            let mut wire = whole.clone();
+            wire.truncate_seg(0, keep);
+            let want = scalar
+                .decompress(&inceptionn_compress::CompressedStream {
+                    len: 203,
+                    bytes: wire.bytes.clone(),
+                    bit_len: keep * 8,
+                })
+                .unwrap_err();
+            let got = SwitchReducer::with_codec(203, bound)
+                .fold_flat_contribution(&wire)
+                .unwrap_err();
+            assert_eq!(got, want, "prefix of {keep} bytes");
+        }
     }
 
     #[test]

@@ -333,12 +333,6 @@ pub struct Summary {
     pub iters: BTreeMap<u32, IterStats>,
     /// Exchange wall time per strategy label.
     pub exchange_ns_by_label: BTreeMap<String, u64>,
-    /// Values pushed through codec shards (all directions).
-    pub codec_shard_values: u64,
-    /// Compressed bytes produced by codec shards.
-    pub codec_shard_bytes: u64,
-    /// Distinct codec shard tracks seen.
-    pub codec_shards: u64,
     /// Packets recorded through the TX datapath.
     pub dp_packets: u64,
     /// Total engine→MAC FIFO residency nanoseconds.
@@ -447,13 +441,6 @@ impl Summary {
             }
             labels::ITER_UPDATE => {
                 self.iters.entry(key).or_default().update_ns += value;
-            }
-            labels::CODEC_SHARD_VALUES => {
-                self.codec_shard_values += value;
-                self.codec_shards = self.codec_shards.max(u64::from(track) + 1);
-            }
-            labels::CODEC_SHARD_BYTES => {
-                self.codec_shard_bytes += value;
             }
             labels::DP_PACKET => {
                 self.dp_packets += 1;
@@ -660,14 +647,6 @@ impl fmt::Display for Summary {
                 f,
                 "   contributions folded: {}  reduce cycles: {}  bytes folded in-network: {}",
                 self.switch_reduce_folds, self.switch_reduce_cycles, self.switch_reduce_bytes
-            )?;
-        }
-        if self.codec_shard_values > 0 {
-            writeln!(f, "== codec shards ==")?;
-            writeln!(
-                f,
-                "   shards: {}  values: {}  compressed bytes: {}",
-                self.codec_shards, self.codec_shard_values, self.codec_shard_bytes
             )?;
         }
         if self.dp_packets > 0 {

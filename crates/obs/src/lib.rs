@@ -90,11 +90,6 @@ pub mod labels {
     pub const NET_TRANSFER: &str = "net/transfer";
     /// Counter: wire bytes (payload + headers) of one netsim flow.
     pub const NET_TRANSFER_BYTES: &str = "net/transfer_bytes";
-    /// Counter: values handled by one codec shard (track = shard index,
-    /// key = 0 encode / 1 decode / 2 quantize).
-    pub const CODEC_SHARD_VALUES: &str = "codec/shard_values";
-    /// Counter: compressed bytes produced by one codec shard.
-    pub const CODEC_SHARD_BYTES: &str = "codec/shard_bytes";
     /// Virtual-time span: one packet traversing the TX datapath.
     pub const DP_PACKET: &str = "dp/packet";
     /// Counter: nanoseconds a packet sat in the engine→MAC FIFO.
