@@ -21,6 +21,14 @@ pub trait Layer: Send {
     /// internally and returning the gradient w.r.t. the layer input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Like [`Layer::backward`], but only the parameter gradients are
+    /// wanted: the network's first layer has no one to hand an input
+    /// gradient to. Layers whose input gradient costs real work override
+    /// this to skip it; the default runs `backward` and drops the result.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Immutable views of the layer's parameter tensors (possibly empty).
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
@@ -95,7 +103,13 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // dW = x^T · dy ; db = column-sum(dy) ; dx = dy · W^T
+        // dx = dy · W^T
+        self.backward_params(grad_out);
+        matmul_nt(grad_out, &self.weight)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        // dW = x^T · dy ; db = column-sum(dy)
         self.grad_weight = matmul_tn(&self.cached_input, grad_out);
         let (batch, out) = (grad_out.dims()[0], grad_out.dims()[1]);
         let mut gb = vec![0.0f32; out];
@@ -106,7 +120,6 @@ impl Layer for Linear {
             }
         }
         self.grad_bias = Tensor::from_vec(gb, &[out]);
-        matmul_nt(grad_out, &self.weight)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -46,12 +46,17 @@ impl Network {
     }
 
     /// Runs the backward pass from the loss gradient, filling each
-    /// layer's parameter gradients.
+    /// layer's parameter gradients. The first layer computes no input
+    /// gradient ([`Layer::backward_params`]).
     pub fn backward(&mut self, grad_logits: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
         let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g);
         }
+        first.backward_params(&g);
     }
 
     /// Forward + loss + backward on one minibatch; returns
@@ -170,6 +175,8 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
 
+    use super::Network;
+    use crate::loss::softmax_cross_entropy;
     use crate::models;
     use crate::optim::{Sgd, SgdConfig};
     use inceptionn_tensor::Tensor;
@@ -242,6 +249,40 @@ mod tests {
         let x = Tensor::zeros(&[4, 16]);
         net.forward_backward(&x, &[0, 1, 0, 1]);
         assert_eq!(net.flat_grads().len(), net.param_count());
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_keeps_every_gradient_bit_identical() {
+        let digits = [4, models::DIGIT_FEATURES];
+        let images = [4, 1, models::DIGIT_SIDE, models::DIGIT_SIDE];
+        let cases = [
+            (
+                models::hdc_mlp_small(21),
+                models::hdc_mlp_small(21),
+                &digits[..],
+            ),
+            // Layer 0 is a Conv2d: the default `backward_params`.
+            (models::mini_cnn(21), models::mini_cnn(21), &images[..]),
+        ];
+        for (mut skipping, mut full, shape) in cases {
+            let mut rng = StdRng::seed_from_u64(13);
+            let len = shape.iter().product();
+            let x = Tensor::from_vec((0..len).map(|_| rng.gen_range(0.0..1.0)).collect(), shape);
+            let labels = [1, 4, 7, 9];
+
+            skipping.forward_backward(&x, &labels);
+
+            let logits = full.forward(&x, true);
+            let (_, mut g) = softmax_cross_entropy(&logits, &labels);
+            for layer in full.layers.iter_mut().rev() {
+                g = layer.backward(&g);
+            }
+
+            let bits = |net: &Network| -> Vec<u32> {
+                net.flat_grads().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&skipping), bits(&full), "{skipping:?}");
+        }
     }
 
     #[test]

@@ -9,6 +9,16 @@ fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |v| Tensor::from_vec(v, &[rows, cols]))
 }
 
+/// `len` values in `[-2, 2)`, about half of them replaced by `0.0`, as
+/// ReLU leaves the backward pass's operands.
+fn half_zero_values(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec((any::<bool>(), -2.0f32..2.0), len).prop_map(|v| {
+        v.into_iter()
+            .map(|(z, x)| if z { 0.0 } else { x })
+            .collect()
+    })
+}
+
 fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
     assert_eq!(a.dims(), b.dims());
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -42,13 +52,19 @@ proptest! {
 
     #[test]
     fn fused_transpose_kernels_agree(
-        a in tensor_strategy(4, 3),
-        b in tensor_strategy(4, 5),
+        (k, m, n) in (1usize..12, 1usize..12, 1usize..20),
+        av in half_zero_values(11 * 11),
+        bv in half_zero_values(11 * 19),
     ) {
-        // matmul_tn(a, b) == a^T b ; matmul_nt(x, y) == x y^T.
-        assert_close(&matmul_tn(&a, &b), &matmul(&a.transpose(), &b), 1e-3);
-        let x = a.transpose(); // 3x4
-        assert_close(&matmul_nt(&x, &b.clone().transpose()), &matmul(&x, &b), 1e-3);
+        // matmul_tn(a, b) == a^T b ; matmul_nt(x, y) == x y^T, exactly:
+        // every kernel sums in ascending k, and the zero skip of matmul /
+        // matmul_tn changes at most the sign of a zero. Shapes cross
+        // matmul_nt's 4×8 tile edges.
+        let a = Tensor::from_vec(av[..k * m].to_vec(), &[k, m]);
+        let b = Tensor::from_vec(bv[..k * n].to_vec(), &[k, n]);
+        assert_eq!(matmul_tn(&a, &b), matmul(&a.transpose(), &b));
+        let x = a.transpose(); // m×k
+        assert_eq!(matmul_nt(&x, &b.clone().transpose()), matmul(&x, &b));
     }
 
     #[test]
