@@ -75,6 +75,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/compress/src/bitio.rs",
     "crates/compress/src/sparse.rs",
     "crates/compress/src/sketch.rs",
+    "crates/distrib/src/codec.rs",
     "crates/distrib/src/crc32.rs",
     "crates/distrib/src/fabric.rs",
     "crates/distrib/src/ring.rs",
@@ -108,6 +109,7 @@ pub const WIRE_LAYOUT_FILES: &[&str] = &[
     "crates/compress/src/bitio.rs",
     "crates/compress/src/sparse.rs",
     "crates/compress/src/sketch.rs",
+    "crates/distrib/src/codec.rs",
     "crates/nicsim/src/chunker.rs",
     "crates/nicsim/src/engine.rs",
     "crates/nicsim/src/nic.rs",

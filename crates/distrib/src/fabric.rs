@@ -9,39 +9,36 @@
 //! stack:
 //!
 //! * [`InProcessFabric`] — the modeling shortcut: payloads stay as `f32`
-//!   vectors and compression is applied as a whole-stream `quantize()`
-//!   round trip on the burst-vectorized [`BurstCodec`] (elementwise
-//!   codec, so the values are identical to the scalar reference). Fast,
-//!   bit-exact baseline.
+//!   vectors and compression is applied as the codec's whole-stream
+//!   round trip in place. Fast, bit-exact baseline.
 //! * [`NicFabric`] — the real datapath: every payload is cut into
 //!   MTU-sized chunks and pushed through `inceptionn-nicsim`'s
 //!   compression / decompression engines into one flat wire image
 //!   ([`FrameBody::Flat`], the only NIC body), so the bytes "on the
-//!   wire" are the actual INCEPTIONN encoding and engine cycles are
-//!   accounted. Per-packet hardware compression composes to exactly the
-//!   same values as the whole-stream software quantization, so
-//!   [`NicFabric`] and [`InProcessFabric`] agree bit for bit — a
-//!   property the cross-crate tests pin.
+//!   wire" are the actual encoding and engine cycles are accounted.
+//!   Per-packet hardware compression composes to exactly the same
+//!   values as the whole-stream software round trip, so [`NicFabric`]
+//!   and [`InProcessFabric`] agree bit for bit — a property the
+//!   cross-crate tests pin.
 //! * [`TimedFabric`] — wraps either of the above and charges
 //!   `inceptionn-netsim` serialization + store-and-forward latency per
 //!   transfer, accumulated per source link.
+//!
+//! Both base transports hold one wire codec from the private `codec`
+//! module, the one place a [`CodecSelection`] is resolved and a codec
+//! family dispatched: nothing in this file branches on the family.
 //!
 //! [`TransportKind`] is the user-facing selector consumed by
 //! `TrainerConfig` and the `inceptionn` experiment drivers.
 
 use std::fmt;
 
-use inceptionn_compress::{
-    sketch, sparse, BurstCodec, DecodeError, ErrorBound, ResidualState, SketchCodec, SparseCodec,
-    SparseConfig,
-};
+use inceptionn_compress::{DecodeError, ErrorBound};
 use inceptionn_netsim::{LinkRateSchedule, NetworkConfig, TierMap, Topology};
-use inceptionn_nicsim::{
-    decode_payload_flat, encode_payload_flat, engine, switchagg, FlatPayload, FlatSeg, FlatTrace,
-    NicConfig, NicPipeline, Packet, SketchSwitchUnit, SwitchReducer,
-};
+use inceptionn_nicsim::{FlatPayload, NicPipeline, Packet, SketchSwitchUnit};
 use obs::{labels, Domain, Event, EventBuf, Recorder};
 
+use crate::codec::WireCodec;
 use crate::crc32::Crc32;
 use crate::faults::{FaultPlan, FaultStats, FaultyFabric};
 use crate::membership::MembershipSchedule;
@@ -418,25 +415,20 @@ pub trait Fabric: Send {
     /// Number of endpoints (workers plus any aggregator).
     fn endpoints(&self) -> usize;
 
-    /// Encodes `values` for the wire at endpoint `src`.
-    fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame;
+    /// Encodes `values` for the wire at endpoint `src` **into** a
+    /// caller-owned frame — the zero-copy seam: production transports
+    /// serialize straight into the frame's existing body allocation (the
+    /// loopback value vector, or the flat wire buffer) instead of
+    /// materializing a fresh one per leg. Pair with a [`FrameArena`] to
+    /// recycle frames across exchange legs.
+    fn encode_into(&mut self, src: usize, values: &[f32], kind: PayloadKind, frame: &mut WireFrame);
 
-    /// Encodes `values` at endpoint `src` **into** a caller-owned frame
-    /// — the zero-copy seam: production transports serialize straight
-    /// into the frame's existing body allocation (the loopback value
-    /// vector, or the flat wire buffer) instead of materializing a fresh
-    /// one per leg. The resulting frame is identical to what
-    /// [`encode`](Fabric::encode) returns; pair with a [`FrameArena`]
-    /// to recycle frames across exchange legs. The default falls back
-    /// to a plain encode-and-assign for decorators and test fabrics.
-    fn encode_into(
-        &mut self,
-        src: usize,
-        values: &[f32],
-        kind: PayloadKind,
-        frame: &mut WireFrame,
-    ) {
-        *frame = self.encode(src, values, kind);
+    /// Encodes `values` at endpoint `src` into a fresh frame:
+    /// [`encode_into`](Fabric::encode_into) on [`WireFrame::empty`].
+    fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
+        let mut frame = WireFrame::empty();
+        self.encode_into(src, values, kind, &mut frame);
+        frame
     }
 
     /// Charges transport latency for moving `frame` from `src` to `dst`.
@@ -693,13 +685,6 @@ impl SwitchAccum {
     }
 }
 
-fn count_payload(stats: &mut FabricStats, values: &[f32], wire_bytes: u64, packets: u64) {
-    stats.transfers += 1;
-    stats.payload_bytes += (values.len() * 4) as u64;
-    stats.wire_bytes += wire_bytes;
-    stats.packets += packets;
-}
-
 /// The `key` dimension fabric counters carry: 0 gradient, 1 plain.
 fn payload_kind_key(kind: PayloadKind) -> u32 {
     match kind {
@@ -708,25 +693,31 @@ fn payload_kind_key(kind: PayloadKind) -> u32 {
     }
 }
 
-/// Mirrors one `count_payload` call into the event buffer, so the obs
-/// totals are the same numbers as [`FabricStats`] by construction —
-/// cross-checked (not merely trusted) in `tests/obs_stack.rs`.
-fn record_transfer(
+/// Counts one transfer of `values` from `src` into `stats` and mirrors
+/// it into the event buffer, stamped with the running transfer count,
+/// so the obs totals are the same numbers as [`FabricStats`] by
+/// construction — cross-checked (not merely trusted) in
+/// `tests/obs_stack.rs`.
+fn count_transfer(
+    stats: &mut FabricStats,
     buf: &mut EventBuf,
-    seq: &mut u64,
     src: usize,
     kind: PayloadKind,
-    payload_bytes: u64,
+    values: &[f32],
     wire_bytes: u64,
     packets: u64,
 ) {
+    let payload_bytes = (values.len() * 4) as u64;
+    stats.transfers += 1;
+    stats.payload_bytes += payload_bytes;
+    stats.wire_bytes += wire_bytes;
+    stats.packets += packets;
     if !buf.is_on() {
         return;
     }
-    *seq += 1;
     let track = src as u32;
     let key = payload_kind_key(kind);
-    let ts = *seq;
+    let ts = stats.transfers;
     buf.push(Event::count(
         labels::FABRIC_PAYLOAD_BYTES,
         Domain::Seq,
@@ -847,96 +838,15 @@ impl CodecSelection {
     }
 }
 
-/// The instantiated codec behind a [`CodecSelection`].
-///
-/// The INCEPTIONN quantizer is stateless; the sparse family carries one
-/// [`ResidualState`] per endpoint (error feedback is per-worker by
-/// definition), which is why every entry point takes the source
-/// endpoint and `&mut self`.
-#[derive(Debug, Clone)]
-enum Quantizer {
-    Off,
-    Inceptionn(BurstCodec),
-    Sparse {
-        codec: SparseCodec,
-        states: Vec<ResidualState>,
-    },
-    Sketch(SketchCodec),
-}
-
-impl Quantizer {
-    fn new(selection: CodecSelection, endpoints: usize) -> Self {
-        match selection {
-            CodecSelection::None => Quantizer::Off,
-            CodecSelection::Scalar(bound)
-            | CodecSelection::Burst(bound)
-            | CodecSelection::Parallel { bound, .. } => {
-                Quantizer::Inceptionn(BurstCodec::new(bound))
-            }
-            CodecSelection::Sparse {
-                bound,
-                top_per_mille,
-            } => Quantizer::Sparse {
-                codec: SparseCodec::new(SparseConfig {
-                    bound,
-                    top_per_mille,
-                    seed: WIRE_CODEC_SEED,
-                }),
-                states: vec![ResidualState::new(); endpoints],
-            },
-            CodecSelection::Sketch { frac_bits } => {
-                Quantizer::Sketch(SketchCodec::new(frac_bits, WIRE_CODEC_SEED))
-            }
-        }
-    }
-
-    fn is_on(&self) -> bool {
-        !matches!(self, Quantizer::Off)
-    }
-
-    /// Rewinds per-endpoint leg cursors at an iteration boundary so
-    /// this iteration's encode legs line up with last iteration's
-    /// residual slots. Stateless codecs ignore it.
-    fn begin_iteration(&mut self) {
-        if let Quantizer::Sparse { states, .. } = self {
-            for s in states.iter_mut() {
-                s.begin_iteration();
-            }
-        }
-    }
-
-    fn quantize(&mut self, src: usize, values: &[f32]) -> Vec<f32> {
-        // One-shot API: a single output copy, then the same in-place
-        // round trip the zero-copy encode path runs.
-        let mut out = values.to_vec();
-        self.quantize_inplace(src, &mut out);
-        out
-    }
-
-    /// In-place round trip, shared by the zero-copy encode path and the
-    /// stat-free entry points.
-    fn quantize_inplace(&mut self, src: usize, values: &mut [f32]) {
-        match self {
-            Quantizer::Off => {}
-            Quantizer::Inceptionn(c) => c.quantize_inplace(values),
-            Quantizer::Sparse { codec, states } => {
-                codec.apply(src as u64, &mut states[src], values);
-            }
-            Quantizer::Sketch(c) => c.quantize_inplace(values),
-        }
-    }
-}
-
-/// The current lossless/quantize shortcut, preserved for bit-exact
-/// baselines: values never leave process memory, and compression is the
-/// whole-stream `quantize()` round trip of the software codec.
+/// The lossless/quantize shortcut, preserved for bit-exact baselines:
+/// values never leave process memory, and compression is the wire
+/// codec's whole-stream round trip, applied in place.
 #[derive(Debug, Clone)]
 pub struct InProcessFabric {
     endpoints: usize,
-    codec: Quantizer,
+    codec: WireCodec,
     stats: FabricStats,
     buf: EventBuf,
-    seq: u64,
 }
 
 impl InProcessFabric {
@@ -944,10 +854,9 @@ impl InProcessFabric {
     pub(crate) fn assemble(endpoints: usize, codec: CodecSelection, recorder: &Recorder) -> Self {
         InProcessFabric {
             endpoints,
-            codec: Quantizer::new(codec, endpoints),
+            codec: WireCodec::new(codec, endpoints),
             stats: FabricStats::default(),
             buf: recorder.buffer(),
-            seq: 0,
         }
     }
 }
@@ -955,12 +864,6 @@ impl InProcessFabric {
 impl Fabric for InProcessFabric {
     fn endpoints(&self) -> usize {
         self.endpoints
-    }
-
-    fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-        let mut frame = WireFrame::empty();
-        self.encode_into(src, values, kind, &mut frame);
-        frame
     }
 
     fn encode_into(
@@ -983,18 +886,12 @@ impl Fabric for InProcessFabric {
         if compressed {
             self.codec.quantize_inplace(src, &mut out);
         }
-        count_payload(
+        count_transfer(
             &mut self.stats,
-            values,
-            (values.len() * 4) as u64,
-            values.len().div_ceil(VALUES_PER_PACKET) as u64,
-        );
-        record_transfer(
             &mut self.buf,
-            &mut self.seq,
             src,
             kind,
-            (values.len() * 4) as u64,
+            values,
             (values.len() * 4) as u64,
             values.len().div_ceil(VALUES_PER_PACKET) as u64,
         );
@@ -1033,44 +930,7 @@ impl Fabric for InProcessFabric {
         self.stats
     }
 
-    fn transfer_with(
-        &mut self,
-        src: usize,
-        _dst: usize,
-        values: &[f32],
-        kind: PayloadKind,
-        sink: &mut dyn FnMut(&[f32]),
-    ) -> Result<(), FabricError> {
-        // Zero-copy fast path: plain and lossless payloads are handed to
-        // the sink as the borrowed slice, skipping the frame allocation.
-        count_payload(
-            &mut self.stats,
-            values,
-            (values.len() * 4) as u64,
-            values.len().div_ceil(VALUES_PER_PACKET) as u64,
-        );
-        record_transfer(
-            &mut self.buf,
-            &mut self.seq,
-            src,
-            kind,
-            (values.len() * 4) as u64,
-            (values.len() * 4) as u64,
-            values.len().div_ceil(VALUES_PER_PACKET) as u64,
-        );
-        if kind == PayloadKind::Gradient && self.codec.is_on() {
-            sink(&self.codec.quantize(src, values));
-        } else {
-            sink(values);
-        }
-        Ok(())
-    }
-
     fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
-        // Stat-free, but NOT state-free: a sparse self round trip is a
-        // real encode leg and advances the endpoint's residual exactly
-        // like a wire transfer would — that is what keeps a leader's
-        // kept block bit-identical to the block its peers received.
         Ok(self.codec.quantize(endpoint, values))
     }
 
@@ -1099,10 +959,7 @@ impl Fabric for InProcessFabric {
     }
 
     fn switch_accum(&mut self, len: usize) -> SwitchAccum {
-        match &self.codec {
-            Quantizer::Sketch(c) => SwitchAccum::Sketch(SketchSwitchUnit::new(len, c.frac_bits())),
-            _ => SwitchAccum::dense(len),
-        }
+        self.codec.switch_accum(len)
     }
 
     fn switch_fold_into(
@@ -1154,7 +1011,7 @@ impl Fabric for InProcessFabric {
 
 /// The real datapath: every payload traverses the nicsim compression /
 /// decompression engines MTU chunk by MTU chunk, so wire bytes are the
-/// actual INCEPTIONN encoding and engine cycles are accounted.
+/// codec's actual encoding and engine cycles are accounted.
 ///
 /// Each endpoint owns a [`NicPipeline`] (its NIC). Every frame carries
 /// one [`FrameBody::Flat`] wire image; any other body is a typed
@@ -1164,7 +1021,7 @@ impl Fabric for InProcessFabric {
 #[derive(Debug, Clone)]
 pub struct NicFabric {
     nics: Vec<NicPipeline>,
-    family: NicCodec,
+    codec: WireCodec,
     stats: FabricStats,
     buf: EventBuf,
     /// Reused receive-side value buffer: `deliver` reassembles into it
@@ -1178,60 +1035,6 @@ pub struct NicFabric {
     /// aggregation spans are stamped in (one reduce unit per fabric —
     /// the mode folds at the workers' first-hop switch).
     switch_clock: u64,
-    seq: u64,
-}
-
-/// The wire codec family a [`NicFabric`] runs, resolved from the
-/// [`CodecSelection`].
-///
-/// The truncation engines are hardware: within the quantizer family
-/// only the error bound is programmable, so all three quantizer
-/// selections collapse to `Engine(Some(codec))`, whose burst codec
-/// serves the local round trip. The sparse and sketch
-/// families are separate offload engines with their own frame formats
-/// and cycle models (`inceptionn_nicsim::engine`).
-#[derive(Debug, Clone)]
-enum NicCodec {
-    /// The INCEPTIONN truncation engine (or plain traffic when
-    /// `None`): MTU-chunked engine bursts.
-    Engine(Option<BurstCodec>),
-    /// The sparsifier engine: per-endpoint error-feedback state, exact
-    /// `(index, value)` pair frames.
-    Sparse {
-        codec: SparseCodec,
-        states: Vec<ResidualState>,
-    },
-    /// The homomorphic sketch engine: fixed-point self-describing
-    /// frames the switch folds without decompressing.
-    Sketch(SketchCodec),
-}
-
-/// `f32` values per MTU packet expressed in payload bytes — the
-/// segment ceiling for codec-framed byte payloads.
-const MTU_PAYLOAD_BYTES: usize = VALUES_PER_PACKET * 4;
-
-/// Cuts a codec-framed byte payload (already appended to
-/// `wire.bytes`) into MTU segments. The frame's bytes stay contiguous;
-/// segment 0 carries the block's value count and later segments carry
-/// 0, so [`FlatPayload::value_count`] still reports the block length.
-/// Every segment is marked compressed, so the fault machinery's
-/// poison/truncation paths hit these frames like any other compressed
-/// traffic.
-fn segment_codec_frame(wire: &mut FlatPayload, values: usize) {
-    let total = wire.bytes.len();
-    let mut off = 0usize;
-    loop {
-        let seg = (total - off).min(MTU_PAYLOAD_BYTES);
-        wire.segs.push(FlatSeg {
-            wire_bytes: seg as u32,
-            value_count: if off == 0 { values as u32 } else { 0 },
-            compressed: true,
-        });
-        off += seg;
-        if off >= total {
-            break;
-        }
-    }
 }
 
 /// The flat wire image of a frame handed to the NIC datapath, or the
@@ -1248,65 +1051,22 @@ fn flat_body(frame: &WireFrame) -> Result<&FlatPayload, FabricError> {
 impl NicFabric {
     /// The real constructor, reached through [`FabricBuilder`].
     pub(crate) fn assemble(endpoints: usize, codec: CodecSelection, recorder: &Recorder) -> Self {
-        let family = match codec {
-            CodecSelection::None => NicCodec::Engine(None),
-            CodecSelection::Scalar(bound)
-            | CodecSelection::Burst(bound)
-            | CodecSelection::Parallel { bound, .. } => {
-                NicCodec::Engine(Some(BurstCodec::new(bound)))
-            }
-            CodecSelection::Sparse {
-                bound,
-                top_per_mille,
-            } => NicCodec::Sparse {
-                codec: SparseCodec::new(SparseConfig {
-                    bound,
-                    top_per_mille,
-                    seed: WIRE_CODEC_SEED,
-                }),
-                states: vec![ResidualState::new(); endpoints],
-            },
-            CodecSelection::Sketch { frac_bits } => {
-                NicCodec::Sketch(SketchCodec::new(frac_bits, WIRE_CODEC_SEED))
-            }
-        };
-        let cfg = NicConfig {
-            bound: match &family {
-                NicCodec::Engine(Some(c)) => c.bound(),
-                _ => ErrorBound::default(),
-            },
-            ..NicConfig::default()
-        };
+        let codec = WireCodec::new(codec, endpoints);
+        let cfg = codec.nic_config();
         NicFabric {
             nics: (0..endpoints).map(|_| NicPipeline::new(cfg)).collect(),
-            family,
+            codec,
             stats: FabricStats::default(),
             buf: recorder.buffer(),
             scratch: Vec::new(),
             clock: vec![0; endpoints],
             switch_clock: 0,
-            seq: 0,
         }
     }
 
     /// Per-endpoint NIC statistics (packet and byte counters).
     pub fn nic_stats(&self, endpoint: usize) -> &inceptionn_nicsim::nic::NicStats {
         self.nics[endpoint].stats()
-    }
-
-    /// The truncation-engine bound, when this fabric runs the engine
-    /// family (the dense reduce unit only exists there).
-    fn engine_bound(&self) -> Option<ErrorBound> {
-        match &self.family {
-            NicCodec::Engine(c) => c.map(|c| c.bound()),
-            NicCodec::Sparse { .. } | NicCodec::Sketch(_) => None,
-        }
-    }
-
-    /// Whether gradient frames on this fabric are single codec-framed
-    /// byte payloads (sparse/sketch) rather than engine-burst segments.
-    fn codec_frame_family(&self) -> bool {
-        matches!(self.family, NicCodec::Sparse { .. } | NicCodec::Sketch(_))
     }
 
     /// Makes one switch fold observable. The reduce unit's cycles belong
@@ -1345,12 +1105,6 @@ impl Fabric for NicFabric {
         self.nics.len()
     }
 
-    fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-        let mut frame = WireFrame::empty();
-        self.encode_into(src, values, kind, &mut frame);
-        frame
-    }
-
     fn encode_into(
         &mut self,
         src: usize,
@@ -1366,65 +1120,23 @@ impl Fabric for NicFabric {
             FrameBody::Flat(p) => p,
             FrameBody::Loopback(_) | FrameBody::Packets(_) => FlatPayload::new(),
         };
-        let trace = match &mut self.family {
-            NicCodec::Engine(codec) => {
-                let compressible = codec.is_some() && kind == PayloadKind::Gradient;
-                encode_payload_flat(&mut self.nics[src], values, compressible, &mut wire)
-            }
-            NicCodec::Sparse { codec, states } if kind == PayloadKind::Gradient => {
-                // The sparsifier engine emits one self-describing frame
-                // (its bytes MTU-segmented below) and advances the
-                // endpoint's error-feedback residual.
-                wire.clear();
-                let appended =
-                    codec.encode_append(src as u64, &mut states[src], values, &mut wire.bytes);
-                segment_codec_frame(&mut wire, values.len());
-                let pairs =
-                    appended.saturating_sub(sparse::FRAME_HEADER_BYTES) / sparse::PAIR_BYTES;
-                let cycles = engine::sparse_encode_cycles(values.len(), pairs);
-                FlatTrace {
-                    payload_bytes_in: (values.len() * 4) as u64,
-                    wire_payload_bytes: appended as u64,
-                    packets: wire.segs.len() as u64,
-                    nic_latency_ns: cycles * engine::NS_PER_CYCLE,
-                    engine_cycles: cycles,
-                }
-            }
-            NicCodec::Sketch(codec) if kind == PayloadKind::Gradient => {
-                wire.clear();
-                let appended = codec.encode_append(values, &mut wire.bytes);
-                segment_codec_frame(&mut wire, values.len());
-                let cycles = engine::sketch_encode_cycles(values.len(), appended);
-                FlatTrace {
-                    payload_bytes_in: (values.len() * 4) as u64,
-                    wire_payload_bytes: appended as u64,
-                    packets: wire.segs.len() as u64,
-                    nic_latency_ns: cycles * engine::NS_PER_CYCLE,
-                    engine_cycles: cycles,
-                }
-            }
-            // Non-gradient traffic of the sparse/sketch families ships
-            // plain through the standard datapath.
-            NicCodec::Sparse { .. } | NicCodec::Sketch(_) => {
-                encode_payload_flat(&mut self.nics[src], values, false, &mut wire)
-            }
-        };
-        count_payload(
+        let trace = self.codec.encode_flat(
+            &mut self.nics[src],
+            src,
+            values,
+            kind == PayloadKind::Gradient,
+            &mut wire,
+        );
+        count_transfer(
             &mut self.stats,
+            &mut self.buf,
+            src,
+            kind,
             values,
             trace.wire_payload_bytes,
             trace.packets,
         );
         self.stats.engine_cycles += trace.engine_cycles;
-        record_transfer(
-            &mut self.buf,
-            &mut self.seq,
-            src,
-            kind,
-            (values.len() * 4) as u64,
-            trace.wire_payload_bytes,
-            trace.packets,
-        );
         if self.buf.is_on() {
             let track = src as u32;
             if trace.engine_cycles > 0 {
@@ -1468,32 +1180,12 @@ impl Fabric for NicFabric {
         let payload = flat_body(frame)?;
         let bursts_before = self.nics[dst].stats().rx_bursts;
         let mut values = std::mem::take(&mut self.scratch);
-        let decoded = if frame.is_compressed() && self.codec_frame_family() {
-            // Sparse/sketch gradient frames: one self-describing byte
-            // frame, contiguous across the MTU segments, with the
-            // codec's own decoder and cycle model. Truncation (the
-            // poison fault) fails the frame-length checks and surfaces
-            // as a typed decode error.
-            let n = payload.value_count();
-            values.clear();
-            values.resize(n, 0.0);
-            if let NicCodec::Sparse { .. } = &self.family {
-                sparse::decode_frame(&payload.bytes, &mut values).map(|()| {
-                    let pairs = payload
-                        .bytes
-                        .len()
-                        .saturating_sub(sparse::FRAME_HEADER_BYTES)
-                        / sparse::PAIR_BYTES;
-                    engine::sparse_decode_cycles(n, pairs)
-                })
-            } else {
-                sketch::decode_frame(&payload.bytes, &mut values)
-                    .map(|()| engine::sketch_decode_cycles(n, payload.bytes.len()))
-            }
-        } else {
-            decode_payload_flat(&mut self.nics[dst], payload, &mut values)
-                .map(|(_ns, cycles)| cycles)
-        };
+        let decoded = self.codec.decode_flat(
+            &mut self.nics[dst],
+            payload,
+            frame.is_compressed(),
+            &mut values,
+        );
         let cycles = match decoded {
             Ok(cycles) => cycles,
             Err(e) => {
@@ -1540,22 +1232,10 @@ impl Fabric for NicFabric {
 
     fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
         // Per-packet hardware compression composes to exactly the
-        // whole-stream software quantization (pinned by the cross-fabric
+        // whole-stream software round trip (pinned by the cross-fabric
         // tests), so a local round trip needs no engine time, packets,
-        // or wire accounting. The sparse family is stat-free but not
-        // state-free: the round trip is a real encode leg and advances
-        // the endpoint's residual like a wire transfer would.
-        if let NicCodec::Engine(Some(c)) = &self.family {
-            return Ok(c.quantize(values));
-        }
-        if let NicCodec::Sketch(c) = &self.family {
-            return Ok(c.quantize(values));
-        }
-        let mut out = values.to_vec();
-        if let NicCodec::Sparse { codec, states } = &mut self.family {
-            codec.apply(endpoint as u64, &mut states[endpoint], &mut out);
-        }
-        Ok(out)
+        // or wire accounting.
+        Ok(self.codec.quantize(endpoint, values))
     }
 
     fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
@@ -1563,49 +1243,13 @@ impl Fabric for NicFabric {
             return Err(FabricError::Integrity { src: frame.src() });
         }
         let payload = flat_body(frame)?;
-        let cycles = if payload.is_compressed() && self.codec_frame_family() {
-            // Codec-framed contributions skip the engine reduce unit:
-            // the switch folds the frame bytes natively. Sparse frames
-            // are streamed pair-adds into the dense accumulator (only
-            // the nnz pairs cost lanes); sketch frames fold through a
-            // one-shot sketch unit, since this legacy dense-`acc` entry
-            // point cannot hold integer cells across contributions —
-            // the `switch_accum`/`switch_fold_into` seam does.
-            if let NicCodec::Sketch(c) = &self.family {
-                let mut unit = SketchSwitchUnit::new(acc.len(), c.frac_bits());
-                unit.fold_frame(&payload.bytes)?;
-                let mut tmp = vec![0.0f32; acc.len()];
-                unit.finish_into(&mut tmp);
-                for (a, v) in acc.iter_mut().zip(tmp) {
-                    *a += v;
-                }
-                unit.cycles()
-            } else {
-                let nnz = sparse::fold_frame(&payload.bytes, acc.len(), |i, v| acc[i] += v)?;
-                switchagg::sparse_fold_cycles(nnz as u64)
-            }
-        } else {
-            // The switch's reduce unit decodes and folds the
-            // contribution.
-            let mut unit = match self.engine_bound() {
-                Some(bound) => SwitchReducer::with_codec(acc.len(), bound),
-                None => SwitchReducer::plain(acc.len()),
-            };
-            unit.fold_flat_contribution(payload)?;
-            for (a, &v) in acc.iter_mut().zip(unit.sum()) {
-                *a += v;
-            }
-            unit.cycles()
-        };
+        let cycles = self.codec.switch_fold(acc, payload)?;
         self.record_switch_fold(frame.src(), payload, cycles);
         Ok(())
     }
 
     fn switch_accum(&mut self, len: usize) -> SwitchAccum {
-        match &self.family {
-            NicCodec::Sketch(c) => SwitchAccum::Sketch(SketchSwitchUnit::new(len, c.frac_bits())),
-            _ => SwitchAccum::dense(len),
-        }
+        self.codec.switch_accum(len)
     }
 
     fn switch_fold_into(
@@ -1639,11 +1283,7 @@ impl Fabric for NicFabric {
     }
 
     fn begin_iteration(&mut self, _iteration: u64) {
-        if let NicCodec::Sparse { states, .. } = &mut self.family {
-            for s in states.iter_mut() {
-                s.begin_iteration();
-            }
-        }
+        self.codec.begin_iteration();
     }
 
     fn flush_obs(&mut self) {
@@ -1789,10 +1429,6 @@ impl TimedFabric {
 impl Fabric for TimedFabric {
     fn endpoints(&self) -> usize {
         self.inner.endpoints()
-    }
-
-    fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-        self.inner.encode(src, values, kind)
     }
 
     fn encode_into(
@@ -2016,7 +1652,7 @@ impl FabricBuilder {
     }
 
     /// The historical `Option<ErrorBound>` compression knob: `Some`
-    /// selects the host-parallel fast path, `None` lossless.
+    /// selects the INCEPTIONN codec at that bound, `None` lossless.
     pub fn compression(mut self, bound: Option<ErrorBound>) -> Self {
         self.codec = CodecSelection::from_bound(bound);
         self
@@ -2113,7 +1749,7 @@ impl FabricBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inceptionn_compress::ErrorBound;
+    use inceptionn_nicsim::{encode_payload_flat, NicConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -2122,15 +1758,37 @@ mod tests {
         (0..n).map(|_| rng.gen_range(-0.1f32..0.1)).collect()
     }
 
+    /// One selection per codec family a fabric can run: lossless,
+    /// INCEPTIONN, sparse threshold, sparse top-k and sketch.
+    fn every_codec() -> [CodecSelection; 5] {
+        [
+            CodecSelection::None,
+            CodecSelection::Burst(ErrorBound::pow2(10)),
+            CodecSelection::Sparse {
+                bound: ErrorBound::pow2(6),
+                top_per_mille: 0,
+            },
+            CodecSelection::Sparse {
+                bound: ErrorBound::pow2(8),
+                top_per_mille: 50,
+            },
+            CodecSelection::Sketch { frac_bits: 10 },
+        ]
+    }
+
+    fn build_with(kind: TransportKind, endpoints: usize, codec: CodecSelection) -> Box<dyn Fabric> {
+        FabricBuilder::new(endpoints)
+            .transport(kind)
+            .codec(codec)
+            .build()
+    }
+
     fn build(
         kind: TransportKind,
         endpoints: usize,
         compression: Option<ErrorBound>,
     ) -> Box<dyn Fabric> {
-        FabricBuilder::new(endpoints)
-            .transport(kind)
-            .compression(compression)
-            .build()
+        build_with(kind, endpoints, CodecSelection::from_bound(compression))
     }
 
     #[test]
@@ -2413,30 +2071,24 @@ mod tests {
         // the shortcut's in-place apply, the NIC's encode/decode frame
         // trip, and the timed wrappers all agree per codec. Two
         // back-to-back transfers double as a residual-state check — the
-        // second sparse frame depends on what the first one banked.
+        // second sparse frame depends on what the first one banked. The
+        // lossless and INCEPTIONN selections ride along as controls.
         let vals = gradients(4000, 21);
-        let codecs = [
-            CodecSelection::Sparse {
-                bound: ErrorBound::pow2(6),
-                top_per_mille: 0,
-            },
-            CodecSelection::Sparse {
-                bound: ErrorBound::pow2(8),
-                top_per_mille: 50,
-            },
-            CodecSelection::Sketch { frac_bits: 10 },
-        ];
-        for sel in codecs {
+        for sel in every_codec() {
             let mut reference: Option<[Vec<f32>; 2]> = None;
             for kind in TransportKind::ALL {
-                let mut fabric = FabricBuilder::new(2).transport(kind).codec(sel).build();
+                let mut fabric = build_with(kind, 2, sel);
                 fabric.begin_iteration(0);
                 let first = fabric.transfer(0, 1, &vals).unwrap();
                 fabric.begin_iteration(1);
                 let second = fabric.transfer(0, 1, &vals).unwrap();
                 match &reference {
                     None => {
-                        assert_ne!(first, vals, "{sel:?} must be lossy on this input");
+                        assert_eq!(
+                            first == vals,
+                            sel.is_none(),
+                            "{sel:?} must be lossy on this input exactly when it is a codec"
+                        );
                         reference = Some([first, second]);
                     }
                     Some([f, s]) => {
@@ -2532,20 +2184,20 @@ mod tests {
     #[test]
     fn self_roundtrip_matches_a_self_transfer_without_counting_one() {
         let vals = gradients(3000, 9);
-        for compression in [None, Some(ErrorBound::pow2(10))] {
+        for sel in every_codec() {
             for kind in TransportKind::ALL {
-                let mut through = build(kind, 2, compression);
+                let mut through = build_with(kind, 2, sel);
                 let received = through.transfer(0, 0, &vals).unwrap();
-                let mut local = build(kind, 2, compression);
+                let mut local = build_with(kind, 2, sel);
                 let out = local.self_roundtrip(0, &vals).unwrap();
                 assert_eq!(
                     out, received,
-                    "{kind:?} self round trip diverged from the wire"
+                    "{kind:?} {sel:?} self round trip diverged from the wire"
                 );
                 assert_eq!(
                     local.stats(),
                     FabricStats::default(),
-                    "{kind:?} self round trip must not count wire traffic"
+                    "{kind:?} {sel:?} self round trip must not count wire traffic"
                 );
             }
         }
@@ -2591,9 +2243,9 @@ mod tests {
         // in the same worker order — the property that lets the trainer
         // swap the aggregation mode without perturbing training.
         let grads: Vec<Vec<f32>> = (0..3).map(|w| gradients(1500, 20 + w as u64)).collect();
-        for compression in [None, Some(ErrorBound::pow2(10))] {
+        for sel in every_codec() {
             for kind in TransportKind::ALL {
-                let mut host_fabric = build(kind, 4, compression);
+                let mut host_fabric = build_with(kind, 4, sel);
                 let mut host = vec![0.0f32; 1500];
                 for (w, g) in grads.iter().enumerate() {
                     let out = host_fabric.transfer(w, 3, g).unwrap();
@@ -2601,14 +2253,14 @@ mod tests {
                         *a += v;
                     }
                 }
-                let mut fabric = build(kind, 4, compression);
+                let mut fabric = build_with(kind, 4, sel);
                 let mut acc = vec![0.0f32; 1500];
                 for (w, g) in grads.iter().enumerate() {
                     let frame = fabric.encode(w, g, PayloadKind::Gradient);
                     fabric.charge_to_switch(w, &frame);
                     fabric.switch_fold(&mut acc, &frame).unwrap();
                 }
-                assert_eq!(acc, host, "{kind:?} {compression:?}");
+                assert_eq!(acc, host, "{kind:?} {sel:?}");
             }
         }
     }

@@ -524,10 +524,6 @@ impl Fabric for FaultyFabric {
         self.inner.endpoints()
     }
 
-    fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-        self.inner.encode(src, values, kind)
-    }
-
     fn encode_into(
         &mut self,
         src: usize,

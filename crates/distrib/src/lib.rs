@@ -59,6 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aggregator;
+mod codec;
 mod crc32;
 pub mod exchange;
 pub mod fabric;

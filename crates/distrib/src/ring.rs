@@ -216,8 +216,14 @@ mod tests {
             fn endpoints(&self) -> usize {
                 8
             }
-            fn encode(&mut self, src: usize, values: &[f32], _kind: PayloadKind) -> WireFrame {
-                WireFrame::loopback(src, self.codec.quantize(values), true)
+            fn encode_into(
+                &mut self,
+                src: usize,
+                values: &[f32],
+                _kind: PayloadKind,
+                frame: &mut WireFrame,
+            ) {
+                *frame = WireFrame::loopback(src, self.codec.quantize(values), true);
             }
             fn deliver(
                 &mut self,
@@ -346,8 +352,14 @@ mod tests {
             fn endpoints(&self) -> usize {
                 self.inner.endpoints()
             }
-            fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-                self.inner.encode(src, values, kind)
+            fn encode_into(
+                &mut self,
+                src: usize,
+                values: &[f32],
+                kind: PayloadKind,
+                frame: &mut WireFrame,
+            ) {
+                self.inner.encode_into(src, values, kind, frame);
             }
             fn deliver(
                 &mut self,

@@ -86,8 +86,14 @@ pub(crate) mod tests {
         fn endpoints(&self) -> usize {
             self.inner.endpoints()
         }
-        fn encode(&mut self, src: usize, values: &[f32], kind: PayloadKind) -> WireFrame {
-            self.inner.encode(src, values, kind)
+        fn encode_into(
+            &mut self,
+            src: usize,
+            values: &[f32],
+            kind: PayloadKind,
+            frame: &mut WireFrame,
+        ) {
+            self.inner.encode_into(src, values, kind, frame);
         }
         fn charge(&mut self, src: usize, dst: usize, frame: &WireFrame) {
             self.inner.charge(src, dst, frame);
