@@ -23,7 +23,7 @@ pub fn worker_aggregator_allreduce(workers: &mut [Vec<f32>], gradient_codec: Cod
         .build();
     Exchange::new(workers.len())
         .run_all(ExchangeStrategy::WorkerAggregator, fabric.as_mut(), workers)
-        .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
+        .expect("in-process delivery is infallible: the fabric sees only its own frames");
 }
 
 #[cfg(test)]

@@ -8,14 +8,16 @@
 //! the destination endpoint. Three implementations span the co-design
 //! stack:
 //!
-//! * [`InProcessFabric`] — the modeling shortcut: payloads stay as `f32`
-//!   vectors and compression is applied as the codec's whole-stream
-//!   round trip in place. Fast, bit-exact baseline.
+//! * [`InProcessFabric`] — the modeling shortcut: compression is the
+//!   codec's whole-stream round trip in place, and the result ships as
+//!   the NIC's bypass image (raw little-endian `f32` segments, one per
+//!   MTU chunk) without modeling engines. Fast, bit-exact baseline.
 //! * [`NicFabric`] — the real datapath: every payload is cut into
 //!   MTU-sized chunks and pushed through `inceptionn-nicsim`'s
 //!   compression / decompression engines into one flat wire image
-//!   ([`FrameBody::Flat`], the only NIC body), so the bytes "on the
-//!   wire" are the actual encoding and engine cycles are accounted.
+//!   ([`FrameBody::Flat`], the one body every transport builds), so
+//!   the bytes "on the wire" are the actual encoding and engine cycles
+//!   are accounted.
 //!   Per-packet hardware compression composes to exactly the same
 //!   values as the whole-stream software round trip, so [`NicFabric`]
 //!   and [`InProcessFabric`] agree bit for bit — a property the
@@ -35,7 +37,9 @@ use std::fmt;
 
 use inceptionn_compress::{DecodeError, ErrorBound};
 use inceptionn_netsim::{LinkRateSchedule, NetworkConfig, TierMap, Topology};
-use inceptionn_nicsim::{FlatPayload, NicPipeline, Packet, SketchSwitchUnit};
+use inceptionn_nicsim::{
+    decode_raw_flat, encode_raw_flat, FlatPayload, NicPipeline, Packet, SketchSwitchUnit,
+};
 use obs::{labels, Domain, Event, EventBuf, Recorder};
 
 use crate::codec::WireCodec;
@@ -56,23 +60,43 @@ pub enum PayloadKind {
     Plain,
 }
 
-/// The payload of a [`WireFrame`]: either the in-process value shortcut
-/// or the NIC datapath's flat wire image.
+/// The payload of a [`WireFrame`]. Every transport ships
+/// [`Flat`](Self::Flat); the other two variants are names the repository
+/// benchmark still pins, and a transport handed either rejects it as a
+/// [`FabricError::FrameMismatch`].
 #[derive(Debug, Clone)]
 pub enum FrameBody {
-    /// In-process shortcut: the (possibly quantized) values themselves.
+    /// The values themselves. No transport builds this; kept verbatim
+    /// for the benchmark until ROADMAP 1(c) (only
+    /// [`WireFrame::loopback`] constructs it).
     Loopback(Vec<f32>),
     /// One refcounted buffer per MTU packet. No frame can carry this
     /// body: nothing constructs it, and every fabric rejects it as a
     /// [`FabricError::FrameMismatch`]. Only the name remains, pinned by
     /// the repository benchmark until ROADMAP item 1c removes it.
     Packets(Vec<Packet>),
-    /// Real NIC datapath output: the hardware-encoded bytes of every MTU
-    /// segment laid back to back in one reusable buffer, with a
-    /// per-segment descriptor table — the one NIC wire body, and the
-    /// representation the zero-allocation steady state of the pipelined
+    /// The wire image: the bytes of every MTU segment laid back to back
+    /// in one reusable buffer, with a per-segment descriptor table —
+    /// engine output on the NIC datapath, raw little-endian `f32`s from
+    /// the in-process transport. The one body a transport builds, and
+    /// the representation the zero-allocation steady state of the
     /// exchanges runs on.
     Flat(FlatPayload),
+}
+
+/// The flat wire image of a frame handed to `fabric`, or the typed
+/// mismatch for any other body: the one place a transport meets a body
+/// it does not carry.
+fn flat_body<'a>(
+    frame: &'a WireFrame,
+    fabric: &'static str,
+) -> Result<&'a FlatPayload, FabricError> {
+    let got = match frame.body() {
+        FrameBody::Flat(payload) => return Ok(payload),
+        FrameBody::Loopback(_) => "loopback",
+        FrameBody::Packets(_) => "packet",
+    };
+    Err(FabricError::FrameMismatch { fabric, got })
 }
 
 /// The integrity tag of a body: CRC-32 over its wire serialisation —
@@ -114,9 +138,9 @@ fn crc_of(body: &FrameBody) -> u32 {
 
 /// An encoded payload in flight between two endpoints: a source-address
 /// header, a frame-level CRC-32 integrity tag, a compression marker, and
-/// the body — loopback values ([`loopback`](Self::loopback)) or the NIC
-/// datapath's flat wire image ([`flat`](Self::flat)); there is no other
-/// constructor.
+/// the body — the flat wire image every transport ships
+/// ([`flat`](Self::flat)), or values ([`loopback`](Self::loopback)),
+/// which only the benchmark builds; there is no other constructor.
 ///
 /// The tag covers the body only — it rides *next to* the payload
 /// bytes, like an Ethernet FCS, so wire-byte and serialization
@@ -140,19 +164,13 @@ impl WireFrame {
     /// before the first [`encode_into`](Fabric::encode_into) fills (and
     /// thereafter recycles) its body allocation.
     pub fn empty() -> Self {
-        let body = FrameBody::Loopback(Vec::new());
-        WireFrame {
-            src: 0,
-            crc: crc_of(&body),
-            compressed: false,
-            body,
-        }
+        WireFrame::flat(0, FlatPayload::new())
     }
 
     /// A loopback frame from endpoint `src`; `compressed` marks whether
-    /// a lossy codec produced `values` (fault models only poison
-    /// compressed streams — plain traffic has no decode step to
-    /// desynchronize).
+    /// a lossy codec produced `values`. No transport builds this; kept
+    /// verbatim for the benchmark until ROADMAP 1(c). Every transport
+    /// rejects it as a [`FabricError::FrameMismatch`].
     pub fn loopback(src: usize, values: Vec<f32>, compressed: bool) -> Self {
         let body = FrameBody::Loopback(values);
         WireFrame {
@@ -201,6 +219,25 @@ impl WireFrame {
         crc_of(&self.body) == self.crc
     }
 
+    /// Takes the frame's flat wire buffer for an encode to refill (an
+    /// empty one if the frame carries another body), so a recycled frame
+    /// encodes into its existing allocations.
+    fn take_flat(&mut self) -> FlatPayload {
+        match std::mem::replace(&mut self.body, FrameBody::Flat(FlatPayload::new())) {
+            FrameBody::Flat(payload) => payload,
+            _ => FlatPayload::new(),
+        }
+    }
+
+    /// Refills the frame in place: header, compression marker, body and
+    /// a fresh integrity tag.
+    fn refill(&mut self, src: usize, compressed: bool, payload: FlatPayload) {
+        self.src = src;
+        self.compressed = compressed;
+        self.body = FrameBody::Flat(payload);
+        self.crc = crc_of(&self.body);
+    }
+
     /// Replaces the body *without* re-tagging — the fault injector's
     /// model of in-flight corruption. The stale CRC is what lets the
     /// receiver detect it.
@@ -214,7 +251,8 @@ impl WireFrame {
     }
 
     /// Post-compression payload bytes of each packet this frame occupies
-    /// on the wire (loopback frames count raw `f32` MTU packets).
+    /// on the wire (a loopback body counts raw `f32` MTU packets, the
+    /// segments the in-process transport's flat image has).
     pub fn packet_wire_bytes(&self) -> Vec<u64> {
         let mut sizes = Vec::new();
         self.packet_wire_bytes_into(&mut sizes);
@@ -247,8 +285,8 @@ impl WireFrame {
 /// An exchange keeps up to its pipeline depth in frames in flight
 /// (chunk `k+1` encoding while chunk `k` is on the wire); checking
 /// frames out of the arena and recycling them after delivery means the
-/// frame bodies — the loopback value vector or the flat wire buffer —
-/// are allocated once and reused for every subsequent leg via
+/// frame bodies — the flat wire buffers — are allocated once and reused
+/// for every subsequent leg via
 /// [`Fabric::encode_into`]. One free list serves every endpoint (a
 /// fabric's frames all have the same body shape), so an exchange holds
 /// exactly as many frames as it ever had in flight at once.
@@ -273,16 +311,18 @@ impl FrameArena {
 
 /// A delivery failure at a fabric endpoint.
 ///
-/// Transports are typed about what they carry: the loopback shortcut
-/// moves `f32` vectors, the NIC datapath moves encoded segments. Handing
-/// a frame to the wrong transport — or bytes the receive engines cannot
-/// decode — is reported here instead of tearing down the process, so
+/// Transports are typed about what they carry: both move flat wire
+/// images, but only the NIC datapath can read engine-compressed
+/// segments. Handing a frame to the wrong transport — or bytes the
+/// receiver cannot decode — is reported here instead of tearing down
+/// the process, so
 /// an exchange can surface the fault through its `Result` and the
 /// trainer can recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
-    /// A frame of the wrong wire format reached this fabric (e.g. a
-    /// flat NIC frame delivered to the loopback transport).
+    /// A frame of the wrong wire format reached this fabric (e.g.
+    /// engine-compressed segments delivered to the in-process
+    /// transport).
     FrameMismatch {
         /// The transport that rejected the frame.
         fabric: &'static str,
@@ -417,8 +457,8 @@ pub trait Fabric: Send {
 
     /// Encodes `values` for the wire at endpoint `src` **into** a
     /// caller-owned frame — the zero-copy seam: production transports
-    /// serialize straight into the frame's existing body allocation (the
-    /// loopback value vector, or the flat wire buffer) instead of
+    /// serialize straight into the frame's existing flat wire buffer
+    /// instead of
     /// materializing a fresh one per leg. Pair with a [`FrameArena`] to
     /// recycle frames across exchange legs.
     fn encode_into(&mut self, src: usize, values: &[f32], kind: PayloadKind, frame: &mut WireFrame);
@@ -449,8 +489,7 @@ pub trait Fabric: Send {
     fn charge_from_switch(&mut self, _endpoint: usize, _frame: &WireFrame) {}
 
     /// Decodes `frame` at endpoint `dst` and hands the received values
-    /// to `sink` (borrowed, so lossless in-process delivery can avoid
-    /// copies).
+    /// to `sink` (borrowed from the transport's reused receive buffer).
     ///
     /// # Errors
     ///
@@ -839,14 +878,20 @@ impl CodecSelection {
 }
 
 /// The lossless/quantize shortcut, preserved for bit-exact baselines:
-/// values never leave process memory, and compression is the wire
-/// codec's whole-stream round trip, applied in place.
+/// compression is the wire codec's whole-stream round trip, applied in
+/// place, and every frame carries the NIC's bypass image of the result
+/// (raw little-endian `f32` segments, one per MTU chunk), so wire bytes
+/// and packets are the segmentation a NIC would put on the link.
 #[derive(Debug, Clone)]
 pub struct InProcessFabric {
     endpoints: usize,
     codec: WireCodec,
     stats: FabricStats,
     buf: EventBuf,
+    /// Reused value buffer: an encode stages the quantized values in it,
+    /// a delivery reassembles the received ones into it, so neither
+    /// allocates in steady state.
+    scratch: Vec<f32>,
 }
 
 impl InProcessFabric {
@@ -857,7 +902,26 @@ impl InProcessFabric {
             codec: WireCodec::new(codec, endpoints),
             stats: FabricStats::default(),
             buf: recorder.buffer(),
+            scratch: Vec::new(),
         }
+    }
+
+    /// Verifies `frame` and reads its raw segments into the scratch
+    /// buffer. Engine-compressed segments are a frame from a transport
+    /// this one cannot read: a wiring bug, not a wire fault.
+    fn unframe(&mut self, frame: &WireFrame) -> Result<&[f32], FabricError> {
+        if !frame.integrity_ok() {
+            return Err(FabricError::Integrity { src: frame.src() });
+        }
+        let payload = flat_body(frame, "in-process")?;
+        if payload.segs.iter().any(|s| s.compressed) {
+            return Err(FabricError::FrameMismatch {
+                fabric: "in-process",
+                got: "compressed-segment",
+            });
+        }
+        decode_raw_flat(payload, &mut self.scratch)?;
+        Ok(&self.scratch)
     }
 }
 
@@ -874,17 +938,14 @@ impl Fabric for InProcessFabric {
         frame: &mut WireFrame,
     ) {
         let compressed = kind == PayloadKind::Gradient && self.codec.is_on();
-        // Reuse the frame's loopback vector: copy the values in and
-        // quantize them in place — no fresh allocation once the arena
-        // has warmed up.
-        let mut out = match std::mem::replace(&mut frame.body, FrameBody::Loopback(Vec::new())) {
-            FrameBody::Loopback(v) => v,
-            FrameBody::Packets(_) | FrameBody::Flat(_) => Vec::new(),
-        };
-        out.clear();
-        out.extend_from_slice(values);
+        let mut wire = frame.take_flat();
         if compressed {
-            self.codec.quantize_inplace(src, &mut out);
+            self.scratch.clear();
+            self.scratch.extend_from_slice(values);
+            self.codec.quantize_inplace(src, &mut self.scratch);
+            encode_raw_flat(&self.scratch, &mut wire);
+        } else {
+            encode_raw_flat(values, &mut wire);
         }
         count_transfer(
             &mut self.stats,
@@ -892,13 +953,10 @@ impl Fabric for InProcessFabric {
             src,
             kind,
             values,
-            (values.len() * 4) as u64,
-            values.len().div_ceil(VALUES_PER_PACKET) as u64,
+            wire.bytes.len() as u64,
+            wire.segs.len() as u64,
         );
-        frame.src = src;
-        frame.compressed = compressed;
-        frame.body = FrameBody::Loopback(out);
-        frame.crc = crc_of(&frame.body);
+        frame.refill(src, compressed, wire);
     }
 
     fn deliver(
@@ -907,23 +965,8 @@ impl Fabric for InProcessFabric {
         frame: &WireFrame,
         sink: &mut dyn FnMut(&[f32]),
     ) -> Result<(), FabricError> {
-        if !frame.integrity_ok() {
-            return Err(FabricError::Integrity { src: frame.src() });
-        }
-        match frame.body() {
-            FrameBody::Loopback(values) => {
-                sink(values);
-                Ok(())
-            }
-            FrameBody::Packets(_) => Err(FabricError::FrameMismatch {
-                fabric: "loopback",
-                got: "packet",
-            }),
-            FrameBody::Flat(_) => Err(FabricError::FrameMismatch {
-                fabric: "loopback",
-                got: "flat",
-            }),
-        }
+        sink(self.unframe(frame)?);
+        Ok(())
     }
 
     fn stats(&self) -> FabricStats {
@@ -932,30 +975,6 @@ impl Fabric for InProcessFabric {
 
     fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
         Ok(self.codec.quantize(endpoint, values))
-    }
-
-    fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
-        // Loopback shortcut: the frame already carries the (possibly
-        // quantized) values, so the switch fold is a direct add.
-        if !frame.integrity_ok() {
-            return Err(FabricError::Integrity { src: frame.src() });
-        }
-        match frame.body() {
-            FrameBody::Loopback(values) => {
-                for (a, &v) in acc.iter_mut().zip(values) {
-                    *a += v;
-                }
-                Ok(())
-            }
-            FrameBody::Packets(_) => Err(FabricError::FrameMismatch {
-                fabric: "loopback",
-                got: "packet",
-            }),
-            FrameBody::Flat(_) => Err(FabricError::FrameMismatch {
-                fabric: "loopback",
-                got: "flat",
-            }),
-        }
     }
 
     fn switch_accum(&mut self, len: usize) -> SwitchAccum {
@@ -967,37 +986,23 @@ impl Fabric for InProcessFabric {
         acc: &mut SwitchAccum,
         frame: &WireFrame,
     ) -> Result<(), FabricError> {
-        match acc {
-            SwitchAccum::Dense(values) => self.switch_fold(values, frame),
-            SwitchAccum::Sketch(unit) => {
-                if !frame.integrity_ok() {
-                    return Err(FabricError::Integrity { src: frame.src() });
-                }
-                match frame.body() {
-                    // Loopback gradient values already round-tripped
-                    // onto the codec grid, so the unit's exact
-                    // re-quantization reproduces the wire frame's
-                    // counts and the fold stays bit-identical with the
-                    // NIC fabric's native frame fold.
-                    FrameBody::Loopback(values) if frame.is_compressed() => {
-                        unit.fold_values(values);
-                        Ok(())
-                    }
-                    FrameBody::Loopback(_) => Err(FabricError::FrameMismatch {
-                        fabric: "sketch switch unit",
-                        got: "plain loopback",
-                    }),
-                    FrameBody::Packets(_) => Err(FabricError::FrameMismatch {
-                        fabric: "loopback",
-                        got: "packet",
-                    }),
-                    FrameBody::Flat(_) => Err(FabricError::FrameMismatch {
-                        fabric: "loopback",
-                        got: "flat",
-                    }),
-                }
-            }
+        let unit = match acc {
+            SwitchAccum::Dense(values) => return self.switch_fold(values, frame),
+            SwitchAccum::Sketch(unit) => unit,
+        };
+        let values = self.unframe(frame)?;
+        if !frame.is_compressed() {
+            return Err(FabricError::FrameMismatch {
+                fabric: "sketch switch unit",
+                got: "plain flat frame",
+            });
         }
+        // Gradient values already round-tripped onto the codec grid, so
+        // the unit's exact re-quantization reproduces the wire frame's
+        // counts and the fold stays bit-identical with the NIC fabric's
+        // native frame fold.
+        unit.fold_values(values);
+        Ok(())
     }
 
     fn begin_iteration(&mut self, _iteration: u64) {
@@ -1035,17 +1040,6 @@ pub struct NicFabric {
     /// aggregation spans are stamped in (one reduce unit per fabric —
     /// the mode folds at the workers' first-hop switch).
     switch_clock: u64,
-}
-
-/// The flat wire image of a frame handed to the NIC datapath, or the
-/// typed mismatch for a body it does not carry.
-fn flat_body(frame: &WireFrame) -> Result<&FlatPayload, FabricError> {
-    let got = match frame.body() {
-        FrameBody::Flat(payload) => return Ok(payload),
-        FrameBody::Loopback(_) => "loopback",
-        FrameBody::Packets(_) => "packet",
-    };
-    Err(FabricError::FrameMismatch { fabric: "NIC", got })
 }
 
 impl NicFabric {
@@ -1116,10 +1110,7 @@ impl Fabric for NicFabric {
         // Reuse the frame's flat wire buffer across legs; the datapath
         // appends its engine output straight into it, so a recycled
         // frame encodes with zero heap allocations.
-        let mut wire = match std::mem::replace(&mut frame.body, FrameBody::Loopback(Vec::new())) {
-            FrameBody::Flat(p) => p,
-            FrameBody::Loopback(_) | FrameBody::Packets(_) => FlatPayload::new(),
-        };
+        let mut wire = frame.take_flat();
         let trace = self.codec.encode_flat(
             &mut self.nics[src],
             src,
@@ -1162,10 +1153,7 @@ impl Fabric for NicFabric {
             }
             self.clock[src] += trace.engine_cycles;
         }
-        frame.src = src;
-        frame.compressed = wire.is_compressed();
-        frame.body = FrameBody::Flat(wire);
-        frame.crc = crc_of(&frame.body);
+        frame.refill(src, wire.is_compressed(), wire);
     }
 
     fn deliver(
@@ -1177,7 +1165,7 @@ impl Fabric for NicFabric {
         if !frame.integrity_ok() {
             return Err(FabricError::Integrity { src: frame.src() });
         }
-        let payload = flat_body(frame)?;
+        let payload = flat_body(frame, "NIC")?;
         let bursts_before = self.nics[dst].stats().rx_bursts;
         let mut values = std::mem::take(&mut self.scratch);
         let decoded = self.codec.decode_flat(
@@ -1242,7 +1230,7 @@ impl Fabric for NicFabric {
         if !frame.integrity_ok() {
             return Err(FabricError::Integrity { src: frame.src() });
         }
-        let payload = flat_body(frame)?;
+        let payload = flat_body(frame, "NIC")?;
         let cycles = self.codec.switch_fold(acc, payload)?;
         self.record_switch_fold(frame.src(), payload, cycles);
         Ok(())
@@ -1264,7 +1252,7 @@ impl Fabric for NicFabric {
         if !frame.integrity_ok() {
             return Err(FabricError::Integrity { src: frame.src() });
         }
-        let payload = flat_body(frame)?;
+        let payload = flat_body(frame, "NIC")?;
         if !(frame.is_compressed() && payload.is_compressed()) {
             return Err(FabricError::FrameMismatch {
                 fabric: "sketch switch unit",
@@ -1893,22 +1881,108 @@ mod tests {
 
     #[test]
     fn mismatched_frames_surface_typed_errors() {
-        // A frame handed to the wrong transport is a protocol bug the
-        // caller must see, not a process abort.
+        // Both transports ship flat wire images, so a lossless frame
+        // crosses them either way. A body a transport cannot read is a
+        // protocol bug the caller must see, not a process abort.
         let vals = gradients(16, 7);
         let mut in_proc = build(TransportKind::InProcess, 2, None);
         let mut nic = build(TransportKind::Nic, 2, None);
-        let loopback = in_proc.encode(0, &vals, PayloadKind::Gradient);
-        let packets = nic.encode(0, &vals, PayloadKind::Gradient);
+        let ours = in_proc.encode(0, &vals, PayloadKind::Gradient);
+        let theirs = nic.encode(0, &vals, PayloadKind::Gradient);
+        let mut got = Vec::new();
+        nic.deliver(1, &ours, &mut |v| got = v.to_vec()).unwrap();
+        assert_eq!(
+            got, vals,
+            "NIC fabric must read an in-process lossless frame"
+        );
+        in_proc
+            .deliver(1, &theirs, &mut |v| got = v.to_vec())
+            .unwrap();
+        assert_eq!(
+            got, vals,
+            "in-process fabric must read a NIC lossless frame"
+        );
+
+        let inceptionn = build(TransportKind::Nic, 2, Some(ErrorBound::pow2(10))).encode(
+            0,
+            &vals,
+            PayloadKind::Gradient,
+        );
         let err = in_proc
-            .deliver(1, &packets, &mut |_| {})
-            .expect_err("loopback fabric must reject packet frames");
+            .deliver(1, &inceptionn, &mut |_| {})
+            .expect_err("in-process fabric must reject engine-compressed segments");
+        assert!(matches!(err, FabricError::FrameMismatch { .. }), "{err}");
+        assert!(!err.is_recoverable());
+        let loopback = WireFrame::loopback(0, vals, false);
+        let err = in_proc
+            .deliver(1, &loopback, &mut |_| {})
+            .expect_err("in-process fabric must reject value bodies");
         assert!(matches!(err, FabricError::FrameMismatch { .. }), "{err}");
         let err = nic
             .deliver(1, &loopback, &mut |_| {})
-            .expect_err("NIC fabric must reject loopback frames");
-        assert!(matches!(err, FabricError::FrameMismatch { .. }), "{err}");
+            .expect_err("NIC fabric must reject value bodies");
         assert_eq!(err.to_string(), "NIC fabric received a loopback frame");
+    }
+
+    #[test]
+    fn hostile_flat_bodies_surface_typed_errors_in_process() {
+        // Every forged body is re-framed with a fresh CRC, so it passes
+        // the gate and reaches the raw-segment reader, which must answer
+        // with a typed error before any value reaches the sink.
+        let vals = gradients(1000, 24);
+        let mut in_proc = build(TransportKind::InProcess, 2, None);
+        let frame = in_proc.encode(0, &vals, PayloadKind::Gradient);
+        let FrameBody::Flat(good) = frame.body() else {
+            panic!("in-process fabric must emit a flat body");
+        };
+        assert_eq!(good.segs.len(), 3);
+        let forge = |edit: &dyn Fn(&mut FlatPayload)| {
+            let mut payload = good.clone();
+            edit(&mut payload);
+            WireFrame::flat(0, payload)
+        };
+        let cases: [(&str, WireFrame, bool); 5] = [
+            (
+                "value count is not wire bytes / 4",
+                forge(&|p| p.segs[1].value_count = u32::MAX),
+                true,
+            ),
+            (
+                "segment overruns the bytes",
+                forge(&|p| {
+                    p.segs[2].wire_bytes += 4;
+                    p.segs[2].value_count += 1;
+                }),
+                true,
+            ),
+            ("trailing unclaimed byte", forge(&|p| p.bytes.push(0)), true),
+            (
+                "truncated raw segment",
+                forge(&|p| p.truncate_seg(0, 7)),
+                true,
+            ),
+            (
+                "engine-compressed segment",
+                forge(&|p| p.segs[1].compressed = true),
+                false,
+            ),
+        ];
+        for (what, bad, recoverable) in cases {
+            let mut delivered = false;
+            let err = in_proc
+                .deliver(1, &bad, &mut |_| delivered = true)
+                .expect_err(what);
+            if recoverable {
+                assert!(matches!(err, FabricError::Decode(_)), "{what}: {err}");
+            } else {
+                assert!(
+                    matches!(err, FabricError::FrameMismatch { .. }),
+                    "{what}: {err}"
+                );
+            }
+            assert_eq!(err.is_recoverable(), recoverable, "{what}");
+            assert!(!delivered, "{what} reached the sink");
+        }
     }
 
     #[test]
@@ -1955,12 +2029,13 @@ mod tests {
 
         let mut in_proc = build(TransportKind::InProcess, 2, None);
         let frame = in_proc.encode(0, &vals, PayloadKind::Gradient);
-        let FrameBody::Loopback(values) = frame.body() else {
-            panic!("loopback fabric must emit values");
+        let FrameBody::Flat(payload) = frame.body() else {
+            panic!("in-process fabric must emit a flat body");
         };
-        let mut flipped = values.clone();
-        flipped[3] = f32::from_bits(flipped[3].to_bits() ^ 1);
-        let bad = frame.with_perturbed_body(FrameBody::Loopback(flipped));
+        // Value 3's lowest mantissa bit, in its little-endian image.
+        let mut flipped = payload.clone();
+        flipped.flip_bit(3 * 32);
+        let bad = frame.with_perturbed_body(FrameBody::Flat(flipped));
         let mut delivered = false;
         let err = in_proc
             .deliver(1, &bad, &mut |_| delivered = true)
@@ -1995,6 +2070,17 @@ mod tests {
         assert_eq!(WireFrame::empty().crc(), 0);
         assert_eq!(WireFrame::loopback(2, ramp(), true).crc(), 0x2496_3134);
         assert_eq!(nic_frame(None).crc(), 0xDF2B_1E82);
+        // The in-process transport ships the NIC's bypass image byte for
+        // byte, so its lossless frame carries the NIC lossless pin.
+        let in_proc =
+            build(TransportKind::InProcess, 3, None).encode(2, &ramp(), PayloadKind::Gradient);
+        assert_eq!(in_proc.crc(), 0xDF2B_1E82);
+        let nic = nic_frame(None);
+        let (FrameBody::Flat(ours), FrameBody::Flat(theirs)) = (in_proc.body(), nic.body()) else {
+            panic!("both transports must emit a flat body");
+        };
+        assert_eq!(ours.segs, theirs.segs);
+        assert_eq!(ours.bytes, theirs.bytes);
         let flat = nic_frame(Some(ErrorBound::pow2(8)));
         assert!(flat.is_compressed());
         assert_eq!(flat.crc(), 0x76DD_4AA5);
@@ -2036,9 +2122,7 @@ mod tests {
 
         let mut in_proc = build(TransportKind::InProcess, 3, None);
         let frame = WireFrame::loopback(2, ramp(), false);
-        in_proc
-            .deliver(1, &frame, &mut |_| {})
-            .expect("intact frame");
+        assert!(frame.integrity_ok(), "intact frame");
         for i in [0, 1023, 1024, 3000] {
             let mut flipped = ramp();
             flipped[i] = f32::from_bits(flipped[i].to_bits() ^ (1 << 9));

@@ -33,8 +33,8 @@
 
 use std::fmt;
 
-use inceptionn_compress::DecodeError;
 use inceptionn_netsim::{LinkRateSchedule, RateWindow};
+use inceptionn_nicsim::FlatPayload;
 use obs::{labels, Domain, Event, EventBuf, Recorder};
 
 use crate::fabric::{
@@ -408,105 +408,31 @@ impl FaultyFabric {
         None
     }
 
-    /// The frame as it arrives after a corruption fault: one bit flipped,
-    /// CRC left stale so the receiver's gate catches it.
-    fn corrupted(&self, frame: &WireFrame, seq: u64, dst: usize) -> WireFrame {
-        let src = frame.src();
-        let pos = |m| draw_index(self.plan.seed, src, dst, seq, SALT_POSITION, m);
-        match frame.body() {
-            FrameBody::Loopback(values) => {
-                let mut flipped = values.clone();
-                if !flipped.is_empty() {
-                    let i = pos(flipped.len() * 32);
-                    flipped[i / 32] = f32::from_bits(flipped[i / 32].to_bits() ^ (1 << (i % 32)));
-                }
-                frame.with_perturbed_body(FrameBody::Loopback(flipped))
-            }
-            // No fabric carries this body: handed on unperturbed, the
-            // inner one rejects it (likewise in the two methods below).
-            FrameBody::Packets(_) => frame.clone(),
-            FrameBody::Flat(payload) => {
-                let mut payload = payload.clone();
-                payload.flip_bit(pos(payload.bytes.len().max(1) * 8));
-                frame.with_perturbed_body(FrameBody::Flat(payload))
-            }
-        }
-    }
-
-    /// The frame with two segments (or values) swapped, CRC stale: the
-    /// tag covers order, so the gate catches the reorder.
-    fn reordered(&self, frame: &WireFrame, seq: u64, dst: usize) -> WireFrame {
-        let src = frame.src();
-        match frame.body() {
-            FrameBody::Loopback(values) => {
-                let mut values = values.clone();
-                if values.len() >= 2 {
-                    let i = draw_index(self.plan.seed, src, dst, seq, SALT_POSITION, values.len());
-                    let j = (i + 1) % values.len();
-                    values.swap(i, j);
-                }
-                frame.with_perturbed_body(FrameBody::Loopback(values))
-            }
-            FrameBody::Packets(_) => frame.clone(),
-            FrameBody::Flat(payload) => {
-                let mut payload = payload.clone();
-                if payload.segs.len() >= 2 {
-                    let i = draw_index(
-                        self.plan.seed,
-                        src,
-                        dst,
-                        seq,
-                        SALT_POSITION,
-                        payload.segs.len(),
-                    );
-                    payload.swap_adjacent_segs(i);
-                }
-                frame.with_perturbed_body(FrameBody::Flat(payload))
-            }
-        }
-    }
-
-    /// Delivers a poisoned compressed stream: damage that predates the
-    /// CRC stamp, so framing verifies but the decode desynchronizes.
-    fn deliver_poisoned(
+    /// Delivers a copy of `frame` whose flat wire image `perturb` has
+    /// damaged. In-flight damage (`retag == false`) keeps the sender's
+    /// CRC, which goes stale so the receiver's gate catches it;
+    /// sender-side damage before framing (`retag == true`) is framed
+    /// afresh, so only the decode can notice. Any other body goes on
+    /// unperturbed, and the inner transport rejects it.
+    fn deliver_perturbed(
         &mut self,
         dst: usize,
         frame: &WireFrame,
-        seq: u64,
+        retag: bool,
         sink: &mut dyn FnMut(&[f32]),
+        perturb: impl FnOnce(&mut FlatPayload),
     ) -> Result<(), FabricError> {
-        match frame.body() {
-            FrameBody::Packets(_) => self.inner.deliver(dst, frame, sink),
-            FrameBody::Flat(payload) => {
-                let mut payload = payload.clone();
-                if let Some(i) = payload.segs.iter().position(|s| s.compressed) {
-                    let keep = payload.segs[i].wire_bytes as usize / 2;
-                    payload.truncate_seg(i, keep);
-                }
-                // Rebuilt (not perturbed), so the CRC is fresh: this
-                // fault models sender-side damage before framing.
-                let poisoned = WireFrame::flat(frame.src(), payload);
-                self.inner.deliver(dst, &poisoned, sink)
-            }
-            FrameBody::Loopback(values) => {
-                // The loopback shortcut has no encoded stream to damage;
-                // synthesize the decode failure the NIC path would
-                // report at a deterministic position.
-                let at = draw_index(
-                    self.plan.seed,
-                    frame.src(),
-                    dst,
-                    seq,
-                    SALT_POSITION,
-                    values.len().max(1),
-                );
-                Err(FabricError::Decode(DecodeError {
-                    at_value: at,
-                    bit_offset: 0,
-                    tag: None,
-                }))
-            }
-        }
+        let FrameBody::Flat(payload) = frame.body() else {
+            return self.inner.deliver(dst, frame, sink);
+        };
+        let mut payload = payload.clone();
+        perturb(&mut payload);
+        let bad = if retag {
+            WireFrame::flat(frame.src(), payload)
+        } else {
+            frame.with_perturbed_body(FrameBody::Flat(payload))
+        };
+        self.inner.deliver(dst, &bad, sink)
     }
 }
 
@@ -564,9 +490,11 @@ impl Fabric for FaultyFabric {
             return Err(FabricError::EndpointDown { endpoint: dst });
         }
         let budget = self.plan.max_retransmits;
+        let seed = self.plan.seed;
         let mut attempt: u32 = 0;
         loop {
             let seq = self.next_seq(src, dst);
+            let pos = |m| draw_index(seed, src, dst, seq, SALT_POSITION, m);
             let outcome = match self.fault_for(src, dst, seq, frame.is_compressed()) {
                 None => self.inner.deliver(dst, frame, sink),
                 Some(Injected::Drop) => {
@@ -581,22 +509,37 @@ impl Fabric for FaultyFabric {
                 Some(Injected::Corrupt) => {
                     self.stats.corruptions += 1;
                     self.record(labels::FAULT_CORRUPT, src, dst, 1);
-                    let bad = self.corrupted(frame, seq, dst);
-                    self.inner.deliver(dst, &bad, sink)
+                    // One bit of the wire image; on a raw segment that
+                    // is bit `i % 32` of value `i / 32`.
+                    self.deliver_perturbed(dst, frame, false, sink, |p| {
+                        p.flip_bit(pos(p.bytes.len().max(1) * 8));
+                    })
                 }
                 Some(Injected::Reorder) => {
                     self.stats.reorders += 1;
                     self.record(labels::FAULT_REORDER, src, dst, 1);
-                    let bad = self.reordered(frame, seq, dst);
-                    self.inner.deliver(dst, &bad, sink)
+                    // Two adjacent segments; a one-segment frame has
+                    // no order to break, so it arrives intact.
+                    self.deliver_perturbed(dst, frame, false, sink, |p| {
+                        p.swap_adjacent_segs(pos(p.segs.len()));
+                    })
                 }
                 Some(Injected::Poison) => {
                     self.stats.poisons += 1;
                     self.record(labels::FAULT_POISON, src, dst, 1);
                     // Poison is pre-framing damage: retransmitting the
                     // same stream cannot fix it, so it goes straight to
-                    // the caller's degradation ladder.
-                    return self.deliver_poisoned(dst, frame, seq, sink);
+                    // the caller's degradation ladder. It halves the
+                    // first compressed segment, or the first segment of
+                    // a compressed frame of raw values (the in-process
+                    // transport's), which desynchronizes either decode.
+                    return self.deliver_perturbed(dst, frame, true, sink, |p| {
+                        let i = p.segs.iter().position(|s| s.compressed).unwrap_or(0);
+                        if let Some(seg) = p.segs.get(i) {
+                            let keep = seg.wire_bytes as usize / 2;
+                            p.truncate_seg(i, keep);
+                        }
+                    });
                 }
             };
             match outcome {

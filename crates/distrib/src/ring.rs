@@ -65,7 +65,7 @@ pub fn ring_allreduce(workers: &mut [Vec<f32>], codec: CodecSelection) {
     let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
     Exchange::new(workers.len())
         .run_all(ExchangeStrategy::Ring, fabric.as_mut(), workers)
-        .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
+        .expect("in-process delivery is infallible: the fabric sees only its own frames");
 }
 
 #[cfg(test)]
@@ -77,6 +77,7 @@ mod tests {
     use crate::faults::FaultPlan;
     use inceptionn_compress::{ErrorBound, InceptionnCodec};
     use inceptionn_netsim::Topology;
+    use inceptionn_nicsim::{decode_raw_flat, encode_raw_flat, FlatPayload};
     use obs::Recorder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -223,7 +224,9 @@ mod tests {
                 _kind: PayloadKind,
                 frame: &mut WireFrame,
             ) {
-                *frame = WireFrame::loopback(src, self.codec.quantize(values), true);
+                let mut wire = FlatPayload::new();
+                encode_raw_flat(&self.codec.quantize(values), &mut wire);
+                *frame = WireFrame::flat(src, wire);
             }
             fn deliver(
                 &mut self,
@@ -231,13 +234,13 @@ mod tests {
                 frame: &WireFrame,
                 sink: &mut dyn FnMut(&[f32]),
             ) -> Result<(), FabricError> {
-                match frame.body() {
-                    FrameBody::Loopback(values) => {
-                        sink(values);
-                        Ok(())
-                    }
-                    _ => unreachable!(),
-                }
+                let FrameBody::Flat(wire) = frame.body() else {
+                    unreachable!("this fabric only sees its own flat frames");
+                };
+                let mut values = Vec::new();
+                decode_raw_flat(wire, &mut values)?;
+                sink(&values);
+                Ok(())
             }
             fn stats(&self) -> crate::fabric::FabricStats {
                 self.stats

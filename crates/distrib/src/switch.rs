@@ -31,7 +31,7 @@ pub fn switch_allreduce(workers: &mut [Vec<f32>], codec: CodecSelection) {
     let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
     Exchange::new(workers.len())
         .run_all(ExchangeStrategy::SwitchReduce, fabric.as_mut(), workers)
-        .expect("in-process delivery is infallible: the fabric sees only its own loopback frames");
+        .expect("in-process delivery is infallible: the fabric sees only its own frames");
 }
 
 #[cfg(test)]

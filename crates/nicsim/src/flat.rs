@@ -30,8 +30,10 @@ pub struct FlatSeg {
     pub wire_bytes: u32,
     /// `f32` values the segment decodes to.
     pub value_count: u32,
-    /// Whether the segment traversed the compression engine
-    /// (uncompressed segments carry raw little-endian `f32` bytes).
+    /// Whether the segment traversed the compression engine.
+    /// Uncompressed (bypass) segments carry raw little-endian `f32`
+    /// bytes, one [`VALUES_PER_PACKET`] chunk each, written and read by
+    /// [`encode_raw_flat`] / [`decode_raw_flat`] on every transport.
     pub compressed: bool,
 }
 
@@ -229,6 +231,88 @@ pub fn decode_payload_flat(
     Ok((total_ns, cycles))
 }
 
+/// Writes `values` into `out` (cleared first, capacity kept) as the
+/// image the NIC's bypass path puts on the wire: one uncompressed
+/// segment per [`VALUES_PER_PACKET`] chunk, holding that chunk's
+/// little-endian bytes. This is what a transport without engines ships.
+pub fn encode_raw_flat(values: &[f32], out: &mut FlatPayload) {
+    out.clear();
+    out.segs.reserve(values.len().div_ceil(VALUES_PER_PACKET));
+    for chunk in values.chunks(VALUES_PER_PACKET) {
+        out.segs.push(append_raw_seg(chunk, &mut out.bytes));
+    }
+}
+
+/// Reads an image of raw segments, as [`encode_raw_flat`] writes it,
+/// back **into** a caller-owned buffer (cleared first, capacity kept).
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] if the segment table cannot describe `bytes`
+/// (checked before `values` is touched, so a forged count sizes
+/// nothing), or if a segment is engine-compressed, in which case
+/// `values` holds a partial reassembly.
+pub fn decode_raw_flat(payload: &FlatPayload, values: &mut Vec<f32>) -> Result<(), DecodeError> {
+    let count = checked_value_count(payload)?;
+    values.clear();
+    values.resize(count, 0.0);
+    let (mut at, mut at_byte) = (0usize, 0usize);
+    for (seg, bytes) in payload.iter() {
+        if seg.compressed {
+            return Err(table_error(at, at_byte));
+        }
+        let n = seg.value_count as usize;
+        read_raw_seg(bytes, &mut values[at..at + n])?;
+        at += n;
+        at_byte += bytes.len();
+    }
+    Ok(())
+}
+
+/// Appends `chunk` to `bytes` as one bypass segment's little-endian
+/// image and returns its descriptor. The one writer of raw segments:
+/// the NIC's bypass path and [`encode_raw_flat`] both call it.
+pub(crate) fn append_raw_seg(chunk: &[f32], bytes: &mut Vec<u8>) -> FlatSeg {
+    let start = bytes.len();
+    bytes.resize(start + chunk.len() * 4, 0);
+    for (dst, v) in bytes[start..].chunks_exact_mut(4).zip(chunk) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    FlatSeg {
+        wire_bytes: (chunk.len() * 4) as u32,
+        value_count: chunk.len() as u32,
+        compressed: false,
+    }
+}
+
+/// Reads one bypass segment's bytes into `out`. The one reader of raw
+/// segments: the NIC's bypass path and [`decode_raw_flat`] both call
+/// it.
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] unless `bytes` holds exactly four bytes per
+/// value of `out`.
+pub(crate) fn read_raw_seg(bytes: &[u8], out: &mut [f32]) -> Result<(), DecodeError> {
+    if bytes.len() != out.len() * 4 {
+        return Err(table_error(0, 0));
+    }
+    for (v, raw) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
+    }
+    Ok(())
+}
+
+/// The error a segment table or segment that cannot be read reports,
+/// positioned at the value and byte where reading stopped.
+fn table_error(at_value: usize, at_byte: usize) -> DecodeError {
+    DecodeError {
+        at_value,
+        bit_offset: at_byte * 8,
+        tag: None,
+    }
+}
+
 /// Checks a received segment table against its byte image before
 /// anything is sized from it, and returns the total value count. A
 /// bypass segment holds exactly four bytes per value; a compressed one
@@ -238,11 +322,6 @@ pub fn decode_payload_flat(
 /// and a table that overruns `bytes` is an error, not a panic.
 fn checked_value_count(payload: &FlatPayload) -> Result<usize, DecodeError> {
     let (mut values, mut bytes) = (0usize, 0usize);
-    let reject = |at_value: usize, at_byte: usize| DecodeError {
-        at_value,
-        bit_offset: at_byte * 8,
-        tag: None,
-    };
     for seg in &payload.segs {
         let (n, wire) = (seg.value_count as usize, seg.wire_bytes as usize);
         let legal = if seg.compressed {
@@ -251,13 +330,13 @@ fn checked_value_count(payload: &FlatPayload) -> Result<usize, DecodeError> {
             wire == 4 * n
         };
         if !legal {
-            return Err(reject(values, bytes));
+            return Err(table_error(values, bytes));
         }
         values += n;
         bytes += wire;
     }
     if bytes != payload.bytes.len() {
-        return Err(reject(values, bytes));
+        return Err(table_error(values, bytes));
     }
     Ok(values)
 }
@@ -395,6 +474,53 @@ mod tests {
         let (_, cycles) = decode_payload_flat(&mut rx, &flat, &mut out).unwrap();
         assert_eq!(out, vals, "bypass path must be lossless");
         assert_eq!(cycles, 0);
+    }
+
+    #[test]
+    fn raw_image_is_the_nic_bypass_image_and_round_trips() {
+        for n in [0usize, 1, 361, 362, 363, 1000] {
+            let vals = grad(n as u32, n);
+            let mut raw = FlatPayload::new();
+            encode_raw_flat(&vals, &mut raw);
+            let mut nic = FlatPayload::new();
+            encode_payload_flat(&mut pipeline(), &vals, false, &mut nic);
+            assert_eq!(raw, nic, "n={n}");
+            let mut out = vec![1.0; 3];
+            decode_raw_flat(&raw, &mut out).unwrap();
+            assert_eq!(out, vals, "n={n}");
+        }
+    }
+
+    #[test]
+    fn hostile_raw_images_are_decode_errors() {
+        let mut flat = FlatPayload::new();
+        encode_raw_flat(&grad(19, 1000), &mut flat);
+        assert_eq!(flat.segs.len(), 3);
+        let forge = |edit: &dyn Fn(&mut FlatPayload)| {
+            let mut forged = flat.clone();
+            edit(&mut forged);
+            forged
+        };
+        // A forged table is caught before anything is sized from it.
+        for (what, forged) in [
+            ("count", forge(&|p| p.segs[1].value_count = u32::MAX)),
+            (
+                "overrun",
+                forge(&|p| {
+                    p.segs[2].wire_bytes += 4;
+                    p.segs[2].value_count += 1;
+                }),
+            ),
+            ("trailing byte", forge(&|p| p.bytes.push(0))),
+            ("truncated segment", forge(&|p| p.truncate_seg(0, 7))),
+        ] {
+            let mut out = Vec::with_capacity(16);
+            assert!(decode_raw_flat(&forged, &mut out).is_err(), "{what}");
+            assert_eq!(out.capacity(), 16, "{what} sized the output");
+        }
+        let compressed = forge(&|p| p.segs[1].compressed = true);
+        let err = decode_raw_flat(&compressed, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.at_value, VALUES_PER_PACKET);
     }
 
     #[test]

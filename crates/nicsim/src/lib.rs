@@ -60,7 +60,10 @@ pub mod switchagg;
 
 pub use chunker::VALUES_PER_PACKET;
 pub use engine::{CompressionEngine, DecompressionEngine, EngineMetrics, EngineOutput};
-pub use flat::{decode_payload_flat, encode_payload_flat, FlatPayload, FlatSeg, FlatTrace};
+pub use flat::{
+    decode_payload_flat, decode_raw_flat, encode_payload_flat, encode_raw_flat, FlatPayload,
+    FlatSeg, FlatTrace,
+};
 pub use nic::{NicConfig, NicPipeline};
 pub use packet::{Packet, TOS_COMPRESSED};
 pub use switchagg::{SketchSwitchUnit, SwitchReducer};

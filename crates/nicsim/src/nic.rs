@@ -5,7 +5,7 @@ use inceptionn_compress::{DecodeError, ErrorBound};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{CompressionEngine, DecompressionEngine, NS_PER_CYCLE};
-use crate::flat::FlatSeg;
+use crate::flat::{append_raw_seg, read_raw_seg, FlatSeg};
 use crate::packet::Packet;
 
 /// Static NIC parameters.
@@ -144,19 +144,8 @@ impl NicPipeline {
         bytes: &mut Vec<u8>,
     ) -> (FlatSeg, u64) {
         if !compressible || chunk.is_empty() {
-            bytes.reserve(chunk.len() * 4);
-            for v in chunk {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
             self.stats.bypassed_packets += 1;
-            return (
-                FlatSeg {
-                    wire_bytes: (chunk.len() * 4) as u32,
-                    value_count: chunk.len() as u32,
-                    compressed: false,
-                },
-                self.cfg.base_latency_ns,
-            );
+            return (append_raw_seg(chunk, bytes), self.cfg.base_latency_ns);
         }
         let (metrics, wire_len) = self.compressor.process_append(chunk, bytes);
         self.stats.compressed_packets += 1;
@@ -191,16 +180,7 @@ impl NicPipeline {
         debug_assert_eq!(out.len(), seg.value_count as usize);
         if !seg.compressed {
             self.stats.bypassed_packets += 1;
-            if payload.len() != out.len() * 4 {
-                return Err(DecodeError {
-                    at_value: 0,
-                    bit_offset: 0,
-                    tag: None,
-                });
-            }
-            for (v, raw) in out.iter_mut().zip(payload.chunks_exact(4)) {
-                *v = f32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
-            }
+            read_raw_seg(payload, out)?;
             return Ok(self.cfg.base_latency_ns);
         }
         let metrics = self.decompressor.process_into(payload, out)?;

@@ -261,11 +261,11 @@ impl SketchSwitchUnit {
         Ok(())
     }
 
-    /// Folds an uncompressed contribution by re-quantizing it to the
-    /// grid — the in-process loopback path, where "the wire" already
-    /// round-tripped values onto grid points so the re-quantization is
-    /// exact and the fold stays bit-identical with
-    /// [`fold_frame`](Self::fold_frame).
+    /// Folds a contribution that arrived as raw values by re-quantizing
+    /// it to the grid — the in-process transport's path: its raw
+    /// segments carry values the sender already round-tripped onto grid
+    /// points, so the re-quantization is exact and the fold stays
+    /// bit-identical with [`fold_frame`](Self::fold_frame).
     ///
     /// # Panics
     ///
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn sketch_unit_value_fold_matches_frame_fold_on_grid_inputs() {
         let codec = SketchCodec::new(12, 5);
-        // Loopback values are already grid round-tripped.
+        // In-process values are already grid round-tripped.
         let grads: Vec<Vec<f32>> = (0..3).map(|w| codec.quantize(&grad(w, 256))).collect();
         let mut by_frame = SketchSwitchUnit::new(256, codec.frac_bits());
         let mut by_value = SketchSwitchUnit::new(256, codec.frac_bits());

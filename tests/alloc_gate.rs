@@ -1,14 +1,15 @@
-//! Dynamic zero-allocation gate for the NIC exchange.
+//! Dynamic zero-allocation gate for the ring exchange.
 //!
 //! The static analyzer forbids allocation *sites* on hot paths; this
 //! gate proves the dynamic property those rules approximate: after a
 //! one-iteration warmup, a training loop that holds one [`Exchange`]
-//! across iterations of the NIC-transport ring all-reduce performs
-//! **zero heap allocations** in steady state — chunked or whole-leg,
-//! untimed or timed. Every buffer the exchange touches — arena frames,
-//! flat wire payloads, the in-flight window, the recovery ladders, the
-//! fabric's decode scratch, the codec's append sink and the timed
-//! fabric's per-packet size buffer — is recycled.
+//! across iterations of the ring all-reduce performs **zero heap
+//! allocations** in steady state — over the NIC transport chunked or
+//! whole-leg, untimed or timed, and over the trainer's default
+//! in-process transport. Every buffer the exchange touches — arena
+//! frames, flat wire payloads, the in-flight window, the recovery
+//! ladders, the fabric's value scratch, the codec's append sink and the
+//! timed fabric's per-packet size buffer — is recycled.
 //!
 //! The counting `#[global_allocator]` is compiled only under the
 //! `alloc-gate` feature (see `crates/core/Cargo.toml`), so the rest of
@@ -18,9 +19,10 @@
 //! (48–148 bytes at a time) while the test thread measures, so a
 //! process-wide counter fails about one run in three with "allocated 4
 //! times" at a random cell. Counting only the measuring thread loses
-//! nothing: the NIC ring runs the engines inline and never enters the
-//! codec pool, so no exchange work happens on another thread. (A cell
-//! that does hand work to pool threads would have to sum their counts.)
+//! nothing: both transports run the codec and the engines inline on
+//! the calling thread, so no exchange work happens on another thread.
+//! (A cell that did hand work to other threads would have to sum their
+//! counts.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,7 +135,8 @@ fn assert_steady_state_allocates_nothing(
 /// NIC fabric allocates nothing — compressed and lossless (they share
 /// every buffer), chunked and under the whole-leg default the trainer
 /// runs — and neither does the timed NIC fabric's per-frame link
-/// charge.
+/// charge, nor the in-process fabric staging quantized values in its
+/// scratch.
 ///
 /// One test function: every cell rides on the same cold-exchange check
 /// of the instrument.
@@ -185,6 +188,14 @@ fn nic_ring_steady_state_allocates_nothing() {
         bound,
     );
     assert_steady_state_allocates_nothing("whole/lossless", nic, Exchange::new(3), 3, 2500, None);
+    assert_steady_state_allocates_nothing(
+        "in-process/whole/compressed",
+        TransportKind::InProcess,
+        Exchange::new(4),
+        4,
+        4000,
+        bound,
+    );
     assert_steady_state_allocates_nothing(
         "timed/chunked/compressed",
         TransportKind::TimedNic,
