@@ -12,8 +12,7 @@
 use inceptionn_compress::gradmodel::GradientPreset;
 use inceptionn_netsim::analytic::{switch_reduce_time, tree_ring_time, TreeCostModel};
 use inceptionn_netsim::topology::{
-    ring_exchange_on, switch_reduce_exchange, wa_exchange_on, wa_exchange_wire, ExchangeWire,
-    TreeConfig,
+    ring_exchange_on, switch_reduce_exchange, wa_exchange_with_wire, ExchangeWire, TreeConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -118,11 +117,10 @@ pub fn run(bytes: u64, max_nodes: usize, ratio_samples: usize) -> Vec<ToposcaleP
             let s = compressed.then_some(spec);
             for mode in ScaleMode::ALL {
                 let (times, analytic_s, wire) = match mode {
-                    ScaleMode::FlatWa => (
-                        wa_exchange_on(&cfg, &flat, bytes, GAMMA, s),
-                        None,
-                        Some(wa_exchange_wire(&cfg, &flat, bytes, s)),
-                    ),
+                    ScaleMode::FlatWa => {
+                        let (times, wire) = wa_exchange_with_wire(&cfg, &flat, bytes, GAMMA, s);
+                        (times, None, Some(wire))
+                    }
                     // No analytic prediction for the flat ring: laid
                     // over a tree, only some of each step's transfers
                     // cross the core, and the per-tier model has no term

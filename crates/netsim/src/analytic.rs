@@ -13,8 +13,9 @@
 //! The `p`-proportional β term makes WA linear in cluster size while the
 //! ring's `(p−1)/p` factor saturates — the scalability argument of
 //! Fig. 15. [`flat_wa_time`] additionally models the paper's *actual*
-//! testbed (a single flat aggregator, no tree), which is what the
-//! packet-level simulator in [`crate::collective`] reproduces; the two
+//! testbed (a single flat aggregator, no tree), which is what
+//! [`crate::collective`]'s star exchanges — the depth-1 case of the
+//! packet-level builders in [`crate::topology`] — reproduce; the two
 //! flavors are cross-validated against the simulator in this crate's
 //! tests.
 

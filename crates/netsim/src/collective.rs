@@ -1,50 +1,37 @@
-//! Gradient-exchange collectives composed from simulated transfers.
+//! The paper's two gradient exchanges on its one-switch star.
 //!
-//! Two patterns reproduce the paper's systems:
+//! Both are the depth-1 case of the topology builders in
+//! [`crate::topology`], which hold the one simulated description of
+//! each strategy:
 //!
 //! * [`worker_aggregator_exchange`] — the conventional baseline (Fig. 2):
 //!   every worker ships its full gradient to the aggregator (an incast
 //!   onto one downlink), the aggregator sum-reduces all streams, then
-//!   ships the updated weights back (a broadcast off one uplink);
+//!   ships the updated weights back (a broadcast off one uplink). The
+//!   aggregator is one more leaf of the star, so this is
+//!   [`wa_exchange_on`] over `workers + 1` nodes;
 //! * [`ring_exchange`] — INCEPTIONN's Algorithm 1: gradients are split
 //!   into `p` blocks; `p−1` reduce-scatter steps pass partial sums
 //!   around the ring while every node adds its contribution, then `p−1`
 //!   all-gather steps propagate the fully reduced blocks. Every link
 //!   carries traffic concurrently and aggregation work is spread evenly.
+//!   This is [`ring_exchange_on`] with one ring over all `p` nodes.
 
 use crate::sim::NetworkConfig;
-use crate::topology::{maybe_compress, phase};
-use crate::transfer::{CompressionSpec, Transfer};
-
-/// Wall-clock breakdown of one gradient exchange (seconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeTimes {
-    /// Time spent moving bytes (the "Communicate" row of Table II).
-    pub comm_s: f64,
-    /// Time spent sum-reducing gradients (the "Gradient sum" row).
-    pub reduce_s: f64,
-}
-
-impl ExchangeTimes {
-    /// Total exchange wall-clock.
-    pub fn total_s(&self) -> f64 {
-        self.comm_s + self.reduce_s
-    }
-}
+use crate::topology::{ring_exchange_on, wa_exchange_on, ExchangeTimes};
+use crate::transfer::CompressionSpec;
 
 /// Simulates one iteration of the conventional worker-aggregator
 /// exchange.
 ///
-/// The cluster has `workers + 1` nodes; node `workers` is the
-/// aggregator. `gradient_bytes` flow up from every worker
-/// (optionally compressed — the only compressible leg, since the
-/// downward leg carries weights); the same number of weight bytes flows
-/// back down uncompressed. `gamma_s_per_byte` is the aggregator's
-/// sum-reduction cost per byte per stream.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
+/// The star has `workers + 1` nodes: `workers` workers plus the
+/// aggregator (only `cfg`'s link and per-hop constants are used, not its
+/// node count). `gradient_bytes` flow up from every worker (optionally
+/// compressed — the only compressible leg, since the downward leg
+/// carries weights); the same number of weight bytes flows back down
+/// uncompressed. `gamma_s_per_byte` is the aggregator's sum-reduction
+/// cost per byte per stream. With no workers nothing moves and the
+/// exchange takes no time.
 pub fn worker_aggregator_exchange(
     cfg: &NetworkConfig,
     workers: usize,
@@ -52,30 +39,17 @@ pub fn worker_aggregator_exchange(
     gamma_s_per_byte: f64,
     gradient_compression: Option<CompressionSpec>,
 ) -> ExchangeTimes {
-    assert!(workers > 0, "need at least one worker");
-    assert!(
-        cfg.nodes > workers,
-        "config must include the aggregator node"
-    );
-    let agg = workers;
-    let tree = cfg.tree();
-    // Phase 1: gradient gather (incast onto the aggregator's downlink).
-    let t_gather = phase(
-        &tree,
-        (0..workers)
-            .map(|w| maybe_compress(Transfer::new(w, agg, gradient_bytes), gradient_compression)),
-    );
-    // Phase 2: the aggregator folds `workers` streams into the model.
-    let t_reduce = workers as f64 * gradient_bytes as f64 * gamma_s_per_byte;
-    // Phase 3: weight broadcast (unicast per worker off one uplink).
-    let t_scatter = phase(
-        &tree,
-        (0..workers).map(|w| Transfer::new(agg, w, gradient_bytes)),
-    );
-    ExchangeTimes {
-        comm_s: t_gather + t_scatter,
-        reduce_s: t_reduce,
-    }
+    wa_exchange_on(
+        &NetworkConfig {
+            nodes: workers + 1,
+            ..*cfg
+        }
+        .tree(),
+        &[workers + 1],
+        gradient_bytes,
+        gamma_s_per_byte,
+        gradient_compression,
+    )
 }
 
 /// Per-byte host-side cost of one ring step in the paper's software
@@ -98,7 +72,8 @@ pub const RING_HOST_S_PER_BYTE: f64 = 0.5e-9;
 /// All `p = cfg.nodes` nodes participate; gradients are split into `p`
 /// blocks of `gradient_bytes / p`. With `compression` set, *both* legs
 /// (reduce-scatter and all-gather) are compressed — the property the
-/// aggregator-free algorithm exists to enable.
+/// aggregator-free algorithm exists to enable. A single node has no
+/// ring and the exchange takes no time.
 ///
 /// `host_s_per_byte` is the per-block-byte host cost serialized after
 /// each step's wire time (see [`RING_HOST_S_PER_BYTE`]); it applies to
@@ -106,7 +81,7 @@ pub const RING_HOST_S_PER_BYTE: f64 = 0.5e-9;
 ///
 /// # Panics
 ///
-/// Panics if the configuration has fewer than 2 nodes.
+/// Panics if the configuration has no nodes.
 pub fn ring_exchange(
     cfg: &NetworkConfig,
     gradient_bytes: u64,
@@ -114,24 +89,14 @@ pub fn ring_exchange(
     compression: Option<CompressionSpec>,
     host_s_per_byte: f64,
 ) -> ExchangeTimes {
-    let p = cfg.nodes;
-    assert!(p >= 2, "ring exchange needs at least two nodes");
-    let block = gradient_bytes.div_ceil(p as u64);
-    // One ring step: every node sends one block to its successor; links
-    // are disjoint so a single simulated step generalizes to all steps.
-    let wire_s = phase(
+    ring_exchange_on(
         &cfg.tree(),
-        (0..p).map(|i| maybe_compress(Transfer::new(i, (i + 1) % p, block), compression)),
-    );
-    let step_s = wire_s + block as f64 * host_s_per_byte;
-    let steps = (p - 1) as f64;
-    // Reduce-scatter: each step is receive + local block sum;
-    // all-gather: receive only.
-    let per_step_reduce = block as f64 * gamma_s_per_byte;
-    ExchangeTimes {
-        comm_s: 2.0 * steps * step_s,
-        reduce_s: steps * per_step_reduce,
-    }
+        &[cfg.nodes],
+        gradient_bytes,
+        gamma_s_per_byte,
+        compression,
+        host_s_per_byte,
+    )
 }
 
 #[cfg(test)]
@@ -142,6 +107,65 @@ mod tests {
 
     fn mb(m: u64) -> u64 {
         m * 1_000_000
+    }
+
+    /// The compression setting of the pinned cells.
+    fn spec(compressed: bool) -> Option<CompressionSpec> {
+        compressed.then_some(CompressionSpec::new(14.9, 500))
+    }
+
+    #[test]
+    fn wa_times_are_pinned_to_the_bit() {
+        // (workers, bytes, compressed, γ, comm_s bits, reduce_s bits),
+        // recorded from the star's own gather/broadcast before it became
+        // the depth-1 tree builder.
+        #[rustfmt::skip]
+        let cells: [(usize, u64, bool, f64, u64, u64); 8] = [
+            (2, 1_000_000, false, GAMMA, 0x3f6bb28124b64b5f, 0x3f2a36e2eb1c432d),
+            (4, 1_000_000, true, GAMMA, 0x3f6ee258d025c7bb, 0x3f3a36e2eb1c432d),
+            (4, 250_000, false, 0.0, 0x3f5bc3ffb876426c, 0),
+            (8, 999_999, true, 0.0, 0x3f7eda8fae086682, 0),
+            (8, 1_000_000, false, GAMMA, 0x3f8ba5f0bff11c38, 0x3f4a36e2eb1c432d),
+            (3, 12_345, true, GAMMA, 0x3f06314d5d897b9d, 0x3ecf1134a81fbbaa),
+            (1, 65_536, false, GAMMA, 0x3f1f35fb399caecd, 0x3edb7cdfd9d7bdbb),
+            (6, 0, true, GAMMA, 0, 0),
+        ];
+        for (workers, bytes, compressed, gamma, comm, reduce) in cells {
+            let cfg = NetworkConfig::ten_gbe(workers + 1);
+            let t = worker_aggregator_exchange(&cfg, workers, bytes, gamma, spec(compressed));
+            let cell = (workers, bytes, compressed, gamma);
+            assert_eq!(t.comm_s.to_bits(), comm, "comm_s {cell:?}");
+            assert_eq!(t.reduce_s.to_bits(), reduce, "reduce_s {cell:?}");
+        }
+    }
+
+    #[test]
+    fn ring_times_are_pinned_to_the_bit() {
+        // (nodes, bytes, compressed, γ, host s/B, comm_s bits, reduce_s
+        // bits). comm_s was recorded from the star's own ring before it
+        // became the depth-1 tree builder; reduce_s is
+        // `((p−1)·block)·γ`, which rounds once.
+        const H: f64 = RING_HOST_S_PER_BYTE;
+        #[rustfmt::skip]
+        let cells: [(usize, u64, bool, f64, f64, u64, u64); 10] = [
+            (2, 1_000_000, false, GAMMA, 0.0, 0x3f4be918f78c82ca, 0x3f0a36e2eb1c432d),
+            (4, 1_000_000, true, GAMMA, H, 0x3f4e628e0c142cd6, 0x3f13a92a30553262),
+            (5, 999_999, false, GAMMA, H, 0x3f61e2e35bfccd68, 0x3f14f8b588e368f1),
+            (8, 1_000_000, true, 0.0, 0.0, 0x3f2e7f71fb1a1225, 0),
+            (8, 777_777, false, GAMMA, 0.0, 0x3f53c8f972610a4b, 0x3f11d72ae52a1283),
+            (3, 12_345, true, GAMMA, H, 0x3ef9a89d9881c18c, 0x3eab9d8423aa6dec),
+            (7, 1_000_000, false, GAMMA, H, 0x3f6347dfac674071, 0x3f1678390d1708be),
+            (6, 1_000_000, true, GAMMA, 0.0, 0x3f2b76a8febc5e15, 0x3f15d86aa0eedeac),
+            (3, 1_000_000, false, GAMMA, 0.0, 0x3f52b35c9f7968b3, 0x3f1179eee7257ef0),
+            (7, 333_333, true, GAMMA, 0.0, 0x3f1af0a4cbda671e, 0x3efdf593a8597412),
+        ];
+        for (nodes, bytes, compressed, gamma, host, comm, reduce) in cells {
+            let cfg = NetworkConfig::ten_gbe(nodes);
+            let t = ring_exchange(&cfg, bytes, gamma, spec(compressed), host);
+            let cell = (nodes, bytes, compressed, gamma, host);
+            assert_eq!(t.comm_s.to_bits(), comm, "comm_s {cell:?}");
+            assert_eq!(t.reduce_s.to_bits(), reduce, "reduce_s {cell:?}");
+        }
     }
 
     #[test]

@@ -13,15 +13,17 @@
 //!   tree exchanges and the switch-resident in-network aggregation mode;
 //! * [`sim`] — the star's parameters ([`NetworkConfig`], whose
 //!   [`tree`](NetworkConfig::tree) hands the star to the event core),
-//!   its closed-form per-message latency charges, simulated time and
-//!   link-rate degradation schedules;
+//!   its closed-form per-message latency charges and link-rate
+//!   degradation schedules;
 //! * [`transfer`] — point-to-point transfer descriptions, including the
 //!   on-NIC compression model (payload shrinks, packet count and headers
 //!   do not — the reason compression ratio does not translate 1:1 into
 //!   communication-time reduction, Sec. VIII-C);
-//! * [`collective`] — the two gradient-exchange patterns built from
-//!   transfers: the worker-aggregator gather/broadcast and INCEPTIONN's
-//!   ring reduce-scatter/all-gather (Algorithm 1);
+//! * [`collective`] — the paper's two gradient exchanges on its star:
+//!   the worker-aggregator gather/broadcast and INCEPTIONN's ring
+//!   reduce-scatter/all-gather (Algorithm 1). Each is the depth-1 case
+//!   of a [`topology`] builder, which holds the one simulated
+//!   description of every exchange strategy;
 //! * [`analytic`] — the closed-form α-β-γ cost models of Sec. VIII-D,
 //!   cross-validated against the event simulation in this crate's tests;
 //! * [`event`] — the calendar-queue scheduler the event core runs on
@@ -52,6 +54,6 @@ pub mod topology;
 pub mod transfer;
 
 pub use sharing::TenantShares;
-pub use sim::{LinkRateSchedule, NetworkConfig, RateWindow, SimTime};
+pub use sim::{LinkRateSchedule, NetworkConfig, RateWindow};
 pub use topology::{TierMap, Topology, TreeConfig, TreeSim};
 pub use transfer::{CompressionSpec, Transfer};

@@ -1,47 +1,11 @@
-//! The star network's parameters: simulated time, the one-switch
-//! [`NetworkConfig`] with its closed-form latency charges, and link-rate
-//! degradation schedules. The packet-level simulation of a star is the
-//! depth-1 case of [`crate::topology::TreeSim`] — see
-//! [`NetworkConfig::tree`].
-
-use std::fmt;
-use std::time::Duration;
+//! The star network's parameters: the one-switch [`NetworkConfig`] with
+//! its closed-form latency charges, and link-rate degradation
+//! schedules. The packet-level simulation of a star is the depth-1 case
+//! of [`crate::topology::TreeSim`] — see [`NetworkConfig::tree`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::topology::{Topology, TreeConfig};
-
-/// Simulated time in nanoseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct SimTime(pub u64);
-
-impl SimTime {
-    /// Zero time.
-    pub const ZERO: SimTime = SimTime(0);
-
-    /// The time as nanoseconds.
-    pub fn as_nanos(self) -> u64 {
-        self.0
-    }
-
-    /// The time as fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 * 1e-9
-    }
-
-    /// Converts to a std [`Duration`].
-    pub fn to_duration(self) -> Duration {
-        Duration::from_nanos(self.0)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
-    }
-}
 
 /// Physical parameters of the simulated cluster network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

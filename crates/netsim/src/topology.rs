@@ -19,18 +19,20 @@
 //! * [`TreeSim`] / [`TreeConfig`] — the event core: every worker↔switch
 //!   and switch↔switch edge is a full-duplex FIFO server, with
 //!   store-and-forward latency per hop;
-//! * the generic exchanges — [`wa_exchange_on`], [`ring_exchange_on`]
-//!   and [`switch_reduce_exchange`]: the worker-aggregator and ring
+//! * the generic exchanges — [`wa_exchange_on`] (with its wire volume,
+//!   [`wa_exchange_with_wire`]), [`ring_exchange_on`] and
+//!   [`switch_reduce_exchange`]: the worker-aggregator and ring
 //!   collectives over an arbitrary collective hierarchy, plus the
 //!   NetReduce-style switch-resident aggregation mode in which switch
 //!   ports fold gradient packets in flight and the gather leg's wire
-//!   volume disappears.
+//!   volume disappears. They are the one simulated description of each
+//!   strategy: [`crate::collective`]'s star exchanges are their depth-1
+//!   case.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::collective::ExchangeTimes;
 use crate::event::CalendarQueue;
 use crate::transfer::{CompressionSpec, Transfer};
 
@@ -320,24 +322,23 @@ impl TreeConfig {
     }
 }
 
-/// Where a flow terminates: at a worker NIC or inside a switch port at
-/// some tier (the switch-resident aggregation mode).
+/// A flow with at least one end inside a switch port: the legs of
+/// switch-resident reduction. Each is anchored at one worker and at the
+/// depth of one of that worker's ancestor switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Leg {
-    /// Worker to worker through the lowest common ancestor.
-    EndToEnd { src: usize, dst: usize },
-    /// Worker up to its ancestor switch at `depth` (inclusive): the
-    /// contribution leg of switch-resident reduction.
-    ToSwitch { src: usize, depth: usize },
-    /// Ancestor switch at `depth` down to a worker: the distribution
+enum SwitchLeg {
+    /// Worker up to its ancestor switch at the depth (inclusive): the
+    /// contribution leg. The packet never descends: the gather leg does
+    /// not exist.
+    Contribution,
+    /// Ancestor switch at the depth down to the worker: the broadcast
     /// leg.
-    FromSwitch { dst: usize, depth: usize },
-    /// One switch-to-switch hop upward from the ancestor of `worker` at
-    /// `child_depth` to its parent: a folded partial stream climbing the
-    /// tree.
-    SwitchUp { worker: usize, child_depth: usize },
-    /// The downward mirror of [`Leg::SwitchUp`].
-    SwitchDown { worker: usize, child_depth: usize },
+    Distribution,
+    /// One switch-to-switch hop upward from the worker's ancestor at the
+    /// depth to its parent: a folded partial stream climbing the tree.
+    Uplink,
+    /// The downward mirror of [`SwitchLeg::Uplink`].
+    Downlink,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -518,52 +519,40 @@ impl TreeSim {
         route
     }
 
-    fn route_of(&self, leg: Leg) -> Vec<usize> {
+    fn switch_route(&self, leg: SwitchLeg, worker: usize, depth: usize) -> Vec<usize> {
+        let path = &self.group_path[worker];
+        assert!(depth < path.len(), "no ancestor switch at depth {depth}");
         match leg {
-            Leg::EndToEnd { src, dst } => self.end_to_end_route(src, dst),
-            Leg::ToSwitch { src, depth } => {
+            SwitchLeg::Contribution => {
                 // Up through ancestors until the switch at `depth`.
-                let path = &self.group_path[src];
-                assert!(depth < path.len(), "no ancestor switch at depth {depth}");
-                let mut route = vec![self.leaf_up[src]];
+                let mut route = vec![self.leaf_up[worker]];
                 for &g in path[depth + 1..].iter().rev() {
                     route.push(self.group_up[g].expect("ancestor uplink"));
                 }
                 route
             }
-            Leg::FromSwitch { dst, depth } => {
-                let path = &self.group_path[dst];
-                assert!(depth < path.len(), "no ancestor switch at depth {depth}");
+            SwitchLeg::Distribution => {
                 let mut route: Vec<usize> = path[depth + 1..]
                     .iter()
                     .map(|&g| self.group_down[g].expect("ancestor downlink"))
                     .collect();
-                route.push(self.leaf_down[dst]);
+                route.push(self.leaf_down[worker]);
                 route
             }
-            Leg::SwitchUp {
-                worker,
-                child_depth,
-            } => {
-                let g = self.group_path[worker][child_depth];
-                vec![self.group_up[g].expect("child switch has an uplink")]
+            SwitchLeg::Uplink => {
+                vec![self.group_up[path[depth]].expect("child switch has an uplink")]
             }
-            Leg::SwitchDown {
-                worker,
-                child_depth,
-            } => {
-                let g = self.group_path[worker][child_depth];
-                vec![self.group_down[g].expect("child switch has a downlink")]
+            SwitchLeg::Downlink => {
+                vec![self.group_down[path[depth]].expect("child switch has a downlink")]
             }
         }
     }
 
-    fn add_flow(&mut self, t: Transfer, leg: Leg) -> usize {
-        let route = self.route_of(leg);
+    fn add_flow(&mut self, transfer: Transfer, route: Vec<usize>) -> usize {
         let id = self.flows.len();
         self.flows.push(Flow {
-            packets: t.packet_count(self.cfg.mtu_payload),
-            transfer: t,
+            packets: transfer.packet_count(self.cfg.mtu_payload),
+            transfer,
             route,
             next_packet: 0,
             finish_ns: None,
@@ -580,87 +569,30 @@ impl TreeSim {
     pub fn add_transfer(&mut self, t: Transfer) -> usize {
         let n = self.leaf_up.len();
         assert!(t.src < n && t.dst < n, "endpoint out of range");
-        let leg = Leg::EndToEnd {
-            src: t.src,
-            dst: t.dst,
+        let route = self.end_to_end_route(t.src, t.dst);
+        self.add_flow(t, route)
+    }
+
+    /// Submits `bytes` (optionally compressed) along one switch leg of
+    /// `worker` at `depth`. The flow has no second NIC, so its transfer
+    /// names `worker` as both endpoints.
+    fn add_switch_leg(
+        &mut self,
+        leg: SwitchLeg,
+        worker: usize,
+        depth: usize,
+        bytes: u64,
+        compression: Option<CompressionSpec>,
+    ) -> usize {
+        let route = self.switch_route(leg, worker, depth);
+        let transfer = Transfer {
+            src: worker,
+            dst: worker,
+            bytes,
+            start_ns: 0,
+            compression,
         };
-        self.add_flow(t, leg)
-    }
-
-    /// Submits a contribution that terminates inside `src`'s ancestor
-    /// switch at `depth` — the uplink leg of switch-resident reduction.
-    /// The packet never descends: the gather leg does not exist.
-    pub fn add_contribution(
-        &mut self,
-        src: usize,
-        depth: usize,
-        bytes: u64,
-        spec: Option<CompressionSpec>,
-    ) -> usize {
-        let t = maybe_compress(
-            Transfer::new(src, (src + 1) % self.leaf_up.len().max(2), bytes),
-            spec,
-        );
-        self.add_flow(Transfer { src, ..t }, Leg::ToSwitch { src, depth })
-    }
-
-    /// Submits a distribution from `dst`'s ancestor switch at `depth`
-    /// down to `dst` — the broadcast leg of switch-resident reduction.
-    pub fn add_distribution(
-        &mut self,
-        dst: usize,
-        depth: usize,
-        bytes: u64,
-        spec: Option<CompressionSpec>,
-    ) -> usize {
-        let t = maybe_compress(
-            Transfer::new((dst + 1) % self.leaf_up.len().max(2), dst, bytes),
-            spec,
-        );
-        self.add_flow(Transfer { dst, ..t }, Leg::FromSwitch { dst, depth })
-    }
-
-    /// Submits one folded partial stream climbing from the ancestor of
-    /// `worker` at `child_depth` to that switch's parent.
-    pub fn add_switch_uplink(
-        &mut self,
-        worker: usize,
-        child_depth: usize,
-        bytes: u64,
-        spec: Option<CompressionSpec>,
-    ) -> usize {
-        let t = maybe_compress(
-            Transfer::new(worker, (worker + 1) % self.leaf_up.len().max(2), bytes),
-            spec,
-        );
-        self.add_flow(
-            t,
-            Leg::SwitchUp {
-                worker,
-                child_depth,
-            },
-        )
-    }
-
-    /// The downward mirror of [`TreeSim::add_switch_uplink`].
-    pub fn add_switch_downlink(
-        &mut self,
-        worker: usize,
-        child_depth: usize,
-        bytes: u64,
-        spec: Option<CompressionSpec>,
-    ) -> usize {
-        let t = maybe_compress(
-            Transfer::new(worker, (worker + 1) % self.leaf_up.len().max(2), bytes),
-            spec,
-        );
-        self.add_flow(
-            t,
-            Leg::SwitchDown {
-                worker,
-                child_depth,
-            },
-        )
+        self.add_flow(transfer, route)
     }
 
     fn kick(&mut self, link_idx: usize, now: u64) {
@@ -801,7 +733,7 @@ impl TreeSim {
     }
 }
 
-pub(crate) fn maybe_compress(t: Transfer, spec: Option<CompressionSpec>) -> Transfer {
+fn maybe_compress(t: Transfer, spec: Option<CompressionSpec>) -> Transfer {
     match spec {
         Some(s) => t.compressed(s),
         None => t,
@@ -844,6 +776,22 @@ fn levels(arities: &[usize]) -> Vec<Level> {
         .collect()
 }
 
+/// Wall-clock breakdown of one gradient exchange (seconds).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeTimes {
+    /// Time spent moving bytes (the "Communicate" row of Table II).
+    pub comm_s: f64,
+    /// Time spent sum-reducing gradients (the "Gradient sum" row).
+    pub reduce_s: f64,
+}
+
+impl ExchangeTimes {
+    /// Total exchange wall-clock.
+    pub fn total_s(&self) -> f64 {
+        self.comm_s + self.reduce_s
+    }
+}
+
 /// Worker-aggregator exchange over a collective hierarchy `arities`
 /// (`[n]` is the flat Fig. 2 organization, `[racks, per_rack]` the
 /// hierarchical Fig. 1(a)): members gather to leaders level by level,
@@ -859,17 +807,57 @@ pub fn wa_exchange_on(
     gamma: f64,
     spec: Option<CompressionSpec>,
 ) -> ExchangeTimes {
+    wa_exchange_with_wire(cfg, arities, bytes, gamma, spec).0
+}
+
+/// [`wa_exchange_on`] that also reports what the exchange put on the
+/// wire: per-tier volume and the gather-leg bytes delivered into the
+/// aggregation hosts — the baseline the switch-reduce curves are
+/// plotted against.
+///
+/// # Panics
+///
+/// Panics unless `arities` multiplies to the fabric's worker count.
+pub fn wa_exchange_with_wire(
+    cfg: &TreeConfig,
+    arities: &[usize],
+    bytes: u64,
+    gamma: f64,
+    spec: Option<CompressionSpec>,
+) -> (ExchangeTimes, ExchangeWire) {
     let n: usize = arities.iter().product();
     assert_eq!(n, cfg.workers(), "collective shape must cover the fabric");
     let lv = levels(arities);
     let mut comm = 0.0;
-    // Up: deepest level first, members -> leader of each group.
-    for level in lv.iter().rev() {
-        comm += phase(
-            cfg,
-            group_transfers(level, bytes, |leader, member| (member, leader))
-                .map(|t| maybe_compress(t, spec)),
-        );
+    let mut by_tier = vec![0u64; cfg.tier_bps.len()];
+    let mut gather_leg = 0u64;
+    // Up: deepest level first, members -> leader of each group. Down:
+    // weights retrace the tree, top level first, uncompressed.
+    let phases = lv.iter().rev().map(|l| (true, l));
+    for (up, level) in phases.chain(lv.iter().map(|l| (false, l))) {
+        let mut sim = TreeSim::new(cfg.clone());
+        let direction = move |leader, member| {
+            if up {
+                (member, leader)
+            } else {
+                (leader, member)
+            }
+        };
+        for t in group_transfers(level, bytes, direction) {
+            sim.add_transfer(maybe_compress(t, spec.filter(|_| up)));
+        }
+        let report = sim.run();
+        comm += report.makespan_s;
+        if up {
+            // Bytes the aggregation hosts' downlinks carried: the
+            // gather leg that in-switch reduction removes.
+            gather_leg += (0..level.groups)
+                .map(|q| report.wire_bytes_by_link[sim.leaf_down[q * level.arity * level.stride]])
+                .sum::<u64>();
+        }
+        for (t, b) in report.wire_bytes_by_tier.iter().enumerate() {
+            by_tier[t] += b;
+        }
     }
     // Folds: the flat organization folds p-1 incoming streams at the
     // root; each hierarchical level folds `arity` streams per leader
@@ -879,17 +867,16 @@ pub fn wa_exchange_on(
     } else {
         arities.iter().map(|&a| a as f64).sum::<f64>() * bytes as f64 * gamma
     };
-    // Down: weights retrace the tree, top level first, uncompressed.
-    for level in &lv {
-        comm += phase(
-            cfg,
-            group_transfers(level, bytes, |leader, member| (leader, member)),
-        );
-    }
-    ExchangeTimes {
-        comm_s: comm,
-        reduce_s: reduce,
-    }
+    (
+        ExchangeTimes {
+            comm_s: comm,
+            reduce_s: reduce,
+        },
+        ExchangeWire {
+            by_tier,
+            gather_leg,
+        },
+    )
 }
 
 /// All leader↔member transfers of one level, all groups concurrent.
@@ -1007,50 +994,47 @@ pub fn switch_reduce_exchange(
     let depth = arities.len();
     let lv = levels(&arities);
     let mut comm = 0.0;
-    let tiers = cfg.tier_bps.len();
-    let mut by_tier = vec![0u64; tiers];
-    let mut accumulate = |report: TreeRunReport| {
+    let mut by_tier = vec![0u64; cfg.tier_bps.len()];
+    // One concurrent phase: `leg` at `d` for every anchor worker.
+    let mut phase = |leg, d, anchors: &mut dyn Iterator<Item = usize>, spec| {
+        let mut sim = TreeSim::new(cfg.clone());
+        for w in anchors {
+            sim.add_switch_leg(leg, w, d, bytes, spec);
+        }
+        let report = sim.run();
         for (t, b) in report.wire_bytes_by_tier.iter().enumerate() {
             by_tier[t] += b;
         }
-        report.makespan_s
+        comm += report.makespan_s;
+    };
+    // The leader worker of each depth-d group identifies its switch.
+    let leaders = |d: usize| {
+        let level = &lv[d];
+        (0..level.groups).map(move |q| q * level.arity * level.stride)
     };
     // Leg 1: every worker's contribution terminates at its edge switch.
-    {
-        let mut sim = TreeSim::new(cfg.clone());
-        for w in 0..cfg.workers() {
-            sim.add_contribution(w, depth - 1, bytes, spec);
-        }
-        comm += accumulate(sim.run());
-    }
+    phase(
+        SwitchLeg::Contribution,
+        depth - 1,
+        &mut (0..cfg.workers()),
+        spec,
+    );
     // Legs 2..: one folded partial per child switch climbs each tier.
     for d in (1..depth).rev() {
-        let level = &lv[d];
-        let mut sim = TreeSim::new(cfg.clone());
-        for q in 0..level.groups {
-            // The leader worker of each depth-d group identifies its
-            // switch; one folded stream goes up to the parent.
-            sim.add_switch_uplink(q * level.arity * level.stride, d, bytes, spec);
-        }
-        comm += accumulate(sim.run());
+        phase(SwitchLeg::Uplink, d, &mut leaders(d), spec);
     }
     // Downward broadcast: mirror of the climb, then edge fan-out. The
     // switch egress re-frames the folded sum; the final hop to each
     // worker is plain (weights are never lossy-compressed).
-    for (d, level) in lv.iter().enumerate().take(depth).skip(1) {
-        let mut sim = TreeSim::new(cfg.clone());
-        for q in 0..level.groups {
-            sim.add_switch_downlink(q * level.arity * level.stride, d, bytes, spec);
-        }
-        comm += accumulate(sim.run());
+    for d in 1..depth {
+        phase(SwitchLeg::Downlink, d, &mut leaders(d), spec);
     }
-    {
-        let mut sim = TreeSim::new(cfg.clone());
-        for w in 0..cfg.workers() {
-            sim.add_distribution(w, depth - 1, bytes, None);
-        }
-        comm += accumulate(sim.run());
-    }
+    phase(
+        SwitchLeg::Distribution,
+        depth - 1,
+        &mut (0..cfg.workers()),
+        None,
+    );
     (
         ExchangeTimes {
             comm_s: comm,
@@ -1061,62 +1045,6 @@ pub fn switch_reduce_exchange(
             gather_leg: 0,
         },
     )
-}
-
-/// The same worker-aggregator exchange as [`wa_exchange_on`] but also
-/// reporting per-tier wire volume and the gather-leg bytes delivered
-/// into the aggregation hosts — the baseline the switch-reduce curves
-/// are plotted against.
-pub fn wa_exchange_wire(
-    cfg: &TreeConfig,
-    arities: &[usize],
-    bytes: u64,
-    spec: Option<CompressionSpec>,
-) -> ExchangeWire {
-    let n: usize = arities.iter().product();
-    assert_eq!(n, cfg.workers(), "collective shape must cover the fabric");
-    let lv = levels(arities);
-    let tiers = cfg.tier_bps.len();
-    let mut by_tier = vec![0u64; tiers];
-    let mut gather_leg = 0u64;
-    for (up, level) in lv
-        .iter()
-        .rev()
-        .map(|l| (true, l))
-        .chain(lv.iter().map(|l| (false, l)))
-    {
-        let mut sim = TreeSim::new(cfg.clone());
-        let mut leaders = Vec::new();
-        for t in group_transfers(level, bytes, |leader, member| {
-            if up {
-                (member, leader)
-            } else {
-                (leader, member)
-            }
-        }) {
-            if up {
-                leaders.push(t.dst);
-            }
-            sim.add_transfer(maybe_compress(t, if up { spec } else { None }));
-        }
-        let report = sim.run();
-        if up {
-            // Bytes the aggregation hosts' downlinks carried: the
-            // gather leg that in-switch reduction removes.
-            leaders.sort_unstable();
-            leaders.dedup();
-            for l in leaders {
-                gather_leg += report.wire_bytes_by_link[sim.leaf_down[l]];
-            }
-        }
-        for (t, b) in report.wire_bytes_by_tier.iter().enumerate() {
-            by_tier[t] += b;
-        }
-    }
-    ExchangeWire {
-        by_tier,
-        gather_leg,
-    }
 }
 
 #[cfg(test)]
@@ -1418,7 +1346,7 @@ mod tests {
         let cfg = TreeConfig::ten_gbe(&[2, 4], &[1, 1]);
         let mut sim = TreeSim::new(cfg);
         for w in 0..8 {
-            sim.add_contribution(w, 1, MB, None);
+            sim.add_switch_leg(SwitchLeg::Contribution, w, 1, MB, None);
         }
         let r = sim.run();
         // Only the 8 edge uplinks carried traffic; every downlink and
@@ -1436,7 +1364,7 @@ mod tests {
         let (times, wire) = switch_reduce_exchange(&cfg, 10 * MB, None);
         assert!(times.comm_s > 0.0);
         assert_eq!(wire.gather_leg, 0);
-        let wa = wa_exchange_wire(&cfg, &[16], 10 * MB, None);
+        let (_, wa) = wa_exchange_with_wire(&cfg, &[16], 10 * MB, 0.0, None);
         assert!(
             wa.gather_leg > 15 * 10 * MB,
             "flat WA funnels every contribution into one host downlink: {wa:?}"

@@ -747,6 +747,20 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_of_a_trace_is_rejected() {
+        let text = chrome_trace(&sample_events());
+        let doc = text.trim_end();
+        assert!(json::parse(doc).is_ok());
+        for (cut, _) in doc.char_indices() {
+            assert!(
+                json::parse(&doc[..cut]).is_err(),
+                "a trace cut at byte {cut} of {} parsed",
+                doc.len()
+            );
+        }
+    }
+
+    #[test]
     fn summary_aggregates_the_sample() {
         let s = Summary::of(&sample_events());
         assert_eq!(s.total_transfers(), 1);

@@ -86,12 +86,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The exporter and
+/// the benchmark's result lines nest a few levels; the limit keeps a
+/// hostile document from overflowing the stack of the recursive
+/// descent.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document; trailing whitespace allowed,
-/// trailing garbage is an error.
+/// trailing garbage is an error, and so is nesting arrays and objects
+/// more than 128 levels deep.
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -105,6 +113,8 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -145,8 +155,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -155,6 +165,20 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -319,6 +343,18 @@ mod tests {
         assert!(parse("{} extra").is_err());
         assert!(parse(r#"{"a":"#).is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Without the limit a million open brackets overflow the
+        // recursive descent's stack and abort the process.
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        let err = parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.at, 5 * MAX_DEPTH);
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
     }
 
     #[test]
