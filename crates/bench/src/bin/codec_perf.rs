@@ -6,10 +6,13 @@
 //! fast path ([`BurstCodec`]), the threshold+error-feedback
 //! [`SparseCodec`], and the homomorphic [`SketchCodec`], then writes the
 //! numbers to `BENCH_codec.json` at the repo root (or the path given as
-//! the first argument). Future PRs regress against that artifact; the
-//! binary itself exits nonzero if the burst codec's combined
-//! encode+decode throughput drops below the scalar baseline, so CI
-//! catches a fast-path regression without comparing files.
+//! the first argument). The INCEPTIONN rows also time the in-place lossy
+//! round trip (`quantize_inplace`). Future PRs regress against that
+//! artifact; the binary itself exits nonzero if the burst codec's
+//! combined encode+decode throughput drops below the scalar baseline,
+//! or its quantize below its own encode (quantize does strictly less
+//! work: no tag vector, no packing), so CI catches a fast-path
+//! regression without comparing files.
 //!
 //! `INCEPTIONN_QUICK=1` shrinks the block for smoke runs; the full run
 //! uses the 16M-value block the acceptance numbers are quoted for.
@@ -36,6 +39,8 @@ struct CodecTiming {
     name: &'static str,
     encode_s: f64,
     decode_s: f64,
+    /// In-place lossy round trip, for the codecs that have one.
+    quantize_s: Option<f64>,
 }
 
 impl CodecTiming {
@@ -44,6 +49,9 @@ impl CodecTiming {
     }
     fn decode_gbps(&self, bytes: usize) -> f64 {
         bytes as f64 / self.decode_s / 1e9
+    }
+    fn quantize_gbps(&self, bytes: usize) -> Option<f64> {
+        self.quantize_s.map(|s| bytes as f64 / s / 1e9)
     }
     /// Combined encode+decode throughput: raw bytes pushed through both
     /// stages divided by the total time in them.
@@ -62,6 +70,19 @@ fn best<F: FnMut() -> R, R>(mut f: F) -> (f64, R) {
         out = Some(r);
     }
     (best_s, out.unwrap())
+}
+
+/// Best wall time of `REPS` in-place passes of `quantize`, each over a
+/// fresh copy of `input` in `buf` (the copy is not timed).
+fn best_inplace(input: &[f32], buf: &mut [f32], mut quantize: impl FnMut(&mut [f32])) -> f64 {
+    let mut best_s = f64::INFINITY;
+    for _ in 0..REPS {
+        buf.copy_from_slice(input);
+        let t = Instant::now();
+        quantize(buf);
+        best_s = best_s.min(t.elapsed().as_secs_f64());
+    }
+    best_s
 }
 
 fn json_escape_free(name: &str) -> &str {
@@ -105,10 +126,17 @@ fn main() {
     let (enc_s, stream) = best(|| scalar.compress(&grads));
     let (dec_s, restored) = best(|| scalar.decompress(&stream).expect("scalar decode"));
     let wire_ratio = raw_bytes as f64 / stream.bytes.len() as f64;
+    let mut quantized = vec![0f32; n];
+    let q_s = best_inplace(&grads, &mut quantized, |v| scalar.quantize_inplace(v));
+    assert_eq!(
+        quantized, restored,
+        "scalar quantize diverged from its round trip"
+    );
     let scalar_t = CodecTiming {
         name: "scalar",
         encode_s: enc_s,
         decode_s: dec_s,
+        quantize_s: Some(q_s),
     };
 
     // --- burst fast path ---
@@ -124,10 +152,13 @@ fn main() {
             .expect("burst decode")
     });
     assert_eq!(bout, restored, "burst decode diverged from scalar");
+    let q_s = best_inplace(&grads, &mut quantized, |v| burst.quantize_inplace(v));
+    assert_eq!(quantized, restored, "burst quantize diverged from scalar");
     let burst_t = CodecTiming {
         name: "burst",
         encode_s: enc_s,
         decode_s: dec_s,
+        quantize_s: Some(q_s),
     };
 
     // --- sparse threshold+EF codec ---
@@ -156,6 +187,7 @@ fn main() {
         name: "sparse",
         encode_s: enc_s,
         decode_s: dec_s,
+        quantize_s: None,
     };
 
     // --- count-sketch codec ---
@@ -174,20 +206,25 @@ fn main() {
         name: "sketch",
         encode_s: enc_s,
         decode_s: dec_s,
+        quantize_s: None,
     };
 
     let timings = [&scalar_t, &burst_t, &sparse_t, &sketch_t];
     println!(
-        "\n{:<10} {:>12} {:>12} {:>14}",
-        "codec", "enc GB/s", "dec GB/s", "enc+dec GB/s"
+        "\n{:<10} {:>12} {:>12} {:>14} {:>12}",
+        "codec", "enc GB/s", "dec GB/s", "enc+dec GB/s", "quant GB/s"
     );
     for t in timings {
+        let quant = t
+            .quantize_gbps(raw_bytes)
+            .map_or_else(|| "-".to_string(), |g| format!("{g:.3}"));
         println!(
-            "{:<10} {:>12.3} {:>12.3} {:>14.3}",
+            "{:<10} {:>12.3} {:>12.3} {:>14.3} {:>12}",
             t.name,
             t.encode_gbps(raw_bytes),
             t.decode_gbps(raw_bytes),
             t.roundtrip_gbps(raw_bytes),
+            quant,
         );
     }
     let speedup = burst_t.roundtrip_gbps(raw_bytes) / scalar_t.roundtrip_gbps(raw_bytes);
@@ -219,12 +256,16 @@ fn main() {
     ));
     json.push_str("  \"codecs\": {\n");
     for (i, t) in timings.iter().enumerate() {
+        let quant = t
+            .quantize_gbps(raw_bytes)
+            .map_or_else(String::new, |g| format!(", \"quantize_gbps\": {g:.4}"));
         json.push_str(&format!(
-            "    \"{}\": {{ \"encode_gbps\": {:.4}, \"decode_gbps\": {:.4}, \"roundtrip_gbps\": {:.4} }}{}\n",
+            "    \"{}\": {{ \"encode_gbps\": {:.4}, \"decode_gbps\": {:.4}, \"roundtrip_gbps\": {:.4}{} }}{}\n",
             json_escape_free(t.name),
             t.encode_gbps(raw_bytes),
             t.decode_gbps(raw_bytes),
             t.roundtrip_gbps(raw_bytes),
+            quant,
             if i + 1 < timings.len() { "," } else { "" },
         ));
     }
@@ -236,6 +277,12 @@ fn main() {
 
     if speedup < 1.0 {
         eprintln!("FAIL: burst codec ({speedup:.2}x) regressed below the scalar baseline");
+    }
+    let quantize_ok = burst_t.quantize_s.is_some_and(|q| q <= burst_t.encode_s);
+    if !quantize_ok {
+        eprintln!("FAIL: burst quantize fell below burst encode, which does strictly more work");
+    }
+    if speedup < 1.0 || !quantize_ok {
         std::process::exit(1);
     }
 }

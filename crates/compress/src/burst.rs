@@ -28,10 +28,23 @@
 //!   stack copy; only the final partial group and truncated input fall
 //!   back to the careful bit-reader path, which reports truncation
 //!   errors at exact bit offsets.
+//! * **Fused quantize** — the lossy round trip
+//!   ([`BurstCodec::quantize_inplace`]) never builds a tag vector or a
+//!   payload. The AVX2 (8-lane) and AVX-512 (16-lane) kernels run the
+//!   same integer classifier front end as the encoder, then select per
+//!   lane in the same registers: raw bits for `Full` and
+//!   non-compressible lanes, `+0.0` for `Zero` lanes, otherwise the
+//!   signed field times `2⁻¹⁵` (the 7-bit field is the 15-bit one with
+//!   its low byte cleared). That is exact: the field spans ≤ 15 bits,
+//!   so its `i32 → f32` conversion and the power-of-two scale round
+//!   nothing, and a zero field converts to `+0.0` whatever the sign.
+//!   Only the `< 8` tail runs the scalar [`classify`] +
+//!   [`reconstruct`].
 //!
 //! The output is **bit-identical** to
 //! [`InceptionnCodec::compress`](crate::InceptionnCodec::compress) /
-//! [`InceptionnCodec::decompress`](crate::InceptionnCodec::decompress)
+//! [`InceptionnCodec::decompress`](crate::InceptionnCodec::decompress) /
+//! [`InceptionnCodec::quantize`](crate::InceptionnCodec::quantize)
 //! — pinned by the differential tests in `tests/differential.rs` and by
 //! the `nicsim` golden tests, since the modeled hardware engines run on
 //! this path.
@@ -226,6 +239,63 @@ mod x86 {
         t
     };
 
+    /// The integer classifier's front end for one 8-lane burst, shared
+    /// by [`classify8_avx2`] and [`quantize8_avx2`] so the two cannot
+    /// drift. Each mask is all-ones in the lanes where it holds.
+    struct Front8 {
+        /// `|f| ≥ 1`, infinity or NaN: tag `Full`, raw bits.
+        full: __m256i,
+        /// `|f| > 2⁻ᴱ`: not tag `Zero` (set in every `Full` lane too).
+        notzero: __m256i,
+        /// The 8-bit form misses the bound.
+        nf8: __m256i,
+        /// The 16-bit form misses it too (implies `nf8`: its residue
+        /// mask is a subset of the 8-bit one).
+        nf16: __m256i,
+        /// Significand with the implicit bit set.
+        sig: __m256i,
+        /// `d + 16`: `sig >> c16` is the 8-bit form's 7-bit field.
+        c16: __m256i,
+        /// `d + 8`: `sig >> c8` is the 16-bit form's 15-bit field.
+        c8: __m256i,
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn front8(eb_exp: u32, v: __m256i) -> Front8 {
+        let e = eb_exp as i32;
+        let abs = _mm256_and_si256(v, _mm256_set1_epi32(0x7fff_ffff));
+        // Signed compares are safe: every operand is < 2^31.
+        let full = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x3f7f_ffff));
+        let notzero = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32((127 - e) << 23));
+        let exp = _mm256_srli_epi32::<23>(abs);
+        let d = _mm256_sub_epi32(_mm256_set1_epi32(127), exp);
+        let sig = _mm256_or_si256(
+            _mm256_and_si256(abs, _mm256_set1_epi32(0x007f_ffff)),
+            _mm256_set1_epi32(0x0080_0000),
+        );
+        let one = _mm256_set1_epi32(1);
+        let c16 = _mm256_add_epi32(d, _mm256_set1_epi32(16));
+        let c8 = _mm256_add_epi32(d, _mm256_set1_epi32(8));
+        let ct = _mm256_add_epi32(d, _mm256_set1_epi32(23 - e));
+        // vpsllvd/vpsrlvd yield 0 for any count >= 32 (including
+        // negative counts viewed as u32) — exactly the saturation the
+        // 32-bit reformulation needs: oversized masks become all-ones,
+        // out-of-range thresholds become "must be 0".
+        let m8 = _mm256_sub_epi32(_mm256_sllv_epi32(one, c16), one);
+        let m16 = _mm256_sub_epi32(_mm256_sllv_epi32(one, c8), one);
+        let t = _mm256_sllv_epi32(one, ct);
+        Front8 {
+            full,
+            notzero,
+            nf8: _mm256_cmpgt_epi32(_mm256_and_si256(sig, m8), t),
+            nf16: _mm256_cmpgt_epi32(_mm256_and_si256(sig, m16), t),
+            sig,
+            c16,
+            c8,
+        }
+    }
+
     /// Classifies one 8-lane group. Equivalent to
     /// [`classify_group_scalar`](super::classify_group_scalar) on every
     /// input (pinned by `prop_group_kernel_matches_scalar`).
@@ -237,48 +307,30 @@ mod x86 {
     // memory accesses go through the `&[f32; 8]` reference.
     #[target_feature(enable = "avx2")]
     pub unsafe fn classify8_avx2(eb_exp: u32, group: &[f32; 8]) -> (u32, [u32; 8]) {
-        let e = eb_exp as i32;
         // SAFETY: `loadu`/`storeu` tolerate any alignment; `group` and
         // `pays` are exactly 32 bytes.
         unsafe {
             let v = _mm256_loadu_si256(group.as_ptr().cast());
-            let abs = _mm256_and_si256(v, _mm256_set1_epi32(0x7fff_ffff));
+            let c = front8(eb_exp, v);
             let sgn = _mm256_srli_epi32::<31>(v);
-            // Signed compares are safe: every operand is < 2^31.
-            let full = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x3f7f_ffff));
-            let notzero = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32((127 - e) << 23));
-            let exp = _mm256_srli_epi32::<23>(abs);
-            let d = _mm256_sub_epi32(_mm256_set1_epi32(127), exp);
-            let sig = _mm256_or_si256(
-                _mm256_and_si256(abs, _mm256_set1_epi32(0x007f_ffff)),
-                _mm256_set1_epi32(0x0080_0000),
-            );
-            let one = _mm256_set1_epi32(1);
-            let c16 = _mm256_add_epi32(d, _mm256_set1_epi32(16));
-            let c8 = _mm256_add_epi32(d, _mm256_set1_epi32(8));
-            let ct = _mm256_add_epi32(d, _mm256_set1_epi32(23 - e));
-            // vpsllvd/vpsrlvd yield 0 for any count >= 32 (including
-            // negative counts viewed as u32) — exactly the saturation
-            // the 32-bit reformulation needs: oversized masks become
-            // all-ones, out-of-range thresholds become "must be 0".
-            let m8 = _mm256_sub_epi32(_mm256_sllv_epi32(one, c16), one);
-            let m16 = _mm256_sub_epi32(_mm256_sllv_epi32(one, c8), one);
-            let t = _mm256_sllv_epi32(one, ct);
-            let nf8 = _mm256_cmpgt_epi32(_mm256_and_si256(sig, m8), t);
-            let nf16 = _mm256_cmpgt_epi32(_mm256_and_si256(sig, m16), t);
-            let pay1 = _mm256_or_si256(_mm256_slli_epi32::<7>(sgn), _mm256_srlv_epi32(sig, c16));
-            let pay2 = _mm256_or_si256(_mm256_slli_epi32::<15>(sgn), _mm256_srlv_epi32(sig, c8));
+            let pay1 =
+                _mm256_or_si256(_mm256_slli_epi32::<7>(sgn), _mm256_srlv_epi32(c.sig, c.c16));
+            let pay2 =
+                _mm256_or_si256(_mm256_slli_epi32::<15>(sgn), _mm256_srlv_epi32(c.sig, c.c8));
             // fits8 -> (1, pay1); else fits16 -> (2, pay2); else (3, raw).
-            let pay_m = _mm256_blendv_epi8(pay1, _mm256_blendv_epi8(pay2, v, nf16), nf8);
+            let pay_m = _mm256_blendv_epi8(pay1, _mm256_blendv_epi8(pay2, v, c.nf16), c.nf8);
             let tag_m = _mm256_blendv_epi8(
-                one,
-                _mm256_blendv_epi8(_mm256_set1_epi32(2), _mm256_set1_epi32(3), nf16),
-                nf8,
+                _mm256_set1_epi32(1),
+                _mm256_blendv_epi8(_mm256_set1_epi32(2), _mm256_set1_epi32(3), c.nf16),
+                c.nf8,
             );
             // Zero lanes drop to (0, 0); Full lanes override to (3, raw).
-            let tags_v =
-                _mm256_blendv_epi8(_mm256_and_si256(tag_m, notzero), _mm256_set1_epi32(3), full);
-            let pays_v = _mm256_blendv_epi8(_mm256_and_si256(pay_m, notzero), v, full);
+            let tags_v = _mm256_blendv_epi8(
+                _mm256_and_si256(tag_m, c.notzero),
+                _mm256_set1_epi32(3),
+                c.full,
+            );
+            let pays_v = _mm256_blendv_epi8(_mm256_and_si256(pay_m, c.notzero), v, c.full);
             // Interleave the two tag-bit planes into the wire's 16-bit
             // tag vector (tag i at bits 2i..2i+2).
             let b0 = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_slli_epi32::<31>(tags_v)));
@@ -288,6 +340,50 @@ mod x86 {
             let mut pays = [0u32; 8];
             _mm256_storeu_si256(pays.as_mut_ptr().cast(), pays_v);
             (tags16, pays)
+        }
+    }
+
+    /// Lossy round trip of one 8-lane burst in place, fused: the
+    /// classifier front end, then a branchless per-lane select of the
+    /// value the receiver reconstructs, with no tag vector or payload
+    /// in between. Raw bits for `Full` and non-compressible lanes,
+    /// `+0.0` for `Zero` lanes, otherwise the signed field times its
+    /// scale — bit-equal to classify then
+    /// [`recon_fast`](super::recon_fast), lane by lane.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support on the running CPU.
+    // SAFETY: contract above — sound iff the CPU supports AVX2; all
+    // memory accesses go through the `&mut [f32; 8]` reference.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quantize8_avx2(eb_exp: u32, group: &mut [f32; 8]) {
+        // SAFETY: unaligned load and store of exactly the 32 bytes
+        // `group` holds.
+        unsafe {
+            let v = _mm256_loadu_si256(group.as_ptr().cast());
+            let c = front8(eb_exp, v);
+            // The 8-bit form's field is the 15-bit one with its low
+            // byte cleared: (sig >> c8) & 0x7f00 == (sig >> c16) << 8,
+            // so one shift and one 2⁻¹⁵ scale serve both forms.
+            let field = _mm256_and_si256(
+                _mm256_srlv_epi32(c.sig, c.c8),
+                _mm256_blendv_epi8(_mm256_set1_epi32(0x7f00), _mm256_set1_epi32(0x7fff), c.nf8),
+            );
+            // Negate through the sign mask: a zero field stays +0.0.
+            let neg = _mm256_srai_epi32::<31>(v);
+            let signed = _mm256_sub_epi32(_mm256_xor_si256(field, neg), neg);
+            let fixed = _mm256_castps_si256(_mm256_mul_ps(
+                _mm256_cvtepi32_ps(signed),
+                _mm256_set1_ps(1.0 / 32768.0),
+            ));
+            // Full lanes are never Zero, so one mask clears Zero lanes
+            // after the raw-bit select.
+            let out = _mm256_and_si256(
+                _mm256_blendv_epi8(fixed, v, _mm256_or_si256(c.full, c.nf16)),
+                c.notzero,
+            );
+            _mm256_storeu_si256(group.as_mut_ptr().cast(), out);
         }
     }
 
@@ -302,10 +398,54 @@ mod x86 {
         lo | hi << 1
     }
 
+    /// [`Front8`] widened to sixteen lanes, with the predicates in mask
+    /// registers; shared by [`classify16_avx512`] and
+    /// [`quantize16_avx512`].
+    struct Front16 {
+        full: __mmask16,
+        notzero: __mmask16,
+        /// The 8-bit form meets the bound.
+        f8: __mmask16,
+        /// The 16-bit form meets it (implied by `f8`).
+        f16: __mmask16,
+        sig: __m512i,
+        c16: __m512i,
+        c8: __m512i,
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn front16(eb_exp: u32, v: __m512i) -> Front16 {
+        let e = eb_exp as i32;
+        let abs = _mm512_and_si512(v, _mm512_set1_epi32(0x7fff_ffff));
+        let exp = _mm512_srli_epi32::<23>(abs);
+        let d = _mm512_sub_epi32(_mm512_set1_epi32(127), exp);
+        let sig = _mm512_or_si512(
+            _mm512_and_si512(abs, _mm512_set1_epi32(0x007f_ffff)),
+            _mm512_set1_epi32(0x0080_0000),
+        );
+        let one = _mm512_set1_epi32(1);
+        let c16 = _mm512_add_epi32(d, _mm512_set1_epi32(16));
+        let c8 = _mm512_add_epi32(d, _mm512_set1_epi32(8));
+        let ct = _mm512_add_epi32(d, _mm512_set1_epi32(23 - e));
+        let m8 = _mm512_sub_epi32(_mm512_sllv_epi32(one, c16), one);
+        let m16 = _mm512_sub_epi32(_mm512_sllv_epi32(one, c8), one);
+        let t = _mm512_sllv_epi32(one, ct);
+        Front16 {
+            full: _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32(0x3f7f_ffff)),
+            notzero: _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32((127 - e) << 23)),
+            f8: _mm512_cmple_epi32_mask(_mm512_and_si512(sig, m8), t),
+            f16: _mm512_cmple_epi32_mask(_mm512_and_si512(sig, m16), t),
+            sig,
+            c16,
+            c8,
+        }
+    }
+
     /// Sixteen-lane (two-burst) classifier: the AVX-512 widening of
     /// [`classify8_avx2`], with compare results in mask registers.
     /// Returns the two groups' tag vectors (first group in the low 16
-    /// bits) and stores the sixteen payloads.
+    /// bits) and stores each group's eight payloads.
     ///
     /// # Safety
     ///
@@ -314,51 +454,75 @@ mod x86 {
     // SAFETY: contract above — sound iff the CPU supports AVX-512F;
     // all memory accesses go through the two array references.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn classify16_avx512(eb_exp: u32, group: &[f32; 16], pays: &mut [u32; 16]) -> u32 {
-        let e = eb_exp as i32;
+    pub unsafe fn classify16_avx512(
+        eb_exp: u32,
+        group: &[f32; 16],
+        pays: &mut [[u32; 8]; 2],
+    ) -> u32 {
         // SAFETY: unaligned load/store of exactly 64 bytes each.
         unsafe {
             let v = _mm512_loadu_si512(group.as_ptr().cast());
-            let abs = _mm512_and_si512(v, _mm512_set1_epi32(0x7fff_ffff));
+            let c = front16(eb_exp, v);
             let sgn = _mm512_srli_epi32::<31>(v);
-            let full = _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32(0x3f7f_ffff));
-            let notzero = _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32((127 - e) << 23));
-            let exp = _mm512_srli_epi32::<23>(abs);
-            let d = _mm512_sub_epi32(_mm512_set1_epi32(127), exp);
-            let sig = _mm512_or_si512(
-                _mm512_and_si512(abs, _mm512_set1_epi32(0x007f_ffff)),
-                _mm512_set1_epi32(0x0080_0000),
-            );
-            let one = _mm512_set1_epi32(1);
-            let c16 = _mm512_add_epi32(d, _mm512_set1_epi32(16));
-            let c8 = _mm512_add_epi32(d, _mm512_set1_epi32(8));
-            let ct = _mm512_add_epi32(d, _mm512_set1_epi32(23 - e));
-            let m8 = _mm512_sub_epi32(_mm512_sllv_epi32(one, c16), one);
-            let m16 = _mm512_sub_epi32(_mm512_sllv_epi32(one, c8), one);
-            let t = _mm512_sllv_epi32(one, ct);
-            let f8 = _mm512_cmple_epi32_mask(_mm512_and_si512(sig, m8), t);
-            let f16 = _mm512_cmple_epi32_mask(_mm512_and_si512(sig, m16), t);
-            let pay1 = _mm512_or_si512(_mm512_slli_epi32::<7>(sgn), _mm512_srlv_epi32(sig, c16));
-            let pay2 = _mm512_or_si512(_mm512_slli_epi32::<15>(sgn), _mm512_srlv_epi32(sig, c8));
+            let pay1 =
+                _mm512_or_si512(_mm512_slli_epi32::<7>(sgn), _mm512_srlv_epi32(c.sig, c.c16));
+            let pay2 =
+                _mm512_or_si512(_mm512_slli_epi32::<15>(sgn), _mm512_srlv_epi32(c.sig, c.c8));
             // blend(k, a, b) takes b where k is set: fits8 wins, then
             // fits16, else Full's raw bits.
-            let pay_m = _mm512_mask_blend_epi32(f8, _mm512_mask_blend_epi32(f16, v, pay2), pay1);
+            let pay_m =
+                _mm512_mask_blend_epi32(c.f8, _mm512_mask_blend_epi32(c.f16, v, pay2), pay1);
+            let one = _mm512_set1_epi32(1);
             let tag_m = _mm512_mask_blend_epi32(
-                f8,
-                _mm512_mask_blend_epi32(f16, _mm512_set1_epi32(3), _mm512_set1_epi32(2)),
+                c.f8,
+                _mm512_mask_blend_epi32(c.f16, _mm512_set1_epi32(3), _mm512_set1_epi32(2)),
                 one,
             );
             // Zero lanes drop to (0, 0); Full lanes override to (3, raw).
             let tags_v = _mm512_mask_blend_epi32(
-                full,
-                _mm512_maskz_mov_epi32(notzero, tag_m),
+                c.full,
+                _mm512_maskz_mov_epi32(c.notzero, tag_m),
                 _mm512_set1_epi32(3),
             );
-            let pays_v = _mm512_mask_blend_epi32(full, _mm512_maskz_mov_epi32(notzero, pay_m), v);
+            let pays_v =
+                _mm512_mask_blend_epi32(c.full, _mm512_maskz_mov_epi32(c.notzero, pay_m), v);
             let m0 = _mm512_test_epi32_mask(tags_v, one);
             let m1 = _mm512_test_epi32_mask(tags_v, _mm512_set1_epi32(2));
             _mm512_storeu_si512(pays.as_mut_ptr().cast(), pays_v);
             interleave16(m0, m1)
+        }
+    }
+
+    /// Sixteen-lane (two-burst) widening of [`quantize8_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX-512F support on the running
+    /// CPU.
+    // SAFETY: contract above — sound iff the CPU supports AVX-512F;
+    // all memory accesses go through the `&mut [f32; 16]` reference.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn quantize16_avx512(eb_exp: u32, group: &mut [f32; 16]) {
+        // SAFETY: unaligned load and store of exactly the 64 bytes
+        // `group` holds.
+        unsafe {
+            let v = _mm512_loadu_si512(group.as_ptr().cast());
+            let c = front16(eb_exp, v);
+            let field = _mm512_and_si512(
+                _mm512_srlv_epi32(c.sig, c.c8),
+                _mm512_mask_blend_epi32(c.f8, _mm512_set1_epi32(0x7fff), _mm512_set1_epi32(0x7f00)),
+            );
+            let neg = _mm512_srai_epi32::<31>(v);
+            let signed = _mm512_sub_epi32(_mm512_xor_si512(field, neg), neg);
+            let fixed = _mm512_castps_si512(_mm512_mul_ps(
+                _mm512_cvtepi32_ps(signed),
+                _mm512_set1_ps(1.0 / 32768.0),
+            ));
+            let out = _mm512_maskz_mov_epi32(
+                c.notzero,
+                _mm512_mask_blend_epi32(c.full | !c.f16, fixed, v),
+            );
+            _mm512_storeu_si512(group.as_mut_ptr().cast(), out);
         }
     }
 
@@ -735,28 +899,22 @@ impl BurstCodec {
         let mut rest = values;
         #[cfg(target_arch = "x86_64")]
         if self.avx512 {
-            let mut wide = rest.chunks_exact(2 * LANES_PER_BURST);
-            let mut pays = [0u32; 16];
-            for pair in &mut wide {
+            let (pairs, tail) = rest.as_chunks::<{ 2 * LANES_PER_BURST }>();
+            let mut pays = [[0u32; LANES_PER_BURST]; 2];
+            for pair in pairs {
                 // SAFETY: AVX-512F support was verified at construction.
-                let tags32 = unsafe {
-                    x86::classify16_avx512(
-                        self.eb_exp,
-                        pair.try_into().expect("two-burst group"),
-                        &mut pays,
-                    )
-                };
-                w.put_group(tags32 & 0xffff, pays[..8].try_into().expect("8 lanes"));
-                w.put_group(tags32 >> 16, pays[8..].try_into().expect("8 lanes"));
+                let tags32 = unsafe { x86::classify16_avx512(self.eb_exp, pair, &mut pays) };
+                let [lo, hi] = &pays;
+                w.put_group(tags32 & 0xffff, lo);
+                w.put_group(tags32 >> 16, hi);
             }
-            rest = wide.remainder();
+            rest = tail;
         }
-        let mut chunks = rest.chunks_exact(LANES_PER_BURST);
-        for group in &mut chunks {
-            let (tags16, pays) = self.classify_group(group.try_into().expect("8-lane group"));
+        let (groups, rem) = rest.as_chunks::<LANES_PER_BURST>();
+        for group in groups {
+            let (tags16, pays) = self.classify_group(group);
             w.put_group(tags16, &pays);
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             // Pad the final group with Zero lanes (tag 0, no payload) —
             // the same padding the scalar codec and the hardware apply.
@@ -884,8 +1042,11 @@ impl BurstCodec {
         let mut at = 0;
         for (i, slot) in dst.iter_mut().enumerate() {
             let tag = (tags16 >> (2 * i)) & 3;
-            // Lane offsets stay below 29, so the load stays in `src`.
-            let raw = u32::from_le_bytes(src[at..at + 4].try_into().expect("4-byte load"));
+            // Lane offsets stay below 29, so the 4-byte window always
+            // exists inside `src`.
+            let raw = src[at..]
+                .first_chunk()
+                .map_or(0, |w| u32::from_le_bytes(*w));
             *slot = recon_fast(tag, raw & PAY_MASK32[tag as usize]);
             at += PAYLOAD_BYTES[tag as usize];
         }
@@ -939,16 +1100,33 @@ impl BurstCodec {
         out
     }
 
-    /// Applies the lossy round trip in place.
+    /// Applies the lossy round trip in place: whole bursts through the
+    /// fused classify-and-reconstruct kernel the host supports, the
+    /// `< 8` tail (and every value on a host without AVX2) through
+    /// [`classify`] and [`reconstruct`].
     pub fn quantize_inplace(&self, values: &mut [f32]) {
-        let mut chunks = values.chunks_exact_mut(LANES_PER_BURST);
-        for group in &mut chunks {
-            let (tags16, pays) = self.classify_group((&*group).try_into().expect("8-lane group"));
-            for (i, v) in group.iter_mut().enumerate() {
-                *v = recon_fast((tags16 >> (2 * i)) & 3, pays[i]);
+        let mut rest = values;
+        #[cfg(target_arch = "x86_64")]
+        {
+            if self.avx512 {
+                let (pairs, tail) = rest.as_chunks_mut::<{ 2 * LANES_PER_BURST }>();
+                for pair in pairs {
+                    // SAFETY: AVX-512F support was verified at
+                    // construction.
+                    unsafe { x86::quantize16_avx512(self.eb_exp, pair) };
+                }
+                rest = tail;
+            }
+            if self.avx2 {
+                let (groups, tail) = rest.as_chunks_mut::<LANES_PER_BURST>();
+                for group in groups {
+                    // SAFETY: AVX2 support was verified at construction.
+                    unsafe { x86::quantize8_avx2(self.eb_exp, group) };
+                }
+                rest = tail;
             }
         }
-        for v in chunks.into_remainder() {
+        for v in rest {
             let lane = classify(self.eb_exp, *v);
             *v = reconstruct(lane.tag, lane.payload);
         }
@@ -1167,6 +1345,86 @@ mod tests {
         }
     }
 
+    /// Reference quantize for the fused kernels: classify each burst,
+    /// then rebuild it lane by lane through `recon_fast`.
+    fn quantize_per_lane(codec: &BurstCodec, values: &mut [f32]) {
+        let (groups, tail) = values.as_chunks_mut::<LANES_PER_BURST>();
+        for group in groups {
+            let (tags16, pays) = codec.classify_group(group);
+            for (i, v) in group.iter_mut().enumerate() {
+                *v = recon_fast((tags16 >> (2 * i)) & 3, pays[i]);
+            }
+        }
+        for v in tail {
+            let lane = classify(codec.eb_exp, *v);
+            *v = reconstruct(lane.tag, lane.payload);
+        }
+    }
+
+    /// Raw bit patterns on and around every decision boundary at bound
+    /// `2⁻ᴱ`, in both signs: ±0, the extreme subnormals, the smallest
+    /// normal, the bound itself and its neighbours, the 8-/16-bit field
+    /// splits, the largest value below 1.0, ±inf and two NaNs.
+    fn boundary_bits(e: u8) -> Vec<u32> {
+        let bound = 2f32.powi(-i32::from(e)).to_bits();
+        let mut pos = vec![
+            0,
+            1,
+            0x007f_ffff,
+            0x0080_0000,
+            bound - 1,
+            bound,
+            bound + 1,
+            0x3f7f_ffff,
+            0x3f80_0000,
+            0x7f7f_ffff,
+            0x7f80_0000,
+            0x7fc0_0000,
+            0x7f80_0001,
+        ];
+        for shift in [7u32, 8, 15, 16] {
+            let split = bound - (shift << 23);
+            pos.extend([split - 1, split, split + 1, split | 0x7f_ffff]);
+        }
+        pos.iter().flat_map(|&b| [b, b | 0x8000_0000]).collect()
+    }
+
+    /// `n` values cycling through the boundary patterns, with every
+    /// third lane a random bit pattern instead.
+    fn boundary_inputs(e: u8, n: usize) -> Vec<f32> {
+        let pool = boundary_bits(e);
+        let mut rng = StdRng::seed_from_u64((u64::from(e) << 32) | n as u64);
+        (0..n)
+            .map(|i| {
+                let b = if i % 3 == 2 {
+                    rng.gen()
+                } else {
+                    pool[i % pool.len()]
+                };
+                f32::from_bits(b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn quantize_inplace_matches_reference_on_every_kernel_bound_and_tail_shape() {
+        for e in 1u8..=30 {
+            let slow = InceptionnCodec::new(ErrorBound::pow2(e));
+            for n in tail_lengths() {
+                let vals = boundary_inputs(e, n);
+                let want = bits(&slow.quantize(&vals));
+                let mut oracle = vals.clone();
+                quantize_per_lane(&BurstCodec::new(ErrorBound::pow2(e)), &mut oracle);
+                assert_eq!(bits(&oracle), want, "oracle n={n} e={e}");
+                for fast in kernels(e) {
+                    let mut got = vals.clone();
+                    fast.quantize_inplace(&mut got);
+                    assert_eq!(bits(&got), want, "n={n} e={e} {fast:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn compress_append_is_independent_of_the_buffer_state() {
         for e in [6u8, 8, 10] {
@@ -1262,6 +1520,25 @@ mod tests {
             let df: Vec<u32> = fast.decompress(&f).unwrap().iter().map(|v| v.to_bits()).collect();
             let ds: Vec<u32> = slow.decompress(&s).unwrap().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(df, ds);
+        }
+
+        #[test]
+        fn prop_quantize_inplace_matches_reference(
+            raw in proptest::collection::vec(any::<u32>(), 0..64),
+            e in 1u8..=30
+        ) {
+            // Raw bit patterns through every dispatch; compared as bits
+            // so NaNs compare equal.
+            let vals: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
+            let want = bits(&InceptionnCodec::new(ErrorBound::pow2(e)).quantize(&vals));
+            for fast in kernels(e) {
+                let mut got = vals.clone();
+                fast.quantize_inplace(&mut got);
+                prop_assert_eq!(&bits(&got), &want);
+                let mut oracle = vals.clone();
+                quantize_per_lane(&fast, &mut oracle);
+                prop_assert_eq!(&bits(&oracle), &want);
+            }
         }
 
         #[test]

@@ -120,6 +120,17 @@ pub fn frame_meta(bytes: &[u8]) -> Result<FrameMeta, DecodeError> {
     })
 }
 
+/// The fewest payload bytes a well-formed frame with this header
+/// carries: the dense counts of a RAW frame, the support bitmap of a
+/// `SKETCH` one. [`fold_frame_into_q`] checks the exact lengths.
+fn min_payload_bytes(meta: FrameMeta) -> usize {
+    match meta.mode {
+        FrameMode::Raw32 => meta.len * 4,
+        FrameMode::Raw64 => meta.len * 8,
+        FrameMode::Sketch => meta.len.div_ceil(8),
+    }
+}
+
 /// Cells per hash row for a frame with `support` nonzero entries: load
 /// factor ~0.5 across [`ROWS`] rows, which peels with overwhelming
 /// probability; the encoder still verifies and falls back to RAW on
@@ -472,6 +483,12 @@ impl SketchFrame {
     /// frame.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, DecodeError> {
         let meta = frame_meta(&bytes)?;
+        // The trial fold's scratch is sized from the header, so check
+        // first that the payload can hold that many values: a forged
+        // `len` must not drive the allocation.
+        if bytes.len() - FRAME_HEADER_BYTES < min_payload_bytes(meta) {
+            return Err(fail(0));
+        }
         let mut scratch = vec![0i64; meta.len];
         fold_frame_into_q(&bytes, &mut scratch)?;
         Ok(SketchFrame { bytes })

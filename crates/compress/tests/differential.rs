@@ -110,6 +110,31 @@ fn boundary_values_differential_across_bounds_and_tails() {
     }
 }
 
+/// Raw bit patterns over every biased exponent, both signs and the
+/// mantissa extremes (NaN payloads and infinities included): every
+/// class boundary of the classifier at every scale.
+fn raw_bit_sweep() -> Vec<f32> {
+    let mut vals = Vec::new();
+    for exp in 0u32..=255 {
+        for mant in [0u32, 1, 0x40_0000, 0x7f_fffe, 0x7f_ffff] {
+            let b = (exp << 23) | mant;
+            vals.push(f32::from_bits(b));
+            vals.push(f32::from_bits(b | 0x8000_0000));
+        }
+    }
+    vals
+}
+
+#[test]
+fn raw_bit_sweep_differential_across_bounds() {
+    let sweep = raw_bit_sweep();
+    for &e in &BOUNDS {
+        // Whole two-burst blocks, then a ragged tail.
+        assert_differential(e, &sweep);
+        assert_differential(e, &sweep[..sweep.len() - 5]);
+    }
+}
+
 proptest! {
     /// Arbitrary bit patterns (every NaN payload, subnormal, and
     /// infinity included) through both implementations, across the

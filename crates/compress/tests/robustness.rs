@@ -3,13 +3,68 @@
 //! or unbounded allocations. The NIC decompression engine faces raw
 //! network input, so this property is load-bearing.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use inceptionn_compress::szlike::SzCodec;
 use inceptionn_compress::truncate::Truncation;
 use inceptionn_compress::{
     lz, sketch, sparse, CompressedStream, ErrorBound, InceptionnCodec, ResidualState, SketchCodec,
-    SparseCodec, SparseConfig,
+    SketchFrame, SparseCodec, SparseConfig,
 };
 use proptest::prelude::*;
+
+/// Largest single allocation this binary lets through. A decoder that
+/// sizes a buffer from a forged header asks for far more and gets a
+/// null pointer (an abort), never a machine-sized allocation.
+const MAX_REQUEST: usize = 1 << 30;
+
+/// Passthrough allocator that refuses requests above [`MAX_REQUEST`]
+/// and records the calling thread's largest request.
+struct CappedAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it never
+    // allocates from inside the allocator.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn admit(size: usize) -> bool {
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+    size <= MAX_REQUEST
+}
+
+// SAFETY: defers to `System` for every request it admits and returns
+// null (a permitted allocation failure) for the rest.
+unsafe impl GlobalAlloc for CappedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if admit(layout.size()) {
+            System.alloc(layout)
+        } else {
+            std::ptr::null_mut()
+        }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if admit(layout.size()) {
+            System.alloc_zeroed(layout)
+        } else {
+            std::ptr::null_mut()
+        }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if admit(new_size) {
+            System.realloc(ptr, layout, new_size)
+        } else {
+            std::ptr::null_mut()
+        }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CappedAlloc = CappedAlloc;
 
 /// Gradient-like values, mostly exact zeros, so the sparse and sketch
 /// encoders produce their compact layouts rather than the dense ones.
@@ -67,6 +122,23 @@ fn check_sketch(bytes: &[u8], len: usize) -> Result<(), TestCaseError> {
         prop_assert!(out.iter().all(|v| !v.is_nan()));
     }
     Ok(())
+}
+
+#[test]
+fn forged_sketch_header_is_rejected_before_any_header_sized_allocation() {
+    // A bare 16-byte header claiming 2^32 - 1 values: 16 GiB of RAW32
+    // counts, 32 GiB of i64 scratch if the validator trusted it.
+    for mode in 0u8..3 {
+        let mut bytes = vec![mode, 10, sketch::ROWS as u8, 0];
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0x00C0_FFEEu64.to_le_bytes());
+        let meta = sketch::frame_meta(&bytes).expect("a plausible header");
+        assert_eq!(meta.len, u32::MAX as usize);
+        LARGEST.with(|c| c.set(0));
+        assert!(SketchFrame::from_bytes(bytes).is_err(), "mode {mode}");
+        let largest = LARGEST.with(Cell::get);
+        assert!(largest < 1 << 20, "mode {mode} asked for {largest} bytes");
+    }
 }
 
 proptest! {
