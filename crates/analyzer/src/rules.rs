@@ -78,8 +78,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/distrib/src/codec.rs",
     "crates/distrib/src/crc32.rs",
     "crates/distrib/src/fabric.rs",
-    "crates/distrib/src/ring.rs",
-    "crates/distrib/src/aggregator.rs",
+    "crates/distrib/src/pipeline.rs",
     "crates/nicsim/src/chunker.rs",
     "crates/nicsim/src/datapath.rs",
     "crates/nicsim/src/engine.rs",
@@ -1335,7 +1334,7 @@ mod tests {
     #[test]
     fn thread_rule_exempts_tests_host_queries_and_plain_idents() {
         let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(lint_source("crates/distrib/src/ring.rs", test_src).is_empty());
+        assert!(lint_source("crates/distrib/src/pipeline.rs", test_src).is_empty());
         let src = "fn f() -> usize {\n    std::thread::available_parallelism().map_or(1, |n| n.get())\n}\n";
         assert!(lint_source("crates/compress/src/parallel.rs", src).is_empty());
         // `thread` as an ordinary identifier (no `::spawn`/`::scope`
@@ -1355,7 +1354,7 @@ mod tests {
     fn shim_import_outside_facade_is_flagged() {
         let src = "use rand::Rng;\n";
         assert_eq!(
-            fired(&lint_source("crates/distrib/src/ring.rs", src)),
+            fired(&lint_source("crates/distrib/src/pipeline.rs", src)),
             ["shim-facade"]
         );
         assert!(lint_source("crates/tensor/src/lib.rs", src).is_empty());
@@ -1364,7 +1363,7 @@ mod tests {
     #[test]
     fn shim_use_in_test_module_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    use rand::Rng;\n}\n";
-        assert!(lint_source("crates/distrib/src/ring.rs", src).is_empty());
+        assert!(lint_source("crates/distrib/src/pipeline.rs", src).is_empty());
     }
 
     // -- allowlist ratchet ---------------------------------------------

@@ -135,11 +135,6 @@ impl<'a> BitReader<'a> {
         Some(out as u32)
     }
 
-    /// Bits remaining in the stream.
-    pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
-    }
-
     /// Absolute bit position of the read cursor (bits consumed so far).
     pub fn bit_pos(&self) -> usize {
         self.pos

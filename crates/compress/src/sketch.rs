@@ -457,14 +457,6 @@ impl SketchCodec {
         self.encode_append(values, &mut bytes);
         SketchFrame { bytes }
     }
-
-    /// Encodes pre-quantized grid counts (the canonical re-encode used
-    /// by frame merges and tests).
-    pub fn encode_q(&self, q: &[i64]) -> SketchFrame {
-        let mut bytes = Vec::new();
-        encode_q_append(q, self.frac_bits, self.seed, &mut bytes);
-        SketchFrame { bytes }
-    }
 }
 
 /// An owned, validated frame supporting compressed-domain merges.

@@ -5,12 +5,14 @@
 //! `_comp` variants (`collec_comm_comp`) set the reserved ToS value on
 //! the underlying sockets so the NIC engines compress every gradient
 //! packet. Here the two variants are one [`CollectiveContext`] with an
-//! optional [`ErrorBound`], and the transport underneath — in-process
-//! shortcut, modeled NIC datapath, or either with link timing — is
-//! selected with a [`TransportKind`].
+//! optional [`ErrorBound`], running over the in-process transport. To
+//! run an exchange over the modeled NIC or with link timing, build the
+//! fabric with [`FabricBuilder`] and call
+//! [`Exchange::run`](inceptionn_distrib::Exchange::run) directly; the
+//! values are the same bits on every transport.
 
 use inceptionn_compress::ErrorBound;
-use inceptionn_distrib::fabric::{Fabric, FabricBuilder, FabricStats, TransportKind};
+use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, FabricStats};
 use inceptionn_distrib::{Exchange, ExchangeStrategy};
 
 /// A handle over a fixed-size worker group, configured once and used
@@ -30,12 +32,11 @@ use inceptionn_distrib::{Exchange, ExchangeStrategy};
 pub struct CollectiveContext {
     workers: usize,
     compression: Option<ErrorBound>,
-    transport: TransportKind,
 }
 
 impl CollectiveContext {
-    /// Creates a context over `workers` ring-connected workers using the
-    /// in-process transport.
+    /// Creates a context over `workers` workers using the in-process
+    /// transport.
     ///
     /// # Panics
     ///
@@ -45,7 +46,6 @@ impl CollectiveContext {
         CollectiveContext {
             workers,
             compression: None,
-            transport: TransportKind::InProcess,
         }
     }
 
@@ -56,105 +56,40 @@ impl CollectiveContext {
         self
     }
 
-    /// Selects the transport the collectives run over (default:
-    /// [`TransportKind::InProcess`]).
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// The worker-group size.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The configured compression bound, if any.
-    pub fn compression(&self) -> Option<ErrorBound> {
-        self.compression
-    }
-
-    /// The configured transport.
-    pub fn transport(&self) -> TransportKind {
-        self.transport
-    }
-
-    /// A fresh fabric for one exchange. The extra endpoint serves as the
-    /// aggregator for [`allreduce_worker_aggregator`]
-    /// (`CollectiveContext::allreduce_worker_aggregator`).
-    fn fabric(&self) -> Box<dyn Fabric> {
-        FabricBuilder::new(self.workers + 1)
-            .transport(self.transport)
-            .compression(self.compression)
-            .build()
-    }
-
     /// Sums one gradient vector per worker in place via the
-    /// gradient-centric ring (Algorithm 1). Every worker ends with the
-    /// full sum.
+    /// gradient-centric ring (Algorithm 1), returning what crossed the
+    /// transport. Every worker ends with the full sum.
     ///
     /// # Panics
     ///
-    /// Panics if `grads.len() != self.workers()` or the vectors differ
-    /// in length.
-    pub fn allreduce(&self, grads: &mut [Vec<f32>]) {
-        self.allreduce_measured(grads);
+    /// Panics if `grads` does not hold one vector per worker or the
+    /// vectors differ in length.
+    pub fn allreduce(&self, grads: &mut [Vec<f32>]) -> FabricStats {
+        self.allreduce_with(ExchangeStrategy::Ring, grads)
     }
 
-    /// [`allreduce`](Self::allreduce), returning what crossed the
-    /// transport (wire volume, engine cycles, link latency — depending
-    /// on the transport kind).
-    pub fn allreduce_measured(&self, grads: &mut [Vec<f32>]) -> FabricStats {
-        assert_eq!(grads.len(), self.workers, "one gradient vector per worker");
-        self.run(ExchangeStrategy::Ring, grads)
-    }
-
-    /// Sums gradients via the hierarchical grouping of Fig. 1(c).
+    /// [`allreduce`](Self::allreduce) under any exchange strategy, over
+    /// a fresh fabric with one endpoint per worker plus the aggregator's.
+    /// With no topology armed, [`ExchangeStrategy::Tree`] runs the flat
+    /// ring.
     ///
     /// # Panics
     ///
-    /// Panics on a worker-count mismatch or when `group_size` does not
-    /// divide the worker count.
-    pub fn allreduce_hierarchical(&self, grads: &mut [Vec<f32>], group_size: usize) {
-        self.allreduce_hierarchical_measured(grads, group_size);
-    }
-
-    /// [`allreduce_hierarchical`](Self::allreduce_hierarchical) with
-    /// transport accounting.
-    pub fn allreduce_hierarchical_measured(
+    /// Panics as [`allreduce`](Self::allreduce) does, and when a
+    /// hierarchical group size does not divide the worker count.
+    pub fn allreduce_with(
         &self,
+        strategy: ExchangeStrategy,
         grads: &mut [Vec<f32>],
-        group_size: usize,
     ) -> FabricStats {
         assert_eq!(grads.len(), self.workers, "one gradient vector per worker");
-        self.run(ExchangeStrategy::HierarchicalRing { group_size }, grads)
-    }
-
-    /// Sums gradients via the conventional worker-aggregator exchange
-    /// (only the gradient leg is compressed — the baseline the paper
-    /// calls WA/WA+C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len() != self.workers()`.
-    pub fn allreduce_worker_aggregator(&self, grads: &mut [Vec<f32>]) {
-        self.allreduce_worker_aggregator_measured(grads);
-    }
-
-    /// [`allreduce_worker_aggregator`](Self::allreduce_worker_aggregator)
-    /// with transport accounting.
-    pub fn allreduce_worker_aggregator_measured(&self, grads: &mut [Vec<f32>]) -> FabricStats {
-        assert_eq!(grads.len(), self.workers, "one gradient vector per worker");
-        self.run(ExchangeStrategy::WorkerAggregator, grads)
-    }
-
-    /// One exchange through the unified [`Exchange`] dispatch seam over
-    /// a fresh fabric, returning the transport accounting.
-    fn run(&self, strategy: ExchangeStrategy, grads: &mut [Vec<f32>]) -> FabricStats {
-        let mut fabric = self.fabric();
+        let mut fabric = FabricBuilder::new(self.workers + 1)
+            .codec(CodecSelection::from_bound(self.compression))
+            .build();
         let live: Vec<usize> = (0..self.workers).collect();
         Exchange::new(self.workers)
             .run(strategy, fabric.as_mut(), grads, &live)
-            .expect("built-in transports deliver their own frames");
+            .expect("the in-process transport delivers its own frames");
         fabric.stats()
     }
 }
@@ -188,23 +123,12 @@ mod tests {
 
     #[test]
     fn all_three_collectives_compute_the_same_sum() {
-        let ctx = CollectiveContext::new(4);
-        let make = || -> Vec<Vec<f32>> { (0..4).map(|w| vec![w as f32 + 1.0; 16]).collect() };
-        let mut ring = make();
-        ctx.allreduce(&mut ring);
-        let mut hier = make();
-        ctx.allreduce_hierarchical(&mut hier, 2);
-        let mut wa = make();
-        ctx.allreduce_worker_aggregator(&mut wa);
-        assert_eq!(ring[0], vec![10.0f32; 16]);
-        assert_eq!(hier[3], vec![10.0f32; 16]);
-        assert_eq!(wa[1], vec![10.0f32; 16]);
-    }
-
-    #[test]
-    fn transport_choice_changes_accounting_not_values() {
+        // Every strategy through the facade: the exact sum without
+        // compression, and with it the bits and accounting of
+        // `Exchange::run` over a fresh `workers + 1` fabric.
+        let workers = 4;
         let make = || -> Vec<Vec<f32>> {
-            (0..4)
+            (0..workers)
                 .map(|w| {
                     (0..500)
                         .map(|i| ((w * 500 + i) as f32).sin() * 0.01)
@@ -212,18 +136,39 @@ mod tests {
                 })
                 .collect()
         };
-        let shortcut = CollectiveContext::new(4).with_compression(ErrorBound::pow2(10));
-        let hardware = shortcut.with_transport(TransportKind::TimedNic);
-        let mut a = make();
-        let stats_a = shortcut.allreduce_measured(&mut a);
-        let mut b = make();
-        let stats_b = hardware.allreduce_measured(&mut b);
-        assert_eq!(a, b, "transport must not change the values");
-        assert_eq!(stats_a.link_latency_ns, 0);
-        assert_eq!(stats_a.engine_cycles, 0);
-        assert!(stats_b.link_latency_ns > 0);
-        assert!(stats_b.engine_cycles > 0);
-        assert!(stats_b.wire_ratio() > 1.5, "ratio {}", stats_b.wire_ratio());
+        let bits = |w: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            w.iter()
+                .map(|g| g.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let bound = ErrorBound::pow2(10);
+        for strategy in [
+            ExchangeStrategy::Ring,
+            ExchangeStrategy::HierarchicalRing { group_size: 2 },
+            ExchangeStrategy::Tree,
+            ExchangeStrategy::WorkerAggregator,
+            ExchangeStrategy::SwitchReduce,
+        ] {
+            let mut exact: Vec<Vec<f32>> = (0..workers).map(|w| vec![w as f32 + 1.0; 16]).collect();
+            CollectiveContext::new(workers).allreduce_with(strategy, &mut exact);
+            for g in &exact {
+                assert_eq!(g, &vec![10.0f32; 16], "{strategy:?}");
+            }
+
+            let mut got = make();
+            let stats = CollectiveContext::new(workers)
+                .with_compression(bound)
+                .allreduce_with(strategy, &mut got);
+            let mut want = make();
+            let mut fabric = FabricBuilder::new(workers + 1)
+                .codec(CodecSelection::from_bound(Some(bound)))
+                .build();
+            Exchange::new(workers)
+                .run(strategy, fabric.as_mut(), &mut want, &[0, 1, 2, 3])
+                .unwrap();
+            assert_eq!(bits(&got), bits(&want), "{strategy:?}");
+            assert_eq!(stats, fabric.stats(), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Ablations of the design choices DESIGN.md calls out.
 
 use inceptionn_compress::gradmodel::{GradientModel, GradientPreset};
-use inceptionn_compress::inceptionn::Tag;
 use inceptionn_compress::{ErrorBound, InceptionnCodec};
 use inceptionn_netsim::collective::ring_exchange;
 use inceptionn_netsim::sim::NetworkConfig;
@@ -162,11 +161,6 @@ pub fn zero_class(fidelity: Fidelity, seed: u64) -> Vec<ZeroClassAblation> {
             }
         })
         .collect()
-}
-
-/// Tag helper used by the bench renderer.
-pub fn tag_bits(tag: Tag) -> u32 {
-    tag.wire_bits()
 }
 
 #[cfg(test)]

@@ -122,7 +122,7 @@ pub struct WireVolumeRow {
 ///
 /// [`NicFabric`]: inceptionn_distrib::fabric::NicFabric
 pub fn measured_wire_volume(values_per_worker: usize, seed: u64) -> Vec<WireVolumeRow> {
-    use inceptionn_distrib::fabric::{FabricBuilder, TransportKind};
+    use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, TransportKind};
     use inceptionn_distrib::{Exchange, ExchangeStrategy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -152,7 +152,7 @@ pub fn measured_wire_volume(values_per_worker: usize, seed: u64) -> Vec<WireVolu
             let mut grads = inputs.clone();
             let mut fabric = FabricBuilder::new(n + 1)
                 .transport(TransportKind::Nic)
-                .compression(bound)
+                .codec(CodecSelection::from_bound(bound))
                 .build();
             let strategy = match org {
                 Organization::FlatWa => ExchangeStrategy::WorkerAggregator,

@@ -140,7 +140,7 @@ pub fn fig14_accuracy(model: ProxyModel, fidelity: Fidelity, seed: u64) -> Vec<A
 /// packet is compressed independently (per-packet byte alignment), which
 /// is exactly what the hardware ships.
 pub fn fig14_wire_ratios(fidelity: Fidelity, seed: u64) -> Vec<RatioRow> {
-    use inceptionn_distrib::fabric::{FabricBuilder, TransportKind};
+    use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, TransportKind};
     let samples = fidelity.scale(400_000, 20_000);
     let mut rows = Vec::new();
     for preset in GradientPreset::ALL {
@@ -149,7 +149,7 @@ pub fn fig14_wire_ratios(fidelity: Fidelity, seed: u64) -> Vec<RatioRow> {
         for e in [10u8, 8, 6] {
             let mut fabric = FabricBuilder::new(2)
                 .transport(TransportKind::Nic)
-                .compression(Some(ErrorBound::pow2(e)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(e))))
                 .build();
             fabric
                 .transfer(0, 1, &grads)

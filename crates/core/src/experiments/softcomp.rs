@@ -196,7 +196,7 @@ pub fn fig7(cfg: &ClusterConfig, codecs: &[CodecProfile]) -> Vec<Fig7Row> {
 ///
 /// [`NicFabric`]: inceptionn_distrib::fabric::NicFabric
 pub fn fig7_nic_reference(cfg: &ClusterConfig, fidelity: Fidelity, seed: u64) -> Vec<Fig7Row> {
-    use inceptionn_distrib::fabric::{FabricBuilder, TransportKind};
+    use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, TransportKind};
     use inceptionn_nicsim::engine::NS_PER_CYCLE;
 
     let n_values = fidelity.scale(2_000_000, 50_000);
@@ -205,7 +205,7 @@ pub fn fig7_nic_reference(cfg: &ClusterConfig, fidelity: Fidelity, seed: u64) ->
         .sample(&mut rng, n_values);
     let mut fabric = FabricBuilder::new(2)
         .transport(TransportKind::Nic)
-        .compression(Some(ErrorBound::pow2(10)))
+        .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
         .build();
     fabric
         .transfer(0, 1, &grads)

@@ -14,7 +14,7 @@
 //!    ([`inceptionn_nicsim::NicPipeline`]) that apply the codec at line
 //!    rate to ToS-tagged TCP/IP packets;
 //! 3. **A gradient-centric, aggregator-free training algorithm**
-//!    ([`inceptionn_distrib::ring::ring_allreduce`]) that exchanges
+//!    ([`inceptionn_distrib::Exchange::run`]) that exchanges
 //!    gradients in *both* legs of communication so everything on the
 //!    wire is compressible, while spreading aggregation work evenly.
 //!

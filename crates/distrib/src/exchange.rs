@@ -216,7 +216,8 @@ impl Exchange {
     }
 
     /// One all-reduce of the full worker set, worker `k` on endpoint
-    /// `k`: what the in-process conveniences and the unit tests run.
+    /// `k`: what the unit tests run.
+    #[cfg(test)]
     pub(crate) fn run_all(
         mut self,
         strategy: ExchangeStrategy,

@@ -22,9 +22,10 @@
 //!   values as the whole-stream software round trip, so [`NicFabric`]
 //!   and [`InProcessFabric`] agree bit for bit — a property the
 //!   cross-crate tests pin.
-//! * [`TimedFabric`] — wraps either of the above and charges
-//!   `inceptionn-netsim` serialization + store-and-forward latency per
-//!   transfer, accumulated per source link.
+//! * [`TimedFabric`] — wraps a base transport (the builder puts it
+//!   over [`NicFabric`]) and charges `inceptionn-netsim` serialization
+//!   and store-and-forward latency per transfer, accumulated per source
+//!   link.
 //!
 //! Both base transports hold one wire codec from the private `codec`
 //! module, the one place a [`CodecSelection`] is resolved and a codec
@@ -1550,9 +1551,6 @@ pub enum TransportKind {
     InProcess,
     /// [`NicFabric`]: payloads traverse the modeled NIC engines.
     Nic,
-    /// [`TimedFabric`] over [`InProcessFabric`]: shortcut values plus
-    /// 10 GbE latency accounting (uncompressed wire sizes).
-    TimedInProcess,
     /// [`TimedFabric`] over [`NicFabric`]: the full co-design stack —
     /// real encoded bytes, engine cycles, and link latency.
     TimedNic,
@@ -1561,17 +1559,13 @@ pub enum TransportKind {
 impl TransportKind {
     /// Whether this kind wraps the base transport in a [`TimedFabric`].
     pub fn is_timed(self) -> bool {
-        matches!(
-            self,
-            TransportKind::TimedInProcess | TransportKind::TimedNic
-        )
+        matches!(self, TransportKind::TimedNic)
     }
 
-    /// All four kinds, for exhaustive property tests.
-    pub const ALL: [TransportKind; 4] = [
+    /// All three kinds, for exhaustive property tests.
+    pub const ALL: [TransportKind; 3] = [
         TransportKind::InProcess,
         TransportKind::Nic,
-        TransportKind::TimedInProcess,
         TransportKind::TimedNic,
     ];
 }
@@ -1589,12 +1583,12 @@ impl TransportKind {
 /// # Examples
 ///
 /// ```
-/// use inceptionn_distrib::fabric::{Fabric, FabricBuilder, TransportKind};
+/// use inceptionn_distrib::fabric::{CodecSelection, Fabric, FabricBuilder, TransportKind};
 /// use inceptionn_compress::ErrorBound;
 ///
 /// let mut fabric = FabricBuilder::new(4)
 ///     .transport(TransportKind::TimedNic)
-///     .compression(Some(ErrorBound::pow2(10)))
+///     .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
 ///     .build();
 /// let out = fabric.transfer(0, 1, &[0.25, -0.5]).unwrap();
 /// assert_eq!(out.len(), 2);
@@ -1636,13 +1630,6 @@ impl FabricBuilder {
     /// Selects the gradient codec.
     pub fn codec(mut self, codec: CodecSelection) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// The historical `Option<ErrorBound>` compression knob: `Some`
-    /// selects the INCEPTIONN codec at that bound, `None` lossless.
-    pub fn compression(mut self, bound: Option<ErrorBound>) -> Self {
-        self.codec = CodecSelection::from_bound(bound);
         self
     }
 
@@ -1691,9 +1678,11 @@ impl FabricBuilder {
     /// Assembles the configured stack.
     pub fn build(self) -> Box<dyn Fabric> {
         let base: Box<dyn Fabric> = match self.transport {
-            TransportKind::InProcess | TransportKind::TimedInProcess => Box::new(
-                InProcessFabric::assemble(self.endpoints, self.codec, &self.recorder),
-            ),
+            TransportKind::InProcess => Box::new(InProcessFabric::assemble(
+                self.endpoints,
+                self.codec,
+                &self.recorder,
+            )),
             TransportKind::Nic | TransportKind::TimedNic => Box::new(NicFabric::assemble(
                 self.endpoints,
                 self.codec,
@@ -2294,7 +2283,7 @@ mod tests {
             let rec = Recorder::on();
             let mut fabric = FabricBuilder::new(3)
                 .transport(kind)
-                .compression(Some(ErrorBound::pow2(10)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
                 .recorder(&rec)
                 .build();
             fabric.transfer(0, 1, &vals).unwrap();
@@ -2383,7 +2372,7 @@ mod tests {
             let rec = Recorder::on();
             let mut fabric = FabricBuilder::new(4)
                 .transport(TransportKind::TimedNic)
-                .compression(Some(ErrorBound::pow2(10)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
                 .topology(topo.clone())
                 .recorder(&rec)
                 .build();
@@ -2417,7 +2406,7 @@ mod tests {
         let rec = Recorder::on();
         let mut fabric = FabricBuilder::new(2)
             .transport(TransportKind::Nic)
-            .compression(Some(ErrorBound::pow2(10)))
+            .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
             .recorder(&rec)
             .build();
         let mut acc = vec![0.0f32; vals.len()];
@@ -2441,7 +2430,7 @@ mod tests {
         let rec = Recorder::off();
         let mut fabric = FabricBuilder::new(2)
             .transport(TransportKind::TimedNic)
-            .compression(Some(ErrorBound::pow2(10)))
+            .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
             .recorder(&rec)
             .build();
         fabric.transfer(0, 1, &gradients(500, 11)).unwrap();

@@ -182,11 +182,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The retransmit budget per delivery.
-    pub fn retransmit_budget(&self) -> u32 {
-        self.max_retransmits
-    }
-
     /// Fault probabilities in effect on the `src -> dst` link.
     pub fn link_faults(&self, src: usize, dst: usize) -> LinkFaults {
         self.per_link
@@ -653,7 +648,7 @@ impl Fabric for FaultyFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{FabricBuilder, TransportKind};
+    use crate::fabric::{CodecSelection, FabricBuilder, TransportKind};
     use inceptionn_compress::ErrorBound;
 
     fn vals(n: usize) -> Vec<f32> {
@@ -717,7 +712,7 @@ mod tests {
         for kind in [TransportKind::InProcess, TransportKind::Nic] {
             let mut fabric = FabricBuilder::new(2)
                 .transport(kind)
-                .compression(Some(ErrorBound::pow2(10)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
                 // Half of all attempts fault, so the default budget of 4
                 // can run dry (5 bad draws in a row); the point here is
                 // the CRC gate + retransmission, not budget exhaustion.
@@ -730,7 +725,7 @@ mod tests {
                 .build();
             let mut clean = FabricBuilder::new(2)
                 .transport(kind)
-                .compression(Some(ErrorBound::pow2(10)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
                 .build();
             let want = clean.transfer(0, 1, &v).unwrap();
             for _ in 0..20 {
@@ -776,7 +771,7 @@ mod tests {
         for kind in [TransportKind::InProcess, TransportKind::Nic] {
             let mut fabric = FabricBuilder::new(2)
                 .transport(kind)
-                .compression(Some(ErrorBound::pow2(10)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
                 .faults(FaultPlan::new(3).poison_prob(1.0))
                 .build();
             let err = fabric
@@ -851,7 +846,7 @@ mod tests {
         let run = || {
             let mut fabric = FabricBuilder::new(4)
                 .transport(TransportKind::Nic)
-                .compression(Some(ErrorBound::pow2(10)))
+                .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
                 .faults(FaultPlan::new(77).drop_prob(0.05).corrupt_prob(0.05))
                 .build();
             let mut sums = Vec::new();

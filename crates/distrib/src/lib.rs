@@ -11,11 +11,12 @@
 //! All exchanges run over a [`fabric::Fabric`] — the transport seam that
 //! decides *how* a block moves between workers: in-process quantization
 //! shortcut ([`fabric::InProcessFabric`]), the modeled NIC
-//! compression/decompression datapath ([`fabric::NicFabric`]), either of
-//! those with network link timing charged per transfer
-//! ([`fabric::TimedFabric`]). The exchange schedules themselves sit
-//! behind one entry point, [`Exchange::run`], which picks by
-//! [`ExchangeStrategy`]:
+//! compression/decompression datapath ([`fabric::NicFabric`]), or that
+//! datapath with network link timing charged per transfer
+//! ([`fabric::TimedFabric`]), each picked by a [`TransportKind`] on the
+//! [`FabricBuilder`]. The exchange schedules themselves sit behind one
+//! entry point, [`Exchange::run`] — the only way to run an exchange —
+//! which picks by [`ExchangeStrategy`]:
 //!
 //! * `Ring` — deterministic sequential-semantics implementation of
 //!   Algorithm 1;
@@ -23,7 +24,8 @@
 //!   Fig. 1(c) and its generalisation to a topology tree of arbitrary
 //!   depth (the former is the two-tier special case of the latter);
 //! * `WorkerAggregator` — the conventional centralized exchange
-//!   (Fig. 2), where only the gradient (up) leg is compressible;
+//!   (Fig. 2), where only the gradient (up) leg is compressible; the
+//!   fabric needs one endpoint more than there are workers;
 //! * `SwitchReduce` — in-network reduction: the switch's reduce unit
 //!   folds gradient packets in flight, eliminating the gather leg
 //!   entirely (bit-identical to the worker/aggregator result).
@@ -45,11 +47,13 @@
 //! # Examples
 //!
 //! ```
-//! use inceptionn_distrib::ring::ring_allreduce;
-//! use inceptionn_distrib::CodecSelection;
+//! use inceptionn_distrib::{Exchange, ExchangeStrategy, FabricBuilder};
 //!
+//! let mut fabric = FabricBuilder::new(3).build();
 //! let mut grads = vec![vec![1.0f32, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]];
-//! ring_allreduce(&mut grads, CodecSelection::None);
+//! Exchange::new(3)
+//!     .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut grads, &[0, 1, 2])
+//!     .unwrap();
 //! for g in &grads {
 //!     assert_eq!(g, &vec![111.0, 222.0]);
 //! }
@@ -58,7 +62,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
-pub mod aggregator;
 mod codec;
 mod crc32;
 pub mod exchange;
@@ -66,11 +69,22 @@ pub mod fabric;
 pub mod faults;
 pub mod membership;
 pub mod pipeline;
-pub mod ring;
-pub mod switch;
 pub mod trainer;
 
-pub use aggregator::worker_aggregator_allreduce;
+// The whole-exchange tests of the schedules in `pipeline`, one module
+// per strategy family, all run through `Exchange::run`. The modules sit
+// at the crate root only so that the tests keep their names
+// (`ring::tests::…`).
+#[cfg(test)]
+#[path = "schedule_tests/aggregator.rs"]
+mod aggregator;
+#[cfg(test)]
+#[path = "schedule_tests/ring.rs"]
+mod ring;
+#[cfg(test)]
+#[path = "schedule_tests/switch.rs"]
+mod switch;
+
 pub use exchange::Exchange;
 pub use fabric::{
     CodecSelection, Fabric, FabricBuilder, FabricError, FabricStats, FrameArena, FrameBody,
@@ -80,6 +94,4 @@ pub use fabric::{
 pub use faults::{FaultPlan, FaultStats, FaultyFabric, LinkFaults, RENEGOTIATE_AFTER};
 pub use membership::{MembershipEvent, MembershipSchedule};
 pub use pipeline::PipelineConfig;
-pub use ring::ring_allreduce;
-pub use switch::switch_allreduce;
 pub use trainer::{DistributedTrainer, ExchangeStrategy, TrainerConfig};

@@ -56,7 +56,6 @@ use inceptionn_netsim::Topology;
 
 use crate::fabric::{Fabric, FabricError, FrameArena, PayloadKind, SwitchAccum, WireFrame};
 use crate::faults::RENEGOTIATE_AFTER;
-use crate::ring::{apply_block, assert_uniform, block_range};
 
 /// How an exchange cuts legs into chunks and how many encoded frames it
 /// keeps in flight per leg.
@@ -152,6 +151,45 @@ pub(crate) struct PipelineScratch {
     /// Reduction accumulator (aggregator/switch sum, tree broadcast
     /// buffer).
     sum: Vec<f32>,
+}
+
+/// The element range of block `k` when a vector of `len` elements is
+/// partitioned into `n` near-equal blocks (Algorithm 1 line 8).
+///
+/// # Panics
+///
+/// Panics if `k >= n` or `n == 0`.
+pub fn block_range(len: usize, n: usize, k: usize) -> Range<usize> {
+    assert!(n > 0, "at least one block required");
+    assert!(k < n, "block index {k} out of {n}");
+    (k * len / n)..((k + 1) * len / n)
+}
+
+/// The common gradient length of a non-empty, uniform worker set.
+fn assert_uniform(workers: &[Vec<f32>]) -> usize {
+    assert!(!workers.is_empty(), "at least one worker required");
+    let len = workers[0].len();
+    assert!(
+        workers.iter().all(|w| w.len() == len),
+        "all workers must hold equally sized gradients"
+    );
+    len
+}
+
+/// Applies a received block: fold (reduce-scatter) or overwrite
+/// (all-gather). Element counts always match for well-formed frames;
+/// zipping (rather than `copy_from_slice`) keeps a malformed frame from
+/// aborting the process.
+fn apply_block(dst: &mut [f32], src: &[f32], fold: bool) {
+    if fold {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += *s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = *s;
+        }
+    }
 }
 
 /// Splits `range` into consecutive chunks of `chunk` elements; the last
@@ -737,27 +775,117 @@ pub(crate) fn switch_schedule(
     Ok(())
 }
 
+/// The executor's own tests, plus the helpers that the per-strategy
+/// schedule tests (`ring::tests`, `switch::tests`, `aggregator::tests`)
+/// share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::fabric::{FabricBuilder, TransportKind};
+    use crate::fabric::{CodecSelection, FabricBuilder, FabricStats, TransportKind};
     use crate::{Exchange, ExchangeStrategy};
     use inceptionn_compress::ErrorBound;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_grads(n: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
+    pub(crate) fn random_grads(n: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| (0..len).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
             .collect()
     }
 
-    fn build(kind: TransportKind, endpoints: usize, bound: Option<ErrorBound>) -> Box<dyn Fabric> {
+    pub(crate) fn direct_sum(inputs: &[Vec<f32>]) -> Vec<f32> {
+        let mut sum = vec![0.0f32; inputs[0].len()];
+        for w in inputs {
+            for (s, v) in sum.iter_mut().zip(w) {
+                *s += v;
+            }
+        }
+        sum
+    }
+
+    pub(crate) fn build(
+        kind: TransportKind,
+        endpoints: usize,
+        bound: Option<ErrorBound>,
+    ) -> Box<dyn Fabric> {
         FabricBuilder::new(endpoints)
             .transport(kind)
-            .compression(bound)
+            .codec(CodecSelection::from_bound(bound))
             .build()
+    }
+
+    /// One whole-block `strategy` exchange of `grads` over `fabric`,
+    /// worker `k` on endpoint `k`: the call every schedule test makes.
+    pub(crate) fn allreduce(
+        strategy: ExchangeStrategy,
+        fabric: &mut dyn Fabric,
+        grads: &mut [Vec<f32>],
+    ) {
+        Exchange::new(grads.len())
+            .run_all(strategy, fabric, grads)
+            .unwrap();
+    }
+
+    /// A real fabric whose first `remaining_failures` switch folds fail
+    /// recoverably after scribbling on the accumulator, and which logs
+    /// every degraded leg.
+    pub(crate) struct PoisonedSwitch {
+        pub(crate) inner: Box<dyn Fabric>,
+        pub(crate) remaining_failures: u32,
+        pub(crate) degraded: Vec<(usize, usize)>,
+    }
+    impl Fabric for PoisonedSwitch {
+        fn endpoints(&self) -> usize {
+            self.inner.endpoints()
+        }
+        fn encode_into(
+            &mut self,
+            src: usize,
+            values: &[f32],
+            kind: PayloadKind,
+            frame: &mut WireFrame,
+        ) {
+            self.inner.encode_into(src, values, kind, frame);
+        }
+        fn charge(&mut self, src: usize, dst: usize, frame: &WireFrame) {
+            self.inner.charge(src, dst, frame);
+        }
+        fn charge_to_switch(&mut self, endpoint: usize, frame: &WireFrame) {
+            self.inner.charge_to_switch(endpoint, frame);
+        }
+        fn charge_from_switch(&mut self, endpoint: usize, frame: &WireFrame) {
+            self.inner.charge_from_switch(endpoint, frame);
+        }
+        fn deliver(
+            &mut self,
+            dst: usize,
+            frame: &WireFrame,
+            sink: &mut dyn FnMut(&[f32]),
+        ) -> Result<(), FabricError> {
+            self.inner.deliver(dst, frame, sink)
+        }
+        fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
+            if self.remaining_failures > 0 {
+                self.remaining_failures -= 1;
+                // Scribble on the accumulator to prove the restart
+                // really zeroes partial state.
+                acc.fill(1e9);
+                return Err(FabricError::Decode(inceptionn_compress::DecodeError {
+                    at_value: 0,
+                    bit_offset: 0,
+                    tag: None,
+                }));
+            }
+            self.inner.switch_fold(acc, frame)
+        }
+        fn stats(&self) -> FabricStats {
+            self.inner.stats()
+        }
+        fn note_degraded(&mut self, src: usize, dst: usize) {
+            self.degraded.push((src, dst));
+            self.inner.note_degraded(src, dst);
+        }
     }
 
     /// One ring all-reduce of `grads` over endpoints `0..n` under `cfg`.
@@ -905,23 +1033,16 @@ mod tests {
         // compressed. So the failed chunk's range must carry the exact
         // sum while the rest matches the clean compressed exchange.
         let grads = random_grads(3, 600, 47);
-        let mut exact = vec![0.0f32; 600];
-        for w in &grads {
-            for (s, v) in exact.iter_mut().zip(w) {
-                *s += v;
-            }
-        }
+        let exact = direct_sum(&grads);
         let mut compressed = grads.clone();
         let mut clean = build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10)));
-        Exchange::new(3)
-            .run_all(
-                ExchangeStrategy::SwitchReduce,
-                clean.as_mut(),
-                &mut compressed,
-            )
-            .unwrap();
+        allreduce(
+            ExchangeStrategy::SwitchReduce,
+            clean.as_mut(),
+            &mut compressed,
+        );
 
-        let mut fabric = crate::switch::tests::PoisonedSwitch {
+        let mut fabric = PoisonedSwitch {
             inner: build(TransportKind::Nic, 3, Some(ErrorBound::pow2(10))),
             remaining_failures: 1,
             degraded: Vec::new(),

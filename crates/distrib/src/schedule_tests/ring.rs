@@ -1,138 +1,36 @@
-//! Algorithm 1's block partition and fold kernel.
-//!
-//! The ring schedule — which block moves to which neighbor at which
-//! step — lives with the other schedules in the chunked executor
-//! ([`crate::pipeline`]) and is reached through
-//! [`Exchange::run`](crate::Exchange::run), the only way to run an
-//! exchange. This module keeps what every schedule there shares (the
-//! block partition and the fold/overwrite kernel) and the in-process
-//! [`ring_allreduce`] convenience.
-
-use crate::exchange::Exchange;
-use crate::fabric::{CodecSelection, FabricBuilder};
-use crate::trainer::ExchangeStrategy;
-
-/// The element range of block `k` when a vector of `len` elements is
-/// partitioned into `n` near-equal blocks (Algorithm 1 line 8).
-///
-/// # Panics
-///
-/// Panics if `k >= n` or `n == 0`.
-pub fn block_range(len: usize, n: usize, k: usize) -> std::ops::Range<usize> {
-    assert!(n > 0, "at least one block required");
-    assert!(k < n, "block index {k} out of {n}");
-    (k * len / n)..((k + 1) * len / n)
-}
-
-/// The common gradient length of a non-empty, uniform worker set.
-pub(crate) fn assert_uniform(workers: &[Vec<f32>]) -> usize {
-    assert!(!workers.is_empty(), "at least one worker required");
-    let len = workers[0].len();
-    assert!(
-        workers.iter().all(|w| w.len() == len),
-        "all workers must hold equally sized gradients"
-    );
-    len
-}
-
-/// Applies a received block: fold (reduce-scatter) or overwrite
-/// (all-gather). Element counts always match for well-formed frames;
-/// zipping (rather than `copy_from_slice`) keeps a malformed frame from
-/// aborting the process.
-pub(crate) fn apply_block(dst: &mut [f32], src: &[f32], fold: bool) {
-    if fold {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += *s;
-        }
-    } else {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = *s;
-        }
-    }
-}
-
-/// In-place ring all-reduce with the compression round trip applied in
-/// process (the historical convenience, preserved for bit-exact
-/// baselines): [`ExchangeStrategy::Ring`] through
-/// [`Exchange::run`](crate::Exchange::run) on the in-process transport
-/// with the selected codec, worker `i` on endpoint `i`.
-///
-/// # Panics
-///
-/// Panics if the worker vectors have differing lengths or `workers` is
-/// empty.
-pub fn ring_allreduce(workers: &mut [Vec<f32>], codec: CodecSelection) {
-    let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
-    Exchange::new(workers.len())
-        .run_all(ExchangeStrategy::Ring, fabric.as_mut(), workers)
-        .expect("in-process delivery is infallible: the fabric sees only its own frames");
-}
+//! Whole-exchange tests of the ring of Algorithm 1 and its grouped
+//! compositions (`Ring`, `HierarchicalRing`, `Tree`), whose schedule
+//! bodies are `pipeline::ring_schedule` and `pipeline::tree_schedule`.
+//! Every test runs through `Exchange::run`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fabric::{
-        Fabric, FabricError, FrameBody, InProcessFabric, PayloadKind, TransportKind, WireFrame,
+        CodecSelection, Fabric, FabricBuilder, FabricError, FabricStats, FrameBody,
+        InProcessFabric, PayloadKind, TransportKind, WireFrame,
     };
     use crate::faults::FaultPlan;
+    use crate::pipeline::block_range;
+    use crate::pipeline::tests::{allreduce, build, direct_sum, random_grads};
+    use crate::Exchange;
+    use crate::ExchangeStrategy::{HierarchicalRing, Ring, Tree};
     use inceptionn_compress::{ErrorBound, InceptionnCodec};
     use inceptionn_netsim::Topology;
     use inceptionn_nicsim::{decode_raw_flat, encode_raw_flat, FlatPayload};
     use obs::Recorder;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn direct_sum(inputs: &[Vec<f32>]) -> Vec<f32> {
-        let mut sum = vec![0.0f32; inputs[0].len()];
-        for w in inputs {
-            for (s, v) in sum.iter_mut().zip(w) {
-                *s += v;
-            }
-        }
-        sum
-    }
-
-    fn random_grads(n: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| (0..len).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
-            .collect()
-    }
-
-    fn ring_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
-        Exchange::new(grads.len())
-            .run_all(ExchangeStrategy::Ring, fabric, grads)
-            .unwrap();
-    }
-
-    fn hierarchical_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>], group_size: usize) {
-        Exchange::new(grads.len())
-            .run_all(
-                ExchangeStrategy::HierarchicalRing { group_size },
-                fabric,
-                grads,
-            )
-            .unwrap();
-    }
 
     /// `grads[k]` belongs to topology leaf `topo.workers()[k]`.
     fn tree_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>], topo: &Topology) {
         Exchange::new(grads.len())
             .with_topology(topo.clone())
-            .run(ExchangeStrategy::Tree, fabric, grads, &topo.workers())
+            .run(Tree, fabric, grads, &topo.workers())
             .unwrap();
     }
 
-    fn build(
-        kind: TransportKind,
-        endpoints: usize,
-        compression: Option<ErrorBound>,
-    ) -> Box<dyn Fabric> {
-        FabricBuilder::new(endpoints)
-            .transport(kind)
-            .compression(compression)
-            .build()
+    /// A fresh in-process fabric over `workers` endpoints with `codec`.
+    fn in_process(workers: usize, codec: CodecSelection) -> Box<dyn Fabric> {
+        FabricBuilder::new(workers).codec(codec).build()
     }
 
     #[test]
@@ -141,7 +39,11 @@ mod tests {
             for len in [1usize, 7, 8, 64, 101] {
                 let mut grads = random_grads(n, len, (n * 1000 + len) as u64);
                 let want = direct_sum(&grads);
-                ring_allreduce(&mut grads, CodecSelection::None);
+                allreduce(
+                    Ring,
+                    in_process(grads.len(), CodecSelection::None).as_mut(),
+                    &mut grads,
+                );
                 for (i, g) in grads.iter().enumerate() {
                     for (a, b) in g.iter().zip(&want) {
                         assert!(
@@ -157,7 +59,11 @@ mod tests {
     #[test]
     fn replicas_are_bit_identical_without_compression() {
         let mut grads = random_grads(4, 1000, 42);
-        ring_allreduce(&mut grads, CodecSelection::None);
+        allreduce(
+            Ring,
+            in_process(grads.len(), CodecSelection::None).as_mut(),
+            &mut grads,
+        );
         for w in 1..4 {
             assert_eq!(grads[0], grads[w], "worker {w} diverged");
         }
@@ -169,7 +75,11 @@ mod tests {
         // the sum is 10 in every element — and intermediate blocks are
         // easy to misroute, which would break the total.
         let mut grads: Vec<Vec<f32>> = (0..4).map(|i| vec![(i + 1) as f32; 8]).collect();
-        ring_allreduce(&mut grads, CodecSelection::None);
+        allreduce(
+            Ring,
+            in_process(grads.len(), CodecSelection::None).as_mut(),
+            &mut grads,
+        );
         for g in &grads {
             assert_eq!(g, &vec![10.0f32; 8]);
         }
@@ -180,7 +90,11 @@ mod tests {
         let n = 4;
         let mut grads = random_grads(n, 512, 7);
         let want = direct_sum(&grads);
-        ring_allreduce(&mut grads, CodecSelection::Scalar(ErrorBound::pow2(10)));
+        allreduce(
+            Ring,
+            in_process(grads.len(), CodecSelection::Scalar(ErrorBound::pow2(10))).as_mut(),
+            &mut grads,
+        );
         // Each element passes through at most 2(n-1) quantizations, each
         // within eb, so the aggregate error is bounded by ~2n·eb.
         let eb = ErrorBound::pow2(10).value();
@@ -195,7 +109,11 @@ mod tests {
     #[test]
     fn compressed_replica_divergence_is_bounded() {
         let mut grads = random_grads(4, 600, 13);
-        ring_allreduce(&mut grads, CodecSelection::Scalar(ErrorBound::pow2(8)));
+        allreduce(
+            Ring,
+            in_process(grads.len(), CodecSelection::Scalar(ErrorBound::pow2(8))).as_mut(),
+            &mut grads,
+        );
         let eb = ErrorBound::pow2(8).value();
         for w in 1..4 {
             for (a, b) in grads[0].iter().zip(&grads[w]) {
@@ -211,7 +129,7 @@ mod tests {
         // produce the exact floats of the production fast-path fabrics.
         struct ScalarFabric {
             codec: InceptionnCodec,
-            stats: crate::fabric::FabricStats,
+            stats: FabricStats,
         }
         impl Fabric for ScalarFabric {
             fn endpoints(&self) -> usize {
@@ -242,7 +160,7 @@ mod tests {
                 sink(&values);
                 Ok(())
             }
-            fn stats(&self) -> crate::fabric::FabricStats {
+            fn stats(&self) -> FabricStats {
                 self.stats
             }
         }
@@ -251,13 +169,13 @@ mod tests {
         let mut reference = grads.clone();
         let mut scalar = ScalarFabric {
             codec: InceptionnCodec::new(bound),
-            stats: crate::fabric::FabricStats::default(),
+            stats: FabricStats::default(),
         };
-        ring_over(&mut scalar, &mut reference);
+        allreduce(Ring, &mut scalar, &mut reference);
         for kind in TransportKind::ALL {
             let mut fast = grads.clone();
             let mut fabric = build(kind, 4, Some(bound));
-            ring_over(fabric.as_mut(), &mut fast);
+            allreduce(Ring, fabric.as_mut(), &mut fast);
             assert_eq!(reference, fast, "{kind:?} diverged from the scalar codec");
         }
     }
@@ -271,10 +189,10 @@ mod tests {
             let grads = random_grads(4, 777, 31);
             let mut in_proc = grads.clone();
             let mut fabric = build(TransportKind::InProcess, 4, bound);
-            ring_over(fabric.as_mut(), &mut in_proc);
+            allreduce(Ring, fabric.as_mut(), &mut in_proc);
             let mut over_nic = grads.clone();
             let mut fabric = build(TransportKind::Nic, 4, bound);
-            ring_over(fabric.as_mut(), &mut over_nic);
+            allreduce(Ring, fabric.as_mut(), &mut over_nic);
             assert_eq!(in_proc, over_nic, "bound {bound:?}");
             assert!(
                 bound.is_none() || fabric.stats().engine_cycles > 0,
@@ -288,7 +206,7 @@ mod tests {
         let n = 5;
         let mut grads = random_grads(n, 500, 77);
         let mut fabric = build(TransportKind::Nic, n, Some(ErrorBound::pow2(10)));
-        ring_over(fabric.as_mut(), &mut grads);
+        allreduce(Ring, fabric.as_mut(), &mut grads);
         // 2(n-1) steps, n transfers each.
         assert_eq!(fabric.stats().transfers, (2 * (n - 1) * n) as u64);
         assert!(fabric.stats().wire_ratio() > 1.0);
@@ -301,12 +219,16 @@ mod tests {
         // clean run, replicas included.
         let mut clean = random_grads(4, 800, 78);
         let mut faulty = clean.clone();
-        ring_allreduce(&mut clean, CodecSelection::None);
+        allreduce(
+            Ring,
+            in_process(clean.len(), CodecSelection::None).as_mut(),
+            &mut clean,
+        );
         let mut fabric = FabricBuilder::new(4)
             .transport(TransportKind::Nic)
             .faults(FaultPlan::new(42).drop_prob(0.05).corrupt_prob(0.02))
             .build();
-        ring_over(fabric.as_mut(), &mut faulty);
+        allreduce(Ring, fabric.as_mut(), &mut faulty);
         assert_eq!(clean, faulty, "recovered exchange must be bit-exact");
         assert!(
             fabric.fault_stats().retransmits > 0,
@@ -324,10 +246,10 @@ mod tests {
         let want = direct_sum(&grads);
         let mut fabric = FabricBuilder::new(4)
             .transport(TransportKind::Nic)
-            .compression(Some(ErrorBound::pow2(10)))
+            .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
             .faults(FaultPlan::new(7).poison_prob(1.0))
             .build();
-        ring_over(fabric.as_mut(), &mut grads);
+        allreduce(Ring, fabric.as_mut(), &mut grads);
         for g in &grads {
             for (a, b) in g.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-4, "{a} vs {b}");
@@ -379,7 +301,7 @@ mod tests {
                 }
                 self.inner.deliver(dst, frame, sink)
             }
-            fn stats(&self) -> crate::fabric::FabricStats {
+            fn stats(&self) -> FabricStats {
                 self.inner.stats()
             }
         }
@@ -389,7 +311,7 @@ mod tests {
         };
         let mut grads = random_grads(4, 64, 99);
         let err = Exchange::new(4)
-            .run_all(ExchangeStrategy::Ring, &mut fabric, &mut grads)
+            .run_all(Ring, &mut fabric, &mut grads)
             .expect_err("failing fabric must surface its error");
         assert!(matches!(err, FabricError::FrameMismatch { .. }), "{err}");
         assert_eq!(fabric.deliveries, 4, "no retry after a fatal error");
@@ -400,10 +322,10 @@ mod tests {
         for (n, g) in [(4usize, 2usize), (6, 3), (8, 4), (8, 2), (4, 4)] {
             let mut grads = random_grads(n, 64, (n * 10 + g) as u64);
             let want = direct_sum(&grads);
-            hierarchical_over(
+            allreduce(
+                HierarchicalRing { group_size: g },
                 build(TransportKind::InProcess, n, None).as_mut(),
                 &mut grads,
-                g,
             );
             for w in &grads {
                 for (a, b) in w.iter().zip(&want) {
@@ -417,14 +339,18 @@ mod tests {
     fn hierarchical_over_nic_fabric_matches_in_process() {
         let grads = random_grads(6, 300, 91);
         let mut in_proc = grads.clone();
-        hierarchical_over(
+        allreduce(
+            HierarchicalRing { group_size: 3 },
             build(TransportKind::InProcess, 6, None).as_mut(),
             &mut in_proc,
-            3,
         );
         let mut over_nic = grads.clone();
         let mut fabric = build(TransportKind::Nic, 6, None);
-        hierarchical_over(fabric.as_mut(), &mut over_nic, 3);
+        allreduce(
+            HierarchicalRing { group_size: 3 },
+            fabric.as_mut(),
+            &mut over_nic,
+        );
         assert_eq!(in_proc, over_nic);
     }
 
@@ -436,7 +362,11 @@ mod tests {
         // over 2 groups: 2(2−1)·2; broadcast: one hop per non-leader.
         let mut grads = random_grads(6, 300, 92);
         let mut fabric = build(TransportKind::Nic, 6, Some(ErrorBound::pow2(10)));
-        hierarchical_over(fabric.as_mut(), &mut grads, 3);
+        allreduce(
+            HierarchicalRing { group_size: 3 },
+            fabric.as_mut(),
+            &mut grads,
+        );
         let expected = (2 * 12 + 4 + 2 * 2) as u64;
         assert_eq!(fabric.stats().transfers, expected);
     }
@@ -451,7 +381,11 @@ mod tests {
         for kind in TransportKind::ALL {
             let mut workers = grads.clone();
             let mut fabric = build(kind, 6, bound);
-            hierarchical_over(fabric.as_mut(), &mut workers, 3);
+            allreduce(
+                HierarchicalRing { group_size: 3 },
+                fabric.as_mut(),
+                &mut workers,
+            );
             for g in 0..2 {
                 for m in 1..3 {
                     assert_eq!(
@@ -533,7 +467,11 @@ mod tests {
         let grads = random_grads(6, 300, 96);
         let mut via_wrapper = grads.clone();
         let mut a = build(TransportKind::Nic, 6, Some(ErrorBound::pow2(10)));
-        hierarchical_over(a.as_mut(), &mut via_wrapper, 3);
+        allreduce(
+            HierarchicalRing { group_size: 3 },
+            a.as_mut(),
+            &mut via_wrapper,
+        );
         let mut via_tree = grads.clone();
         let mut b = build(TransportKind::Nic, 6, Some(ErrorBound::pow2(10)));
         tree_over(b.as_mut(), &mut via_tree, &Topology::two_tier(2, 3));
@@ -570,7 +508,11 @@ mod tests {
     #[test]
     fn single_worker_is_identity() {
         let mut grads = vec![vec![1.0f32, 2.0, 3.0]];
-        ring_allreduce(&mut grads, CodecSelection::None);
+        allreduce(
+            Ring,
+            in_process(grads.len(), CodecSelection::None).as_mut(),
+            &mut grads,
+        );
         assert_eq!(grads[0], vec![1.0, 2.0, 3.0]);
     }
 
@@ -591,7 +533,11 @@ mod tests {
     #[should_panic(expected = "equally sized")]
     fn rejects_ragged_inputs() {
         let mut grads = vec![vec![1.0f32], vec![1.0, 2.0]];
-        ring_allreduce(&mut grads, CodecSelection::None);
+        allreduce(
+            Ring,
+            in_process(grads.len(), CodecSelection::None).as_mut(),
+            &mut grads,
+        );
     }
 
     proptest! {
@@ -603,7 +549,7 @@ mod tests {
         ) {
             let mut grads = random_grads(n, len, seed);
             let want = direct_sum(&grads);
-            ring_allreduce(&mut grads, CodecSelection::None);
+            allreduce(Ring, in_process(grads.len(), CodecSelection::None).as_mut(), &mut grads);
             for g in &grads {
                 for (a, b) in g.iter().zip(&want) {
                     prop_assert!((a - b).abs() < 1e-4);

@@ -1,139 +1,18 @@
-//! Switch-resident in-network aggregation exchange.
-//!
-//! Instead of hauling every gradient to a host-side aggregator and back
-//! (the worker/aggregator pattern of Fig. 1(a)), each contribution climbs
-//! its uplink once and terminates at the switch's reduce unit, which
-//! folds packets in flight. The gather leg that would descend from the
-//! switch to an aggregator host never exists, halving the volume on the
-//! aggregator's link and removing the host fold from the critical path.
-//!
-//! The schedule is [`ExchangeStrategy::SwitchReduce`] in the chunked
-//! executor ([`crate::pipeline`]), reached through
-//! [`Exchange::run`](crate::Exchange::run). The fold order is the worker
-//! order, so the result is bit-identical to
-//! [`ExchangeStrategy::WorkerAggregator`] under the same fabric — pinned
-//! by tests here, which is what makes the mode a drop-in substitution
-//! rather than a numerically different algorithm.
-
-use crate::exchange::Exchange;
-use crate::fabric::{CodecSelection, FabricBuilder};
-use crate::trainer::ExchangeStrategy;
-
-/// Switch-resident all-reduce with the in-process shortcut: builds a
-/// fabric with one endpoint per worker (the switch itself holds no
-/// endpoint) and runs [`ExchangeStrategy::SwitchReduce`] with worker `k`
-/// on endpoint `k`.
-///
-/// # Panics
-///
-/// Panics if `workers` is empty or the gradients differ in length.
-pub fn switch_allreduce(workers: &mut [Vec<f32>], codec: CodecSelection) {
-    let mut fabric = FabricBuilder::new(workers.len()).codec(codec).build();
-    Exchange::new(workers.len())
-        .run_all(ExchangeStrategy::SwitchReduce, fabric.as_mut(), workers)
-        .expect("in-process delivery is infallible: the fabric sees only its own frames");
-}
+//! Whole-exchange tests of switch-resident in-network aggregation
+//! (`SwitchReduce`, schedule body `pipeline::switch_schedule`). Each
+//! contribution terminates at the switch's reduce unit, so the gather
+//! leg never exists; the fold order is the worker order, so the result
+//! is bit-identical to `WorkerAggregator` under the same fabric, which
+//! is what makes the mode a drop-in substitution. Every test runs
+//! through `Exchange::run`.
 
 #[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use crate::fabric::{Fabric, FabricError, FabricStats, PayloadKind, TransportKind, WireFrame};
+mod tests {
+    use crate::fabric::{CodecSelection, FabricBuilder, TransportKind};
+    use crate::pipeline::tests::{allreduce, build, random_grads, PoisonedSwitch};
+    use crate::ExchangeStrategy::{SwitchReduce, WorkerAggregator};
     use inceptionn_compress::ErrorBound;
     use inceptionn_netsim::NetworkConfig;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_grads(n: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| (0..len).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
-            .collect()
-    }
-
-    fn switch_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
-        Exchange::new(grads.len())
-            .run_all(ExchangeStrategy::SwitchReduce, fabric, grads)
-            .unwrap();
-    }
-
-    fn worker_aggregator_over(fabric: &mut dyn Fabric, grads: &mut [Vec<f32>]) {
-        Exchange::new(grads.len())
-            .run_all(ExchangeStrategy::WorkerAggregator, fabric, grads)
-            .unwrap();
-    }
-
-    fn build(
-        kind: TransportKind,
-        endpoints: usize,
-        compression: Option<ErrorBound>,
-    ) -> Box<dyn Fabric> {
-        FabricBuilder::new(endpoints)
-            .transport(kind)
-            .compression(compression)
-            .build()
-    }
-
-    /// A real fabric whose first `remaining_failures` switch folds fail
-    /// recoverably after scribbling on the accumulator, and which logs
-    /// every degraded leg. Shared with the chunked-restart test in
-    /// `pipeline::tests`.
-    pub(crate) struct PoisonedSwitch {
-        pub(crate) inner: Box<dyn Fabric>,
-        pub(crate) remaining_failures: u32,
-        pub(crate) degraded: Vec<(usize, usize)>,
-    }
-    impl Fabric for PoisonedSwitch {
-        fn endpoints(&self) -> usize {
-            self.inner.endpoints()
-        }
-        fn encode_into(
-            &mut self,
-            src: usize,
-            values: &[f32],
-            kind: PayloadKind,
-            frame: &mut WireFrame,
-        ) {
-            self.inner.encode_into(src, values, kind, frame);
-        }
-        fn charge(&mut self, src: usize, dst: usize, frame: &WireFrame) {
-            self.inner.charge(src, dst, frame);
-        }
-        fn charge_to_switch(&mut self, endpoint: usize, frame: &WireFrame) {
-            self.inner.charge_to_switch(endpoint, frame);
-        }
-        fn charge_from_switch(&mut self, endpoint: usize, frame: &WireFrame) {
-            self.inner.charge_from_switch(endpoint, frame);
-        }
-        fn deliver(
-            &mut self,
-            dst: usize,
-            frame: &WireFrame,
-            sink: &mut dyn FnMut(&[f32]),
-        ) -> Result<(), FabricError> {
-            self.inner.deliver(dst, frame, sink)
-        }
-        fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
-            if self.remaining_failures > 0 {
-                self.remaining_failures -= 1;
-                // Scribble on the accumulator to prove the restart
-                // really zeroes partial state.
-                acc.fill(1e9);
-                return Err(FabricError::Decode(inceptionn_compress::DecodeError {
-                    at_value: 0,
-                    bit_offset: 0,
-                    tag: None,
-                }));
-            }
-            self.inner.switch_fold(acc, frame)
-        }
-        fn stats(&self) -> FabricStats {
-            self.inner.stats()
-        }
-        fn note_degraded(&mut self, src: usize, dst: usize) {
-            self.degraded.push((src, dst));
-            self.inner.note_degraded(src, dst);
-        }
-    }
 
     #[test]
     fn switch_fold_matches_the_host_aggregator_bit_exactly() {
@@ -145,10 +24,10 @@ pub(crate) mod tests {
                 let grads = random_grads(5, 300, 31);
                 let mut host = grads.clone();
                 let mut wa = build(kind, 6, bound); // workers + aggregator
-                worker_aggregator_over(wa.as_mut(), &mut host);
+                allreduce(WorkerAggregator, wa.as_mut(), &mut host);
                 let mut net = grads.clone();
                 let mut sw = build(kind, 5, bound); // workers only
-                switch_over(sw.as_mut(), &mut net);
+                allreduce(SwitchReduce, sw.as_mut(), &mut net);
                 assert_eq!(host, net, "{kind:?} bound {bound:?}");
             }
         }
@@ -159,7 +38,7 @@ pub(crate) mod tests {
         let n = 4;
         let mut compressed = random_grads(n, 512, 32);
         let mut fabric = build(TransportKind::Nic, n, Some(ErrorBound::pow2(10)));
-        switch_over(fabric.as_mut(), &mut compressed);
+        allreduce(SwitchReduce, fabric.as_mut(), &mut compressed);
         let stats = fabric.stats();
         assert_eq!(
             stats.transfers,
@@ -169,7 +48,7 @@ pub(crate) mod tests {
 
         let mut plain = random_grads(n, 512, 32);
         let mut baseline = build(TransportKind::Nic, n, None);
-        switch_over(baseline.as_mut(), &mut plain);
+        allreduce(SwitchReduce, baseline.as_mut(), &mut plain);
         assert!(
             stats.wire_bytes < baseline.stats().wire_bytes,
             "compressed gather must shrink the exchange: {} vs {}",
@@ -191,14 +70,14 @@ pub(crate) mod tests {
             .transport(TransportKind::TimedNic)
             .network(net)
             .build();
-        worker_aggregator_over(wa.as_mut(), &mut host);
+        allreduce(WorkerAggregator, wa.as_mut(), &mut host);
 
         let mut net_side = grads.clone();
         let mut sw = FabricBuilder::new(4)
             .transport(TransportKind::TimedNic)
             .network(net)
             .build();
-        switch_over(sw.as_mut(), &mut net_side);
+        allreduce(SwitchReduce, sw.as_mut(), &mut net_side);
 
         assert_eq!(host, net_side);
         let (host_ns, switch_ns) = (wa.stats().link_latency_ns, sw.stats().link_latency_ns);
@@ -217,7 +96,11 @@ pub(crate) mod tests {
         let mut grads = random_grads(3, 64, 34);
         let want = {
             let mut exact = grads.clone();
-            switch_allreduce(&mut exact, CodecSelection::None);
+            allreduce(
+                SwitchReduce,
+                build(TransportKind::InProcess, exact.len(), None).as_mut(),
+                &mut exact,
+            );
             exact[0].clone()
         };
         let mut fabric = PoisonedSwitch {
@@ -225,7 +108,7 @@ pub(crate) mod tests {
             remaining_failures: 1,
             degraded: Vec::new(),
         };
-        switch_over(&mut fabric, &mut grads);
+        allreduce(SwitchReduce, &mut fabric, &mut grads);
         // The restart re-encodes every contribution Plain, so the result
         // is the exact sum even though the fabric compresses.
         for w in &grads {
@@ -237,7 +120,11 @@ pub(crate) mod tests {
     #[test]
     fn single_worker_round_trips_through_the_switch() {
         let mut grads = vec![vec![1.0f32, -2.0, 3.5]];
-        switch_allreduce(&mut grads, CodecSelection::None);
+        allreduce(
+            SwitchReduce,
+            build(TransportKind::InProcess, grads.len(), None).as_mut(),
+            &mut grads,
+        );
         assert_eq!(grads[0], vec![1.0, -2.0, 3.5]);
     }
 
@@ -273,7 +160,7 @@ pub(crate) mod tests {
                 .transport(kind)
                 .codec(CodecSelection::Sketch { frac_bits })
                 .build();
-            switch_over(fabric.as_mut(), &mut net);
+            allreduce(SwitchReduce, fabric.as_mut(), &mut net);
             for w in &net {
                 assert_eq!(w, &want, "{kind:?}: switch fold must equal the host merge");
             }
@@ -303,14 +190,14 @@ pub(crate) mod tests {
         let grads = random_grads(n, len, 36);
         let mut in_process = grads.clone();
         let mut ip = FabricBuilder::new(n).codec(codec).build();
-        switch_over(ip.as_mut(), &mut in_process);
+        allreduce(SwitchReduce, ip.as_mut(), &mut in_process);
 
         let mut over_nic = grads.clone();
         let mut nic = FabricBuilder::new(n)
             .transport(TransportKind::Nic)
             .codec(codec)
             .build();
-        switch_over(nic.as_mut(), &mut over_nic);
+        allreduce(SwitchReduce, nic.as_mut(), &mut over_nic);
         assert_eq!(
             in_process, over_nic,
             "sparse switch fold must be transport-invariant"
@@ -318,7 +205,7 @@ pub(crate) mod tests {
 
         let mut plain = grads.clone();
         let mut baseline = build(TransportKind::Nic, n, None);
-        switch_over(baseline.as_mut(), &mut plain);
+        allreduce(SwitchReduce, baseline.as_mut(), &mut plain);
         assert!(
             nic.stats().wire_bytes < baseline.stats().wire_bytes,
             "sparse gather must shrink the exchange: {} vs {}",

@@ -42,7 +42,7 @@ fn fabric_level_replay_is_bit_exact() {
         let endpoints: Vec<usize> = (0..5).collect();
         let mut fabric = FabricBuilder::new(5)
             .transport(TransportKind::Nic)
-            .compression(Some(ErrorBound::pow2(10)))
+            .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
             .faults(noisy_plan(77))
             .build();
         Exchange::new(5)

@@ -189,7 +189,7 @@ fn pipelined_ring_replays_fault_plans_bit_exactly() {
         let mut grads = random_grads(WORKERS, LEN, 0xfa57);
         let mut fabric = FabricBuilder::new(WORKERS)
             .transport(TransportKind::Nic)
-            .compression(Some(ErrorBound::pow2(10)))
+            .codec(CodecSelection::from_bound(Some(ErrorBound::pow2(10))))
             .faults(FaultPlan::new(91).drop_prob(0.05).corrupt_prob(0.02))
             .build();
         Exchange::new(WORKERS)

@@ -74,18 +74,6 @@ pub fn mini_cnn(seed: u64) -> Network {
     Network::new(layers)
 }
 
-/// A tiny two-layer MLP over the digit inputs (784 → 32 → 10), for
-/// tests that need digit-shaped data without HDC-scale cost.
-pub fn tiny_mlp_for_digits() -> Network {
-    let mut rng = StdRng::seed_from_u64(0xD161);
-    let layers: Vec<Box<dyn crate::layer::Layer>> = vec![
-        Box::new(Linear::new(&mut rng, DIGIT_FEATURES, 32)),
-        Box::new(Relu::new()),
-        Box::new(Linear::new(&mut rng, 32, DIGIT_CLASSES)),
-    ];
-    Network::new(layers)
-}
-
 /// A tiny two-layer MLP over 16 features and 2 classes, for unit tests.
 pub fn tiny_mlp(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -235,11 +235,6 @@ impl ModelProfile {
         self.id.name()
     }
 
-    /// Gradient element count (`weight_bytes / 4`).
-    pub fn gradient_elements(&self) -> u64 {
-        self.weight_bytes / 4
-    }
-
     /// Total local compute per iteration excluding any aggregation
     /// (forward + backward + copies + update), seconds.
     pub fn local_compute_seconds(&self) -> f64 {

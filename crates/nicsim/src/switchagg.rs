@@ -154,11 +154,6 @@ impl SwitchReducer {
         &self.acc
     }
 
-    /// Consumes the unit, returning the folded sum.
-    pub fn into_sum(self) -> Vec<f32> {
-        self.acc
-    }
-
     /// How many full contributions have been folded.
     pub fn contributions(&self) -> u32 {
         self.contributions

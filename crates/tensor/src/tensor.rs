@@ -103,11 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Extracts the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     ///
     /// # Panics
@@ -168,13 +163,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

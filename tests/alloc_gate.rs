@@ -28,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use inceptionn_compress::ErrorBound;
-use inceptionn_distrib::fabric::{FabricBuilder, TransportKind};
+use inceptionn_distrib::fabric::{CodecSelection, FabricBuilder, TransportKind};
 use inceptionn_distrib::{Exchange, ExchangeStrategy, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,7 +99,7 @@ fn assert_steady_state_allocates_nothing(
     let live: Vec<usize> = (0..n).collect();
     let mut fabric = FabricBuilder::new(n)
         .transport(transport)
-        .compression(bound)
+        .codec(CodecSelection::from_bound(bound))
         .build();
     let inputs = worker_grads(n, len, 0xA110C);
 

@@ -5,7 +5,6 @@
 use inceptionn::cluster::{compression_spec, measured_compression_ratio};
 use inceptionn::{ErrorBound, InceptionnCodec};
 use inceptionn_compress::gradmodel::{GradientModel, GradientPreset};
-use inceptionn_distrib::ring::ring_allreduce;
 use inceptionn_distrib::{
     CodecSelection, Exchange, ExchangeStrategy, FabricBuilder, TransportKind,
 };
@@ -71,21 +70,24 @@ fn nic_ring_carries_the_hardware_wire_format_correctly() {
         let inputs: Vec<Vec<f32>> = (0..4)
             .map(|w| sample(GradientPreset::ResNet50, 400, 100 + w))
             .collect();
+        let ring_over = |transport: TransportKind, grads: &mut [Vec<f32>]| {
+            let mut fabric = FabricBuilder::new(4)
+                .transport(transport)
+                .codec(codec)
+                .build();
+            Exchange::new(4)
+                .run(
+                    ExchangeStrategy::Ring,
+                    fabric.as_mut(),
+                    grads,
+                    &[0, 1, 2, 3],
+                )
+                .unwrap();
+        };
         let mut in_proc = inputs.clone();
-        ring_allreduce(&mut in_proc, codec);
+        ring_over(TransportKind::InProcess, &mut in_proc);
         let mut over_nic = inputs;
-        let mut fabric = FabricBuilder::new(4)
-            .transport(TransportKind::Nic)
-            .codec(codec)
-            .build();
-        Exchange::new(4)
-            .run(
-                ExchangeStrategy::Ring,
-                fabric.as_mut(),
-                &mut over_nic,
-                &[0, 1, 2, 3],
-            )
-            .unwrap();
+        ring_over(TransportKind::Nic, &mut over_nic);
         assert_eq!(in_proc, over_nic, "bound 2^-{e}");
     }
 }

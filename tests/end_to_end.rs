@@ -123,7 +123,10 @@ fn hierarchical_grouping_matches_flat_ring() {
     let mut flat = make_grads();
     ctx.allreduce(&mut flat);
     let mut grouped = make_grads();
-    ctx.allreduce_hierarchical(&mut grouped, 4);
+    ctx.allreduce_with(
+        ExchangeStrategy::HierarchicalRing { group_size: 4 },
+        &mut grouped,
+    );
     for (a, b) in flat[0].iter().zip(&grouped[0]) {
         assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }

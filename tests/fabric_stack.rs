@@ -8,7 +8,7 @@ use inceptionn_compress::{ErrorBound, InceptionnCodec};
 use inceptionn_distrib::fabric::{
     CodecSelection, Fabric, FabricBuilder, FrameBody, PayloadKind, TransportKind,
 };
-use inceptionn_distrib::ring::{block_range, ring_allreduce};
+use inceptionn_distrib::pipeline::block_range;
 use inceptionn_distrib::{Exchange, ExchangeStrategy, FaultPlan, PipelineConfig};
 use inceptionn_netsim::NetworkConfig;
 use inceptionn_nicsim::engine::{CompressionEngine, DecompressionEngine, PIPELINE_DEPTH};
@@ -30,7 +30,7 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
 /// The ring exchange exactly as it existed before the `Fabric` refactor
 /// (Algorithm 1, simultaneous-step semantics), kept verbatim as the
 /// regression oracle.
-fn reference_ring_allreduce(workers: &mut [Vec<f32>], codec: Option<&InceptionnCodec>) {
+fn reference_ring(workers: &mut [Vec<f32>], codec: Option<&InceptionnCodec>) {
     let maybe_quantize = |block: &[f32]| match codec {
         None => block.to_vec(),
         Some(c) => c.quantize(block),
@@ -106,13 +106,14 @@ fn fabric_ring_is_bit_exact_with_the_pre_refactor_reference() {
             let codec = bound.map(InceptionnCodec::new);
             let inputs = worker_grads(n, len, 1000 + n as u64 + len as u64);
             let mut want = inputs.clone();
-            reference_ring_allreduce(&mut want, codec.as_ref());
+            reference_ring(&mut want, codec.as_ref());
             let mut got = inputs;
             let selection = match bound {
                 None => CodecSelection::None,
                 Some(b) => CodecSelection::Scalar(b),
             };
-            ring_allreduce(&mut got, selection);
+            let mut fabric = FabricBuilder::new(n).codec(selection).build();
+            ring_over(fabric.as_mut(), &mut got);
             assert_eq!(got, want, "n={n} len={len} bound={bound:?} diverged");
         }
     }
@@ -138,7 +139,7 @@ fn gather_strategies_equal_the_ordered_quantized_sum_on_every_transport() {
                     for chunk in [None, Some(97)] {
                         let mut fabric = FabricBuilder::new(endpoints)
                             .transport(kind)
-                            .compression(bound)
+                            .codec(CodecSelection::from_bound(bound))
                             .build();
                         let mut exchange = Exchange::new(n);
                         if let Some(chunk) = chunk {
@@ -173,7 +174,7 @@ fn nic_wire_bytes_are_engine_output_not_a_quantize_shortcut() {
     let vals = gradients(1000, 42); // 2 full packets + 1 ragged tail
     let mut fabric = FabricBuilder::new(2)
         .transport(TransportKind::Nic)
-        .compression(Some(bound))
+        .codec(CodecSelection::from_bound(Some(bound)))
         .build();
     let frame = fabric.encode(0, &vals, PayloadKind::Gradient);
     let FrameBody::Flat(payload) = frame.body() else {
@@ -282,7 +283,7 @@ fn timed_nic_ring_matches_the_analytic_engine_and_network_models() {
     // applied to ratio-shrunk payloads within 5%.
     let mut fabric = FabricBuilder::new(n)
         .transport(TransportKind::TimedNic)
-        .compression(Some(bound))
+        .codec(CodecSelection::from_bound(Some(bound)))
         .network(net)
         .build();
     let mut grads = worker_grads(n, len, 7);
@@ -336,14 +337,14 @@ fn zero_fault_decorator_is_bit_invisible() {
         let mut plain = inputs.clone();
         let mut bare = FabricBuilder::new(4)
             .transport(TransportKind::TimedNic)
-            .compression(bound)
+            .codec(CodecSelection::from_bound(bound))
             .build();
         ring_over(bare.as_mut(), &mut plain);
 
         let mut decorated = inputs;
         let mut faulty = FabricBuilder::new(4)
             .transport(TransportKind::TimedNic)
-            .compression(bound)
+            .codec(CodecSelection::from_bound(bound))
             .faults(FaultPlan::new(99))
             .build();
         ring_over(faulty.as_mut(), &mut decorated);
