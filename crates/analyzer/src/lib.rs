@@ -79,10 +79,7 @@ pub fn run_lint(repo_root: &Path) -> CheckOutcome {
 /// pipe through `dot -Tsvg` to render.
 pub fn run_callgraph(repo_root: &Path) -> Result<String, String> {
     let sources = rules::load_workspace_sources(repo_root)?;
-    let ctxs: Vec<rules::FileCtx> = sources
-        .iter()
-        .map(|(path, text)| rules::FileCtx::new(path, text))
-        .collect();
+    let ctxs = rules::workspace_ctxs(&sources);
     let graph = callgraph::CallGraph::build(&ctxs);
     Ok(callgraph::hot_subgraph_dot(&graph))
 }

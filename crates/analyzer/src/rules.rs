@@ -991,15 +991,64 @@ pub fn load_workspace_sources(repo_root: &Path) -> Result<Vec<(String, String)>,
     Ok(sources)
 }
 
-/// Lints the whole workspace tree rooted at `repo_root`, applying the
-/// allowlist at `crates/analyzer/allowlist.txt` (missing file = empty
-/// list). Returns surviving diagnostics, deterministically ordered.
-pub fn lint_tree(repo_root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let sources = load_workspace_sources(repo_root)?;
-    let ctxs: Vec<FileCtx> = sources
+/// Tokenizes every `(repo-relative path, text)` source. A file declared
+/// by a `#[cfg(test)] mod name;` item, with or without `#[path]`, is
+/// compiled only under test, so all of it counts as test code whether
+/// or not it repeats `#[cfg(test)]` inside.
+pub(crate) fn workspace_ctxs(sources: &[(String, String)]) -> Vec<FileCtx<'_>> {
+    let mut ctxs: Vec<FileCtx> = sources
         .iter()
         .map(|(rel, text)| FileCtx::new(rel, text))
         .collect();
+    let test_files: Vec<String> = ctxs.iter().flat_map(test_module_files).collect();
+    for ctx in &mut ctxs {
+        if test_files.iter().any(|f| f == ctx.path) {
+            ctx.test_ranges = vec![(0, ctx.src.len())];
+        }
+    }
+    ctxs
+}
+
+/// The candidate paths of the files that `ctx`'s out-of-line
+/// `#[cfg(test)] mod` items declare: `#[path]` resolves against the
+/// declaring file's directory; otherwise `name.rs` or `name/mod.rs`
+/// sits beside a `lib.rs`/`main.rs`/`mod.rs` and under `stem/` of any
+/// other file.
+fn test_module_files(ctx: &FileCtx) -> Vec<String> {
+    let (dir, file) = ctx.path.rsplit_once('/').unwrap_or(("", ctx.path));
+    let mut out = Vec::new();
+    for &(start, end) in &ctx.test_ranges {
+        let item: Vec<usize> = (0..ctx.code.len())
+            .filter(|&i| (start..end).contains(&ctx.ct(i).start))
+            .collect();
+        let [.., kw, name, semi] = item[..] else {
+            continue;
+        };
+        if !ctx.is_ident(kw, "mod") || !ctx.is_punct(semi, b';') {
+            continue;
+        }
+        let path_attr = item.windows(3).find_map(|w| {
+            (ctx.is_ident(w[0], "path")
+                && ctx.is_punct(w[1], b'=')
+                && ctx.ct(w[2]).kind == TokenKind::Str)
+                .then(|| ctx.text(w[2]).trim_matches('"'))
+        });
+        let name = ctx.text(name);
+        let base = match file {
+            "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+            other => format!("{dir}/{}", other.trim_end_matches(".rs")),
+        };
+        match path_attr {
+            Some(p) => out.push(format!("{dir}/{p}")),
+            None => out.extend([format!("{base}/{name}.rs"), format!("{base}/{name}/mod.rs")]),
+        }
+    }
+    out
+}
+
+/// Runs every rule over in-memory sources, before the allowlist.
+fn lint_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
+    let ctxs = workspace_ctxs(sources);
     // Kernel index is global: calls in one file may target another's
     // kernels (module-qualified), so dispatch checking sees them all.
     let kernels: Vec<KernelFn> = ctxs.iter().flat_map(collect_kernels).collect();
@@ -1017,6 +1066,14 @@ pub fn lint_tree(repo_root: &Path) -> Result<Vec<Diagnostic>, String> {
     // in one crate taint callees in another.
     let graph = crate::callgraph::CallGraph::build(&ctxs);
     crate::callgraph::rule_hot_reachability(&graph, &mut raw);
+    raw
+}
+
+/// Lints the whole workspace tree rooted at `repo_root`, applying the
+/// allowlist at `crates/analyzer/allowlist.txt` (missing file = empty
+/// list). Returns surviving diagnostics, deterministically ordered.
+pub fn lint_tree(repo_root: &Path) -> Result<Vec<Diagnostic>, String> {
+    let raw = lint_sources(&load_workspace_sources(repo_root)?);
     let allow_path = repo_root.join("crates/analyzer/allowlist.txt");
     let allow = if allow_path.exists() {
         let text =
@@ -1364,6 +1421,36 @@ mod tests {
     fn shim_use_in_test_module_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    use rand::Rng;\n}\n";
         assert!(lint_source("crates/distrib/src/pipeline.rs", src).is_empty());
+    }
+
+    #[test]
+    fn files_declared_by_cfg_test_mod_items_are_test_code() {
+        // A test-only file with no `#[cfg(test)]` of its own: a shim
+        // import, and an allocation and a panic under a hot-root name.
+        let body = "use proptest::prelude::*;\n\
+                    fn decode_into(x: Option<u8>) -> Vec<u8> { let mut v = Vec::new(); v.push(x.unwrap()); v }\n";
+        let tree = |lib: &str, file: &str| {
+            lint_sources(&[
+                ("crates/distrib/src/lib.rs".to_string(), lib.to_string()),
+                (file.to_string(), body.to_string()),
+            ])
+        };
+        let with_path = "#[cfg(test)]\n#[path = \"schedule_tests/ring.rs\"]\nmod ring;\n";
+        assert!(tree(with_path, "crates/distrib/src/schedule_tests/ring.rs").is_empty());
+        let plain = "#[cfg(test)]\nmod ring;\n";
+        assert!(tree(plain, "crates/distrib/src/ring.rs").is_empty());
+        assert!(tree(plain, "crates/distrib/src/ring/mod.rs").is_empty());
+        // Declared without `#[cfg(test)]`, the same file is library code.
+        let fired_rules = fired(&tree("mod ring;\n", "crates/distrib/src/ring.rs"));
+        assert!(fired_rules.contains(&"shim-facade"), "{fired_rules:?}");
+        assert!(
+            fired_rules.contains(&"no-panic-hot-path"),
+            "{fired_rules:?}"
+        );
+        assert!(
+            fired_rules.contains(&"no-alloc-hot-path"),
+            "{fired_rules:?}"
+        );
     }
 
     // -- allowlist ratchet ---------------------------------------------

@@ -105,9 +105,12 @@ fn run_cluster(smoke: bool) -> Vec<TenantReport> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    banner(
-        "multi-tenant cluster soak",
-        if smoke { "smoke" } else { "full" },
+    print!(
+        "{}",
+        banner(
+            "multi-tenant cluster soak",
+            if smoke { "smoke" } else { "full" },
+        )
     );
     let specs = jobs(smoke);
     println!(

@@ -95,7 +95,10 @@ fn json_escape_free(name: &str) -> &str {
 }
 
 fn main() {
-    banner("codec fast-path throughput", "Sec. V / software datapath");
+    print!(
+        "{}",
+        banner("codec fast-path throughput", "Sec. V / software datapath")
+    );
     let fidelity = fidelity_from_env();
     let n = fidelity.scale(16 * 1024 * 1024, 256 * 1024);
     let out_path = std::env::args()

@@ -117,9 +117,12 @@ fn main() {
         fidelity_from_env()
     };
 
-    banner(
-        "end-to-end exchange throughput",
-        "pipelined zero-copy hot path",
+    print!(
+        "{}",
+        banner(
+            "end-to-end exchange throughput",
+            "pipelined zero-copy hot path",
+        )
     );
     let len = fidelity.scale(4 * 1024 * 1024, 64 * 1024);
     let cfg = PipelineConfig::default();

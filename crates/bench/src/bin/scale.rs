@@ -45,7 +45,10 @@ fn get(pts: &[ToposcalePoint], mode: ScaleMode, nodes: usize, compressed: bool) 
 }
 
 fn main() {
-    banner("4→1024 topology-tree scaling", "Fig. 12/15 extension");
+    print!(
+        "{}",
+        banner("4→1024 topology-tree scaling", "Fig. 12/15 extension")
+    );
     let fidelity = fidelity_from_env();
     let (bytes, max_nodes) = match fidelity {
         Fidelity::Full => (1_000_000u64, 1024),

@@ -230,7 +230,10 @@ fn aggregator_crash_phase(soak: &mut Soak, data: &DigitDataset, iters: usize, cr
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    banner("fault-injection soak", if smoke { "smoke" } else { "full" });
+    print!(
+        "{}",
+        banner("fault-injection soak", if smoke { "smoke" } else { "full" })
+    );
     let (recovery_iters, crash_iters, crash_at) = if smoke { (8, 8, 3) } else { (40, 30, 5) };
     let data = DigitDataset::generate(160, 2024);
     let mut soak = Soak {

@@ -1,7 +1,5 @@
-//! Shared plumbing for the experiment binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper; this library holds the bits they share.
+//! Shared plumbing for `repro`, which prints the artifact registry of
+//! `inceptionn::experiments::artifacts`, and the perf and soak binaries.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
@@ -18,11 +16,10 @@ pub fn fidelity_from_env() -> Fidelity {
     }
 }
 
-/// Prints the standard experiment banner.
-pub fn banner(artifact: &str, paper_section: &str) {
-    println!("================================================================");
-    println!("INCEPTIONN reproduction — {artifact} ({paper_section})");
-    println!("================================================================");
+/// The standard experiment banner, three lines.
+pub fn banner(artifact: &str, paper_section: &str) -> String {
+    let rule = "================================================================";
+    format!("{rule}\nINCEPTIONN reproduction — {artifact} ({paper_section})\n{rule}\n")
 }
 
 #[cfg(test)]

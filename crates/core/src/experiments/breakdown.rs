@@ -127,15 +127,11 @@ impl FabricCommRow {
 /// ([`TransportKind::TimedNic`] — every gradient block traverses the
 /// modeled NIC engines and is charged 10 GbE link latency), and the
 /// per-iteration transport totals are read off the fabric counters.
-pub fn hdc_fabric_comm(workers: usize, iters: usize, seed: u64) -> Vec<FabricCommRow> {
-    hdc_fabric_comm_with(workers, iters, seed, &obs::Recorder::off())
-}
-
-/// [`hdc_fabric_comm`] with observability: every system's run records
-/// its iteration spans, fabric counters, NIC engine spans, and link
-/// occupancy into `recorder` (the four systems share one wall-clock
-/// epoch, so they appear back to back in the exported trace).
-pub fn hdc_fabric_comm_with(
+/// Every system's run records its iteration spans, fabric counters,
+/// NIC engine spans, and link occupancy into `recorder` (the four
+/// systems share one wall-clock epoch, so they appear back to back in
+/// the exported trace).
+pub fn hdc_fabric_comm(
     workers: usize,
     iters: usize,
     seed: u64,
@@ -274,7 +270,7 @@ mod tests {
 
     #[test]
     fn fabric_comm_reproduces_the_fig12_ordering() {
-        let rows = hdc_fabric_comm(4, 2, 17);
+        let rows = hdc_fabric_comm(4, 2, 17, &obs::Recorder::off());
         assert_eq!(rows.len(), 4);
         let get = |label: &str| rows.iter().find(|r| r.system == label).unwrap();
         let (wa, wac, inc, incc) = (get("WA"), get("WA+C"), get("INC"), get("INC+C"));
@@ -305,7 +301,7 @@ mod tests {
     #[test]
     fn traced_fabric_comm_totals_match_the_counters() {
         let recorder = obs::Recorder::on();
-        let rows = hdc_fabric_comm_with(2, 1, 18, &recorder);
+        let rows = hdc_fabric_comm(2, 1, 18, &recorder);
         let summary = recorder.finish().summary();
         // One iteration per system, so the per-iteration columns are the
         // run totals; the trace must account for every wire byte.

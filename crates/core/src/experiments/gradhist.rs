@@ -4,8 +4,8 @@
 //! The paper plots AlexNet's gradients at iterations 100 / 100k / 300k:
 //! all values inside `(-1, 1)`, sharply peaked at zero, at every stage.
 //! This driver trains the HDC network for real and snapshots its
-//! gradient vector at three stages; the bench binary renders the
-//! histograms and overlays the calibrated synthetic models.
+//! gradient vector at three stages; the `fig05` entry of
+//! [`super::artifacts`] renders the histograms.
 
 use inceptionn_dnn::data::DigitDataset;
 use inceptionn_dnn::models;

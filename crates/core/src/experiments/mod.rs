@@ -1,8 +1,9 @@
 //! One driver per table/figure of the paper's evaluation.
 //!
 //! Each submodule exposes a `run`-style function returning structured,
-//! serializable results; the `inceptionn-bench` binaries render them as
-//! the paper's rows/series and `EXPERIMENTS.md` records the comparison.
+//! serializable results; [`artifacts`] renders them as the paper's
+//! rows/series (the `repro` binary of `inceptionn-bench` prints them or
+//! writes `results/`) and `EXPERIMENTS.md` records the comparison.
 //!
 //! | paper artifact | module |
 //! |---|---|
@@ -30,6 +31,7 @@
 //! | 4→1024 topology-tree sweep + in-network reduction | [`toposcale`] |
 
 pub mod ablation;
+pub mod artifacts;
 pub mod boundsweep;
 pub mod breakdown;
 pub mod frontier;
@@ -46,8 +48,8 @@ pub mod truncation;
 /// How much work an experiment run should invest.
 ///
 /// `Quick` keeps unit tests fast (scaled-down models, fewer samples and
-/// iterations); `Full` is what the `inceptionn-bench` binaries use to
-/// regenerate the published numbers.
+/// iterations); `Full` is what `repro` uses to regenerate the published
+/// numbers in `results/` (`INCEPTIONN_QUICK` switches it to `Quick`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Seconds-scale runs for tests.

@@ -26,9 +26,10 @@ pub fn fig12(cfg: &ClusterConfig) -> Vec<Fig12Row> {
     let mut rows = Vec::new();
     for id in ModelId::EVALUATED {
         let profile = ModelProfile::of(id);
-        let wa_total = iteration_breakdown(&profile, SystemKind::Wa, cfg).total_s();
-        for system in SystemKind::ALL {
-            let breakdown = iteration_breakdown(&profile, system, cfg);
+        let breakdowns = SystemKind::ALL.map(|system| iteration_breakdown(&profile, system, cfg));
+        // `SystemKind::ALL` starts with the WA baseline.
+        let wa_total = breakdowns[0].total_s();
+        for (system, breakdown) in SystemKind::ALL.into_iter().zip(breakdowns) {
             rows.push(Fig12Row {
                 model: profile.name().to_string(),
                 system,

@@ -43,8 +43,9 @@
 //! ## Reproducing the paper
 //!
 //! Every table and figure in the evaluation has a driver in
-//! [`experiments`] and a matching binary in the `inceptionn-bench`
-//! crate (`cargo run --release -p inceptionn-bench --bin fig12`). See
+//! [`experiments`] and an entry in the [`experiments::artifacts`]
+//! registry, which the `inceptionn-bench` crate's `repro` binary runs
+//! (`cargo run --release -p inceptionn-bench --bin repro -- fig12`). See
 //! `EXPERIMENTS.md` at the repository root for the recorded
 //! paper-vs-measured comparison.
 

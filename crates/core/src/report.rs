@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the experiment artifacts.
 
 /// A simple fixed-width text table builder.
 ///
@@ -44,16 +44,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -92,17 +82,6 @@ pub fn pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 
-/// Formats seconds adaptively (s vs h).
-pub fn human_time(seconds: f64) -> String {
-    if seconds >= 3600.0 {
-        format!("{:.1}h", seconds / 3600.0)
-    } else if seconds >= 1.0 {
-        format!("{seconds:.2}s")
-    } else {
-        format!("{:.2}ms", seconds * 1e3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,8 +111,5 @@ mod tests {
     #[test]
     fn helpers_format() {
         assert_eq!(pct(0.7571), "75.7%");
-        assert_eq!(human_time(7200.0), "2.0h");
-        assert_eq!(human_time(2.5), "2.50s");
-        assert_eq!(human_time(0.0136), "13.60ms");
     }
 }

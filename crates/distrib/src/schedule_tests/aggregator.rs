@@ -3,7 +3,6 @@
 //! `pipeline::worker_aggregator_schedule`), where only the upward
 //! gradient leg compresses. Every test runs through `Exchange::run`.
 
-#[cfg(test)]
 mod tests {
     use crate::fabric::{CodecSelection, Fabric, FabricBuilder, TransportKind};
     use crate::faults::FaultPlan;

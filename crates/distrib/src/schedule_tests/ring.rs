@@ -3,7 +3,6 @@
 //! bodies are `pipeline::ring_schedule` and `pipeline::tree_schedule`.
 //! Every test runs through `Exchange::run`.
 
-#[cfg(test)]
 mod tests {
     use crate::fabric::{
         CodecSelection, Fabric, FabricBuilder, FabricError, FabricStats, FrameBody,

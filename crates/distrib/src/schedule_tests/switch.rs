@@ -6,7 +6,6 @@
 //! is what makes the mode a drop-in substitution. Every test runs
 //! through `Exchange::run`.
 
-#[cfg(test)]
 mod tests {
     use crate::fabric::{CodecSelection, FabricBuilder, TransportKind};
     use crate::pipeline::tests::{allreduce, build, random_grads, PoisonedSwitch};

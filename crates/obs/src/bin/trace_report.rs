@@ -6,7 +6,7 @@
 //!
 //! Produce a trace first, e.g.
 //! `cargo run --release -p inceptionn --example traced_ring` or
-//! `cargo run --release -p inceptionn-bench --bin fig12 -- --trace RESULTS_trace.json`.
+//! `cargo run --release -p inceptionn-bench --bin repro -- --trace RESULTS_trace.json fig12`.
 
 use std::process::ExitCode;
 
