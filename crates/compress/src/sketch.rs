@@ -24,6 +24,17 @@
 //!      not approximate. The encoder verifies peelability before
 //!      committing and falls back to RAW otherwise — no lossy path
 //!      exists in this codec.
+//!
+//!    The mode is decided from the tallies of one pass: the encoder
+//!    quantizes each value and writes it straight into the RAW32 body
+//!    while counting the support size and checking the `i32` width.
+//!    Those two numbers fix the RAW width and the sketch size, so a
+//!    dense frame — the common case for real gradients — is finished
+//!    in that one pass with no scratch at all. Only a frame that must
+//!    widen to RAW64, or that is a sketch candidate, is rewritten from
+//!    a second walk over the values; a candidate builds its cell table
+//!    in one hashing pass, and both the peel check and the rows it
+//!    writes read that table.
 //! 3. Merging two frames ([`SketchFrame::add_compressed`]) decodes
 //!    both to grid counts, adds exactly, and re-encodes. Because the
 //!    re-encode is a pure function of the summed counts, a merged
@@ -155,11 +166,25 @@ fn grid_scale(frac_bits: u8) -> f64 {
     (1u64 << frac_bits) as f64
 }
 
-/// Quantizes `v` to grid counts: `round(v · 2^frac_bits)` with
-/// saturation at the `i64` range (NaN quantizes to 0).
+/// The largest `f64` below one half.
+const HALF_BELOW: f64 = 0.5 - f64::EPSILON / 4.0;
+
+/// Quantizes `v` to grid counts: `round(v · 2^frac_bits)` (ties away
+/// from zero) with saturation at the `i64` range (NaN quantizes to 0).
+///
+/// Branch-free: adding the largest `f64` below one half, with `x`'s
+/// sign, and truncating is LLVM's own lowering of `f64::round`. It is
+/// bit-equal to `x.round() as i64` for every `f32` — `x` is an exact
+/// power-of-two scaling of `v`, so the one add rounds the way `round`
+/// does, ±0, ties, NaN, ±inf and saturation included. Tests pin this
+/// on a strided sample of all `f32` patterns at every precision, and
+/// (ignored, run in CI) on all 2^32 patterns at four precisions. The
+/// encoder, the in-process shortcut and the switch's value fold all
+/// quantize through this one definition.
 #[inline]
 pub fn quantize_value(v: f32, frac_bits: u8) -> i64 {
-    (f64::from(v) * grid_scale(frac_bits)).round() as i64
+    let x = f64::from(v) * grid_scale(frac_bits);
+    (x + HALF_BELOW.copysign(x)) as i64
 }
 
 /// The grid value a count decodes to.
@@ -177,104 +202,161 @@ pub fn finish_q(q: &[i64], frac_bits: u8, out: &mut [f32]) {
     }
 }
 
-/// Structural peel over cell occupancy only (no values): returns true
-/// if every support index resolves through singleton elimination.
-fn peels(support: &[u32], cells: usize, seed: u64) -> bool {
-    let total = ROWS * cells;
-    let mut counts = vec![0u32; total];
-    let mut idx_xor = vec![0u64; total];
-    let bases = [row_base(seed, 0), row_base(seed, 1), row_base(seed, 2)];
-    for &i in support {
-        for (r, &base) in bases.iter().enumerate() {
-            let c = r * cells + cell_of(base, i as usize, cells);
-            counts[c] += 1;
-            idx_xor[c] ^= u64::from(i);
-        }
-    }
-    let mut stack: Vec<usize> = (0..total).filter(|&c| counts[c] == 1).collect();
+/// One cell of a sketch under construction: how many support indices
+/// hash into it, the XOR of those indices (they fit `u32`, as the
+/// frame's length does), and the sum of their grid counts — side by
+/// side, so building the rows touches one cache line per cell.
+#[derive(Clone, Copy, Default)]
+struct Cell {
+    occupants: u32,
+    index_xor: u32,
+    sum: i64,
+}
+
+/// Structural peel over cell occupancy only (sums untouched): returns
+/// true if all `support` indices resolve through singleton
+/// elimination. A peeled index's cells are recomputed from the index:
+/// three hashes cost less than fetching them from a per-index buffer,
+/// which misses the cache on every visit of a large sketch.
+fn peels(table: &mut [Cell], cells: usize, bases: &[u64; ROWS], support: usize) -> bool {
+    let mut stack: Vec<usize> = (0..table.len())
+        .filter(|&c| table[c].occupants == 1)
+        .collect();
     let mut peeled = 0usize;
     while let Some(c) = stack.pop() {
-        if counts[c] != 1 {
+        if table[c].occupants != 1 {
             continue;
         }
-        let i = idx_xor[c] as usize;
+        let i = table[c].index_xor;
         peeled += 1;
         for (r, &base) in bases.iter().enumerate() {
-            let cc = r * cells + cell_of(base, i, cells);
-            counts[cc] -= 1;
-            idx_xor[cc] ^= i as u64;
-            if counts[cc] == 1 {
+            let cc = r * cells + cell_of(base, i as usize, cells);
+            table[cc].occupants -= 1;
+            table[cc].index_xor ^= i;
+            if table[cc].occupants == 1 {
                 stack.push(cc);
             }
         }
     }
-    peeled == support.len()
+    peeled == support
 }
 
-/// Encodes grid counts into the canonical frame for `(frac_bits, seed)`:
-/// `SKETCH` when it both shrinks the frame and peels, else the
-/// narrowest RAW width. Appends to `out`; returns appended bytes.
-fn encode_q_append(q: &[i64], frac_bits: u8, seed: u64, out: &mut Vec<u8>) -> usize {
-    let before = out.len();
-    let n = q.len();
-    let mut support: Vec<u32> = Vec::with_capacity(n);
-    let mut fits32 = true;
-    for (i, &c) in q.iter().enumerate() {
-        if c != 0 {
-            support.push(i as u32);
-        }
-        fits32 &= i64::from(c as i32) == c;
-    }
-    let raw_bytes = FRAME_HEADER_BYTES + n * if fits32 { 4 } else { 8 };
-    let cells = cells_per_row(support.len());
-    let bitmap_bytes = n.div_ceil(8);
-    let sketch_bytes = FRAME_HEADER_BYTES + bitmap_bytes + ROWS * cells * 8;
-    let sketchable = sketch_bytes < raw_bytes && peels(&support, cells, seed);
-
-    let mode = if sketchable {
-        MODE_SKETCH
-    } else if fits32 {
-        MODE_RAW32
-    } else {
-        MODE_RAW64
-    };
-    out.push(mode);
-    out.push(frac_bits);
-    out.push(ROWS as u8);
-    out.push(0);
+fn put_header(out: &mut Vec<u8>, mode: u8, frac_bits: u8, n: usize, seed: u64) {
+    out.extend_from_slice(&[mode, frac_bits, ROWS as u8, 0]);
     out.extend_from_slice(&(n as u32).to_le_bytes());
     out.extend_from_slice(&seed.to_le_bytes());
-    match mode {
-        MODE_RAW32 => {
-            for &c in q {
-                out.extend_from_slice(&(c as i32).to_le_bytes());
-            }
+}
+
+/// What one pass over the grid counts learns: their number, the
+/// support size, and whether every count fits an `i32`.
+struct Tally {
+    n: usize,
+    nnz: usize,
+    fits32: bool,
+}
+
+/// Appends a RAW frame of `counts` — `i64` cells if `wide`, else `i32`
+/// cells — and tallies the counts on the way. In a frame that turns
+/// out not to fit `i32`, the narrow cells are truncations the caller
+/// must discard.
+fn put_raw<I>(counts: I, wide: bool, frac_bits: u8, seed: u64, out: &mut Vec<u8>) -> Tally
+where
+    I: ExactSizeIterator<Item = i64>,
+{
+    let n = counts.len();
+    let width = if wide { 8 } else { 4 };
+    put_header(
+        out,
+        if wide { MODE_RAW64 } else { MODE_RAW32 },
+        frac_bits,
+        n,
+        seed,
+    );
+    let body = out.len();
+    out.resize(body + n * width, 0);
+    let mut tally = Tally {
+        n,
+        nnz: 0,
+        fits32: true,
+    };
+    for (cell, c) in out[body..].chunks_exact_mut(width).zip(counts) {
+        if wide {
+            cell.copy_from_slice(&c.to_le_bytes());
+        } else {
+            cell.copy_from_slice(&(c as i32).to_le_bytes());
         }
-        MODE_RAW64 => {
-            for &c in q {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        _ => {
-            let mut bitmap = vec![0u8; bitmap_bytes];
-            for &i in &support {
-                bitmap[i as usize / 8] |= 1 << (i % 8);
-            }
-            out.extend_from_slice(&bitmap);
-            let mut rows = vec![0i64; ROWS * cells];
-            let bases = [row_base(seed, 0), row_base(seed, 1), row_base(seed, 2)];
-            for &i in &support {
-                let c = q[i as usize];
-                for (r, &base) in bases.iter().enumerate() {
-                    let cell = r * cells + cell_of(base, i as usize, cells);
-                    rows[cell] = rows[cell].wrapping_add(c);
-                }
-            }
-            for &cell in &rows {
-                out.extend_from_slice(&cell.to_le_bytes());
+        tally.nnz += usize::from(c != 0);
+        tally.fits32 &= i64::from(c as i32) == c;
+    }
+    tally
+}
+
+/// Appends a `SKETCH` frame of `counts` (whose support size is `nnz`)
+/// if it peels; returns false, with `out` to be truncated by the
+/// caller, if it does not. One pass sets the bitmap and hashes each
+/// support index into its cells, which then drive both the peel check
+/// and the rows written out.
+fn put_sketch<I>(counts: I, nnz: usize, frac_bits: u8, seed: u64, out: &mut Vec<u8>) -> bool
+where
+    I: ExactSizeIterator<Item = i64>,
+{
+    let n = counts.len();
+    let cells = cells_per_row(nnz);
+    put_header(out, MODE_SKETCH, frac_bits, n, seed);
+    let bitmap = out.len();
+    out.resize(bitmap + n.div_ceil(8), 0);
+    let bases = [row_base(seed, 0), row_base(seed, 1), row_base(seed, 2)];
+    let mut table = vec![Cell::default(); ROWS * cells];
+    for (i, c) in counts.enumerate() {
+        if c != 0 {
+            out[bitmap + i / 8] |= 1 << (i % 8);
+            for (r, &base) in bases.iter().enumerate() {
+                let cell = &mut table[r * cells + cell_of(base, i, cells)];
+                cell.occupants += 1;
+                cell.index_xor ^= i as u32;
+                cell.sum = cell.sum.wrapping_add(c);
             }
         }
     }
+    if !peels(&mut table, cells, &bases, nnz) {
+        return false;
+    }
+    for cell in &table {
+        out.extend_from_slice(&cell.sum.to_le_bytes());
+    }
+    true
+}
+
+/// Encodes the grid counts each `counts()` call yields into the
+/// canonical frame for `(frac_bits, seed)`: `SKETCH` when it both
+/// shrinks the frame and peels, else the narrowest RAW width. Appends
+/// to `out`; returns the appended bytes.
+///
+/// One pass writes the header and the RAW32 body straight into `out`
+/// and tallies the support size and width; the mode follows from those
+/// tallies alone. Only a frame that must widen to RAW64, or that is a
+/// sketch candidate, is rewritten — from a second walk of `counts()`,
+/// so no dense count vector is ever stored.
+fn encode_counts<F, I>(counts: F, frac_bits: u8, seed: u64, out: &mut Vec<u8>) -> usize
+where
+    F: Fn() -> I,
+    I: ExactSizeIterator<Item = i64>,
+{
+    let before = out.len();
+    let tally = put_raw(counts(), false, frac_bits, seed, out);
+    let n = tally.n;
+    let raw_bytes = FRAME_HEADER_BYTES + n * if tally.fits32 { 4 } else { 8 };
+    let sketch_bytes = FRAME_HEADER_BYTES + n.div_ceil(8) + ROWS * cells_per_row(tally.nnz) * 8;
+    let candidate = sketch_bytes < raw_bytes;
+    if tally.fits32 && !candidate {
+        return out.len() - before;
+    }
+    out.truncate(before);
+    if candidate && put_sketch(counts(), tally.nnz, frac_bits, seed, out) {
+        return out.len() - before;
+    }
+    out.truncate(before);
+    put_raw(counts(), !tally.fits32, frac_bits, seed, out);
     out.len() - before
 }
 
@@ -444,11 +526,9 @@ impl SketchCodec {
     /// Encodes `values`, appending the frame to `out`; returns the
     /// appended byte count.
     pub fn encode_append(&self, values: &[f32], out: &mut Vec<u8>) -> usize {
-        let mut q = vec![0i64; values.len()];
-        for (c, &v) in q.iter_mut().zip(values) {
-            *c = quantize_value(v, self.frac_bits);
-        }
-        encode_q_append(&q, self.frac_bits, self.seed, out)
+        let frac_bits = self.frac_bits;
+        let counts = || values.iter().map(move |&v| quantize_value(v, frac_bits));
+        encode_counts(counts, frac_bits, self.seed, out)
     }
 
     /// Encodes `values` into an owned [`SketchFrame`].
@@ -538,7 +618,12 @@ impl SketchFrame {
         fold_frame_into_q(&self.bytes, &mut q)?;
         fold_frame_into_q(&other.bytes, &mut q)?;
         self.bytes.clear();
-        encode_q_append(&q, meta.frac_bits, meta.seed, &mut self.bytes);
+        encode_counts(
+            || q.iter().copied(),
+            meta.frac_bits,
+            meta.seed,
+            &mut self.bytes,
+        );
         Ok(())
     }
 
@@ -560,6 +645,269 @@ mod tests {
 
     fn codec() -> SketchCodec {
         SketchCodec::new(10, 0x00C0_FFEE)
+    }
+
+    /// The rounding `quantize_value` replaced: the oracle it must match
+    /// bit for bit.
+    fn reference_quantize(v: f32, frac_bits: u8) -> i64 {
+        (f64::from(v) * grid_scale(frac_bits)).round() as i64
+    }
+
+    /// The structural peel the reference encoder runs: hashes every
+    /// support index again on each visit.
+    fn reference_peels(support: &[u32], cells: usize, seed: u64) -> bool {
+        let total = ROWS * cells;
+        let mut counts = vec![0u32; total];
+        let mut idx_xor = vec![0u64; total];
+        let bases = [row_base(seed, 0), row_base(seed, 1), row_base(seed, 2)];
+        for &i in support {
+            for (r, &base) in bases.iter().enumerate() {
+                let c = r * cells + cell_of(base, i as usize, cells);
+                counts[c] += 1;
+                idx_xor[c] ^= u64::from(i);
+            }
+        }
+        let mut stack: Vec<usize> = (0..total).filter(|&c| counts[c] == 1).collect();
+        let mut peeled = 0usize;
+        while let Some(c) = stack.pop() {
+            if counts[c] != 1 {
+                continue;
+            }
+            let i = idx_xor[c] as usize;
+            peeled += 1;
+            for (r, &base) in bases.iter().enumerate() {
+                let cc = r * cells + cell_of(base, i, cells);
+                counts[cc] -= 1;
+                idx_xor[cc] ^= i as u64;
+                if counts[cc] == 1 {
+                    stack.push(cc);
+                }
+            }
+        }
+        peeled == support.len()
+    }
+
+    /// The reference encoder: a stored dense count vector, a support
+    /// list, and the mode decided before any byte is written. The fused
+    /// encoder must reproduce its frames byte for byte.
+    fn reference_encode_q(q: &[i64], frac_bits: u8, seed: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let n = q.len();
+        let mut support: Vec<u32> = Vec::with_capacity(n);
+        let mut fits32 = true;
+        for (i, &c) in q.iter().enumerate() {
+            if c != 0 {
+                support.push(i as u32);
+            }
+            fits32 &= i64::from(c as i32) == c;
+        }
+        let raw_bytes = FRAME_HEADER_BYTES + n * if fits32 { 4 } else { 8 };
+        let cells = cells_per_row(support.len());
+        let bitmap_bytes = n.div_ceil(8);
+        let sketch_bytes = FRAME_HEADER_BYTES + bitmap_bytes + ROWS * cells * 8;
+        let sketchable = sketch_bytes < raw_bytes && reference_peels(&support, cells, seed);
+
+        let mode = if sketchable {
+            MODE_SKETCH
+        } else if fits32 {
+            MODE_RAW32
+        } else {
+            MODE_RAW64
+        };
+        out.push(mode);
+        out.push(frac_bits);
+        out.push(ROWS as u8);
+        out.push(0);
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+        out.extend_from_slice(&seed.to_le_bytes());
+        match mode {
+            MODE_RAW32 => {
+                for &c in q {
+                    out.extend_from_slice(&(c as i32).to_le_bytes());
+                }
+            }
+            MODE_RAW64 => {
+                for &c in q {
+                    out.extend_from_slice(&c.to_le_bytes());
+                }
+            }
+            _ => {
+                let mut bitmap = vec![0u8; bitmap_bytes];
+                for &i in &support {
+                    bitmap[i as usize / 8] |= 1 << (i % 8);
+                }
+                out.extend_from_slice(&bitmap);
+                let mut rows = vec![0i64; ROWS * cells];
+                let bases = [row_base(seed, 0), row_base(seed, 1), row_base(seed, 2)];
+                for &i in &support {
+                    let c = q[i as usize];
+                    for (r, &base) in bases.iter().enumerate() {
+                        let cell = r * cells + cell_of(base, i as usize, cells);
+                        rows[cell] = rows[cell].wrapping_add(c);
+                    }
+                }
+                for &cell in &rows {
+                    out.extend_from_slice(&cell.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    fn reference_encode(values: &[f32], frac_bits: u8, seed: u64) -> Vec<u8> {
+        let q: Vec<i64> = values
+            .iter()
+            .map(|&v| reference_quantize(v, frac_bits))
+            .collect();
+        reference_encode_q(&q, frac_bits, seed)
+    }
+
+    /// Asserts the fused encoder's frame equals the reference's, and
+    /// that appending leaves what `out` held before untouched.
+    fn assert_encodes_like_reference(values: &[f32], frac_bits: u8, seed: u64) -> FrameMode {
+        let want = reference_encode(values, frac_bits, seed);
+        let mut got = vec![0xA5u8; 3];
+        let appended = SketchCodec::new(frac_bits, seed).encode_append(values, &mut got);
+        assert_eq!(&got[..3], &[0xA5; 3], "encode_append touched prior bytes");
+        assert_eq!(appended, got.len() - 3);
+        assert!(
+            got[3..] == want[..],
+            "frame differs from the reference encoder (n {}, frac_bits {frac_bits})",
+            values.len()
+        );
+        frame_meta(&want).unwrap().mode
+    }
+
+    /// `f32` values the rounding must get right beyond a uniform sample:
+    /// signed zeros, subnormals, NaNs, infinities, the extremes, and
+    /// magnitudes whose counts straddle the `i32` and `i64` limits.
+    fn special_values() -> Vec<f32> {
+        let mut v = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF),
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            0.5,
+            -0.5,
+            1.5,
+            -2.5,
+        ];
+        for e in [31, 32, 52, 53, 62, 63, 64] {
+            let p = (2.0f64).powi(e) as f32;
+            v.extend([p, -p, p.next_up(), p.next_down(), -p.next_up()]);
+        }
+        v
+    }
+
+    #[test]
+    fn quantize_value_matches_round_on_a_strided_sample_of_every_f32() {
+        // An odd prime stride walks every exponent and a spread of
+        // mantissas, sign bit included: ~1 M patterns per precision.
+        const STRIDE: usize = 4099;
+        let specials = special_values();
+        for frac_bits in 1..=MAX_FRAC_BITS {
+            let ties = (-64i32..64).map(|k| ((k as f32) + 0.5) / grid_scale(frac_bits) as f32);
+            let sample = (0..=u32::MAX).step_by(STRIDE).map(f32::from_bits);
+            for v in sample.chain(specials.iter().copied()).chain(ties) {
+                assert_eq!(
+                    quantize_value(v, frac_bits),
+                    reference_quantize(v, frac_bits),
+                    "{v:e} (bits {:#010x}) at frac_bits {frac_bits}",
+                    v.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive: 2^32 patterns at four precisions; run with --release --ignored"]
+    fn quantize_value_matches_round_on_every_f32() {
+        for frac_bits in [1, 10, 12, 20] {
+            let first_bad = (0..=u32::MAX).find(|&bits| {
+                let v = f32::from_bits(bits);
+                quantize_value(v, frac_bits) != reference_quantize(v, frac_bits)
+            });
+            assert_eq!(first_bad, None, "frac_bits {frac_bits}");
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_reference_on_both_sides_of_the_sketch_boundary() {
+        // Walk the support size from empty to dense at several lengths:
+        // the mode flips from SKETCH to RAW where `sketch_bytes` stops
+        // undercutting `raw_bytes`, and every frame on the way must
+        // match. Wide counts move the boundary (RAW64 is the rival).
+        let mut seen = std::collections::HashSet::new();
+        for &(n, frac_bits, magnitude) in &[
+            (64usize, 10u8, 0.75f32),
+            (257, 6, 3.0),
+            (1000, 10, 0.01),
+            (300, 20, 5.0e4),
+        ] {
+            for nnz in 0..=n {
+                let values: Vec<f32> = (0..n)
+                    .map(|i| {
+                        // Positions 0, 1, …, visited in a scrambled
+                        // order so the support is not a prefix.
+                        let rank = (i * 7919) % n;
+                        if rank < nnz {
+                            magnitude * if i % 2 == 0 { 1.0 } else { -0.5 }
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                seen.insert(assert_encodes_like_reference(&values, frac_bits, n as u64));
+            }
+        }
+        assert_eq!(seen.len(), 3, "the walk must hit every mode: {seen:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encode_append_is_byte_identical_to_the_reference_encoder(
+            raw in proptest::collection::vec((0u8..12, any::<u32>(), -4096i32..4096), 0..400),
+            density in 0u32..=100,
+            frac_bits in 1u8..=MAX_FRAC_BITS,
+            seed in any::<u64>(),
+        ) {
+            let scale = grid_scale(frac_bits) as f32;
+            let specials = special_values();
+            let values: Vec<f32> = raw
+                .iter()
+                .map(|&(kind, bits, k)| {
+                    if bits % 100 >= density {
+                        return 0.0;
+                    }
+                    match kind {
+                        // An exact tie between two grid points.
+                        0 => (k as f32 + 0.5) / scale,
+                        1 => if k < 0 { -0.0 } else { 0.0 },
+                        // A subnormal of either sign.
+                        2 => f32::from_bits((bits & 0x807F_FFFF) | 1),
+                        3 => specials[bits as usize % specials.len()],
+                        4 => f32::from_bits(bits),
+                        // Counts past i32 at most precisions.
+                        5 => k as f32 * 1.0e6,
+                        _ => k as f32 / scale,
+                    }
+                })
+                .collect();
+            assert_encodes_like_reference(&values, frac_bits, seed);
+        }
     }
 
     /// On-grid values with small integer numerators: f32 addition over

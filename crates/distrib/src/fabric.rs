@@ -534,7 +534,9 @@ pub trait Fabric: Send {
     /// fold into that); fabrics running the homomorphic sketch codec
     /// override this to hand back a compressed-domain
     /// [`SketchSwitchUnit`], so contributions fold without ever
-    /// decompressing.
+    /// decompressing. The switch schedule asks for `len` 0 — a probe
+    /// that allocates nothing — once per run, and sizes the one
+    /// accumulator it keeps per chunk with [`SwitchAccum::reset`].
     fn switch_accum(&mut self, len: usize) -> SwitchAccum {
         SwitchAccum::dense(len)
     }
@@ -699,11 +701,28 @@ impl SwitchAccum {
         self.len() == 0
     }
 
-    /// Clears the accumulated sum (codec configuration survives).
-    pub fn reset(&mut self) {
+    /// Clears the accumulated sum and sizes it to `len` lanes for the
+    /// next chunk (codec configuration survives). Allocates only when
+    /// `len` outgrows every earlier chunk, so one accumulator serves a
+    /// whole exchange.
+    pub fn reset(&mut self, len: usize) {
         match self {
-            SwitchAccum::Dense(v) => v.fill(0.0),
-            SwitchAccum::Sketch(u) => u.reset(),
+            SwitchAccum::Dense(v) => {
+                v.clear();
+                v.resize(len, 0.0);
+            }
+            SwitchAccum::Sketch(u) => u.reset(len),
+        }
+    }
+
+    /// Whether this accumulator can stand in for `other`: the same arm
+    /// and, for the sketch unit, the same grid precision. Lane counts
+    /// may differ — [`reset`](Self::reset) resizes.
+    pub(crate) fn same_shape(&self, other: &SwitchAccum) -> bool {
+        match (self, other) {
+            (SwitchAccum::Dense(_), SwitchAccum::Dense(_)) => true,
+            (SwitchAccum::Sketch(a), SwitchAccum::Sketch(b)) => a.frac_bits() == b.frac_bits(),
+            _ => false,
         }
     }
 

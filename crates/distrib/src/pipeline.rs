@@ -18,8 +18,9 @@
 //! Frames are checked out of a [`FrameArena`] and filled through
 //! [`Fabric::encode_into`], so an exchange that reuses its scratch
 //! (every [`Exchange`](crate::Exchange) does) allocates nothing in steady state: at most `depth` frame bodies
-//! exist, recycled from leg to leg. `tests/alloc_gate.rs` pins that for
-//! the NIC-transport ring, chunked and whole-leg alike.
+//! exist, recycled from leg to leg, and the switch gather keeps one
+//! accumulator. `tests/alloc_gate.rs` pins that for the ring and for
+//! the switch reduce of sketch frames, chunked and whole-leg alike.
 //!
 //! # Chunking never changes a value
 //!
@@ -135,7 +136,7 @@ impl Ladder {
 
 /// Reusable working state of the executor: the frame arena, the
 /// in-flight windows, the ring senders' ladders, and the reduction
-/// accumulator. An [`Exchange`](crate::Exchange) holds one across
+/// accumulators. An [`Exchange`](crate::Exchange) holds one across
 /// iterations, which is what makes the steady state allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct PipelineScratch {
@@ -151,6 +152,9 @@ pub(crate) struct PipelineScratch {
     /// Reduction accumulator (aggregator/switch sum, tree broadcast
     /// buffer).
     sum: Vec<f32>,
+    /// The switch gather's accumulator, kept while the fabric hands
+    /// back the same shape.
+    switch_accum: Option<SwitchAccum>,
 }
 
 /// The element range of block `k` when a vector of `len` elements is
@@ -690,20 +694,27 @@ pub(crate) fn switch_schedule(
     sum.clear();
     sum.resize(len, 0.0);
     let mut inflight = std::mem::take(&mut scratch.gather_inflight);
+    // The fabric picks the accumulator shape (dense lanes, or the
+    // sketch unit folding compressed frames natively). One accumulator
+    // serves every chunk, reset to the chunk's length, and is kept for
+    // the next run while the fabric would hand back the same shape —
+    // `switch_accum(0)` probes that without allocating. The plain
+    // restart always re-gathers into a fresh dense accumulator so the
+    // exact path never touches a codec.
+    let probe = fabric.switch_accum(0);
+    let mut accum = match scratch.switch_accum.take() {
+        Some(kept) if kept.same_shape(&probe) => kept,
+        _ => probe,
+    };
     for r in chunk_ranges(0..len, cfg.chunk_values) {
-        // The fabric picks the accumulator shape per chunk (dense lanes,
-        // or the sketch unit folding compressed frames natively); the
-        // plain restart always re-gathers into a fresh dense accumulator
-        // so the exact path never touches a codec.
-        let mut accum = fabric.switch_accum(r.len());
-        let mut plain_restart = false;
+        accum.reset(r.len());
+        let mut restarted = None;
         'gather: loop {
-            if plain_restart {
-                accum = SwitchAccum::dense(r.len());
-            }
+            let plain_restart = restarted.is_some();
+            let target = restarted.as_mut().unwrap_or(&mut accum);
             let mut fold =
                 |fabric: &mut dyn Fabric, arena: &mut FrameArena, frame: WireFrame, k: usize| {
-                    let outcome = fabric.switch_fold_into(&mut accum, &frame);
+                    let outcome = fabric.switch_fold_into(target, &frame);
                     arena.recycle(frame);
                     outcome.map_err(|e| (e, k))
                 };
@@ -744,15 +755,19 @@ pub(crate) fn switch_schedule(
                 None => break,
                 Some((e, k)) if e.is_recoverable() && !plain_restart => {
                     fabric.note_degraded(endpoints[k], endpoints[k]);
-                    plain_restart = true;
+                    restarted = Some(SwitchAccum::dense(r.len()));
                     continue 'gather;
                 }
                 Some((e, _)) => return Err(e),
             }
         }
-        accum.finish_into(&mut sum[r.clone()]);
+        restarted
+            .as_ref()
+            .unwrap_or(&accum)
+            .finish_into(&mut sum[r.clone()]);
     }
     scratch.gather_inflight = inflight;
+    scratch.switch_accum = Some(accum);
     for (k, w) in workers.iter_mut().enumerate() {
         let e = endpoints[k];
         pipelined_leg(
@@ -1061,6 +1076,50 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(fabric.degraded, vec![(0, 0)], "the failing leg was noted");
+    }
+
+    #[test]
+    fn held_switch_accumulator_is_reused_only_for_the_same_shape() {
+        // One exchange held across fabrics whose switch accumulators
+        // differ in arm or grid precision: each run must match a fresh
+        // exchange on a fresh fabric, so a kept accumulator of the wrong
+        // shape is never folded into.
+        let grads = random_grads(3, 250, 49);
+        let selections = [
+            CodecSelection::Sketch { frac_bits: 10 },
+            CodecSelection::Sketch { frac_bits: 10 },
+            CodecSelection::Sketch { frac_bits: 6 },
+            CodecSelection::from_bound(None),
+            CodecSelection::Sketch { frac_bits: 10 },
+        ];
+        let fabric = |codec| {
+            FabricBuilder::new(3)
+                .transport(TransportKind::Nic)
+                .codec(codec)
+                .build()
+        };
+        let cfg = PipelineConfig::with_chunk(100);
+        let mut held = Exchange::new(3).pipelined(cfg);
+        for codec in selections {
+            let mut got = grads.clone();
+            held.run(
+                ExchangeStrategy::SwitchReduce,
+                fabric(codec).as_mut(),
+                &mut got,
+                &[0, 1, 2],
+            )
+            .unwrap();
+            let mut want = grads.clone();
+            Exchange::new(3)
+                .pipelined(cfg)
+                .run_all(
+                    ExchangeStrategy::SwitchReduce,
+                    fabric(codec).as_mut(),
+                    &mut want,
+                )
+                .unwrap();
+            assert_eq!(got, want, "{codec:?}");
+        }
     }
 
     #[test]

@@ -305,10 +305,12 @@ impl SketchSwitchUnit {
         self.cycles
     }
 
-    /// Resets the accumulator and counters for the next chunk,
-    /// keeping the grid precision.
-    pub fn reset(&mut self) {
-        self.q.fill(0);
+    /// Resets the accumulator and counters for a next chunk of
+    /// `values` lanes, keeping the grid precision. Allocates only when
+    /// `values` outgrows every earlier chunk.
+    pub fn reset(&mut self, values: usize) {
+        self.q.clear();
+        self.q.resize(values, 0);
         self.contributions = 0;
         self.cycles = 0;
     }
@@ -506,11 +508,25 @@ mod tests {
             .is_err());
         unit.fold_frame(codec.encode(&vec![0.5f32; 64]).as_bytes())
             .unwrap();
-        unit.reset();
+        unit.reset(64);
         assert_eq!(unit.contributions(), 0);
         assert_eq!(unit.cycles(), 0);
         let mut out = vec![1.0f32; 64];
         unit.finish_into(&mut out);
         assert!(out.iter().all(|&v| v == 0.0));
+        // Resized for a shorter chunk, the unit folds it like a new one.
+        unit.reset(32);
+        assert_eq!(unit.len(), 32);
+        unit.fold_frame(codec.encode(&[0.5f32; 32]).as_bytes())
+            .unwrap();
+        let mut fresh = SketchSwitchUnit::new(32, codec.frac_bits());
+        fresh
+            .fold_frame(codec.encode(&[0.5f32; 32]).as_bytes())
+            .unwrap();
+        let (mut a, mut b) = (vec![0.0f32; 32], vec![0.0f32; 32]);
+        unit.finish_into(&mut a);
+        fresh.finish_into(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(unit.cycles(), fresh.cycles());
     }
 }

@@ -1,15 +1,18 @@
-//! Dynamic zero-allocation gate for the ring exchange.
+//! Dynamic zero-allocation gate for the ring and switch exchanges.
 //!
 //! The static analyzer forbids allocation *sites* on hot paths; this
 //! gate proves the dynamic property those rules approximate: after a
 //! one-iteration warmup, a training loop that holds one [`Exchange`]
-//! across iterations of the ring all-reduce performs **zero heap
-//! allocations** in steady state — over the NIC transport chunked or
+//! across iterations performs **zero heap allocations** in steady
+//! state — for the ring all-reduce over the NIC transport chunked or
 //! whole-leg, untimed or timed, and over the trainer's default
+//! in-process transport; and for the switch reduce of count-sketch
+//! frames over the NIC transport chunked or whole-leg and over the
 //! in-process transport. Every buffer the exchange touches — arena
-//! frames, flat wire payloads, the in-flight window, the recovery
-//! ladders, the fabric's value scratch, the codec's append sink and the
-//! timed fabric's per-packet size buffer — is recycled.
+//! frames, flat wire payloads, the in-flight windows, the recovery
+//! ladders, the fabric's value scratch, the codec's append sink, the
+//! switch accumulator and the timed fabric's per-packet size buffer —
+//! is recycled.
 //!
 //! The counting `#[global_allocator]` is compiled only under the
 //! `alloc-gate` feature (see `crates/core/Cargo.toml`), so the rest of
@@ -81,7 +84,7 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Runs the ring over `transport` on one held `exchange`: a warm-up
+/// Runs `strategy` over `transport` on one held `exchange`: a warm-up
 /// iteration, then three more that must allocate nothing and stay
 /// bit-identical to the first.
 ///
@@ -90,16 +93,17 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
 /// compressed wire sizes repeat and every warmed capacity suffices.
 fn assert_steady_state_allocates_nothing(
     label: &str,
+    strategy: ExchangeStrategy,
     transport: TransportKind,
     mut exchange: Exchange,
     n: usize,
     len: usize,
-    bound: Option<ErrorBound>,
+    codec: CodecSelection,
 ) {
     let live: Vec<usize> = (0..n).collect();
     let mut fabric = FabricBuilder::new(n)
         .transport(transport)
-        .codec(CodecSelection::from_bound(bound))
+        .codec(codec)
         .build();
     let inputs = worker_grads(n, len, 0xA110C);
 
@@ -108,20 +112,20 @@ fn assert_steady_state_allocates_nothing(
     // wire buffers.
     let mut reduced = inputs.clone();
     exchange
-        .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut reduced, &live)
+        .run(strategy, fabric.as_mut(), &mut reduced, &live)
         .unwrap();
 
     for iter in 0..3 {
         let mut grads = inputs.clone();
         let before = allocations();
         exchange
-            .run(ExchangeStrategy::Ring, fabric.as_mut(), &mut grads, &live)
+            .run(strategy, fabric.as_mut(), &mut grads, &live)
             .unwrap();
         let after = allocations();
         assert_eq!(
             after - before,
             0,
-            "{label}: steady-state iteration {iter} of the ring exchange allocated {} times",
+            "{label}: steady-state iteration {iter} of the {strategy:?} exchange allocated {} times",
             after - before
         );
         assert_eq!(
@@ -161,10 +165,13 @@ fn nic_ring_steady_state_allocates_nothing() {
         "a cold exchange must be visible to the counter"
     );
 
-    let bound = Some(ErrorBound::pow2(10));
+    let bound = CodecSelection::from_bound(Some(ErrorBound::pow2(10)));
+    let lossless = CodecSelection::from_bound(None);
+    let ring = ExchangeStrategy::Ring;
     let nic = TransportKind::Nic;
     assert_steady_state_allocates_nothing(
         "chunked/compressed",
+        ring,
         nic,
         Exchange::new(4).pipelined(PipelineConfig::with_chunk(500)),
         4,
@@ -173,23 +180,34 @@ fn nic_ring_steady_state_allocates_nothing() {
     );
     assert_steady_state_allocates_nothing(
         "chunked/lossless",
+        ring,
         nic,
         Exchange::new(3).pipelined(PipelineConfig::with_chunk(700)),
         3,
         2500,
-        None,
+        lossless,
     );
     assert_steady_state_allocates_nothing(
         "whole/compressed",
+        ring,
         nic,
         Exchange::new(4),
         4,
         4000,
         bound,
     );
-    assert_steady_state_allocates_nothing("whole/lossless", nic, Exchange::new(3), 3, 2500, None);
+    assert_steady_state_allocates_nothing(
+        "whole/lossless",
+        ring,
+        nic,
+        Exchange::new(3),
+        3,
+        2500,
+        lossless,
+    );
     assert_steady_state_allocates_nothing(
         "in-process/whole/compressed",
+        ring,
         TransportKind::InProcess,
         Exchange::new(4),
         4,
@@ -198,10 +216,52 @@ fn nic_ring_steady_state_allocates_nothing() {
     );
     assert_steady_state_allocates_nothing(
         "timed/chunked/compressed",
+        ring,
         TransportKind::TimedNic,
         Exchange::new(4).pipelined(PipelineConfig::with_chunk(500)),
         4,
         4000,
         bound,
+    );
+}
+
+/// The switch reduce of count-sketch frames: the encoder writes the
+/// dense RAW frame straight into the fabric's wire buffer, and one
+/// switch accumulator — reset per chunk, kept across runs — takes
+/// every chunk's folds. The gradients are dense, so every frame is
+/// RAW32, as on AlexNet-scale gradients; a sparse gradient takes the
+/// sketch mode, whose peel check still works in scratch of its own.
+#[test]
+fn switch_sketch_steady_state_allocates_nothing() {
+    let sketch = CodecSelection::Sketch { frac_bits: 10 };
+    let switch = ExchangeStrategy::SwitchReduce;
+    assert_steady_state_allocates_nothing(
+        "switch/sketch/nic/chunked",
+        switch,
+        TransportKind::Nic,
+        // A ragged last chunk: the accumulator shrinks and regrows
+        // within every run.
+        Exchange::new(4).pipelined(PipelineConfig::with_chunk(1500)),
+        4,
+        4000,
+        sketch,
+    );
+    assert_steady_state_allocates_nothing(
+        "switch/sketch/nic/whole",
+        switch,
+        TransportKind::Nic,
+        Exchange::new(4),
+        4,
+        4000,
+        sketch,
+    );
+    assert_steady_state_allocates_nothing(
+        "switch/sketch/in-process/whole",
+        switch,
+        TransportKind::InProcess,
+        Exchange::new(4),
+        4,
+        4000,
+        sketch,
     );
 }
