@@ -111,16 +111,13 @@ fn recovery_phase(soak: &mut Soak, data: &DigitDataset, iters: usize, smoke: boo
                 replica_bits(&clean) == replica_bits(&faulty),
                 "final parameters bit-identical to the clean run".to_string(),
             );
-            // Lossy compression lets ring replicas drift within the
-            // error bound (each worker decodes different intermediate
-            // blocks) — that drift belongs to the codec, not the
-            // faults, so the contract is "exactly the clean run's
-            // divergence", which is zero whenever the codec is.
+            // Every replica holds the same bits, lossy codec or not,
+            // and with or without faults.
             let div = faulty.max_replica_divergence();
             let want = clean.max_replica_divergence();
             soak.check(
                 &format!("{name} replicas"),
-                div.to_bits() == want.to_bits(),
+                div == 0.0 && want == 0.0,
                 format!("max replica divergence {div}, clean run {want}"),
             );
             let errors = lf.iter().filter(|l| l.exchange_error.is_some()).count();
@@ -178,8 +175,8 @@ fn worker_crash_phase(soak: &mut Soak, data: &DigitDataset, iters: usize, crash_
     let div = t.max_replica_divergence();
     soak.check(
         "divergence",
-        div < 0.05,
-        format!("surviving replica divergence {div}, budget 0.05"),
+        div == 0.0,
+        format!("surviving replica divergence {div}, want 0"),
     );
     soak.check(
         "crash count",
@@ -223,8 +220,8 @@ fn aggregator_crash_phase(soak: &mut Soak, data: &DigitDataset, iters: usize, cr
     let div = t.max_replica_divergence();
     soak.check(
         "divergence",
-        div < 0.05,
-        format!("replica divergence {div} on the survivor ring, budget 0.05"),
+        div == 0.0,
+        format!("replica divergence {div} on the survivor ring, want 0"),
     );
 }
 

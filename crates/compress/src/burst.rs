@@ -58,19 +58,34 @@
 //! into *integer* comparisons against `2^(32+d−E)`, because
 //! `|f|·2^(32+d) = significand·2⁹` exactly:
 //!
-//! * `|f| ≤ eb  ⟺  significand·2⁹ ≤ 2^(32+d−E)` — and trivially true
+//! * `|f| < eb  ⟺  significand·2⁹ < 2^(32+d−E)` — and trivially true
 //!   once `32+d−E ≥ 34` (the left side is below `2³³`), which also
 //!   covers subnormals (`d = 127`). Equivalently (and this is what the
-//!   SIMD kernel uses) `|f| ≤ 2⁻ᴱ ⟺ abs_bits ≤ bits(2⁻ᴱ)`, since IEEE
-//!   magnitudes order like their bit patterns.
+//!   SIMD kernels use) `|f| < 2⁻ᴱ ⟺ abs_bits < bits(2⁻ᴱ)`, since IEEE
+//!   magnitudes order like their bit patterns; "not Zero" is then the
+//!   signed compare `abs_bits > bits(2⁻ᴱ) − 1`.
 //! * Values that fail the zero test satisfy `d ≤ E ≤ 30`, so the
 //!   truncation residues `significand·2⁹ − (p8 << d)` fit in `u64` and
 //!   the thresholds `2^(32+d−E) ≤ 2³²` are exact integers. Dividing
 //!   both sides by `2⁹` moves the whole comparison into 32 bits:
-//!   `residue ≤ 2^(32+d−E) ⟺ (significand & ((1 << (16+d)) − 1)) ≤
-//!   2^(23+d−E)`, where a negative right-hand exponent degenerates to
-//!   "residue is exactly zero" because the left side is a multiple of
-//!   `2⁹` — precisely the saturating-shift semantics of `vpsllvd`.
+//!   `residue < 2^(32+d−E) ⟺ (significand & ((1 << (16+d)) − 1)) <
+//!   2^(23+d−E)`. A negative right-hand exponent degenerates to
+//!   "residue is exactly zero", because the left side is a multiple of
+//!   `2⁹` and the threshold is below it. The kernels compare the masked
+//!   significand `≤ max(t, 1) − 1` with `t = 1 << (23+d−E)` as
+//!   `vpsllvd` computes it: `t − 1` when the shift is in range, and
+//!   `0` — "must be zero" — when it saturates to `t = 0`.
+//!
+//! Every compare is strict so that the round trip is a projection
+//! (`q(q(x)) == q(x)`, pinned on every `f32` by
+//! `quantize_is_a_projection_on_every_f32`). A decoded 8- or 16-bit
+//! value is at least `2⁻ᴱ` in magnitude, so it is not Zero again; it
+//! sits on its form's grid, so that form fits it with residue 0; and a
+//! 16-bit image's 8-bit residue is its source's residue truncated to
+//! the 16-bit grid, which stays `≥ 2⁻ᴱ` (or is 0, when the two forms
+//! decode alike). With `≤`, a value truncated to exactly `2⁻ᴱ`, or a
+//! 16-bit image whose 8-bit residue is exactly `2⁻ᴱ`, re-encodes to a
+//! different value. The cost is that an exact tie takes the wider form.
 //!
 //! The scalar `f64` subtraction is itself exact whenever the result is
 //! anywhere near the threshold (the residue then spans < 53 bits), so
@@ -125,9 +140,9 @@ pub fn classify(eb_exp: u32, f: f32) -> Lane {
     let d = (127i32 - exp as i32).clamp(1, 63) as u32;
     // significand·2⁹ = |f|·2^(32+d) for normal values.
     let s33 = ((1u64 << 23) | u64::from(bits & 0x7f_ffff)) << 9;
-    // Zero test: |f| <= 2^-E  ⟺  s33 <= 2^(32+d-E).
+    // Zero test: |f| < 2^-E  ⟺  s33 < 2^(32+d-E).
     let zshift = 32 + d - eb_exp; // >= 3 (d >= 1, E <= 30)
-    let zero = (zshift >= 34 || s33 <= 1u64 << zshift.min(63)) as u32;
+    let zero = (zshift >= 34 || s33 < 1u64 << zshift.min(63)) as u32;
     // Fixed-point field P = trunc(|f|·2^32); meaningful only when the
     // value is neither Zero nor Full (then d <= E <= 30).
     let p = (s33 >> d) as u32;
@@ -135,8 +150,8 @@ pub fn classify(eb_exp: u32, f: f32) -> Lane {
     let p16 = p >> 17 << 17;
     // Truncation residues vs the bound, in units of 2^-(32+d).
     let threshold = 1u64 << zshift.min(62);
-    let fits8 = ((s33 - (u64::from(p8) << d)) <= threshold) as u32;
-    let fits16 = ((s33 - (u64::from(p16) << d)) <= threshold) as u32;
+    let fits8 = ((s33 - (u64::from(p8) << d)) < threshold) as u32;
+    let fits16 = ((s33 - (u64::from(p16) << d)) < threshold) as u32;
     // fits8 -> 1, !fits8 & fits16 -> 2, neither -> 3.
     let mid = 3 - 2 * fits8 - (1 - fits8) * fits16;
     let tag = full * 3 + (1 - full) * (1 - zero) * mid;
@@ -245,7 +260,7 @@ mod x86 {
     struct Front8 {
         /// `|f| ≥ 1`, infinity or NaN: tag `Full`, raw bits.
         full: __m256i,
-        /// `|f| > 2⁻ᴱ`: not tag `Zero` (set in every `Full` lane too).
+        /// `|f| ≥ 2⁻ᴱ`: not tag `Zero` (set in every `Full` lane too).
         notzero: __m256i,
         /// The 8-bit form misses the bound.
         nf8: __m256i,
@@ -267,7 +282,7 @@ mod x86 {
         let abs = _mm256_and_si256(v, _mm256_set1_epi32(0x7fff_ffff));
         // Signed compares are safe: every operand is < 2^31.
         let full = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x3f7f_ffff));
-        let notzero = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32((127 - e) << 23));
+        let notzero = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(((127 - e) << 23) - 1));
         let exp = _mm256_srli_epi32::<23>(abs);
         let d = _mm256_sub_epi32(_mm256_set1_epi32(127), exp);
         let sig = _mm256_or_si256(
@@ -281,10 +296,12 @@ mod x86 {
         // vpsllvd/vpsrlvd yield 0 for any count >= 32 (including
         // negative counts viewed as u32) — exactly the saturation the
         // 32-bit reformulation needs: oversized masks become all-ones,
-        // out-of-range thresholds become "must be 0".
+        // out-of-range thresholds become "must be 0". A residue fits
+        // when it is below the threshold, i.e. at most `max(t, 1) − 1`,
+        // which keeps a saturated threshold meaning "must be 0".
         let m8 = _mm256_sub_epi32(_mm256_sllv_epi32(one, c16), one);
         let m16 = _mm256_sub_epi32(_mm256_sllv_epi32(one, c8), one);
-        let t = _mm256_sllv_epi32(one, ct);
+        let t = _mm256_sub_epi32(_mm256_max_epu32(_mm256_sllv_epi32(one, ct), one), one);
         Front8 {
             full,
             notzero,
@@ -430,10 +447,10 @@ mod x86 {
         let ct = _mm512_add_epi32(d, _mm512_set1_epi32(23 - e));
         let m8 = _mm512_sub_epi32(_mm512_sllv_epi32(one, c16), one);
         let m16 = _mm512_sub_epi32(_mm512_sllv_epi32(one, c8), one);
-        let t = _mm512_sllv_epi32(one, ct);
+        let t = _mm512_sub_epi32(_mm512_max_epu32(_mm512_sllv_epi32(one, ct), one), one);
         Front16 {
             full: _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32(0x3f7f_ffff)),
-            notzero: _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32((127 - e) << 23)),
+            notzero: _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32(((127 - e) << 23) - 1)),
             f8: _mm512_cmple_epi32_mask(_mm512_and_si512(sig, m8), t),
             f16: _mm512_cmple_epi32_mask(_mm512_and_si512(sig, m16), t),
             sig,
@@ -1420,6 +1437,37 @@ mod tests {
                     let mut got = vals.clone();
                     fast.quantize_inplace(&mut got);
                     assert_eq!(bits(&got), want, "n={n} e={e} {fast:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive: 2^32 patterns at 30 bounds; run with --release --ignored"]
+    fn quantize_is_a_projection_on_every_f32() {
+        const CHUNK: usize = 1 << 20;
+        let mut once = vec![0f32; CHUNK];
+        let mut twice = vec![0f32; CHUNK];
+        for e in 1u8..=30 {
+            let codec = BurstCodec::new(ErrorBound::pow2(e));
+            for start in (0..1u64 << 32).step_by(CHUNK) {
+                for (i, v) in once.iter_mut().enumerate() {
+                    *v = f32::from_bits((start + i as u64) as u32);
+                }
+                codec.quantize_inplace(&mut once);
+                twice.copy_from_slice(&once);
+                codec.quantize_inplace(&mut twice);
+                let bad = once
+                    .iter()
+                    .zip(&twice)
+                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                if let Some(i) = bad {
+                    panic!(
+                        "2^-{e}: bits {:#010x} -> {:e} -> {:e}",
+                        start + i as u64,
+                        once[i],
+                        twice[i]
+                    );
                 }
             }
         }

@@ -130,13 +130,6 @@ impl WireCodec {
         }
     }
 
-    /// [`quantize_inplace`](Self::quantize_inplace) into a fresh copy.
-    pub(crate) fn quantize(&mut self, src: usize, values: &[f32]) -> Vec<f32> {
-        let mut out = values.to_vec();
-        self.quantize_inplace(src, &mut out);
-        out
-    }
-
     /// The gather accumulator the switch-resident strategies fold into:
     /// the compressed-domain sketch unit for the sketch family, a dense
     /// `f32` sum otherwise.

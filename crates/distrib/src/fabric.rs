@@ -629,16 +629,14 @@ pub trait Fabric: Send {
         Ok(out)
     }
 
-    /// Applies this fabric's gradient wire round trip locally at
-    /// `endpoint` — the values an endpoint would receive from itself —
-    /// without putting anything on the wire. Collectives use this where
-    /// a node keeps its own block (e.g. a group leader rebroadcasting),
-    /// so the phantom self-transfer neither inflates the wire counters
-    /// nor breaks bit-identity with peers that received the same block
-    /// through the fabric.
+    /// The values `endpoint` would receive from itself: a full
+    /// `transfer` to itself, counted like any other.
     ///
-    /// The default goes through a full `transfer` (and therefore *does*
-    /// count a transfer); the production fabrics override it stat-free.
+    /// No schedule calls this. A node that sent a block keeps the
+    /// decoded image its receiver got, so no collective needs a local
+    /// round trip. The method stays only because perfbench's
+    /// `TracingFabric` forwards it; it goes with the trait (ROADMAP
+    /// item 21).
     ///
     /// # Errors
     ///
@@ -993,10 +991,6 @@ impl Fabric for InProcessFabric {
         self.stats
     }
 
-    fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
-        Ok(self.codec.quantize(endpoint, values))
-    }
-
     fn switch_accum(&mut self, len: usize) -> SwitchAccum {
         self.codec.switch_accum(len)
     }
@@ -1236,14 +1230,6 @@ impl Fabric for NicFabric {
 
     fn stats(&self) -> FabricStats {
         self.stats
-    }
-
-    fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
-        // Per-packet hardware compression composes to exactly the
-        // whole-stream software round trip (pinned by the cross-fabric
-        // tests), so a local round trip needs no engine time, packets,
-        // or wire accounting.
-        Ok(self.codec.quantize(endpoint, values))
     }
 
     fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
@@ -1519,10 +1505,6 @@ impl Fabric for TimedFabric {
         let mut stats = self.inner.stats();
         stats.link_latency_ns += self.total_ns;
         stats
-    }
-
-    fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
-        self.inner.self_roundtrip(endpoint, values)
     }
 
     fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
@@ -2089,9 +2071,12 @@ mod tests {
         };
         assert_eq!(ours.segs, theirs.segs);
         assert_eq!(ours.bytes, theirs.bytes);
+        // Was 0x76DD_4AA5 while the codec dropped `|f| = 2^-E`: the
+        // ramp steps by 2^-14, so it hits that tie and 8-bit residues of
+        // exactly 2^-8, which now take the wider form.
         let flat = nic_frame(Some(ErrorBound::pow2(8)));
         assert!(flat.is_compressed());
-        assert_eq!(flat.crc(), 0x76DD_4AA5);
+        assert_eq!(flat.crc(), 0x3F0A_EE39);
     }
 
     #[test]
@@ -2193,45 +2178,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_self_roundtrip_advances_the_residual_like_a_transfer() {
-        // A sparse self round trip is stat-free but not state-free: it
-        // must consume an encode leg exactly as a wire transfer would,
-        // so a leader that keeps its own block stays bit-identical to
-        // peers that received it through the fabric.
-        let vals = gradients(2000, 22);
-        let sel = CodecSelection::Sparse {
-            bound: ErrorBound::pow2(6),
-            top_per_mille: 0,
-        };
-        for kind in TransportKind::ALL {
-            // The leg cursor rewinds each iteration, so the second
-            // iteration's encode reuses leg 0 and sees what the first
-            // one banked there.
-            let mut wired = FabricBuilder::new(2).transport(kind).codec(sel).build();
-            wired.begin_iteration(0);
-            let w1 = wired.transfer(0, 0, &vals).unwrap();
-            wired.begin_iteration(1);
-            let w2 = wired.transfer(0, 0, &vals).unwrap();
-            let mut local = FabricBuilder::new(2).transport(kind).codec(sel).build();
-            local.begin_iteration(0);
-            let l1 = local.self_roundtrip(0, &vals).unwrap();
-            local.begin_iteration(1);
-            let l2 = local.self_roundtrip(0, &vals).unwrap();
-            assert_eq!(l1, w1, "{kind:?} first self round trip diverged");
-            assert_eq!(
-                l2, w2,
-                "{kind:?} second self round trip must see the banked residual"
-            );
-            assert_ne!(l1, l2, "error feedback must change the second leg");
-            assert_eq!(
-                local.stats(),
-                FabricStats::default(),
-                "{kind:?} self round trip must not count wire traffic"
-            );
-        }
-    }
-
-    #[test]
     fn link_schedules_stretch_timed_charges() {
         let vals = gradients(3000, 14);
         let baseline = {
@@ -2270,28 +2216,6 @@ mod tests {
             let stats = fabric.stats();
             assert_eq!(stats.packets, 0, "{kind:?}");
             assert_eq!(stats.link_latency_ns, 0, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn self_roundtrip_matches_a_self_transfer_without_counting_one() {
-        let vals = gradients(3000, 9);
-        for sel in every_codec() {
-            for kind in TransportKind::ALL {
-                let mut through = build_with(kind, 2, sel);
-                let received = through.transfer(0, 0, &vals).unwrap();
-                let mut local = build_with(kind, 2, sel);
-                let out = local.self_roundtrip(0, &vals).unwrap();
-                assert_eq!(
-                    out, received,
-                    "{kind:?} {sel:?} self round trip diverged from the wire"
-                );
-                assert_eq!(
-                    local.stats(),
-                    FabricStats::default(),
-                    "{kind:?} {sel:?} self round trip must not count wire traffic"
-                );
-            }
         }
     }
 

@@ -569,10 +569,6 @@ impl Fabric for FaultyFabric {
         self.inner.stats()
     }
 
-    fn self_roundtrip(&mut self, endpoint: usize, values: &[f32]) -> Result<Vec<f32>, FabricError> {
-        self.inner.self_roundtrip(endpoint, values)
-    }
-
     fn switch_fold(&mut self, acc: &mut [f32], frame: &WireFrame) -> Result<(), FabricError> {
         // A crashed endpoint offers no contribution; link-level faults
         // on the uplink half-leg are folded into the plan's per-link

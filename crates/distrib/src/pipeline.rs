@@ -149,8 +149,7 @@ pub(crate) struct PipelineScratch {
     gather_inflight: VecDeque<(WireFrame, usize)>,
     /// One ladder per ring sender, reset at the start of every ring.
     ladders: Vec<Ladder>,
-    /// Reduction accumulator (aggregator/switch sum, tree broadcast
-    /// buffer).
+    /// Reduction accumulator (aggregator and switch sums).
     sum: Vec<f32>,
     /// The switch gather's accumulator, kept while the fabric hands
     /// back the same shape.
@@ -324,12 +323,16 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
 /// In-place ring all-reduce over one gradient vector per worker
 /// (Algorithm 1): `endpoints[i]` is worker `i`'s NIC and the ring runs
 /// `endpoints[i] → endpoints[(i+1) % n]`. After the call every
-/// `workers[i]` holds the elementwise sum of all inputs.
+/// `workers[i]` holds the same bits: the elementwise sum of all inputs,
+/// as the wire delivered it. Each block's owner — the node that sent
+/// the fully reduced block — ends holding the decoded image its
+/// successor received, not its exact sum, so lossy codecs leave no
+/// replica apart.
 ///
 /// Chunking happens **within** each leg at the schedule's fixed block
 /// boundaries, so each element is folded along the same ring path in
 /// the same order whatever `cfg` says. Without compression the result
-/// is bit-exact and identical across workers.
+/// is bit-exact.
 ///
 /// # Errors
 ///
@@ -395,6 +398,14 @@ pub(crate) fn ring_schedule(
                 &mut scratch.ladders[i],
                 &mut |r, rb| apply_block(&mut to[r], rb, fold),
             )?;
+            // At step n−1 node i sent its fully reduced block, and no
+            // later step writes its successor's copy: the owner adopts
+            // that decoded image while it is still warm.
+            if step == n - 1 {
+                let block = block_range(len, n, k);
+                let (image, own) = pair_mut(workers, recv, i);
+                apply_block(&mut own[block.start..block.end], &image[block], false);
+            }
         }
     }
     Ok(())
@@ -440,9 +451,9 @@ fn reduce_up(
 }
 
 /// Top-down broadcast into one subtree whose leader already holds the
-/// sum: the leader forwards it to every other child leader (one
-/// compressible gradient hop each) and applies the wire round trip to
-/// its own slot, then each child group recurses. Worker leaves are
+/// sum: the leader forwards its slot to every other child leader (one
+/// compressible gradient hop each) and then adopts the image the first
+/// of them received, then each child group recurses. Worker leaves are
 /// no-ops: a worker reached here already received the sum from its
 /// group leader.
 fn spread_into(
@@ -457,18 +468,14 @@ fn spread_into(
         return Ok(());
     };
     let leader = topo.leader();
-    // The broadcast source must be snapshotted (the leader's own slot is
-    // overwritten by its self round trip below), but into the scratch
-    // accumulator rather than a fresh clone.
-    let mut sum = std::mem::take(&mut scratch.sum);
-    sum.clear();
-    sum.extend_from_slice(&workers[pos[&leader]]);
+    let mut first = None;
     for child in children {
         let to = child.leader();
         if to == leader {
             continue;
         }
-        let slot = &mut workers[pos[&to]];
+        first.get_or_insert(to);
+        let (sum, slot) = pair_mut(workers, pos[&leader], pos[&to]);
         pipelined_leg(
             fabric,
             &mut scratch.arena,
@@ -480,22 +487,15 @@ fn spread_into(
                 kind: PayloadKind::Gradient,
                 charge: Charge::Link,
             },
-            &sum,
+            sum,
             &mut Ladder::new(1),
             &mut |r, rb| apply_block(&mut slot[r], rb, false),
         )?;
     }
-    // The leader applies the same wire round trip locally (bit-identical
-    // to receiving its own frame) instead of a phantom self-transfer
-    // that would inflate the wire/packet counters with traffic that
-    // never crosses a link.
-    let slot = &mut workers[pos[&leader]];
-    for r in chunk_ranges(0..sum.len(), cfg.chunk_values) {
-        let rt = fabric.self_roundtrip(leader, &sum[r.clone()])?;
-        apply_block(&mut slot[r], &rt, false);
+    if let Some(first) = first {
+        let (image, own) = pair_mut(workers, pos[&first], pos[&leader]);
+        apply_block(own, image, false);
     }
-    // Return the buffer before recursing so every level reuses it.
-    scratch.sum = sum;
     for child in children {
         spread_into(fabric, workers, pos, child, cfg, scratch)?;
     }
@@ -538,9 +538,11 @@ fn spread_from_root(
 /// and that leaf id is used as the fabric endpoint.
 ///
 /// Without compression the result equals the flat ring bit-for-bit on
-/// every worker. With compression, workers inside one group stay
-/// bit-identical to their group leader; divergence across groups is
-/// bounded by the codec's error bound per tier.
+/// every worker. With compression every worker still ends with the same
+/// bits: each leader ring leaves its members one image (the ring's
+/// owner rule), a broadcasting leader adopts the image its first child
+/// leader received, and every codec the fabric carries maps a decoded
+/// image to itself, so re-encoding it on the next tier changes nothing.
 ///
 /// # Errors
 ///

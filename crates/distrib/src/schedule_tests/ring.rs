@@ -372,8 +372,8 @@ mod tests {
 
     #[test]
     fn hierarchical_compressed_leader_stays_bit_identical_to_its_group() {
-        // The leader's local round trip must equal what its members
-        // receive over the wire, on every transport.
+        // The leader adopts the image its members receive over the
+        // wire, on every transport.
         let bound = Some(ErrorBound::pow2(10));
         let grads = random_grads(6, 300, 93);
         let mut reference: Option<Vec<Vec<f32>>> = None;

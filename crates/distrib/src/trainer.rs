@@ -656,10 +656,10 @@ impl DistributedTrainer {
     }
 
     /// The largest absolute parameter difference between any live
-    /// replica and the first live replica — zero for lossless
-    /// exchanges, bounded by the accumulated quantization drift
-    /// otherwise. Crashed replicas are excluded: they stopped receiving
-    /// updates when they were excised.
+    /// replica and the first live replica. Zero for every strategy and
+    /// codec: each exchange delivers one aggregate, bit for bit, to
+    /// every worker. Crashed replicas are excluded: they stopped
+    /// receiving updates when they were excised.
     pub fn max_replica_divergence(&self) -> f32 {
         let live = self.live_workers();
         let reference = self.replicas[live[0]].flat_params();
@@ -788,17 +788,52 @@ mod tests {
 
     #[test]
     fn compressed_replica_drift_stays_small() {
+        // Every replica holds the wire's image of each block, its owner
+        // included, and a forwarded image re-encodes to itself: no drift,
+        // whatever the strategy, lossy codec or transport.
         let data = DigitDataset::generate(160, 14);
-        let mut t = DistributedTrainer::new(
-            quick_config(ExchangeStrategy::Ring, pow2_codec(10)),
-            models::hdc_mlp_small,
-            &data,
-        );
-        t.train_iterations(10);
-        let drift = t.max_replica_divergence();
-        // Quantization is deterministic; divergence only enters through
-        // rare re-quantization boundary cases, each bounded by eb.
-        assert!(drift < 0.01, "replica drift {drift}");
+        let codecs = [
+            pow2_codec(6),
+            pow2_codec(10),
+            CodecSelection::Sparse {
+                bound: ErrorBound::pow2(6),
+                top_per_mille: 0,
+            },
+            CodecSelection::Sparse {
+                bound: ErrorBound::pow2(6),
+                top_per_mille: 100,
+            },
+            CodecSelection::Sketch { frac_bits: 12 },
+        ];
+        let strategies = [
+            ExchangeStrategy::Ring,
+            ExchangeStrategy::HierarchicalRing { group_size: 2 },
+            ExchangeStrategy::Tree,
+            ExchangeStrategy::WorkerAggregator,
+            ExchangeStrategy::SwitchReduce,
+        ];
+        for strategy in strategies {
+            for codec in codecs {
+                for transport in [TransportKind::InProcess, TransportKind::Nic] {
+                    let mut t = DistributedTrainer::new(
+                        TrainerConfig {
+                            transport,
+                            topology: matches!(strategy, ExchangeStrategy::Tree)
+                                .then(|| Topology::two_tier(2, 2)),
+                            ..quick_config(strategy, codec)
+                        },
+                        models::hdc_mlp_small,
+                        &data,
+                    );
+                    t.train_iterations(10);
+                    assert_eq!(
+                        t.max_replica_divergence(),
+                        0.0,
+                        "{strategy:?} {codec:?} {transport:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

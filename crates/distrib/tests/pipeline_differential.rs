@@ -4,9 +4,11 @@
 //! [`Exchange`]. Every codec quantizes per value, so splitting a leg
 //! into pipeline chunks cannot change any encoded byte — these tests
 //! pin that from outside the crate, over the public API, including
-//! ragged final chunks and fault-plan replay under chunking. (That the
-//! whole-leg default is itself right is pinned against
-//! executor-independent references in `tests/fabric_stack.rs`.)
+//! ragged final chunks and fault-plan replay under chunking. Every run
+//! must also leave every worker with the same bits: each exchange
+//! delivers one aggregate. (That the whole-leg default is itself right
+//! is pinned against executor-independent references in
+//! `tests/fabric_stack.rs`.)
 
 use inceptionn_compress::ErrorBound;
 use inceptionn_distrib::{
@@ -68,9 +70,35 @@ fn build(endpoints: usize, transport: TransportKind, codec: CodecSelection) -> B
         .build()
 }
 
+/// Runs `exchange` over a fresh fabric on the fixed gradients, asserts
+/// that every worker ends with worker 0's bits, and returns them all.
+fn run_agreeing(
+    label: &str,
+    strategy: ExchangeStrategy,
+    mut exchange: Exchange,
+    transport: TransportKind,
+    codec: CodecSelection,
+    endpoints: usize,
+) -> Vec<Vec<u32>> {
+    let live: Vec<usize> = (0..WORKERS).collect();
+    let mut grads = random_grads(WORKERS, LEN, 0xd1ff);
+    let mut fabric = build(endpoints, transport, codec);
+    exchange
+        .run(strategy, fabric.as_mut(), &mut grads, &live)
+        .expect(label);
+    let out = bits(&grads);
+    for (w, replica) in out.iter().enumerate() {
+        assert!(
+            replica == &out[0],
+            "{label}/{codec:?}/{transport:?}: worker {w} diverged from worker 0"
+        );
+    }
+    out
+}
+
 /// Runs one (whole-leg, chunked) pair of `exchange()` over fresh
-/// fabrics and asserts bit-identical results, labeling failures with
-/// the cell.
+/// fabrics and asserts bit-identical results with agreeing replicas,
+/// labeling failures with the cell.
 fn assert_cell(
     label: &str,
     strategy: ExchangeStrategy,
@@ -80,22 +108,17 @@ fn assert_cell(
     cfg: PipelineConfig,
     endpoints: usize,
 ) {
-    let live: Vec<usize> = (0..WORKERS).collect();
-    let grads = random_grads(WORKERS, LEN, 0xd1ff);
-    let mut whole = grads.clone();
-    let mut fabric = build(endpoints, transport, codec);
-    exchange()
-        .run(strategy, fabric.as_mut(), &mut whole, &live)
-        .expect(label);
-    let mut piped = grads;
-    let mut fabric = build(endpoints, transport, codec);
-    exchange()
-        .pipelined(cfg)
-        .run(strategy, fabric.as_mut(), &mut piped, &live)
-        .expect(label);
-    assert_eq!(
-        bits(&whole),
-        bits(&piped),
+    let whole = run_agreeing(label, strategy, exchange(), transport, codec, endpoints);
+    let piped = run_agreeing(
+        &format!("{label} chunk={} depth={}", cfg.chunk_values, cfg.depth),
+        strategy,
+        exchange().pipelined(cfg),
+        transport,
+        codec,
+        endpoints,
+    );
+    assert!(
+        whole == piped,
         "{label}/{codec:?}/{transport:?} chunk={} depth={}: chunked diverged",
         cfg.chunk_values,
         cfg.depth,
@@ -141,6 +164,35 @@ fn pipelined_tree_matches_for_every_codec() {
             TransportKind::Nic,
             codec,
             PipelineConfig::with_chunk(97),
+            WORKERS,
+        );
+    }
+}
+
+/// The top-k sparse cap is not chunk-stable, so it has no chunked
+/// cell; whole-leg, its ring and tree replicas must still agree.
+#[test]
+fn whole_leg_top_k_replicas_agree_on_ring_and_tree() {
+    let codec = CodecSelection::Sparse {
+        bound: ErrorBound::pow2(6),
+        top_per_mille: 100,
+    };
+    let topo = Topology::two_tier(2, WORKERS / 2);
+    for transport in [TransportKind::InProcess, TransportKind::Nic] {
+        run_agreeing(
+            "ring/sparse-top-k",
+            ExchangeStrategy::Ring,
+            Exchange::new(WORKERS),
+            transport,
+            codec,
+            WORKERS,
+        );
+        run_agreeing(
+            "tree/sparse-top-k",
+            ExchangeStrategy::Tree,
+            Exchange::new(WORKERS).with_topology(topo.clone()),
+            transport,
+            codec,
             WORKERS,
         );
     }

@@ -64,13 +64,9 @@ fn compressed_ring_replicas_remain_usable_after_long_runs() {
         &train,
     );
     t.train_iterations(120);
-    // Quantization drift across replicas stays tiny even at a loose
-    // bound after many iterations.
-    assert!(
-        t.max_replica_divergence() < 0.05,
-        "drift {}",
-        t.max_replica_divergence()
-    );
+    // Every replica ends each exchange with the same aggregate bits, so
+    // even a loose bound over a long run leaves no drift.
+    assert_eq!(t.max_replica_divergence(), 0.0);
 }
 
 #[test]

@@ -27,9 +27,11 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The ring exchange exactly as it existed before the `Fabric` refactor
-/// (Algorithm 1, simultaneous-step semantics), kept verbatim as the
-/// regression oracle.
+/// The ring exchange as it existed before the `Fabric` refactor
+/// (Algorithm 1, simultaneous-step semantics), kept as the regression
+/// oracle, plus the owner rule: the node that sent a fully reduced
+/// block at the first all-gather step ends holding the image its
+/// successor received.
 fn reference_ring(workers: &mut [Vec<f32>], codec: Option<&InceptionnCodec>) {
     let maybe_quantize = |block: &[f32]| match codec {
         None => block.to_vec(),
@@ -67,6 +69,12 @@ fn reference_ring(workers: &mut [Vec<f32>], codec: Option<&InceptionnCodec>) {
             let range = block_range(len, n, k);
             worker[range].copy_from_slice(&messages[from]);
         }
+    }
+    for i in 0..n {
+        let owned = (i + 1) % n;
+        let range = block_range(len, n, owned);
+        let image = workers[owned][range.clone()].to_vec();
+        workers[i][range].copy_from_slice(&image);
     }
 }
 
@@ -115,6 +123,12 @@ fn fabric_ring_is_bit_exact_with_the_pre_refactor_reference() {
             let mut fabric = FabricBuilder::new(n).codec(selection).build();
             ring_over(fabric.as_mut(), &mut got);
             assert_eq!(got, want, "n={n} len={len} bound={bound:?} diverged");
+            for (w, replica) in got.iter().enumerate() {
+                assert_eq!(
+                    replica, &got[0],
+                    "n={n} bound={bound:?}: worker {w} disagrees"
+                );
+            }
         }
     }
 }
