@@ -459,23 +459,30 @@ mod x86 {
         }
     }
 
+    /// The AVX-512 loop of [`BurstCodec::compress_append`]: classifies
+    /// each 16-value pair and appends its two groups to `w`. The loop
+    /// and the classifier it inlines are one function, so the loop's
+    /// speed does not depend on where the linker places the two.
+    ///
+    /// [`BurstCodec::compress_append`]: super::BurstCodec::compress_append
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn compress_pairs_avx512(eb_exp: u32, pairs: &[[f32; 16]], w: &mut super::ByteSink) {
+        let mut pays = [[0u32; 8]; 2];
+        for pair in pairs {
+            let tags32 = classify16_avx512(eb_exp, pair, &mut pays);
+            let [lo, hi] = &pays;
+            w.put_group(tags32 & 0xffff, lo);
+            w.put_group(tags32 >> 16, hi);
+        }
+    }
+
     /// Sixteen-lane (two-burst) classifier: the AVX-512 widening of
     /// [`classify8_avx2`], with compare results in mask registers.
     /// Returns the two groups' tag vectors (first group in the low 16
-    /// bits) and stores each group's eight payloads.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F support on the running
-    /// CPU.
-    // SAFETY: contract above — sound iff the CPU supports AVX-512F;
-    // all memory accesses go through the two array references.
+    /// bits) and stores each group's eight payloads. Callable only
+    /// where AVX-512F is enabled.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn classify16_avx512(
-        eb_exp: u32,
-        group: &[f32; 16],
-        pays: &mut [[u32; 8]; 2],
-    ) -> u32 {
+    fn classify16_avx512(eb_exp: u32, group: &[f32; 16], pays: &mut [[u32; 8]; 2]) -> u32 {
         // SAFETY: unaligned load/store of exactly 64 bytes each.
         unsafe {
             let v = _mm512_loadu_si512(group.as_ptr().cast());
@@ -917,14 +924,8 @@ impl BurstCodec {
         #[cfg(target_arch = "x86_64")]
         if self.avx512 {
             let (pairs, tail) = rest.as_chunks::<{ 2 * LANES_PER_BURST }>();
-            let mut pays = [[0u32; LANES_PER_BURST]; 2];
-            for pair in pairs {
-                // SAFETY: AVX-512F support was verified at construction.
-                let tags32 = unsafe { x86::classify16_avx512(self.eb_exp, pair, &mut pays) };
-                let [lo, hi] = &pays;
-                w.put_group(tags32 & 0xffff, lo);
-                w.put_group(tags32 >> 16, hi);
-            }
+            // SAFETY: AVX-512F support was verified at construction.
+            unsafe { x86::compress_pairs_avx512(self.eb_exp, pairs, &mut w) };
             rest = tail;
         }
         let (groups, rem) = rest.as_chunks::<LANES_PER_BURST>();

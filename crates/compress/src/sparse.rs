@@ -25,6 +25,18 @@
 //! frame: `[len: u32][nnz: u32]` then `nnz` ascending
 //! `[index: u32][value: f32]` pairs, all little-endian.
 //!
+//! Selection is one fused pass per block of 64 values: the residual
+//! fold `r = leg + v` and the strict `|r| > 2^-e` compare build a
+//! 64-bit mask branch-free (so the compiler vectorizes them), and a
+//! walk over the mask's set bits writes each selected pair straight
+//! into the frame and zeroes its residual slot.
+//! [`SparseCodec::encode_append`] and [`SparseCodec::apply`] share that
+//! kernel, so there is one selection rule. Top-k then cuts the
+//! candidates in place, where they already sit in the frame. Encoding
+//! allocates nothing beyond growing the caller's frame buffer; only
+//! `apply`'s top-k mode, which runs in process, collects candidate
+//! indices.
+//!
 //! Residual-state ownership: the codec itself is an immutable
 //! configuration; all mutable state lives in a caller-owned
 //! [`ResidualState`], one per worker endpoint. Within an iteration,
@@ -36,6 +48,8 @@
 //! the already-encoded frame and renegotiation re-encodes the leg
 //! *plain*, so a seeded fault schedule leaves residuals byte-identical
 //! to the clean run's.
+
+use std::cmp::Ordering;
 
 use crate::inceptionn::{DecodeError, ErrorBound};
 
@@ -149,45 +163,29 @@ impl SparseCodec {
         FRAME_HEADER_BYTES + len * PAIR_BYTES
     }
 
-    /// Selection core: folds `values` into the leg residual and picks
-    /// the transmit set (ascending indices into `picks`). Callers move
-    /// `leg[i]` to the wire and zero it for each pick.
-    fn select(&self, rank: u64, leg: &mut [f32], values: &[f32], picks: &mut Vec<u32>) {
-        for (r, &v) in leg.iter_mut().zip(values) {
-            *r += v;
-        }
-        let tau = self.config.bound.value();
-        picks.clear();
-        for (i, &r) in leg.iter().enumerate() {
-            // Strict threshold: exact zeros (and NaNs) never transmit,
-            // so wire values are always nonzero finite-ish floats and
-            // the switch's skip-the-zeros fold is bit-identical to a
-            // dense add.
-            if r.abs() > tau {
-                picks.push(i as u32);
-            }
-        }
-        if self.config.top_per_mille > 0 {
-            let k = (leg.len() * usize::from(self.config.top_per_mille))
+    /// `k` for a block of `len` values in top-k mode, `None` in
+    /// threshold mode.
+    fn top_k(&self, len: usize) -> Option<usize> {
+        (self.config.top_per_mille > 0).then(|| {
+            (len * usize::from(self.config.top_per_mille))
                 .div_ceil(1000)
-                .max(1);
-            if picks.len() > k {
-                let seed = self.config.seed;
-                picks.select_nth_unstable_by(k - 1, |&a, &b| {
-                    let ma = leg[a as usize].abs();
-                    let mb = leg[b as usize].abs();
-                    mb.total_cmp(&ma)
-                        .then_with(|| tie_key(seed, rank, a).cmp(&tie_key(seed, rank, b)))
-                });
-                picks.truncate(k);
-                picks.sort_unstable();
-            }
-        }
+                .max(1)
+        })
+    }
+
+    /// The top-k order over candidates `(index, value)`: larger
+    /// magnitude first, equal magnitudes by the seeded tie key.
+    fn top_k_order(&self, rank: u64, (ia, va): (u32, f32), (ib, vb): (u32, f32)) -> Ordering {
+        let seed = self.config.seed;
+        vb.abs()
+            .total_cmp(&va.abs())
+            .then_with(|| tie_key(seed, rank, ia).cmp(&tie_key(seed, rank, ib)))
     }
 
     /// Encodes one gradient leg at `rank`, appending the frame to
     /// `out`; returns the appended byte count. Advances `state` to the
-    /// next leg slot and updates its residual.
+    /// next leg slot and updates its residual. Allocates nothing beyond
+    /// growing `out`.
     pub fn encode_append(
         &self,
         rank: u64,
@@ -201,32 +199,132 @@ impl SparseCodec {
         // nnz is patched after selection.
         let nnz_at = out.len();
         out.extend_from_slice(&0u32.to_le_bytes());
-        let mut picks = Vec::with_capacity(values.len());
-        self.select(rank, leg, values, &mut picks);
-        for &i in picks.iter() {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&leg[i as usize].to_le_bytes());
-            leg[i as usize] = 0.0;
+        let pairs_at = out.len();
+        let tau = self.config.bound.value();
+        let mut nnz = select_into(tau, leg, values, out);
+        if let Some(k) = self.top_k(values.len()).filter(|&k| nnz > k) {
+            // The candidates are already on the wire in index order and
+            // out of the residual; keep the k first in the top-k order,
+            // bank the rest back, and restore index order.
+            let (pairs, _) = out[pairs_at..].as_chunks_mut::<PAIR_BYTES>();
+            pairs
+                .select_nth_unstable_by(k - 1, |a, b| self.top_k_order(rank, unpack(a), unpack(b)));
+            let (kept, dropped) = pairs.split_at_mut(k);
+            for pair in dropped.iter() {
+                let (i, v) = unpack(pair);
+                leg[i as usize] = v;
+            }
+            kept.sort_unstable_by_key(|pair| unpack(pair).0);
+            out.truncate(pairs_at + k * PAIR_BYTES);
+            nnz = k;
         }
-        let nnz = (picks.len() as u32).to_le_bytes();
-        out[nnz_at..nnz_at + 4].copy_from_slice(&nnz);
+        out[nnz_at..nnz_at + 4].copy_from_slice(&(nnz as u32).to_le_bytes());
         out.len() - before
     }
 
     /// The wire round trip applied in place: `values` becomes exactly
     /// what [`decode_frame`] would reconstruct from
     /// [`encode_append`](Self::encode_append)'s frame, with the same
-    /// state advance — the in-process fabrics' shortcut.
+    /// state advance — the in-process fabrics' shortcut. Threshold mode
+    /// allocates nothing; top-k mode collects its candidate indices.
     pub fn apply(&self, rank: u64, state: &mut ResidualState, values: &mut [f32]) {
         let leg = state.next_leg(values.len());
+        let tau = self.config.bound.value();
+        let Some(k) = self.top_k(values.len()) else {
+            for (leg, values) in leg.chunks_mut(BLOCK).zip(values.chunks_mut(BLOCK)) {
+                let mask = fold_block(tau, leg, values);
+                for (j, (r, v)) in leg.iter_mut().zip(values.iter_mut()).enumerate() {
+                    let sent = mask >> j & 1 != 0;
+                    *v = if sent { *r } else { 0.0 };
+                    *r = if sent { 0.0 } else { *r };
+                }
+            }
+            return;
+        };
         let mut picks = Vec::with_capacity(values.len());
-        self.select(rank, leg, values, &mut picks);
+        for (b, (leg, values)) in leg.chunks_mut(BLOCK).zip(values.chunks(BLOCK)).enumerate() {
+            let mut mask = fold_block(tau, leg, values);
+            while mask != 0 {
+                picks.push((b * BLOCK) as u32 + mask.trailing_zeros());
+                mask &= mask - 1;
+            }
+        }
+        if picks.len() > k {
+            picks.select_nth_unstable_by(k - 1, |&a, &b| {
+                self.top_k_order(rank, (a, leg[a as usize]), (b, leg[b as usize]))
+            });
+            picks.truncate(k);
+            picks.sort_unstable();
+        }
         values.fill(0.0);
-        for &i in picks.iter() {
+        for &i in &picks {
             values[i as usize] = leg[i as usize];
             leg[i as usize] = 0.0;
         }
     }
+}
+
+/// Values per selection block: one block's fold and compare build one
+/// `u64` mask.
+const BLOCK: usize = 64;
+
+/// The one selection rule, for a block of at most [`BLOCK`] values:
+/// folds `values` into the leg residual (`r = leg[j] + v`) and returns
+/// the mask of slots with `|r| > tau`, bit `j` for slot `j`. The compare
+/// is strict: exact zeros, values at `±tau` and NaNs never transmit, so
+/// wire values are always nonzero and the switch's skip-the-zeros fold
+/// is bit-identical to a dense add.
+///
+/// Branch-free, so it vectorizes: the compares land as 0/1 bytes, and
+/// one multiply gathers each 8 of them into a mask byte (the `b`-th
+/// byte's low bit lands at bit `56 + b`, and no carry reaches there).
+#[inline(always)]
+fn fold_block(tau: f32, leg: &mut [f32], values: &[f32]) -> u64 {
+    let mut sent = [0u8; BLOCK];
+    for ((r, &v), s) in leg.iter_mut().zip(values).zip(&mut sent) {
+        *r += v;
+        *s = u8::from(r.abs() > tau);
+    }
+    let (bytes, _) = sent.as_chunks::<8>();
+    bytes.iter().enumerate().fold(0, |mask, (g, &b)| {
+        mask | (u64::from_le_bytes(b).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g)
+    })
+}
+
+/// Threshold selection written straight into the frame: per block, the
+/// fold and compare of [`fold_block`], then a walk over the mask's set
+/// bits that appends each `(index, value)` pair to `out` (grown once per
+/// block) and zeroes that residual slot. Returns the pair count.
+fn select_into(tau: f32, leg: &mut [f32], values: &[f32], out: &mut Vec<u8>) -> usize {
+    let mut nnz = 0;
+    for (b, (leg, values)) in leg.chunks_mut(BLOCK).zip(values.chunks(BLOCK)).enumerate() {
+        let mut mask = fold_block(tau, leg, values);
+        let at = out.len();
+        let count = mask.count_ones() as usize;
+        out.resize(at + count * PAIR_BYTES, 0);
+        let (pairs, _) = out[at..].as_chunks_mut::<PAIR_BYTES>();
+        for pair in pairs {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            *pair = pack((b * BLOCK + j) as u32, leg[j]);
+            leg[j] = 0.0;
+        }
+        nnz += count;
+    }
+    nnz
+}
+
+/// One wire pair: `[index: u32][value: f32]`, little-endian.
+#[inline]
+fn pack(index: u32, value: f32) -> [u8; PAIR_BYTES] {
+    (u64::from(index) | u64::from(value.to_bits()) << 32).to_le_bytes()
+}
+
+/// The `(index, value)` of one wire pair.
+#[inline]
+fn unpack(pair: &[u8; PAIR_BYTES]) -> (u32, f32) {
+    let word = u64::from_le_bytes(*pair);
+    (word as u32, f32::from_bits((word >> 32) as u32))
 }
 
 /// Decodes a sparse frame into `out` (zero-filled then scattered).
@@ -314,6 +412,166 @@ pub fn fold_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass encoder the fused kernel replaced, kept as the
+    /// oracle [`SparseCodec::encode_append`] and [`SparseCodec::apply`]
+    /// must match bit for bit: fold the whole leg, collect every
+    /// transmit index (top-k cuts them with `select_nth_unstable_by`),
+    /// then write the pairs and zero their residual slots.
+    fn reference_encode_append(
+        codec: &SparseCodec,
+        rank: u64,
+        state: &mut ResidualState,
+        values: &[f32],
+        out: &mut Vec<u8>,
+    ) -> usize {
+        let before = out.len();
+        let leg = state.next_leg(values.len());
+        for (r, &v) in leg.iter_mut().zip(values) {
+            *r += v;
+        }
+        let tau = codec.config.bound.value();
+        let mut picks: Vec<u32> = (0..leg.len() as u32)
+            .filter(|&i| leg[i as usize].abs() > tau)
+            .collect();
+        if codec.config.top_per_mille > 0 {
+            let k = (leg.len() * usize::from(codec.config.top_per_mille))
+                .div_ceil(1000)
+                .max(1);
+            if picks.len() > k {
+                let seed = codec.config.seed;
+                picks.select_nth_unstable_by(k - 1, |&a, &b| {
+                    let ma = leg[a as usize].abs();
+                    let mb = leg[b as usize].abs();
+                    mb.total_cmp(&ma)
+                        .then_with(|| tie_key(seed, rank, a).cmp(&tie_key(seed, rank, b)))
+                });
+                picks.truncate(k);
+                picks.sort_unstable();
+            }
+        }
+        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(picks.len() as u32).to_le_bytes());
+        for &i in &picks {
+            out.extend_from_slice(&i.to_le_bytes());
+            out.extend_from_slice(&leg[i as usize].to_le_bytes());
+            leg[i as usize] = 0.0;
+        }
+        out.len() - before
+    }
+
+    /// Every residual bit of every leg slot (`PartialEq` on `f32` would
+    /// equate ±0 and fail on NaN).
+    fn residual_bits(state: &ResidualState) -> Vec<Vec<u32>> {
+        (0..state.legs())
+            .map(|l| {
+                state
+                    .residual(l)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `rounds` iterations of `values` (scaled per round, in legs
+    /// of `chunk` values) through the fused encoder, the oracle and
+    /// `apply`, and asserts identical frames, decoded images and
+    /// residual bits after every leg.
+    fn assert_matches_reference(
+        codec: &SparseCodec,
+        rank: u64,
+        values: &[f32],
+        chunk: usize,
+        rounds: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut fused = ResidualState::new();
+        let mut oracle = ResidualState::new();
+        let mut applied = ResidualState::new();
+        for round in 0..rounds {
+            fused.begin_iteration();
+            oracle.begin_iteration();
+            applied.begin_iteration();
+            let scaled: Vec<f32> = values.iter().map(|&v| v * (1.0 + round as f32)).collect();
+            let legs: Vec<&[f32]> = if scaled.is_empty() {
+                vec![&scaled[..]]
+            } else {
+                scaled.chunks(chunk).collect()
+            };
+            for leg in legs {
+                // A non-empty prefix: encode_append appends, never
+                // overwrites.
+                let mut got = vec![0xAB];
+                let got_len = codec.encode_append(rank, &mut fused, leg, &mut got);
+                let mut want = vec![0xAB];
+                let want_len = reference_encode_append(codec, rank, &mut oracle, leg, &mut want);
+                prop_assert_eq!(got_len, want_len);
+                prop_assert_eq!(&got, &want);
+                let mut decoded = vec![f32::NAN; leg.len()];
+                decode_frame(&want[1..], &mut decoded).expect("well-formed frame");
+                let mut image = leg.to_vec();
+                codec.apply(rank, &mut applied, &mut image);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&image), bits(&decoded));
+                prop_assert_eq!(residual_bits(&fused), residual_bits(&oracle));
+                prop_assert_eq!(residual_bits(&applied), residual_bits(&oracle));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fused_encoder_is_byte_identical_to_the_two_pass_reference(
+            raw in proptest::collection::vec((0u8..12, any::<u32>(), -4096i32..4096), 1..300),
+            shape in 0usize..6,
+            density in 0u32..=100,
+            exponent in 1u8..=12,
+            top_k in any::<bool>(),
+            top_per_mille in 1u16..=1000,
+            chunk in 1usize..200,
+            rank in 0u64..8,
+        ) {
+            let tau = ErrorBound::pow2(exponent).value();
+            let len = [0, 1, 63, 64, 65, raw.len()][shape];
+            let values: Vec<f32> = (0..len)
+                .map(|i| {
+                    let (kind, bits, k) = raw[i % raw.len()];
+                    let sign = if k < 0 { -1.0 } else { 1.0 };
+                    if bits % 100 >= density {
+                        // Below the threshold on its own; residuals
+                        // may still carry it over in a later round.
+                        return k as f32 * tau / 8192.0;
+                    }
+                    match kind {
+                        // Exactly at the threshold: never sent alone.
+                        0 => sign * tau,
+                        1 => sign * 0.0,
+                        2 => f32::from_bits(0x7FC0_0000 | (bits & 0x803F_FFFF)),
+                        3 => sign * f32::INFINITY,
+                        // A subnormal of either sign.
+                        4 => f32::from_bits((bits & 0x807F_FFFF) | 1),
+                        5 => f32::from_bits(bits),
+                        // Equal magnitudes: top-k ties at the cut.
+                        6 | 7 => sign * 0.5,
+                        _ => k as f32 * tau / 1024.0,
+                    }
+                })
+                .collect();
+            let codec = SparseCodec::new(SparseConfig {
+                bound: ErrorBound::pow2(exponent),
+                top_per_mille: if top_k { top_per_mille } else { 0 },
+                seed: 0xD15C_0DEC,
+            });
+            // A third of the cases encode the block as one leg.
+            let chunk = if chunk % 3 == 0 { len } else { chunk };
+            assert_matches_reference(&codec, rank, &values, chunk, 3)?;
+        }
+    }
 
     fn codec(exponent: u8, top_per_mille: u16) -> SparseCodec {
         SparseCodec::new(SparseConfig {
@@ -385,26 +643,28 @@ mod tests {
 
     #[test]
     fn apply_matches_the_wire_roundtrip_bit_for_bit() {
-        let codec = codec(6, 125);
-        let mut wire_state = ResidualState::new();
-        let mut apply_state = ResidualState::new();
-        let mut h = 0x5EED_u64;
-        for _ in 0..4 {
-            wire_state.begin_iteration();
-            apply_state.begin_iteration();
-            let values: Vec<f32> = (0..64)
-                .map(|_| {
-                    h = splitmix64(h);
-                    (h as f64 / u64::MAX as f64) as f32 - 0.5
-                })
-                .collect();
-            let wire = roundtrip(&codec, &mut wire_state, &values);
-            let mut applied = values.clone();
-            codec.apply(7, &mut apply_state, &mut applied);
-            let wire_bits: Vec<u32> = wire.iter().map(|v| v.to_bits()).collect();
-            let applied_bits: Vec<u32> = applied.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(wire_bits, applied_bits);
-            assert_eq!(wire_state, apply_state);
+        // Top-k on one whole block, and threshold on a ragged last block.
+        for (codec, len) in [(codec(6, 125), 64), (codec(6, 0), 100)] {
+            let mut wire_state = ResidualState::new();
+            let mut apply_state = ResidualState::new();
+            let mut h = 0x5EED_u64;
+            for _ in 0..4 {
+                wire_state.begin_iteration();
+                apply_state.begin_iteration();
+                let values: Vec<f32> = (0..len)
+                    .map(|_| {
+                        h = splitmix64(h);
+                        (h as f64 / u64::MAX as f64) as f32 - 0.5
+                    })
+                    .collect();
+                let wire = roundtrip(&codec, &mut wire_state, &values);
+                let mut applied = values.clone();
+                codec.apply(7, &mut apply_state, &mut applied);
+                let wire_bits: Vec<u32> = wire.iter().map(|v| v.to_bits()).collect();
+                let applied_bits: Vec<u32> = applied.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(wire_bits, applied_bits);
+                assert_eq!(wire_state, apply_state);
+            }
         }
     }
 

@@ -191,7 +191,7 @@ impl WireCodec {
     ) -> Result<u64, DecodeError> {
         match self {
             WireCodec::Sparse { .. } if compressed => {
-                let n = zeroed(values, payload);
+                let n = sized(values, payload);
                 sparse::decode_frame(&payload.bytes, values)?;
                 Ok(engine::sparse_decode_cycles(
                     n,
@@ -199,7 +199,7 @@ impl WireCodec {
                 ))
             }
             WireCodec::Sketch(_) if compressed => {
-                let n = zeroed(values, payload);
+                let n = sized(values, payload);
                 sketch::decode_frame(&payload.bytes, values)?;
                 Ok(engine::sketch_decode_cycles(n, payload.bytes.len()))
             }
@@ -257,11 +257,12 @@ fn sparse_pairs(frame_bytes: usize) -> usize {
     frame_bytes.saturating_sub(sparse::FRAME_HEADER_BYTES) / sparse::PAIR_BYTES
 }
 
-/// Sizes `values` to the payload's block length, zero-filled, and
-/// returns that length.
-fn zeroed(values: &mut Vec<f32>, payload: &FlatPayload) -> usize {
+/// Sizes `values` to the payload's block length and returns that
+/// length. The contents are left as they are: both codec decoders
+/// write every element (the sparse one zero-fills before it scatters),
+/// and no caller reads `values` after a decode error.
+fn sized(values: &mut Vec<f32>, payload: &FlatPayload) -> usize {
     let n = payload.value_count();
-    values.clear();
     values.resize(n, 0.0);
     n
 }

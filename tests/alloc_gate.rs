@@ -1,4 +1,5 @@
-//! Dynamic zero-allocation gate for the ring and switch exchanges.
+//! Dynamic zero-allocation gate for the ring, switch and
+//! worker-aggregator exchanges.
 //!
 //! The static analyzer forbids allocation *sites* on hot paths; this
 //! gate proves the dynamic property those rules approximate: after a
@@ -6,13 +7,16 @@
 //! across iterations performs **zero heap allocations** in steady
 //! state — for the ring all-reduce over the NIC transport chunked or
 //! whole-leg, untimed or timed, and over the trainer's default
-//! in-process transport; and for the switch reduce of count-sketch
-//! frames over the NIC transport chunked or whole-leg and over the
-//! in-process transport. Every buffer the exchange touches — arena
-//! frames, flat wire payloads, the in-flight windows, the recovery
-//! ladders, the fabric's value scratch, the codec's append sink, the
-//! switch accumulator and the timed fabric's per-packet size buffer —
-//! is recycled.
+//! in-process transport; for the switch reduce of count-sketch frames
+//! over the NIC transport chunked or whole-leg and over the in-process
+//! transport; and for the worker-aggregator incast of error-feedback
+//! sparse frames (threshold and top-k) over the timed and untimed NIC
+//! transports, chunked or whole-leg, and over the in-process transport.
+//! Every buffer the exchange touches — arena frames, flat wire
+//! payloads, the in-flight windows, the recovery ladders, the fabric's
+//! value scratch, the codec's append sink, the switch accumulator and
+//! the timed fabric's per-packet size buffer — is recycled, and the
+//! sparse encoder writes its frame without scratch of its own.
 //!
 //! The counting `#[global_allocator]` is compiled only under the
 //! `alloc-gate` feature (see `crates/core/Cargo.toml`), so the rest of
@@ -86,7 +90,8 @@ fn worker_grads(workers: usize, len: usize, seed: u64) -> Vec<Vec<f32>> {
 
 /// Runs `strategy` over `transport` on one held `exchange`: a warm-up
 /// iteration, then three more that must allocate nothing and stay
-/// bit-identical to the first.
+/// bit-identical to the first. Each iteration begins with
+/// `Fabric::begin_iteration`, as a trainer step does.
 ///
 /// The same gradient values are re-exchanged each iteration — as a
 /// fixed training step would re-fill the same gradient buffers — so
@@ -95,28 +100,74 @@ fn assert_steady_state_allocates_nothing(
     label: &str,
     strategy: ExchangeStrategy,
     transport: TransportKind,
-    mut exchange: Exchange,
+    exchange: Exchange,
     n: usize,
     len: usize,
     codec: CodecSelection,
 ) {
-    let live: Vec<usize> = (0..n).collect();
-    let mut fabric = FabricBuilder::new(n)
-        .transport(transport)
-        .codec(codec)
-        .build();
     let inputs = worker_grads(n, len, 0xA110C);
+    assert_steady_state_allocates_nothing_on(label, strategy, transport, exchange, codec, &inputs);
+}
+
+/// [`assert_steady_state_allocates_nothing`] on given `inputs`, one
+/// vector per worker. The worker-aggregator strategy gets its
+/// aggregator endpoint after the workers'.
+///
+/// Each measured iteration must equal the same iteration of a fresh
+/// fabric's run: the sparse codec's residuals carry from one iteration
+/// into the next, so its iterations differ by design. Every other
+/// codec is stateless, and its iterations must all equal the first.
+fn assert_steady_state_allocates_nothing_on(
+    label: &str,
+    strategy: ExchangeStrategy,
+    transport: TransportKind,
+    mut exchange: Exchange,
+    codec: CodecSelection,
+    inputs: &[Vec<f32>],
+) {
+    let n = inputs.len();
+    let live: Vec<usize> = (0..n).collect();
+    let endpoints = n + usize::from(strategy == ExchangeStrategy::WorkerAggregator);
+    let build = || {
+        FabricBuilder::new(endpoints)
+            .transport(transport)
+            .codec(codec)
+            .build()
+    };
+    let mut reference = build();
+    let expected: Vec<Vec<Vec<f32>>> = (0..4u64)
+        .map(|iteration| {
+            let mut grads = inputs.to_vec();
+            reference.begin_iteration(iteration);
+            exchange
+                .run(strategy, reference.as_mut(), &mut grads, &live)
+                .unwrap();
+            grads
+        })
+        .collect();
+    if !matches!(codec, CodecSelection::Sparse { .. }) {
+        assert!(
+            expected.iter().all(|e| *e == expected[0]),
+            "{label}: a stateless codec must repeat its first iteration"
+        );
+    }
 
     // Warmup: one iteration populates the arena free lists, the
     // in-flight window, the fabric's decode scratch, and the codec's
     // wire buffers.
-    let mut reduced = inputs.clone();
+    let mut fabric = build();
+    let mut warm = inputs.to_vec();
+    fabric.begin_iteration(0);
     exchange
-        .run(strategy, fabric.as_mut(), &mut reduced, &live)
+        .run(strategy, fabric.as_mut(), &mut warm, &live)
         .unwrap();
+    assert_eq!(warm, expected[0], "{label}: the warm-up must match");
 
-    for iter in 0..3 {
-        let mut grads = inputs.clone();
+    for (iter, want) in expected[1..].iter().enumerate() {
+        let mut grads = inputs.to_vec();
+        // As the trainer does each step: rewinds the sparse codec's
+        // residual slots; a no-op for the other codecs.
+        fabric.begin_iteration(iter as u64 + 1);
         let before = allocations();
         exchange
             .run(strategy, fabric.as_mut(), &mut grads, &live)
@@ -129,7 +180,7 @@ fn assert_steady_state_allocates_nothing(
             after - before
         );
         assert_eq!(
-            grads, reduced,
+            grads, *want,
             "{label}: steady state must stay bit-identical"
         );
     }
@@ -263,5 +314,76 @@ fn switch_sketch_steady_state_allocates_nothing() {
         4,
         4000,
         sketch,
+    );
+}
+
+/// The worker-aggregator incast of error-feedback sparse frames, the
+/// exchange behind perfbench's `wa-sparse-timednic`: each worker's
+/// encoder writes its frame straight into the fabric's wire buffer and
+/// the aggregator decodes into the fabric's scratch. About half of
+/// every gradient is zero and the rest lies above the 2^-6 threshold,
+/// so a threshold encode empties its residual and every iteration
+/// sends frames of one size; under top-k the candidates outnumber k
+/// and the cut banks the rest, so residuals carry over while frames
+/// keep k pairs.
+#[test]
+fn worker_aggregator_sparse_steady_state_allocates_nothing() {
+    let mut rng = StdRng::seed_from_u64(0x5BA25E);
+    let inputs: Vec<Vec<f32>> = (0..4)
+        .map(|_| {
+            (0..4000)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        0.0
+                    } else if rng.gen_bool(0.5) {
+                        rng.gen_range(0.02f32..0.1)
+                    } else {
+                        -rng.gen_range(0.02f32..0.1)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let threshold = CodecSelection::Sparse {
+        bound: ErrorBound::pow2(6),
+        top_per_mille: 0,
+    };
+    let wa = ExchangeStrategy::WorkerAggregator;
+    assert_steady_state_allocates_nothing_on(
+        "wa/sparse/timed/whole",
+        wa,
+        TransportKind::TimedNic,
+        Exchange::new(4),
+        threshold,
+        &inputs,
+    );
+    assert_steady_state_allocates_nothing_on(
+        "wa/sparse/nic/chunked",
+        wa,
+        TransportKind::Nic,
+        // A ragged last chunk: three legs per worker, three residual
+        // slots.
+        Exchange::new(4).pipelined(PipelineConfig::with_chunk(1500)),
+        threshold,
+        &inputs,
+    );
+    assert_steady_state_allocates_nothing_on(
+        "wa/sparse/in-process/whole",
+        wa,
+        TransportKind::InProcess,
+        Exchange::new(4),
+        threshold,
+        &inputs,
+    );
+    assert_steady_state_allocates_nothing_on(
+        "wa/sparse-top-k/nic/whole",
+        wa,
+        TransportKind::Nic,
+        Exchange::new(4),
+        CodecSelection::Sparse {
+            bound: ErrorBound::pow2(6),
+            top_per_mille: 100,
+        },
+        &inputs,
     );
 }
