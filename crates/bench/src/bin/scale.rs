@@ -5,8 +5,7 @@
 //! ring, tiered rings over the topology tree, and switch-resident
 //! in-network reduction, then writes the fig12-style curves to
 //! `BENCH_topo.json` at the repo root (or the path given as the first
-//! argument). Future PRs regress against that artifact; the binary
-//! itself exits nonzero if
+//! argument). The binary exits nonzero if
 //!
 //! * any switch-reduce point carries gather-leg bytes (in-network
 //!   reduction exists to make that leg vanish),
@@ -15,7 +14,8 @@
 //! * the topology-aware modes stop beating the flat worker/aggregator
 //!   once the core is oversubscribed (≥64 workers),
 //!
-//! so CI catches a scaling regression without comparing files.
+//! and CI, which runs it at full fidelity into the committed file, also
+//! fails on any diff: the output is deterministic simulator output.
 //!
 //! `INCEPTIONN_QUICK=1` stops the sweep at 256 workers and shrinks the
 //! gradient block for smoke runs; the full run sweeps to 1024 with the

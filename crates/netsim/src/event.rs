@@ -2,18 +2,23 @@
 //!
 //! The packet-level simulator in [`crate::topology`] schedules `(time,
 //! kind)` events and relies on a strict total order: ascending time,
-//! FIFO among equal times. [`CalendarQueue`] (Brown's calendar queue)
-//! provides it in amortized O(1) enqueue/dequeue regardless of
-//! pending-event count, which is what lets a 1024-node simulation
-//! finish inside the CI smoke budget. The original binary-heap scheduler
-//! survives only in this module's tests, as the independently
-//! implemented oracle the differential tests replay seeded workloads
-//! against, asserting event-for-event identical pop order and
-//! timestamps.
+//! FIFO among equal times — `(time, insertion seq)`. [`CalendarQueue`]
+//! (Brown's calendar queue) provides it in amortized O(1)
+//! enqueue/dequeue regardless of pending-event count, which is what lets
+//! a 1024-node simulation finish inside the CI smoke budget. Its buckets
+//! are kept sorted by `(time, seq)`, so a pop takes a bucket's front and
+//! a run of tied events (lockstep flows serialise in step) pops in O(1)
+//! each instead of one bucket scan per pop. The original binary-heap
+//! scheduler survives only under `cfg(test)` (module `oracle`), as the
+//! independently implemented oracle that this module's differential
+//! tests, and `topology`'s, replay seeded workloads against, asserting
+//! event-for-event identical pop order and timestamps.
 //!
 //! Determinism is load-bearing: the simulator must not depend on wall
 //! clocks or RNG (the analyzer's `no-time-rng-in-wire` rule covers this
 //! file), so the queue breaks time ties by insertion order alone.
+
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -24,19 +29,32 @@ struct Entry<T> {
 
 /// The event scheduler: a calendar queue (R. Brown, CACM 1988).
 ///
-/// Events hash into `buckets` by `(time / width) % buckets.len()`; a pop
-/// scans forward from the virtual clock one bucket-day at a time, so for
-/// workloads whose pending events spread over O(buckets) days both
-/// operations are amortized O(1). The bucket count doubles/halves with
-/// the pending-event population and `width` re-estimates from the
-/// observed event span at each resize, keeping bucket occupancy near
-/// one event regardless of the simulated timescale.
+/// Events hash into buckets by `(time >> shift) % bucket count`; a pop
+/// walks forward from the virtual clock one bucket-day of `1 << shift`
+/// time units at a time, so for workloads whose pending events spread
+/// over O(buckets) days both operations are amortized O(1). The bucket
+/// count doubles/halves with the pending-event population and the day
+/// length re-estimates from the pending events' span at each resize,
+/// and again whenever a pop finds nothing within a year of the clock,
+/// keeping bucket occupancy near one event regardless of the simulated
+/// timescale. Days are powers of two so that hashing is a shift.
+///
+/// Every bucket is kept sorted by `(time, seq)`. A push scans from the
+/// bucket's tail: its `seq` is the largest yet issued, so it sorts
+/// after every pending entry of equal time, and in the common case
+/// (ascending times, or a tie) it is a plain append. A pop then only
+/// looks at bucket fronts: the front is the bucket's earliest entry, so
+/// if it is not dated inside the scanned day no entry of that bucket
+/// is. Lockstep flows put tens of equal-time entries in one bucket,
+/// which a whole-bucket minimum scan would make O(k) per pop.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Bucket width in time units (≥ 1).
-    width: u64,
-    /// `buckets.len() - 1`; bucket count is a power of two.
+    /// `buckets[..=mask]` are in use, each sorted by `(time, seq)`; the
+    /// rest are empty storage kept from a larger calendar.
+    buckets: Vec<VecDeque<Entry<T>>>,
+    /// log2 of the bucket width in time units.
+    shift: u32,
+    /// Bucket count minus one; the count is a power of two.
     mask: usize,
     /// Monotonic insertion counter — the FIFO tie-break.
     seq: u64,
@@ -44,10 +62,12 @@ pub struct CalendarQueue<T> {
     len: usize,
     /// Lower bound on the next pop's timestamp (the virtual clock).
     cursor: u64,
+    /// Every pending entry during a rebuild; empty otherwise.
+    spill: Vec<Entry<T>>,
 }
 
 const MIN_BUCKETS: usize = 16;
-const INITIAL_WIDTH: u64 = 1 << 10;
+const INITIAL_SHIFT: u32 = 10;
 
 impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
@@ -59,45 +79,75 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: INITIAL_WIDTH,
+            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
+            shift: INITIAL_SHIFT,
             mask: MIN_BUCKETS - 1,
             seq: 0,
             len: 0,
             cursor: 0,
+            spill: Vec::new(),
         }
+    }
+
+    fn bucket_count(&self) -> usize {
+        self.mask + 1
     }
 
     fn bucket_of(&self, time: u64) -> usize {
-        (time / self.width) as usize & self.mask
+        (time >> self.shift) as usize & self.mask
     }
 
-    /// Rebuilds with `new_count` buckets, re-estimating the bucket width
+    /// The latest pending timestamp: sorted buckets keep it at a back.
+    fn latest(&self) -> Option<u64> {
+        self.buckets[..=self.mask]
+            .iter()
+            .filter_map(|b| b.back())
+            .map(|e| e.time)
+            .max()
+    }
+
+    /// The day length for `events` events spread over `span` time
+    /// units: their mean separation rounded up to a power of two.
+    fn shift_for(span: u64, events: usize) -> u32 {
+        let mean = (span / events as u64).max(1);
+        mean.checked_next_power_of_two()
+            .map_or(u64::BITS - 1, u64::trailing_zeros)
+    }
+
+    /// Rebuilds with `new_count` buckets, re-estimating the day length
     /// from the span of pending timestamps so average occupancy stays
     /// near one event per bucket.
     fn resize(&mut self, new_count: usize) {
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for b in &self.buckets {
-            for e in b {
-                lo = lo.min(e.time);
-                hi = hi.max(e.time);
-            }
-        }
-        self.width = if self.len < 2 || hi <= lo {
-            INITIAL_WIDTH
-        } else {
-            ((hi - lo) / self.len as u64).max(1)
+        let lo = self.buckets[..=self.mask]
+            .iter()
+            .filter_map(|b| b.front())
+            .map(|e| e.time)
+            .min();
+        let shift = match (lo, self.latest()) {
+            (Some(lo), Some(hi)) if self.len >= 2 && hi > lo => Self::shift_for(hi - lo, self.len),
+            _ => INITIAL_SHIFT,
         };
-        let old = std::mem::replace(
-            &mut self.buckets,
-            (0..new_count).map(|_| Vec::new()).collect(),
-        );
+        self.rebuild(new_count, shift);
+    }
+
+    /// Re-buckets every pending entry into `new_count` buckets of
+    /// `1 << shift` time units. Entries are re-inserted in `(time, seq)`
+    /// order, so every new bucket comes out sorted; bucket storage is
+    /// reused.
+    fn rebuild(&mut self, new_count: usize, shift: u32) {
+        for bucket in &mut self.buckets[..=self.mask] {
+            self.spill.extend(bucket.drain(..));
+        }
+        // Each old bucket is a sorted run; keys are unique.
+        self.spill.sort_by_key(|e| (e.time, e.seq));
+        if self.buckets.len() < new_count {
+            self.buckets.resize_with(new_count, VecDeque::new);
+        }
         self.mask = new_count - 1;
-        for bucket in old {
-            for e in bucket {
-                let idx = (e.time / self.width) as usize & self.mask;
-                self.buckets[idx].push(e);
-            }
+        self.shift = shift;
+        for e in self.spill.drain(..) {
+            let idx = (e.time >> shift) as usize & self.mask;
+            self.buckets[idx].push_back(e);
         }
     }
 
@@ -112,11 +162,22 @@ impl<T> CalendarQueue<T> {
         let seq = self.seq;
         self.seq += 1;
         let idx = self.bucket_of(time);
-        self.buckets[idx].push(Entry { time, seq, item });
+        let bucket = &mut self.buckets[idx];
+        // The new seq sorts after every pending one: the entry goes
+        // right after the last entry dated no later than `time`.
+        let mut at = bucket.len();
+        while at > 0 && bucket[at - 1].time > time {
+            at -= 1;
+        }
+        let entry = Entry { time, seq, item };
+        if at == bucket.len() {
+            bucket.push_back(entry);
+        } else {
+            bucket.insert(at, entry);
+        }
         self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            let doubled = self.buckets.len() * 2;
-            self.resize(doubled);
+        if self.len > 2 * self.bucket_count() {
+            self.resize(2 * self.bucket_count());
         }
     }
 
@@ -125,54 +186,47 @@ impl<T> CalendarQueue<T> {
         if self.len == 0 {
             return None;
         }
-        let nbuckets = self.buckets.len() as u64;
-        let first_day = self.cursor / self.width;
-        // Scan at most one full calendar year from the clock: each
-        // bucket-day admits only events dated inside that day, which is
-        // what keeps events from future years out of order.
-        for day in first_day..first_day.saturating_add(nbuckets) {
+        let first_day = self.cursor >> self.shift;
+        // Scan at most one full calendar year from the clock. Every
+        // pending event is at or after the clock, so a bucket's entries
+        // belong to the scanned day or to later years: the front admits
+        // only if it is dated inside the day.
+        for day in first_day..first_day.saturating_add(self.bucket_count() as u64) {
             let b = day as usize & self.mask;
-            let day_end = (day + 1).saturating_mul(self.width);
-            let mut best: Option<usize> = None;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                if e.time < day_end
-                    && best.is_none_or(|j| {
-                        let bj = &self.buckets[b][j];
-                        (e.time, e.seq) < (bj.time, bj.seq)
-                    })
-                {
-                    best = Some(i);
-                }
-            }
-            if let Some(i) = best {
-                let e = self.buckets[b].swap_remove(i);
-                self.cursor = e.time;
-                self.len -= 1;
-                if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-                    let halved = self.buckets.len() / 2;
-                    self.resize(halved);
+            if self.buckets[b]
+                .front()
+                .is_some_and(|e| e.time >> self.shift == day)
+            {
+                let e = self.take_front(b);
+                if self.len < self.bucket_count() / 4 && self.bucket_count() > MIN_BUCKETS {
+                    self.resize(self.bucket_count() / 2);
                 }
                 return Some((e.time, e.item));
             }
         }
         // Sparse regime: nothing within a year of the clock. Fall back
-        // to a direct minimum scan and jump the clock there.
-        let mut best: Option<(usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                if best.is_none_or(|(bb, bi)| {
-                    let o = &self.buckets[bb][bi];
-                    (e.time, e.seq) < (o.time, o.seq)
-                }) {
-                    best = Some((b, i));
-                }
-            }
-        }
-        let (b, i) = best.expect("len > 0 implies a pending event");
-        let e = self.buckets[b].swap_remove(i);
+        // to the least bucket front, and re-estimate the day from the
+        // span the clock jumped plus what is still pending, so the
+        // next pops find their events by the day scan again.
+        let from = self.cursor;
+        let (_, b) = self.buckets[..=self.mask]
+            .iter()
+            .enumerate()
+            .filter_map(|(b, bucket)| bucket.front().map(|e| ((e.time, e.seq), b)))
+            .min()
+            .expect("len > 0 implies a pending event");
+        let e = self.take_front(b);
+        let hi = self.latest().unwrap_or(e.time);
+        let shift = Self::shift_for(hi - from, self.len + 1);
+        self.rebuild(self.bucket_count(), shift);
+        Some((e.time, e.item))
+    }
+
+    fn take_front(&mut self, b: usize) -> Entry<T> {
+        let e = self.buckets[b].pop_front().expect("non-empty bucket");
         self.cursor = e.time;
         self.len -= 1;
-        Some((e.time, e.item))
+        e
     }
 
     /// Number of pending events.
@@ -186,18 +240,19 @@ impl<T> CalendarQueue<T> {
     }
 }
 
+/// The reference scheduler and the deterministic generator the
+/// differential tests (here and in [`crate::topology`]) replay against.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod oracle {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    /// The reference scheduler: a binary min-heap ordered by `(time,
-    /// insertion order)`, O(log n) per operation. Kept solely so the
-    /// calendar queue has an independently-implemented oracle to be
-    /// diffed against.
+    /// A binary min-heap ordered by `(time, insertion order)`, O(log n)
+    /// per operation. Kept solely so the calendar queue, and the event
+    /// loop that runs on it, have an independently implemented oracle
+    /// to be diffed against.
     #[derive(Debug)]
-    struct BinaryHeapQueue<T> {
+    pub(crate) struct BinaryHeapQueue<T> {
         heap: BinaryHeap<Reverse<HeapEntry<T>>>,
         seq: u64,
     }
@@ -223,34 +278,35 @@ mod tests {
     }
 
     impl<T> BinaryHeapQueue<T> {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             BinaryHeapQueue {
                 heap: BinaryHeap::new(),
                 seq: 0,
             }
         }
 
-        fn push(&mut self, time: u64, item: T) {
+        pub(crate) fn push(&mut self, time: u64, item: T) {
             let seq = self.seq;
             self.seq += 1;
             self.heap.push(Reverse(HeapEntry(time, seq, item)));
         }
 
-        fn pop(&mut self) -> Option<(u64, T)> {
+        pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
             self.heap.pop().map(|Reverse(e)| (e.0, e.2))
         }
 
-        fn is_empty(&self) -> bool {
+        pub(crate) fn is_empty(&self) -> bool {
             self.heap.is_empty()
         }
     }
 
     /// Deterministic xorshift so the differential workloads need no RNG
     /// dependency (and stay reproducible byte-for-byte).
-    struct XorShift(u64);
+    #[derive(Debug)]
+    pub(crate) struct XorShift(pub(crate) u64);
 
     impl XorShift {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x << 13;
             x ^= x >> 7;
@@ -258,16 +314,34 @@ mod tests {
             self.0 = x;
             x
         }
+
+        /// A draw from `0..n`.
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::oracle::{BinaryHeapQueue, XorShift};
+    use super::*;
 
     /// Replays one interleaved push/pop workload through both queues and
-    /// asserts event-for-event identical `(time, payload)` pop streams —
-    /// the satellite's differential contract for the scheduler swap.
-    fn differential(seed: u64, ops: usize, spread: u64) {
+    /// asserts event-for-event identical `(time, payload)` pop streams.
+    /// Returns how many times the calendar grew and shrank.
+    fn differential(seed: u64, ops: usize, spread: u64) -> (usize, usize) {
         let mut rng = XorShift(seed | 1);
         let mut cal = CalendarQueue::new();
         let mut heap = BinaryHeapQueue::new();
         let mut clock = 0u64;
+        let (mut grew, mut shrank) = (0, 0);
+        let mut buckets = cal.bucket_count();
+        let mut count = |cal: &CalendarQueue<usize>| {
+            grew += usize::from(cal.bucket_count() > buckets);
+            shrank += usize::from(cal.bucket_count() < buckets);
+            buckets = cal.bucket_count();
+        };
         for op in 0..ops {
             // Mixed workload: bursts of pushes (often at equal or nearby
             // times, exercising the FIFO tie-break) and interleaved pops.
@@ -283,16 +357,19 @@ mod tests {
                     clock = t;
                 }
             }
+            count(&cal);
         }
         loop {
             let a = cal.pop();
             let b = heap.pop();
             assert_eq!(a, b, "divergence during drain (seed {seed})");
+            count(&cal);
             if a.is_none() {
                 break;
             }
         }
         assert!(cal.is_empty() && heap.is_empty());
+        (grew, shrank)
     }
 
     #[test]
@@ -304,10 +381,40 @@ mod tests {
 
     #[test]
     fn calendar_matches_heap_with_dense_ties() {
-        // spread 4 forces many identical timestamps: pure FIFO ordering.
+        // spread 4 forces many identical timestamps: pure FIFO ordering,
+        // tens of equal-time entries per bucket. Two pushes per pop grow
+        // the population through several doublings; the drain halves
+        // the calendar back down.
         for seed in [3, 17, 99] {
-            differential(seed, 3_000, 4);
+            let (grew, shrank) = differential(seed, 20_000, 4);
+            assert!(grew >= 4 && shrank >= 4, "grew {grew}, shrank {shrank}");
         }
+    }
+
+    #[test]
+    fn push_behind_a_bucket_tail_keeps_the_bucket_sorted() {
+        // With 16 buckets of width 1024, times 5 and 16 * 1024 + 5 share
+        // bucket 0; so do 3 and 17 * 1024 * 16 + 3.
+        let mut q = CalendarQueue::new();
+        let year = 16 * 1024;
+        q.push(year + 5, 'b');
+        q.push(year + 5, 'c');
+        q.push(5, 'a');
+        q.push(17 * year + 3, 'd');
+        q.push(3, 'z');
+        q.push(5, 'y');
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (3, 'z'),
+                (5, 'a'),
+                (5, 'y'),
+                (year + 5, 'b'),
+                (year + 5, 'c'),
+                (17 * year + 3, 'd')
+            ]
+        );
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! * [`analytic`] — the closed-form α-β-γ cost models of Sec. VIII-D,
 //!   cross-validated against the event simulation in this crate's tests;
 //! * [`event`] — the calendar-queue scheduler the event core runs on
-//!   (O(1) amortized vs a binary heap's O(log n)).
+//!   (O(1) amortized vs a binary heap's O(log n)); its buckets stay
+//!   sorted by `(time, insertion seq)`, so tied events pop in O(1).
 //!
 //! # Examples
 //!

@@ -8,7 +8,13 @@
 //! simulates directly: the star is the depth-1 tree
 //! ([`crate::sim::NetworkConfig::tree`]). The DES runs on the
 //! calendar-queue scheduler from [`crate::event`], which is what keeps a
-//! 1024-worker simulation inside the CI smoke budget.
+//! 1024-worker simulation inside the CI smoke budget. It schedules only
+//! events that change state: a packet leaving its route's last link
+//! records its flow's finish time directly instead of scheduling an
+//! `Arrive` that would do nothing else, which leaves the order of every
+//! other event, and so every simulated number, unchanged. Each
+//! exchange builds one [`TreeSim`] and resets it between its phases,
+//! keeping the compiled links and all storage.
 //!
 //! Three things live here:
 //!
@@ -341,34 +347,49 @@ enum SwitchLeg {
     Downlink,
 }
 
+/// One packet in flight. Its size is all it carries of its own; the
+/// route, the engine latency and whether it is the flow's last packet
+/// are the flow's.
 #[derive(Debug, Clone, Copy)]
 struct Pkt {
-    transfer: usize,
+    flow: u32,
+    /// Links of the route crossed so far.
+    hop: u32,
     wire_bytes: u64,
-    extra_latency_ns: u64,
-    last: bool,
-    hop: usize,
 }
 
 #[derive(Debug, Default)]
 struct LinkState {
     queue: std::collections::VecDeque<Pkt>,
     busy: bool,
+    /// The last on-wire size served and its serialisation time: a
+    /// flow's packets but the last share one size.
+    last_wire: u64,
+    last_ser_ns: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Inject { transfer: usize },
-    Free { link_idx: usize },
+    Inject { flow: u32 },
+    Free { link: u32 },
     Arrive { pkt: Pkt },
 }
 
 #[derive(Debug)]
 struct Flow {
     transfer: Transfer,
-    route: Vec<usize>,
+    /// The route is `routes[route_start..route_start + route_len]`.
+    route_start: u32,
+    route_len: u32,
     next_packet: u64,
     packets: u64,
+    /// On-wire payload of every packet but the last, and of the last.
+    wire_payload: u64,
+    last_wire_payload: u64,
+    /// Packets that have left the route's last link.
+    delivered: u64,
+    /// The compression engines' per-packet latency, paid on the last hop.
+    extra_latency_ns: u64,
     /// When the last packet fully arrived; `None` until then.
     finish_ns: Option<u64>,
     /// Payload + header bytes injected so far, each packet counted once
@@ -414,6 +435,8 @@ pub struct TreeSim {
     group_up: Vec<Option<usize>>,
     group_down: Vec<Option<usize>>,
     flows: Vec<Flow>,
+    /// Every flow's route, back to back: link ids in hop order.
+    routes: Vec<u32>,
     events: CalendarQueue<Ev>,
     served: Vec<u64>,
 }
@@ -454,6 +477,7 @@ impl TreeSim {
             group_up: Vec::new(),
             group_down: Vec::new(),
             flows: Vec::new(),
+            routes: Vec::new(),
             events: CalendarQueue::new(),
             served: Vec::new(),
             cfg,
@@ -504,57 +528,71 @@ impl TreeSim {
         }
     }
 
-    /// Route from `src`'s NIC up to the LCA with `dst` and back down.
-    fn end_to_end_route(&self, src: usize, dst: usize) -> Vec<usize> {
+    /// Appends the route from `src`'s NIC up to the LCA with `dst` and
+    /// back down to `routes`.
+    fn end_to_end_route(&mut self, src: usize, dst: usize) {
         let (pa, pb) = (&self.group_path[src], &self.group_path[dst]);
         let lca = pa.iter().zip(pb).take_while(|(x, y)| x == y).count();
-        let mut route = vec![self.leaf_up[src]];
+        let routes = &mut self.routes;
+        routes.push(self.leaf_up[src] as u32);
         for &g in pa[lca..].iter().rev() {
-            route.push(self.group_up[g].expect("non-root ancestor has an uplink"));
+            routes.push(self.group_up[g].expect("non-root ancestor has an uplink") as u32);
         }
         for &g in &pb[lca..] {
-            route.push(self.group_down[g].expect("non-root ancestor has a downlink"));
+            routes.push(self.group_down[g].expect("non-root ancestor has a downlink") as u32);
         }
-        route.push(self.leaf_down[dst]);
-        route
+        routes.push(self.leaf_down[dst] as u32);
     }
 
-    fn switch_route(&self, leg: SwitchLeg, worker: usize, depth: usize) -> Vec<usize> {
+    /// Appends the route of `leg` for `worker` at `depth` to `routes`.
+    fn switch_route(&mut self, leg: SwitchLeg, worker: usize, depth: usize) {
         let path = &self.group_path[worker];
         assert!(depth < path.len(), "no ancestor switch at depth {depth}");
+        let routes = &mut self.routes;
         match leg {
             SwitchLeg::Contribution => {
                 // Up through ancestors until the switch at `depth`.
-                let mut route = vec![self.leaf_up[worker]];
+                routes.push(self.leaf_up[worker] as u32);
                 for &g in path[depth + 1..].iter().rev() {
-                    route.push(self.group_up[g].expect("ancestor uplink"));
+                    routes.push(self.group_up[g].expect("ancestor uplink") as u32);
                 }
-                route
             }
             SwitchLeg::Distribution => {
-                let mut route: Vec<usize> = path[depth + 1..]
-                    .iter()
-                    .map(|&g| self.group_down[g].expect("ancestor downlink"))
-                    .collect();
-                route.push(self.leaf_down[worker]);
-                route
+                for &g in &path[depth + 1..] {
+                    routes.push(self.group_down[g].expect("ancestor downlink") as u32);
+                }
+                routes.push(self.leaf_down[worker] as u32);
             }
             SwitchLeg::Uplink => {
-                vec![self.group_up[path[depth]].expect("child switch has an uplink")]
+                routes.push(self.group_up[path[depth]].expect("child switch has an uplink") as u32)
             }
-            SwitchLeg::Downlink => {
-                vec![self.group_down[path[depth]].expect("child switch has a downlink")]
-            }
+            SwitchLeg::Downlink => routes
+                .push(self.group_down[path[depth]].expect("child switch has a downlink") as u32),
         }
     }
 
-    fn add_flow(&mut self, transfer: Transfer, route: Vec<usize>) -> usize {
+    /// Registers a flow whose route was just appended to `routes`.
+    fn add_flow(&mut self, transfer: Transfer, route_start: usize) -> usize {
         let id = self.flows.len();
+        let mtu = self.cfg.mtu_payload;
+        let packets = transfer.packet_count(mtu);
+        let payload = |i| {
+            if packets == 0 {
+                0
+            } else {
+                transfer.wire_payload(mtu, i)
+            }
+        };
         self.flows.push(Flow {
-            packets: transfer.packet_count(self.cfg.mtu_payload),
+            packets,
+            wire_payload: payload(0),
+            last_wire_payload: payload(packets.saturating_sub(1)),
+            extra_latency_ns: transfer.compression.map_or(0, |c| c.engine_latency_ns),
             transfer,
-            route,
+            route_start: route_start as u32,
+            route_len: (self.routes.len() - route_start) as u32,
             next_packet: 0,
+            delivered: 0,
             finish_ns: None,
             wire_bytes: 0,
         });
@@ -569,8 +607,9 @@ impl TreeSim {
     pub fn add_transfer(&mut self, t: Transfer) -> usize {
         let n = self.leaf_up.len();
         assert!(t.src < n && t.dst < n, "endpoint out of range");
-        let route = self.end_to_end_route(t.src, t.dst);
-        self.add_flow(t, route)
+        let start = self.routes.len();
+        self.end_to_end_route(t.src, t.dst);
+        self.add_flow(t, start)
     }
 
     /// Submits `bytes` (optionally compressed) along one switch leg of
@@ -584,7 +623,8 @@ impl TreeSim {
         bytes: u64,
         compression: Option<CompressionSpec>,
     ) -> usize {
-        let route = self.switch_route(leg, worker, depth);
+        let start = self.routes.len();
+        self.switch_route(leg, worker, depth);
         let transfer = Transfer {
             src: worker,
             dst: worker,
@@ -592,103 +632,149 @@ impl TreeSim {
             start_ns: 0,
             compression,
         };
-        self.add_flow(transfer, route)
+        self.add_flow(transfer, start)
     }
 
-    fn kick(&mut self, link_idx: usize, now: u64) {
-        if self.links[link_idx].busy {
+    /// Starts serialising the head of `link`'s queue if the link is idle.
+    fn kick(&mut self, link: usize, now: u64) {
+        let state = &mut self.links[link];
+        if state.busy {
             return;
         }
-        let Some(&pkt) = self.links[link_idx].queue.front() else {
+        let Some(pkt) = state.queue.front() else {
             return;
         };
-        self.links[link_idx].busy = true;
+        state.busy = true;
         let wire = pkt.wire_bytes + self.cfg.header_bytes;
-        self.served[link_idx] += wire;
-        let ser = (wire * 8 * 1_000_000_000).div_ceil(self.rates[link_idx]);
-        self.events.push(now + ser, Ev::Free { link_idx });
+        self.served[link] += wire;
+        if wire != state.last_wire {
+            state.last_wire = wire;
+            state.last_ser_ns = (wire * 8 * 1_000_000_000).div_ceil(self.rates[link]);
+        }
+        self.events
+            .push(now + state.last_ser_ns, Ev::Free { link: link as u32 });
     }
 
-    /// Runs all flows to completion.
-    pub fn run(&mut self) -> TreeRunReport {
-        for id in 0..self.flows.len() {
-            if self.flows[id].packets == 0 {
-                self.flows[id].finish_ns = Some(self.flows[id].transfer.start_ns);
+    /// Clears flows, routes and served bytes for the next phase, keeping
+    /// the compiled links and all storage. The link queues and the event
+    /// queue are already empty: a run delivers every packet.
+    fn reset(&mut self) {
+        debug_assert!(self.events.is_empty());
+        self.flows.clear();
+        self.routes.clear();
+        self.served.fill(0);
+    }
+
+    /// Resets, submits `transfers` and runs them; the makespan in
+    /// seconds (0 when there are none).
+    fn run_phase(&mut self, transfers: impl IntoIterator<Item = Transfer>) -> f64 {
+        self.reset();
+        for t in transfers {
+            self.add_transfer(t);
+        }
+        self.simulate() as f64 * 1e-9
+    }
+
+    /// Adds each link's served bytes to its tier's entry of `by_tier`.
+    fn add_served_by_tier(&self, by_tier: &mut [u64]) {
+        for (&bytes, &tier) in self.served.iter().zip(&self.tiers) {
+            by_tier[tier] += bytes;
+        }
+    }
+
+    /// The event loop: runs every submitted flow to completion and
+    /// returns the makespan in nanoseconds.
+    ///
+    /// A packet's `Arrive` at the end of its route would change no
+    /// state but its flow's `finish_ns`, so it is never scheduled: the
+    /// last hop's `Free` records that time directly. An event that
+    /// pushes nothing and touches no link, once dropped, leaves the
+    /// relative `(time, seq)` order of every other event, and so the
+    /// whole run, unchanged. `Free` and `Inject` events, and when an
+    /// intermediate `Arrive` is pushed, must stay as they are: they
+    /// decide the order of equal-time appends to a shared link's FIFO.
+    fn simulate(&mut self) -> u64 {
+        for (id, flow) in self.flows.iter_mut().enumerate() {
+            if flow.packets == 0 {
+                flow.finish_ns = Some(flow.transfer.start_ns);
             } else {
-                self.events.push(
-                    self.flows[id].transfer.start_ns,
-                    Ev::Inject { transfer: id },
-                );
+                self.events
+                    .push(flow.transfer.start_ns, Ev::Inject { flow: id as u32 });
             }
         }
+        let TreeConfig {
+            hop_latency_ns,
+            switch_latency_ns,
+            host_ns_per_packet,
+            header_bytes,
+            ..
+        } = self.cfg;
         while let Some((now, ev)) = self.events.pop() {
             match ev {
-                Ev::Inject { transfer } => {
-                    let cfg_host = self.cfg.host_ns_per_packet;
-                    let mtu = self.cfg.mtu_payload;
-                    let header = self.cfg.header_bytes;
-                    let flow = &mut self.flows[transfer];
-                    let i = flow.next_packet;
+                Ev::Inject { flow: id } => {
+                    let flow = &mut self.flows[id as usize];
                     flow.next_packet += 1;
-                    let wire = flow.transfer.wire_payload(mtu, i);
-                    flow.wire_bytes += wire + header;
-                    let pkt = Pkt {
-                        transfer,
-                        wire_bytes: wire,
-                        extra_latency_ns: flow
-                            .transfer
-                            .compression
-                            .map_or(0, |c| c.engine_latency_ns),
-                        last: i + 1 == flow.packets,
-                        hop: 0,
-                    };
-                    let first = flow.route[0];
                     let more = flow.next_packet < flow.packets;
-                    self.links[first].queue.push_back(pkt);
+                    let wire = if more {
+                        flow.wire_payload
+                    } else {
+                        flow.last_wire_payload
+                    };
+                    flow.wire_bytes += wire + header_bytes;
+                    let first = self.routes[flow.route_start as usize] as usize;
+                    self.links[first].queue.push_back(Pkt {
+                        flow: id,
+                        hop: 0,
+                        wire_bytes: wire,
+                    });
                     self.kick(first, now);
                     if more {
-                        self.events.push(now + cfg_host, Ev::Inject { transfer });
+                        self.events
+                            .push(now + host_ns_per_packet, Ev::Inject { flow: id });
                     }
                 }
-                Ev::Free { link_idx } => {
+                Ev::Free { link } => {
+                    let link = link as usize;
                     let mut pkt = {
-                        let s = &mut self.links[link_idx];
+                        let s = &mut self.links[link];
                         s.busy = false;
                         s.queue.pop_front().expect("busy link has head")
                     };
                     pkt.hop += 1;
-                    let route_len = self.flows[pkt.transfer].route.len();
-                    let latency = if pkt.hop < route_len {
-                        self.cfg.hop_latency_ns + self.cfg.switch_latency_ns
+                    let flow = &mut self.flows[pkt.flow as usize];
+                    if pkt.hop < flow.route_len {
+                        self.events
+                            .push(now + hop_latency_ns + switch_latency_ns, Ev::Arrive { pkt });
                     } else {
-                        self.cfg.hop_latency_ns + pkt.extra_latency_ns
-                    };
-                    self.events.push(now + latency, Ev::Arrive { pkt });
-                    self.kick(link_idx, now);
+                        // Links are FIFO and a flow's packets share one
+                        // route, so they leave it in injection order.
+                        flow.delivered += 1;
+                        if flow.delivered == flow.packets {
+                            flow.finish_ns = Some(now + hop_latency_ns + flow.extra_latency_ns);
+                        }
+                    }
+                    self.kick(link, now);
                 }
                 Ev::Arrive { pkt } => {
-                    let route_len = self.flows[pkt.transfer].route.len();
-                    if pkt.hop < route_len {
-                        let next = self.flows[pkt.transfer].route[pkt.hop];
-                        self.links[next].queue.push_back(pkt);
-                        self.kick(next, now);
-                    } else if pkt.last {
-                        self.flows[pkt.transfer].finish_ns = Some(now);
-                    }
+                    let flow = &self.flows[pkt.flow as usize];
+                    let next = self.routes[(flow.route_start + pkt.hop) as usize] as usize;
+                    self.links[next].queue.push_back(pkt);
+                    self.kick(next, now);
                 }
             }
         }
-        let makespan = self
-            .flows
+        self.flows
             .iter()
             .filter_map(|f| f.finish_ns)
             .max()
-            .unwrap_or(0);
-        let tiers = self.cfg.tier_bps.len();
-        let mut by_tier = vec![0u64; tiers];
-        for (l, &bytes) in self.served.iter().enumerate() {
-            by_tier[self.tiers[l]] += bytes;
-        }
+            .unwrap_or(0)
+    }
+
+    /// Runs all flows to completion.
+    pub fn run(&mut self) -> TreeRunReport {
+        let makespan = self.simulate();
+        let mut by_tier = vec![0u64; self.cfg.tier_bps.len()];
+        self.add_served_by_tier(&mut by_tier);
         TreeRunReport {
             makespan_ns: makespan,
             makespan_s: makespan as f64 * 1e-9,
@@ -743,17 +829,7 @@ fn maybe_compress(t: Transfer, spec: Option<CompressionSpec>) -> Transfer {
 /// Runs a batch of concurrent worker-to-worker transfers; returns the
 /// makespan in seconds.
 pub fn phase(cfg: &TreeConfig, transfers: impl IntoIterator<Item = Transfer>) -> f64 {
-    let mut sim = TreeSim::new(cfg.clone());
-    let mut any = false;
-    for t in transfers {
-        sim.add_transfer(t);
-        any = true;
-    }
-    if any {
-        sim.run().makespan_s
-    } else {
-        0.0
-    }
+    TreeSim::new(cfg.clone()).run_phase(transfers)
 }
 
 /// Group geometry of one level of a uniform collective hierarchy.
@@ -834,8 +910,8 @@ pub fn wa_exchange_with_wire(
     // Up: deepest level first, members -> leader of each group. Down:
     // weights retrace the tree, top level first, uncompressed.
     let phases = lv.iter().rev().map(|l| (true, l));
+    let mut sim = TreeSim::new(cfg.clone());
     for (up, level) in phases.chain(lv.iter().map(|l| (false, l))) {
-        let mut sim = TreeSim::new(cfg.clone());
         let direction = move |leader, member| {
             if up {
                 (member, leader)
@@ -843,21 +919,18 @@ pub fn wa_exchange_with_wire(
                 (leader, member)
             }
         };
-        for t in group_transfers(level, bytes, direction) {
-            sim.add_transfer(maybe_compress(t, spec.filter(|_| up)));
-        }
-        let report = sim.run();
-        comm += report.makespan_s;
+        comm += sim.run_phase(
+            group_transfers(level, bytes, direction)
+                .map(|t| maybe_compress(t, spec.filter(|_| up))),
+        );
         if up {
             // Bytes the aggregation hosts' downlinks carried: the
             // gather leg that in-switch reduction removes.
             gather_leg += (0..level.groups)
-                .map(|q| report.wire_bytes_by_link[sim.leaf_down[q * level.arity * level.stride]])
+                .map(|q| sim.served[sim.leaf_down[q * level.arity * level.stride]])
                 .sum::<u64>();
         }
-        for (t, b) in report.wire_bytes_by_tier.iter().enumerate() {
-            by_tier[t] += b;
-        }
+        sim.add_served_by_tier(&mut by_tier);
     }
     // Folds: the flat organization folds p-1 incoming streams at the
     // root; each hierarchical level folds `arity` streams per leader
@@ -917,6 +990,7 @@ pub fn ring_exchange_on(
     let lv = levels(arities);
     let mut comm = 0.0;
     let mut reduce = 0.0;
+    let mut sim = TreeSim::new(cfg.clone());
     // Ring phases, deepest first.
     for level in lv.iter().rev() {
         if level.arity < 2 {
@@ -924,8 +998,7 @@ pub fn ring_exchange_on(
         }
         let block = bytes.div_ceil(level.arity as u64);
         let (groups, arity, stride) = (level.groups, level.arity, level.stride);
-        let step = phase(
-            cfg,
+        let step = sim.run_phase(
             (0..groups)
                 .flat_map(move |q| {
                     let base = q * arity * stride;
@@ -945,8 +1018,7 @@ pub fn ring_exchange_on(
             continue;
         }
         let (groups, arity, stride) = (level.groups, level.arity, level.stride);
-        comm += phase(
-            cfg,
+        comm += sim.run_phase(
             (0..groups)
                 .map(move |q| {
                     let base = q * arity * stride;
@@ -995,17 +1067,15 @@ pub fn switch_reduce_exchange(
     let lv = levels(&arities);
     let mut comm = 0.0;
     let mut by_tier = vec![0u64; cfg.tier_bps.len()];
+    let mut sim = TreeSim::new(cfg.clone());
     // One concurrent phase: `leg` at `d` for every anchor worker.
     let mut phase = |leg, d, anchors: &mut dyn Iterator<Item = usize>, spec| {
-        let mut sim = TreeSim::new(cfg.clone());
+        sim.reset();
         for w in anchors {
             sim.add_switch_leg(leg, w, d, bytes, spec);
         }
-        let report = sim.run();
-        for (t, b) in report.wire_bytes_by_tier.iter().enumerate() {
-            by_tier[t] += b;
-        }
-        comm += report.makespan_s;
+        comm += sim.simulate() as f64 * 1e-9;
+        sim.add_served_by_tier(&mut by_tier);
     };
     // The leader worker of each depth-d group identifies its switch.
     let leaders = |d: usize| {
@@ -1050,6 +1120,7 @@ pub fn switch_reduce_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::oracle::XorShift;
     use crate::sim::NetworkConfig;
 
     const MB: u64 = 1_000_000;
@@ -1436,6 +1507,318 @@ mod tests {
     fn validates_endpoints() {
         let mut sim = TreeSim::new(TreeConfig::ten_gbe(&[2, 2], &[1, 1]));
         sim.add_transfer(Transfer::new(0, 9, 10));
+    }
+
+    /// One submission of the randomised differential.
+    #[derive(Debug, Clone, Copy)]
+    enum Sub {
+        Transfer(Transfer),
+        Leg(SwitchLeg, usize, usize, u64, Option<CompressionSpec>),
+    }
+
+    impl Sub {
+        fn submit(self, sim: &mut TreeSim) {
+            match self {
+                Sub::Transfer(t) => sim.add_transfer(t),
+                Sub::Leg(leg, w, d, bytes, spec) => sim.add_switch_leg(leg, w, d, bytes, spec),
+            };
+        }
+
+        /// The flow's transfer and route, derived from the compiled
+        /// tables independently of the simulator's route buffer.
+        fn route(self, sim: &TreeSim) -> (Transfer, Vec<usize>) {
+            let up = |g: usize| sim.group_up[g].expect("uplink");
+            let down = |g: usize| sim.group_down[g].expect("downlink");
+            match self {
+                Sub::Transfer(t) => {
+                    let (pa, pb) = (&sim.group_path[t.src], &sim.group_path[t.dst]);
+                    let lca = pa.iter().zip(pb).take_while(|(x, y)| x == y).count();
+                    let mut route = vec![sim.leaf_up[t.src]];
+                    route.extend(pa[lca..].iter().rev().map(|&g| up(g)));
+                    route.extend(pb[lca..].iter().map(|&g| down(g)));
+                    route.push(sim.leaf_down[t.dst]);
+                    (t, route)
+                }
+                Sub::Leg(leg, w, d, bytes, compression) => {
+                    let path = &sim.group_path[w];
+                    let route = match leg {
+                        SwitchLeg::Contribution => std::iter::once(sim.leaf_up[w])
+                            .chain(path[d + 1..].iter().rev().map(|&g| up(g)))
+                            .collect(),
+                        SwitchLeg::Distribution => path[d + 1..]
+                            .iter()
+                            .map(|&g| down(g))
+                            .chain([sim.leaf_down[w]])
+                            .collect(),
+                        SwitchLeg::Uplink => vec![up(path[d])],
+                        SwitchLeg::Downlink => vec![down(path[d])],
+                    };
+                    let t = Transfer {
+                        src: w,
+                        dst: w,
+                        bytes,
+                        start_ns: 0,
+                        compression,
+                    };
+                    (t, route)
+                }
+            }
+        }
+    }
+
+    /// The event loop as it stood before the last hop's `Arrive` was
+    /// dropped, on the test-only binary heap: every packet carries its
+    /// engine latency and last-packet flag, and every hop, the last one
+    /// included, ends in an `Arrive`. Returns per-flow finish times,
+    /// per-link served bytes and the makespan.
+    fn oracle_run(
+        cfg: &TreeConfig,
+        rates: &[u64],
+        flows: &[(Transfer, Vec<usize>)],
+    ) -> (Vec<Option<u64>>, Vec<u64>, u64) {
+        use crate::event::oracle::BinaryHeapQueue;
+        use std::collections::VecDeque;
+
+        #[derive(Debug, Clone, Copy)]
+        struct P {
+            flow: usize,
+            wire_bytes: u64,
+            extra_latency_ns: u64,
+            last: bool,
+            hop: usize,
+        }
+        enum E {
+            Inject(usize),
+            Free(usize),
+            Arrive(P),
+        }
+        struct Links {
+            queues: Vec<VecDeque<P>>,
+            busy: Vec<bool>,
+            served: Vec<u64>,
+        }
+        impl Links {
+            fn kick(
+                &mut self,
+                l: usize,
+                now: u64,
+                hdr: u64,
+                rates: &[u64],
+                ev: &mut BinaryHeapQueue<E>,
+            ) {
+                if self.busy[l] {
+                    return;
+                }
+                let Some(p) = self.queues[l].front() else {
+                    return;
+                };
+                self.busy[l] = true;
+                let wire = p.wire_bytes + hdr;
+                self.served[l] += wire;
+                ev.push(
+                    now + (wire * 8 * 1_000_000_000).div_ceil(rates[l]),
+                    E::Free(l),
+                );
+            }
+        }
+        let n = rates.len();
+        let mut links = Links {
+            queues: vec![VecDeque::new(); n],
+            busy: vec![false; n],
+            served: vec![0; n],
+        };
+        let hdr = cfg.header_bytes;
+        let mut next = vec![0u64; flows.len()];
+        let mut finish = vec![None; flows.len()];
+        let mut ev = BinaryHeapQueue::new();
+        for (id, (t, _)) in flows.iter().enumerate() {
+            if t.packet_count(cfg.mtu_payload) == 0 {
+                finish[id] = Some(t.start_ns);
+            } else {
+                ev.push(t.start_ns, E::Inject(id));
+            }
+        }
+        while let Some((now, e)) = ev.pop() {
+            match e {
+                E::Inject(id) => {
+                    let (t, route) = &flows[id];
+                    let packets = t.packet_count(cfg.mtu_payload);
+                    let i = next[id];
+                    next[id] += 1;
+                    let p = P {
+                        flow: id,
+                        wire_bytes: t.wire_payload(cfg.mtu_payload, i),
+                        extra_latency_ns: t.compression.map_or(0, |c| c.engine_latency_ns),
+                        last: i + 1 == packets,
+                        hop: 0,
+                    };
+                    links.queues[route[0]].push_back(p);
+                    links.kick(route[0], now, hdr, rates, &mut ev);
+                    if next[id] < packets {
+                        ev.push(now + cfg.host_ns_per_packet, E::Inject(id));
+                    }
+                }
+                E::Free(l) => {
+                    links.busy[l] = false;
+                    let mut p = links.queues[l].pop_front().expect("head");
+                    p.hop += 1;
+                    let latency = if p.hop < flows[p.flow].1.len() {
+                        cfg.hop_latency_ns + cfg.switch_latency_ns
+                    } else {
+                        cfg.hop_latency_ns + p.extra_latency_ns
+                    };
+                    ev.push(now + latency, E::Arrive(p));
+                    links.kick(l, now, hdr, rates, &mut ev);
+                }
+                E::Arrive(p) => {
+                    let route = &flows[p.flow].1;
+                    if p.hop < route.len() {
+                        links.queues[route[p.hop]].push_back(p);
+                        links.kick(route[p.hop], now, hdr, rates, &mut ev);
+                    } else if p.last {
+                        finish[p.flow] = Some(now);
+                    }
+                }
+            }
+        }
+        assert!(ev.is_empty());
+        let makespan = finish.iter().flatten().copied().max().unwrap_or(0);
+        (finish, links.served, makespan)
+    }
+
+    /// A random batch for the `n`-worker tree of depth `depth`: `kind` 0
+    /// is lockstep (every flow starts at 0 with the same size), 1 is
+    /// independent flows of every size class, 2 is every switch leg
+    /// kind at every depth mixed with worker-to-worker flows.
+    fn random_batch(rng: &mut XorShift, n: usize, depth: usize, kind: u64) -> Vec<Sub> {
+        let spec = |rng: &mut XorShift| match rng.below(3) {
+            0 => None,
+            // Every packet compresses to 1 byte: serialisation (79 B at
+            // ≥ 10 Gb/s, ≤ 64 ns) is shorter than the host's per-packet
+            // cost.
+            1 => Some(CompressionSpec::new(4096.0, rng.below(1_500))),
+            _ => Some(CompressionSpec::new(5.0, 1_000)),
+        };
+        let bytes = |rng: &mut XorShift| match rng.below(4) {
+            0 => 0,
+            1 => 1 + rng.below(1_447),
+            2 => 1_448 * (1 + rng.below(8)),
+            _ => rng.below(20_000),
+        };
+        let pair = |rng: &mut XorShift| {
+            let src = rng.below(n as u64) as usize;
+            (src, (src + 1 + rng.below(n as u64 - 1) as usize) % n)
+        };
+        let mut out = Vec::new();
+        match kind {
+            0 if n > 1 => {
+                let (b, c) = (1 + bytes(rng), spec(rng));
+                let incast = rng.below(2) == 0;
+                for src in 0..n {
+                    let dst = if incast { 0 } else { (src + 1) % n };
+                    if src != dst {
+                        let t = Transfer::new(src, dst, b);
+                        out.push(Sub::Transfer(c.map_or(t, |c| t.compressed(c))));
+                    }
+                }
+            }
+            1 if n > 1 => {
+                for _ in 0..1 + rng.below(24) {
+                    let (src, dst) = pair(rng);
+                    let t = Transfer::new(src, dst, bytes(rng)).starting_at(match rng.below(3) {
+                        0 => 0,
+                        _ => rng.below(20_000),
+                    });
+                    out.push(Sub::Transfer(spec(rng).map_or(t, |c| t.compressed(c))));
+                }
+            }
+            _ => {
+                let legs = [
+                    SwitchLeg::Contribution,
+                    SwitchLeg::Distribution,
+                    SwitchLeg::Uplink,
+                    SwitchLeg::Downlink,
+                ];
+                for d in 0..depth {
+                    for leg in legs {
+                        // The root switch has no parent link.
+                        let vertical = matches!(leg, SwitchLeg::Uplink | SwitchLeg::Downlink);
+                        if vertical && d == 0 {
+                            continue;
+                        }
+                        for _ in 0..1 + rng.below(3) {
+                            let w = rng.below(n as u64) as usize;
+                            out.push(Sub::Leg(leg, w, d, bytes(rng), spec(rng)));
+                        }
+                    }
+                }
+                if n > 1 {
+                    for _ in 0..rng.below(6) {
+                        let (src, dst) = pair(rng);
+                        out.push(Sub::Transfer(Transfer::new(src, dst, bytes(rng))));
+                    }
+                }
+                // Interleave the legs and the flows.
+                for i in (1..out.len()).rev() {
+                    out.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn randomised_differential_against_the_per_hop_arrive_loop() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut flows_checked = 0;
+        for case in 0..200 {
+            let depth = 1 + rng.below(3) as usize;
+            let arities: Vec<usize> = loop {
+                let a: Vec<usize> = (0..depth).map(|_| 1 + rng.below(8) as usize).collect();
+                if a.iter().product::<usize>() <= 64 {
+                    break a;
+                }
+            };
+            let n: usize = arities.iter().product();
+            let oversub: Vec<u64> = (0..depth).map(|_| 1 << rng.below(3)).collect();
+            // Half the trees time a hop plus a switch, and the host's
+            // per-packet cost, to exactly one full packet's serialisation
+            // at 10 Gb/s (1 526 B in 1 221 ns), so `Free`, `Arrive` and
+            // `Inject` events tie all the time.
+            let (host, hop, switch) = match rng.below(2) {
+                0 => (
+                    [0, 150, 1_000][rng.below(3) as usize],
+                    rng.below(2_000),
+                    rng.below(2_000),
+                ),
+                _ => (1_221, 1_000, 221),
+            };
+            let cfg = TreeConfig {
+                host_ns_per_packet: host,
+                hop_latency_ns: hop,
+                switch_latency_ns: switch,
+                ..TreeConfig::ten_gbe(&arities, &oversub)
+            };
+            // One simulator serves every batch of the tree, reset between
+            // batches as the exchanges do.
+            let mut sim = TreeSim::new(cfg.clone());
+            for batch in 0..6 {
+                let subs = random_batch(&mut rng, n, depth, batch % 3);
+                sim.reset();
+                for sub in &subs {
+                    sub.submit(&mut sim);
+                }
+                let flows: Vec<_> = subs.iter().map(|s| s.route(&sim)).collect();
+                let (finish, served, makespan) = oracle_run(&cfg, &sim.rates, &flows);
+                let at = format!("case {case} batch {batch}, arities {arities:?}");
+                assert_eq!(sim.simulate(), makespan, "makespan, {at}");
+                assert_eq!(sim.served, served, "served bytes, {at}");
+                let got: Vec<_> = sim.flows.iter().map(|f| f.finish_ns).collect();
+                assert_eq!(got, finish, "finish times, {at}");
+                flows_checked += flows.len();
+            }
+        }
+        assert!(flows_checked > 2_000, "{flows_checked} flows");
     }
 
     #[test]
